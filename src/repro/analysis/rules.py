@@ -330,7 +330,7 @@ class PicklableExecutorCallables(Rule):
     under the serial executor ships the bug.  The repository pattern is
     module-level workers (``_evaluate``, ``_evaluate_chunk``) plus
     ``functools.partial`` over module-level functions for bound
-    arguments (the resilience layer's in-worker retry wrapper).
+    arguments.
     Heuristic: flagged when the receiver's name contains ``pool`` /
     ``executor`` / ``exec`` and the submitted callable is a ``lambda``
     (directly or inside a ``partial(...)``) or a name bound by a ``def``

@@ -173,17 +173,6 @@ class SuperstepRecord:
     messages: int
     payload_bytes: int
 
-    @property
-    def duration(self) -> float:
-        """Global superstep duration: latest exit minus earliest entry of
-        the step's body (entry here is compute-end; body started at the
-        previous exit)."""
-        return float(self.exit_times.max())
-
-    def exposed_comm_seconds(self) -> np.ndarray:
-        """Per-process non-masked communication + synchronisation time."""
-        return self.exit_times - self.entry_times
-
 
 @dataclass
 class BSPRunResult:

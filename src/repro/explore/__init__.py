@@ -9,7 +9,7 @@ bespoke benchmark scripts.
 * :mod:`repro.explore.space`       — ``ParamSpec`` / ``DesignSpace`` /
                                      ``DesignPoint`` with stable hashing
 * :mod:`repro.explore.campaign`    — the resumable ``Campaign`` runner and
-                                     serial/multiprocessing executors
+                                     its serial and worker-pool executors
 * :mod:`repro.explore.cache`       — the append-only JSONL result cache
 * :mod:`repro.explore.resilience`  — retry/timeout/backoff policy,
                                      poison-point quarantine, and the
@@ -58,6 +58,7 @@ from repro.explore.campaign import (
     CampaignStats,
     ChunkedProcessPoolExecutor,
     PointFailure,
+    PoolExecutor,
     ProcessPoolExecutor,
     SerialExecutor,
     make_executor,
@@ -130,6 +131,7 @@ __all__ = [
     "CampaignStats",
     "ChunkedProcessPoolExecutor",
     "PointFailure",
+    "PoolExecutor",
     "ProcessPoolExecutor",
     "SerialExecutor",
     "make_executor",

@@ -2,11 +2,12 @@
 
 A :class:`Campaign` materialises every point of a :class:`DesignSpace`,
 evaluates the points not already present in its result cache through a
-pluggable executor (in-process serial, or a ``multiprocessing`` pool), and
-returns a :class:`ResultSet` in deterministic expansion order together
-with run statistics.  Because every record is keyed by content hash and
-persisted as it is produced, campaigns are resumable: interrupting a run
-loses at most the in-flight points, and re-running is a pure cache read.
+pluggable executor (in-process serial, or a pool of worker processes fed
+contiguous chunks of points), and returns a :class:`ResultSet` in
+deterministic expansion order together with run statistics.  Because
+every record is keyed by content hash and persisted as it is produced,
+campaigns are resumable: interrupting a run loses at most the in-flight
+points, and re-running is a pure cache read.
 
 Executor equivalence is a design invariant, not an accident: workers are
 handed ``(experiment name, point dict)`` — plain picklable data — and the
@@ -16,6 +17,7 @@ executors produce bit-identical result sets.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import multiprocessing
@@ -30,9 +32,8 @@ from repro.explore.experiments import run_point
 from repro.explore.resilience import (
     RetryPolicy,
     append_quarantine,
-    chunked_map_resilient,
     current_plan,
-    pool_map_resilient,
+    pool_map,
     quarantine_path as _quarantine_path,
     serial_map_with_retry,
 )
@@ -100,28 +101,14 @@ def _evaluate(task: tuple[str, dict]) -> tuple[bool, dict]:
 
 
 def _evaluate_chunk(chunk: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
-    """Worker entry point of the chunked executor: one task per point is
-    replaced by one task per *chunk*, amortising pickle/dispatch overhead
-    over many cheap points."""
+    """Worker entry point of the pool executor: one pool task per
+    contiguous *chunk* of points rather than per point, amortising
+    pickle/dispatch overhead over many cheap points."""
     return [_evaluate(task) for task in chunk]
 
 
-def _evaluate_chunk_with_policy(
-    policy: RetryPolicy, chunk: list[tuple[str, dict]]
-) -> list[tuple[bool, dict]]:
-    """Chunked worker entry under a retry policy: the chunk still
-    evaluates serially inside one worker, but each point gets the
-    policy's retry/backoff budget (and quarantine enrichment) right
-    there — a failed point must not force the whole chunk back to the
-    parent.  Module-level + ``functools.partial`` so the pool can pickle
-    it by reference."""
-    return serial_map_with_retry(
-        _evaluate, chunk, policy, keys=_task_keys(chunk)
-    )
-
-
 def _pool_context():
-    """The multiprocessing context both pool executors share: fork where
+    """The multiprocessing context of the pool executor: fork where
     available so experiments registered at runtime (e.g. in tests) exist
     in the workers; falls back to spawn, under which only importable
     experiments resolve."""
@@ -129,14 +116,28 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _worker_count(tasks: list, workers: int | None) -> int:
-    return workers or min(len(tasks), os.cpu_count() or 1)
-
-
 def _task_keys(tasks: list[tuple[str, dict]]) -> list[str]:
     """Cache keys of the tasks — the retry drivers key jitter, fault
     ledgers, and quarantine records the same way the result store does."""
     return [record_key(experiment, params) for experiment, params in tasks]
+
+
+@contextlib.contextmanager
+def _observed_map(name: str, tasks: int, workers: int, **attrs: Any):
+    """Telemetry around one executor map: the ``executor.workers`` gauge
+    and the ``executor.map`` span.  Yields the pre-fork hook for the pool
+    driver — ``tele.flush``, since forked workers reset their inherited
+    buffers and anything unflushed would otherwise sit in the parent
+    until the map returns — or ``None`` with telemetry off."""
+    tele = _telemetry()
+    if tele is None:
+        yield None
+        return
+    tele.gauge("executor.workers", workers)
+    with tele.span(
+        "executor.map", executor=name, tasks=tasks, workers=workers, **attrs
+    ):
+        yield tele.flush
 
 
 class SerialExecutor:
@@ -153,120 +154,35 @@ class SerialExecutor:
     def __init__(self, policy: RetryPolicy | None = None):
         self.policy = policy
 
-    def _map(self, tasks: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
-        if self.policy is None or self.policy.is_noop:
-            return [_evaluate(task) for task in tasks]
-        return serial_map_with_retry(
-            _evaluate, tasks, self.policy, keys=_task_keys(tasks)
-        )
-
     def map(self, tasks: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
-        tele = _telemetry()
-        if tele is None:
-            return self._map(tasks)
-        tele.gauge("executor.workers", 1)
-        with tele.span(
-            "executor.map", executor=self.name, tasks=len(tasks), workers=1
-        ):
-            return self._map(tasks)
+        with _observed_map(self.name, len(tasks), 1):
+            if self.policy is None or self.policy.is_noop:
+                return [_evaluate(task) for task in tasks]
+            return serial_map_with_retry(
+                _evaluate, tasks, self.policy, keys=_task_keys(tasks)
+            )
 
 
-class ProcessPoolExecutor:
-    """Process-pool evaluation, order-preserving, one point per pool
-    task — right for few expensive points.
+class PoolExecutor:
+    """Order-preserving evaluation in a pool of worker processes.
 
-    Without a :class:`RetryPolicy` (and with ``degrade`` off) this is a
-    plain ``multiprocessing.Pool`` map, where a dying worker hangs the
-    map and a stuck point wedges it.  With a policy or ``degrade``, the
-    resilient driver takes over: per-point wall-clock deadlines (blown
-    deadlines kill and rebuild the pool), retries with deterministic
-    backoff, quarantine on exhaustion, and — when ``degrade`` is set —
-    serial in-process fallback after repeated worker death.
+    The task list is sliced into contiguous chunks — ``chunk_size``
+    tasks each, or by default enough chunks to give every worker a few
+    slices for load balancing — and each chunk is evaluated in one
+    worker task, so sweeps of hundreds of sub-millisecond points do not
+    pay a pickle/dispatch round trip per point.  ``chunk_size=1`` ships
+    one point per task, right for few expensive points.  Outputs are
+    flattened back into task order, bit-identical to the serial
+    executor's.
+
+    Every map runs in worker processes, whatever its size, under
+    :func:`~repro.explore.resilience.pool_map`: per-point wall-clock
+    deadlines, retries with deterministic backoff, quarantine on
+    exhaustion, pool rebuilds after worker death, and — when ``degrade``
+    is set — serial in-process fallback after repeated worker death.
+    Without a policy each point gets one attempt and a failure comes
+    back unquarantined.
     """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        policy: RetryPolicy | None = None,
-        degrade: bool = False,
-    ):
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.policy = policy
-        self.degrade = degrade
-
-    @property
-    def _resilient(self) -> bool:
-        return self.degrade or (
-            self.policy is not None and not self.policy.is_noop
-        )
-
-    def _map_resilient(
-        self, tasks: list[tuple[str, dict]], workers: int,
-        pre_submit=None,
-    ) -> list[tuple[bool, dict]]:
-        return pool_map_resilient(
-            _pool_context(),
-            _evaluate,
-            tasks,
-            _task_keys(tasks),
-            workers,
-            self.policy or RetryPolicy(),
-            degrade=self.degrade,
-            pre_submit=pre_submit,
-        )
-
-    def map(self, tasks: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
-        if not tasks:
-            return []
-        workers = _worker_count(tasks, self.workers)
-        tele = _telemetry()
-        if tele is None:
-            if self._resilient:
-                return self._map_resilient(tasks, workers)
-            with _pool_context().Pool(processes=workers) as pool:
-                return pool.map(_evaluate, tasks)
-        tele.gauge("executor.workers", workers)
-        # Flush before forking: the workers reset their inherited buffers,
-        # so anything unflushed would otherwise sit in the parent until
-        # the map returns.
-        tele.flush()
-        with tele.span(
-            "executor.map", executor=self.name, tasks=len(tasks),
-            workers=workers,
-        ):
-            if self._resilient:
-                return self._map_resilient(
-                    tasks, workers, pre_submit=tele.flush
-                )
-            with _pool_context().Pool(processes=workers) as pool:
-                return pool.map(_evaluate, tasks)
-
-
-class ChunkedProcessPoolExecutor:
-    """Batched ``multiprocessing.Pool`` evaluation, order-preserving.
-
-    The plain process executor ships one point per pool task, so on sweeps
-    of hundreds of sub-millisecond points the pickle/dispatch round trip
-    dominates wall time.  This executor slices the task list into
-    contiguous chunks — default: enough chunks to give every worker a few
-    slices for load balancing — evaluates each chunk in one task, and
-    flattens the per-chunk outputs back into task order, so its result is
-    bit-identical to the serial executor's.
-
-    When the task list fits in a single chunk it is evaluated directly in
-    the calling process: there is no parallelism to win, so the pool is
-    skipped.  That fast path trades the crash isolation of the multi-chunk
-    and ``process`` paths for startup cost — a crashing experiment takes
-    the campaign process with it, and experiment side effects land in the
-    parent.  Use :class:`ProcessPoolExecutor` when isolation must hold for
-    every run regardless of sweep size.
-    """
-
-    name = "chunked"
 
     #: Target chunks handed to each worker when no chunk size is forced;
     #: > 1 so one straggler chunk cannot serialise the tail of a sweep.
@@ -283,16 +199,11 @@ class ChunkedProcessPoolExecutor:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        self.name = "process" if chunk_size == 1 else "chunked"
         self.workers = workers
         self.chunk_size = chunk_size
         self.policy = policy
         self.degrade = degrade
-
-    @property
-    def _resilient(self) -> bool:
-        return self.degrade or (
-            self.policy is not None and not self.policy.is_noop
-        )
 
     def _chunks(self, tasks: list, workers: int) -> list[list]:
         size = self.chunk_size
@@ -303,74 +214,33 @@ class ChunkedProcessPoolExecutor:
     def map(self, tasks: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
         if not tasks:
             return []
-        workers = _worker_count(tasks, self.workers)
+        workers = self.workers or min(len(tasks), os.cpu_count() or 1)
         chunks = self._chunks(tasks, workers)
-        tele = _telemetry()
-        if len(chunks) == 1:
-            # One chunk means no parallelism to win; skip the pool.  The
-            # resilient single-chunk path keeps the in-process fast path
-            # (retry/backoff apply; timeouts cannot — same contract as
-            # the serial executor).
-            if tele is None:
-                return self._map_single(tasks)
-            tele.gauge("executor.workers", 1)
-            with tele.span(
-                "executor.map", executor=self.name, tasks=len(tasks),
-                workers=1, chunks=1,
-            ):
-                return self._map_single(tasks)
-        processes = min(workers, len(chunks))
-        if tele is None:
-            if self._resilient:
-                return self._map_resilient(tasks, chunks, processes)
-            with _pool_context().Pool(processes=processes) as pool:
-                outputs = pool.map(_evaluate_chunk, chunks)
-            return [result for chunk_out in outputs for result in chunk_out]
-        tele.gauge("executor.workers", processes)
-        tele.flush()  # forked workers reset inherited buffers; see above
-        with tele.span(
-            "executor.map", executor=self.name, tasks=len(tasks),
-            workers=processes, chunks=len(chunks),
-        ):
-            if self._resilient:
-                return self._map_resilient(
-                    tasks, chunks, processes, pre_submit=tele.flush
-                )
-            with _pool_context().Pool(processes=processes) as pool:
-                outputs = pool.map(_evaluate_chunk, chunks)
-        return [result for chunk_out in outputs for result in chunk_out]
+        workers = min(workers, len(chunks))
+        with _observed_map(
+            self.name, len(tasks), workers, chunks=len(chunks)
+        ) as pre_fork:
+            return pool_map(
+                _pool_context(),
+                _evaluate_chunk,
+                chunks,
+                _task_keys(tasks),
+                workers,
+                self.policy or RetryPolicy(),
+                degrade=self.degrade,
+                pre_submit=pre_fork,
+            )
 
-    def _map_single(
-        self, tasks: list[tuple[str, dict]]
-    ) -> list[tuple[bool, dict]]:
-        if self.policy is None or self.policy.is_noop:
-            return _evaluate_chunk(tasks)
-        return serial_map_with_retry(
-            _evaluate, tasks, self.policy, keys=_task_keys(tasks)
-        )
 
-    def _map_resilient(
-        self, tasks: list[tuple[str, dict]], chunks: list, processes: int,
-        pre_submit=None,
-    ) -> list[tuple[bool, dict]]:
-        policy = self.policy or RetryPolicy()
-        return chunked_map_resilient(
-            _pool_context(),
-            functools.partial(_evaluate_chunk_with_policy, policy),
-            _evaluate,
-            chunks,
-            _task_keys(tasks),
-            processes,
-            policy,
-            degrade=self.degrade,
-            pre_submit=pre_submit,
-        )
-
+#: Importable names of :class:`PoolExecutor` (bound to the class itself,
+#: so ``module:qualname`` references such as ``ProcessPoolExecutor.map``
+#: resolve to the one ``map``).
+ProcessPoolExecutor = ChunkedProcessPoolExecutor = PoolExecutor
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "process": ProcessPoolExecutor,
-    "chunked": ChunkedProcessPoolExecutor,
+    "process": functools.partial(PoolExecutor, chunk_size=1),
+    "chunked": PoolExecutor,
 }
 
 

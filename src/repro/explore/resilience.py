@@ -15,10 +15,12 @@ robustness substrate:
   recorded as a structured failure (error, traceback, attempts, elapsed)
   and the campaign finishes; :meth:`Campaign.serve` persists the record
   to a ``<store>.quarantine.jsonl`` sidecar next to the result store.
-* **Graceful degradation** — the pool drivers detect worker death
-  (``BrokenProcessPool``) and blown point deadlines, rebuild the pool
-  once, and — when ``degrade`` is enabled — fall back to in-process
-  serial evaluation for the remaining points instead of aborting.
+* **Graceful degradation** — :func:`pool_map`, the one pool driver,
+  ships contiguous chunks of points to worker processes.  It detects
+  worker death (``BrokenProcessPool``) and blown point deadlines, splits
+  the in-flight chunks into single points, rebuilds the pool, and — when
+  ``degrade`` is enabled — falls back to in-process serial evaluation
+  once rebuilt pools stop making progress, instead of aborting.
 * :class:`FaultPlan` — a deterministic fault-injection harness.  Faults
   (exceptions, hangs, worker kills, torn cache appends) are described as
   data, activated through the env-inherited :data:`ENV_VAR` hook exactly
@@ -94,7 +96,7 @@ class RetryPolicy:
 
     ``max_attempts`` counts evaluations, so ``1`` (the default) means no
     retries; ``point_timeout_s`` is enforced as a wall-clock deadline by
-    the pool executors (the serial executor cannot preempt an in-process
+    the pool executor (the serial executor cannot preempt an in-process
     call and documents that timeouts there are advisory); the delay
     before attempt ``n+1`` is ``backoff_base_s * 2**(n-1)`` scaled by a
     seeded-deterministic jitter factor in [0.5, 1.5), capped at
@@ -119,7 +121,8 @@ class RetryPolicy:
 
     @property
     def is_noop(self) -> bool:
-        """True when the policy changes nothing about plain execution."""
+        """True when the policy asks for no retry and no deadline: each
+        point gets one attempt and a failure is not quarantined."""
         return self.max_attempts == 1 and self.point_timeout_s is None
 
     def backoff_s(self, key: str, attempt: int) -> float:
@@ -414,16 +417,20 @@ def maybe_tear(site: str, experiment: str, key: str,
 
 # ----------------------------------------------------------- failure records
 
-def failure_details(metrics: Mapping[str, Any], attempts: int,
-                    elapsed_s: float, reason: str) -> dict:
-    """The structured quarantine payload: the worker's error fields plus
-    how execution spent the point's budget."""
+def _exhausted(metrics: Mapping[str, Any], policy: RetryPolicy,
+               attempts: int, elapsed_s: float,
+               reason: str) -> tuple[bool, dict]:
+    """The final outcome of a point out of attempts.  Under a real policy
+    it is quarantined: the worker's error fields plus how execution spent
+    the point's budget.  Under a no-op policy it is the worker's report
+    as-is."""
     out = dict(metrics)
-    out["attempts"] = attempts
-    out["elapsed_s"] = round(float(elapsed_s), 6)
-    out["reason"] = reason
-    out["quarantined"] = True
-    return out
+    if not policy.is_noop:
+        out["attempts"] = attempts
+        out["elapsed_s"] = round(float(elapsed_s), 6)
+        out["reason"] = reason
+        out["quarantined"] = True
+    return False, out
 
 
 def timeout_details(timeout_s: float) -> dict:
@@ -481,17 +488,16 @@ def read_quarantine(path: str | os.PathLike) -> list[dict]:
     return records
 
 
-# --------------------------------------------------------- resilient drivers
+# ------------------------------------------------------------ pool driver
 
 #: Floor on consecutive worker-death rebuilds tolerated before the
-#: driver gives up on the pool.  The per-point driver scales this with
-#: the remaining workload (:func:`_barren_limit`): a worker death
-#: consumes no attempt by design, so a *converging* fault plan — every
-#: point's firing budget below ``max_attempts``, the documented
-#: contract — can legitimately kill the pool up to
-#: ``incomplete * (max_attempts - 1)`` times in a row before any task
-#: completes.  Only past that bound is the pool provably broken rather
-#: than unlucky.
+#: driver gives up on the pool.  :func:`_barren_limit` scales this with
+#: the remaining workload: a worker death consumes no attempt by design,
+#: so a *converging* fault plan — every point's firing budget below
+#: ``max_attempts``, the documented contract — can legitimately kill the
+#: pool up to ``incomplete * (max_attempts - 1)`` times in a row before
+#: any task completes.  Only past that bound is the pool provably broken
+#: rather than unlucky.
 MAX_BARREN_REBUILDS = 1
 
 
@@ -504,15 +510,15 @@ _MIN_WAIT_S = 0.005
 
 
 class _Unit:
-    """One task's lifecycle through the resilient pool driver."""
+    """A contiguous slice of tasks, starting at task ``index``, on its way
+    through :func:`pool_map`.  Only single-task units are charged
+    attempts; a multi-task unit is never retried whole."""
 
-    __slots__ = ("index", "task", "key", "attempt", "eligible_at",
-                 "elapsed_s")
+    __slots__ = ("index", "tasks", "attempt", "eligible_at", "elapsed_s")
 
-    def __init__(self, index: int, task: Any, key: str):
+    def __init__(self, index: int, tasks: list):
         self.index = index
-        self.task = task
-        self.key = key
+        self.tasks = tasks
         self.attempt = 1
         self.eligible_at = 0.0
         self.elapsed_s = 0.0
@@ -546,8 +552,8 @@ def serial_map_with_retry(
     """In-process evaluation with the policy's retry/backoff schedule.
 
     No preemptive timeout: a single process cannot interrupt its own
-    call, so ``point_timeout_s`` is not enforced here (the pool drivers
-    enforce it).  ``start_attempts`` lets the degraded fallback resume
+    call, so ``point_timeout_s`` is not enforced here (the pool driver
+    enforces it).  ``start_attempts`` lets the degraded fallback resume
     attempt counting where the pool left off.
     """
     keys = list(keys) if keys is not None else [repr(t) for t in tasks]
@@ -563,12 +569,10 @@ def serial_map_with_retry(
                 out.append((True, metrics))
                 break
             if attempt >= policy.max_attempts:
-                out.append((False, failure_details(
-                    metrics,
-                    attempts=attempt,
-                    elapsed_s=time.monotonic() - started,
-                    reason="exception",
-                )))
+                out.append(_exhausted(
+                    metrics, policy, attempt, time.monotonic() - started,
+                    "exception",
+                ))
                 break
             delay = policy.backoff_s(keys[position], attempt)
             _observe_backoff(delay)
@@ -578,48 +582,70 @@ def serial_map_with_retry(
     return out
 
 
-def pool_map_resilient(
+def _kill_pool(executor) -> None:
+    """Tear a process pool down hard: a hung worker cannot be reclaimed
+    any other way."""
+    processes = list(getattr(executor, "_processes", {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        try:
+            proc.kill()
+        except (OSError, ValueError):
+            pass
+    for proc in processes:
+        try:
+            proc.join(timeout=2.0)
+        except (OSError, ValueError, AssertionError):
+            pass
+
+
+def pool_map(
     context,
-    eval_fn: Callable[[Any], tuple[bool, dict]],
-    tasks: Sequence[Any],
+    chunk_fn: Callable[[list], list[tuple[bool, dict]]],
+    chunks: Sequence[list],
     keys: Sequence[str],
     workers: int,
     policy: RetryPolicy,
     degrade: bool = False,
     pre_submit: Callable[[], None] | None = None,
 ) -> list[tuple[bool, dict]]:
-    """Order-preserving pool map with per-point deadlines, retries, and
-    worker-death recovery.
+    """Order-preserving pool map over contiguous chunks of tasks, with
+    per-point deadlines, retries, and worker-death recovery.
 
-    Tasks are dispatched through a ``concurrent.futures`` process pool in
-    a sliding window of at most ``workers`` in-flight futures, so a
-    submitted task is actually *running* and its wall-clock deadline is
-    meaningful.  Three failure paths:
+    ``chunks`` slice the flat task list in order; ``keys`` holds one
+    cache key per task.  Each chunk is a *unit* shipped whole to
+    ``chunk_fn`` in a worker, which evaluates it once per point.  Units
+    are dispatched through a ``concurrent.futures`` process pool in a
+    sliding window of at most ``workers`` in flight, so a submitted unit
+    is actually *running* and its deadline (``point_timeout_s`` per
+    task) is meaningful.  Failure paths:
 
-    * an evaluation returning ``ok=False`` consumes one attempt and is
-      retried after its deterministic backoff delay (quarantined once
-      attempts are exhausted);
-    * a blown ``point_timeout_s`` deadline kills the whole pool (a hung
-      worker cannot be interrupted any other way), consumes one attempt
-      of the *timed-out* point only, requeues the innocent in-flight
-      points unchanged, and rebuilds;
-    * worker death (``BrokenProcessPool``) requeues every in-flight point
-      unchanged and rebuilds — once.  A second death with no completed
-      task in between means the pool cannot make progress: with
+    * a point returning ``ok=False`` consumes one attempt and is retried
+      alone, as a single-task unit, after its deterministic backoff
+      (quarantined once attempts are exhausted — unless the policy is a
+      no-op, which returns the failure as reported);
+    * a blown deadline kills the whole pool (a hung worker cannot be
+      interrupted any other way) and rebuilds it.  A timed-out
+      single-task unit consumes one attempt; every other in-flight unit
+      is requeued uncharged;
+    * worker death (``BrokenProcessPool``) requeues every in-flight unit
+      uncharged and rebuilds.  Consecutive deaths with no completed unit
+      in between are bounded by :func:`_barren_limit`; past it, with
       ``degrade`` the remaining points run serially in this process,
       otherwise :class:`PoolBrokenError` is raised.
 
-    ``pre_submit`` runs before each pool (re)build — the campaign layer
-    uses it to flush telemetry ahead of the fork, exactly like the plain
-    pool executors.
+    On a death or a blown deadline every in-flight multi-task unit is
+    split into single-task units — the failure cannot be attributed
+    within it — so with one task per chunk this is a plain per-point
+    driver.  ``pre_submit`` runs before each pool (re)build; the
+    campaign layer uses it to flush telemetry ahead of the fork.
     """
-    if not tasks:
-        return []
-    results: list[tuple[bool, dict] | None] = [None] * len(tasks)
-    queue: list[_Unit] = [
-        _Unit(i, task, keys[i]) for i, task in enumerate(tasks)
-    ]
-    heapq.heapify(queue)
+    results: list[tuple[bool, dict] | None] = [None] * len(keys)
+    queue: list[_Unit] = []  # in task order, hence already a heap
+    start = 0
+    for chunk in chunks:
+        queue.append(_Unit(start, chunk))
+        start += len(chunk)
 
     def make_pool():
         if pre_submit is not None:
@@ -628,50 +654,48 @@ def pool_map_resilient(
             max_workers=workers, mp_context=context
         )
 
-    def kill_pool(executor) -> None:
-        processes = list(getattr(executor, "_processes", {}).values())
-        executor.shutdown(wait=False, cancel_futures=True)
-        for proc in processes:
-            try:
-                proc.kill()
-            except (OSError, ValueError):
-                pass
-        for proc in processes:
-            try:
-                proc.join(timeout=2.0)
-            except (OSError, ValueError, AssertionError):
-                pass
+    def requeue(unit: _Unit) -> None:
+        """Back in line, uncharged; a multi-task unit as single tasks."""
+        if len(unit.tasks) == 1:
+            unit.eligible_at = 0.0
+            heapq.heappush(queue, unit)
+            return
+        for offset, task in enumerate(unit.tasks):
+            heapq.heappush(queue, _Unit(unit.index + offset, [task]))
 
     def settle(unit: _Unit, metrics: Mapping[str, Any],
                reason: str) -> None:
-        """One failed attempt: retry with backoff or quarantine."""
+        """One failed attempt of a single-task unit: retry or give up."""
         if unit.attempt >= policy.max_attempts:
-            results[unit.index] = (False, failure_details(
-                metrics, attempts=unit.attempt,
-                elapsed_s=unit.elapsed_s, reason=reason,
-            ))
+            results[unit.index] = _exhausted(
+                metrics, policy, unit.attempt, unit.elapsed_s, reason
+            )
             return
-        delay = policy.backoff_s(unit.key, unit.attempt)
+        delay = policy.backoff_s(keys[unit.index], unit.attempt)
         _observe_backoff(delay)
         unit.attempt += 1
         unit.eligible_at = time.monotonic() + delay
         heapq.heappush(queue, unit)
 
+    def abort_inflight(now: float) -> None:
+        for unit, _, started_at in inflight.values():
+            unit.elapsed_s += now - started_at
+            requeue(unit)
+        inflight.clear()
+
     executor = make_pool()
     inflight: dict = {}  # future -> (unit, deadline | None, started_at)
     barren_rebuilds = 0
-    degraded = False
     try:
         while queue or inflight:
             now = time.monotonic()
             while (queue and len(inflight) < workers
                    and queue[0].eligible_at <= now):
                 unit = heapq.heappop(queue)
-                future = executor.submit(eval_fn, unit.task)
-                deadline = (
-                    now + policy.point_timeout_s
-                    if policy.point_timeout_s is not None else None
-                )
+                future = executor.submit(chunk_fn, unit.tasks)
+                deadline = None
+                if policy.point_timeout_s is not None:
+                    deadline = now + policy.point_timeout_s * len(unit.tasks)
                 inflight[future] = (unit, deadline, now)
             if not inflight:
                 # Everything pending is backing off; sleep to eligibility.
@@ -696,39 +720,38 @@ def pool_map_resilient(
                 unit, _, started_at = inflight.pop(future)
                 unit.elapsed_s += time.monotonic() - started_at
                 try:
-                    ok, metrics = future.result()
+                    outputs = future.result()
                 except BrokenProcessPool:
                     # Worker death: no attempt consumed — the fault (or
-                    # crash) cannot be attributed to this point.
+                    # crash) cannot be attributed to this unit.
                     crashed = True
-                    unit.eligible_at = 0.0
-                    heapq.heappush(queue, unit)
+                    requeue(unit)
                     continue
                 except Exception as exc:  # noqa: BLE001 — dispatch-side
-                    ok, metrics = False, {
+                    if len(unit.tasks) > 1:
+                        requeue(unit)
+                        continue
+                    outputs = [(False, {
                         "error": f"{type(exc).__name__}: {exc}",
                         "error_type": type(exc).__name__,
                         "traceback": None,
-                    }
-                if ok:
-                    results[unit.index] = (True, metrics)
-                    barren_rebuilds = 0  # the pool made progress
-                else:
-                    settle(unit, metrics, "exception")
-                    barren_rebuilds = 0
+                    })]
+                barren_rebuilds = 0  # the pool made progress
+                for offset, (ok, metrics) in enumerate(outputs):
+                    if ok:
+                        results[unit.index + offset] = (True, metrics)
+                    else:  # retried alone, as a single-task unit
+                        settle(unit if len(unit.tasks) == 1 else _Unit(
+                            unit.index + offset, [unit.tasks[offset]]
+                        ), metrics, "exception")
 
             if crashed:
-                for future, (unit, _, started_at) in inflight.items():
-                    unit.elapsed_s += time.monotonic() - started_at
-                    unit.eligible_at = 0.0
-                    heapq.heappush(queue, unit)
-                inflight.clear()
-                kill_pool(executor)
+                abort_inflight(time.monotonic())
+                _kill_pool(executor)
                 barren_rebuilds += 1
                 incomplete = sum(1 for r in results if r is None)
                 if barren_rebuilds > _barren_limit(incomplete, policy):
                     _count("resilience.degraded")
-                    degraded = True
                     break
                 _count("resilience.pool_rebuilds")
                 executor = make_pool()
@@ -746,22 +769,24 @@ def pool_map_resilient(
                     unit, _, started_at = inflight.pop(future)
                     unit.elapsed_s += now - started_at
                     _count("resilience.timeouts")
-                    settle(unit, timeout_details(policy.point_timeout_s),
-                           "timeout")
-                for future, (unit, _, started_at) in inflight.items():
-                    unit.elapsed_s += now - started_at
-                    unit.eligible_at = 0.0
-                    heapq.heappush(queue, unit)
-                inflight.clear()
-                kill_pool(executor)
+                    if len(unit.tasks) > 1:
+                        requeue(unit)
+                    else:
+                        settle(unit, timeout_details(policy.point_timeout_s),
+                               "timeout")
+                abort_inflight(now)
+                _kill_pool(executor)
                 _count("resilience.pool_rebuilds")
                 executor = make_pool()
     finally:
-        if not degraded:
-            executor.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
 
-    if degraded:
-        remaining = sorted(queue, key=lambda u: u.index)
+    if queue:  # the pool was given up on
+        remaining = [
+            (unit.index + offset, task, unit.attempt)
+            for unit in sorted(queue, key=lambda u: u.index)
+            for offset, task in enumerate(unit.tasks)
+        ]
         if not degrade:
             raise PoolBrokenError(
                 len(remaining),
@@ -769,181 +794,19 @@ def pool_map_resilient(
                 f"completing a task; {len(remaining)} point(s) remain "
                 f"(enable degrade=True to finish them serially)",
             )
+
+        def evaluate_one(task: Any) -> tuple[bool, dict]:
+            return chunk_fn([task])[0]
+
         serial = serial_map_with_retry(
-            eval_fn,
-            [unit.task for unit in remaining],
+            evaluate_one,
+            [task for _, task, _ in remaining],
             policy,
-            keys=[unit.key for unit in remaining],
-            start_attempts=[unit.attempt for unit in remaining],
+            keys=[keys[index] for index, _, _ in remaining],
+            start_attempts=[attempt for _, _, attempt in remaining],
         )
-        for unit, outcome in zip(remaining, serial):
-            results[unit.index] = outcome
-
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
-
-
-def chunked_map_resilient(
-    context,
-    chunk_fn: Callable[[list], list[tuple[bool, dict]]],
-    point_fn: Callable[[Any], tuple[bool, dict]],
-    chunks: Sequence[list],
-    keys: Sequence[str],
-    workers: int,
-    policy: RetryPolicy,
-    degrade: bool = False,
-    pre_submit: Callable[[], None] | None = None,
-) -> list[tuple[bool, dict]]:
-    """Resilient chunk dispatch: healthy chunks run whole, broken chunks
-    split to points.
-
-    Chunks are dispatched like points with a *chunk deadline* of
-    ``point_timeout_s * len(chunk)``.  A chunk whose pool crashes or
-    whose deadline blows is not retried as a chunk — the failure cannot
-    be attributed within it — its tasks are re-run individually through
-    :func:`pool_map_resilient`, which owns per-point timeouts, retries,
-    quarantine, and degradation.  A second consecutive crash abandons
-    chunking entirely and sends every unfinished chunk to the point
-    driver.
-    """
-    if not chunks:
-        return []
-    # Flatten bookkeeping: chunk i covers global tasks offsets[i]...
-    offsets: list[int] = []
-    total = 0
-    for chunk in chunks:
-        offsets.append(total)
-        total += len(chunk)
-    results: list[tuple[bool, dict] | None] = [None] * total
-    suspects: list[int] = []  # chunk indices routed to the point driver
-
-    def make_pool():
-        if pre_submit is not None:
-            pre_submit()
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        )
-
-    def kill_pool(executor) -> None:
-        processes = list(getattr(executor, "_processes", {}).values())
-        executor.shutdown(wait=False, cancel_futures=True)
-        for proc in processes:
-            try:
-                proc.kill()
-            except (OSError, ValueError):
-                pass
-        for proc in processes:
-            try:
-                proc.join(timeout=2.0)
-            except (OSError, ValueError, AssertionError):
-                pass
-
-    pending = list(range(len(chunks)))
-    pending.reverse()  # pop() dispatches in order
-    executor = make_pool()
-    inflight: dict = {}  # future -> (chunk index, deadline | None)
-    crashes_without_progress = 0
-    abandoned = False
-    try:
-        while (pending or inflight) and not abandoned:
-            now = time.monotonic()
-            while pending and len(inflight) < workers:
-                index = pending.pop()
-                future = executor.submit(chunk_fn, chunks[index])
-                deadline = None
-                if policy.point_timeout_s is not None:
-                    # The chunk worker may retry points internally, so
-                    # its deadline budgets every attempt; the per-point
-                    # deadline proper is enforced after a split.
-                    deadline = now + (
-                        policy.point_timeout_s
-                        * max(len(chunks[index]), 1)
-                        * policy.max_attempts
-                    )
-                inflight[future] = (index, deadline)
-
-            deadlines = [d for _, d in inflight.values() if d is not None]
-            wait_s = None
-            if deadlines:
-                wait_s = max(min(deadlines) - now, _MIN_WAIT_S)
-            done, _ = concurrent.futures.wait(
-                set(inflight), timeout=wait_s,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-
-            crashed = False
-            for future in done:
-                index, _ = inflight.pop(future)
-                try:
-                    outputs = future.result()
-                except BrokenProcessPool:
-                    crashed = True
-                    suspects.append(index)
-                    continue
-                except Exception:  # noqa: BLE001 — dispatch-side failure
-                    suspects.append(index)
-                    continue
-                for offset, outcome in enumerate(outputs):
-                    results[offsets[index] + offset] = outcome
-                crashes_without_progress = 0
-
-            if crashed:
-                # Innocent in-flight chunks requeue whole; their partial
-                # work is lost but their values are unaffected.
-                for future, (index, _) in inflight.items():
-                    pending.append(index)
-                inflight.clear()
-                pending.sort(reverse=True)
-                kill_pool(executor)
-                crashes_without_progress += 1
-                if crashes_without_progress > MAX_BARREN_REBUILDS:
-                    # The pool cannot hold a chunk: stop chunking and
-                    # let the point driver sort the rest out.
-                    _count("resilience.degraded")
-                    suspects.extend(pending)
-                    pending.clear()
-                    abandoned = True
-                    break
-                _count("resilience.pool_rebuilds")
-                executor = make_pool()
-                continue
-
-            now = time.monotonic()
-            expired = [
-                future for future, (_, deadline) in inflight.items()
-                if deadline is not None and now >= deadline
-            ]
-            if expired:
-                for future in expired:
-                    index, _ = inflight.pop(future)
-                    _count("resilience.timeouts")
-                    suspects.append(index)
-                for future, (index, _) in inflight.items():
-                    pending.append(index)
-                inflight.clear()
-                pending.sort(reverse=True)
-                kill_pool(executor)
-                _count("resilience.pool_rebuilds")
-                executor = make_pool()
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-
-    if suspects:
-        suspects = sorted(set(suspects))
-        retry_tasks = [t for i in suspects for t in chunks[i]]
-        retry_keys = [
-            keys[offsets[i] + offset]
-            for i in suspects for offset in range(len(chunks[i]))
-        ]
-        retried = pool_map_resilient(
-            context, point_fn, retry_tasks, retry_keys, workers, policy,
-            degrade=degrade, pre_submit=pre_submit,
-        )
-        cursor = 0
-        for i in suspects:
-            for offset in range(len(chunks[i])):
-                results[offsets[i] + offset] = retried[cursor]
-                cursor += 1
+        for (index, _, _), outcome in zip(remaining, serial):
+            results[index] = outcome
 
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.explore.campaign import Campaign, run_campaign
+from repro.explore.campaign import Campaign, PoolExecutor, run_campaign
 from repro.explore.experiments import register_experiment
 from repro.explore.resilience import (
     FaultPlan,
@@ -73,41 +73,40 @@ def test_exception_faults_converge_bit_identically(executor, baseline):
     assert outcome.stats.failed == 0
 
 
-def test_worker_kill_rebuilds_pool_and_converges(baseline):
+@pytest.mark.parametrize("executor", ["process", "chunked"])
+def test_worker_kill_rebuilds_pool_and_converges(executor, baseline):
     activate(FaultPlan(
         faults=(FaultSpec(kind="kill", rate=0.4, times=1),), seed=5
     ))
-    outcome = run(NS, executor="process", workers=2, policy=POLICY)
+    outcome = run(NS, executor=executor, workers=2, policy=POLICY)
     assert outcome.results == baseline
     assert outcome.stats.failed == 0
 
 
-def test_worker_kill_in_chunked_executor_converges(baseline):
-    activate(FaultPlan(
-        faults=(FaultSpec(kind="kill", rate=0.4, times=1),), seed=5
-    ))
-    outcome = run(NS, executor="chunked", workers=2, policy=POLICY)
-    assert outcome.results == baseline
-    assert outcome.stats.failed == 0
-
-
-def test_hang_past_timeout_is_killed_and_retried(baseline):
+@pytest.mark.parametrize("chunk_size", [1, 3], ids=["process", "chunked"])
+def test_hang_past_timeout_is_killed_and_retried(chunk_size, baseline):
     # The injected hang (5s) dwarfs the 0.75s point deadline, so the
-    # only way these points can complete is the resilient driver killing
-    # the hung pool and retrying them — the firing budget makes the
-    # retry succeed.
+    # only way these points can complete is the pool driver killing the
+    # hung pool and retrying them — the firing budget makes the retry
+    # succeed.  With 3-point chunks the hang blows a multi-point unit,
+    # which must split into single points rather than retry whole.
     policy = RetryPolicy(
         max_attempts=2, backoff_base_s=0.0, point_timeout_s=0.75
     )
-    activate(FaultPlan(
+    # Seed 2 targets points 3 and 5: mid-chunk in each 3-point chunk.
+    plan = activate(FaultPlan(
         faults=(FaultSpec(kind="hang", hang_s=5.0, rate=0.4, times=1),),
-        seed=9,
+        seed=2,
     ))
     started = time.monotonic()
-    outcome = run(NS, executor="process", workers=2, policy=policy)
+    outcome = run(
+        NS, executor=PoolExecutor(workers=2, chunk_size=chunk_size),
+        policy=policy,
+    )
     assert outcome.results == baseline
     assert outcome.stats.failed == 0
     assert time.monotonic() - started < 5.0  # never waited out a hang
+    assert len(os.listdir(plan.state_dir)) == 2  # both hangs fired
 
 
 def test_torn_append_resumes_bit_identically(tmp_path, baseline):

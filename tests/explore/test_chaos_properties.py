@@ -1,7 +1,8 @@
 """Property-based chaos: random seeded fault plans never change results.
 
-Hypothesis draws a fault plan (kind mix, seed, rate) and an executor,
-runs the campaign under injection, and asserts the final metrics are
+Hypothesis draws a fault plan (kind mix, seed, rate) and an executor —
+a name, or a pool executor whose chunks hold several points — runs the
+campaign under injection, and asserts the final metrics are
 bit-identical to the fault-free baseline.  The drawn plans always keep
 each point's firing budget (``times``) below the policy's
 ``max_attempts``, which is the documented convergence condition: every
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.explore.campaign import run_campaign
+from repro.explore.campaign import PoolExecutor, run_campaign
 from repro.explore.experiments import register_experiment
 from repro.explore.resilience import (
     FaultPlan,
@@ -73,7 +74,10 @@ fault_plans = st.builds(
 )
 @given(
     plan=fault_plans,
-    executor=st.sampled_from(["serial", "process", "chunked"]),
+    executor=st.sampled_from(["serial", "process", "chunked"])
+    | st.builds(
+        PoolExecutor, workers=st.just(2), chunk_size=st.sampled_from([1, 2, 5])
+    ),
 )
 def test_random_fault_plans_converge_bit_identically(
     plan, executor, baseline_metrics

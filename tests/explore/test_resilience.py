@@ -296,6 +296,7 @@ def test_make_executor_threads_policy_and_degrade():
     pool = make_executor("process", 2, policy=policy, degrade=True)
     assert isinstance(pool, ProcessPoolExecutor)
     assert pool.policy is policy and pool.degrade
+    assert pool.chunk_size == 1
     chunked = make_executor("chunked", 2, policy=policy, degrade=True)
     assert isinstance(chunked, ChunkedProcessPoolExecutor)
     assert chunked.policy is policy and chunked.degrade
@@ -305,10 +306,30 @@ def test_make_executor_threads_policy_and_degrade():
     assert own.policy is policy
 
 
-def test_noop_policy_keeps_plain_paths():
-    assert not ProcessPoolExecutor(policy=RetryPolicy())._resilient
-    assert ProcessPoolExecutor(policy=RetryPolicy(max_attempts=2))._resilient
-    assert ProcessPoolExecutor(degrade=True)._resilient
+@pytest.mark.parametrize("executor", ["process", "chunked"])
+def test_noop_policy_failures_are_not_quarantined(executor, tmp_path):
+    space = DesignSpace.from_dict(
+        {"axes": {"n": [1, 2], "explode": [False, True]}}
+    )
+    # Without a policy a failing point gets one attempt and comes back as
+    # the worker reported it: failed, not quarantined, no sidecar.
+    plain = run_campaign(
+        "plain", space, "resil-square", store_dir=tmp_path,
+        executor=executor, workers=2, on_error="store",
+    )
+    assert (plain.stats.failed, plain.stats.quarantined) == (2, 0)
+    assert not os.path.exists(Campaign.quarantine_path(tmp_path, "plain"))
+    # With one, exhausted points quarantine as they do under serial.
+    retried = run_campaign(
+        "retried", space, "resil-square", store_dir=tmp_path,
+        executor=executor, workers=2, on_error="store",
+        policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+    )
+    assert (retried.stats.failed, retried.stats.quarantined) == (2, 2)
+    records = read_quarantine(Campaign.quarantine_path(tmp_path, "retried"))
+    assert [(r["attempts"], r["reason"]) for r in records] == [
+        (2, "exception"), (2, "exception")
+    ]
 
 
 def test_cli_reports_quarantine_and_strict_fails(tmp_path, capsys):
