@@ -19,6 +19,14 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
           "batch_s": float,       # best-of-repeats: one (runs, P) batch
           "speedup": float        # reference_s / batch_s  (target: >= 10)
         },
+        "engine_hrelation": {
+          "pattern": str, "nprocs": int, "runs": 1, "calls": int,
+          "messages": int,        # messages per call (all stages)
+          "repeats": int,
+          "reference_s": float,   # best-of-repeats: calls x scalar engine
+          "batch_s": float,       # best-of-repeats: calls x runs=1 batch
+          "speedup": float        # reference_s / batch_s
+        },
         "bsp_batch_vs_loop": {
           "nprocs": int, "runs": int, "supersteps": int, "repeats": int,
           "loop_s": float,        # runs x scalar bsp_run (§6.4 sync example)
@@ -149,6 +157,57 @@ def bench_engine(quick: bool) -> dict:
         "pattern": "dissemination",
         "nprocs": nprocs,
         "runs": runs,
+        "repeats": repeats,
+        "reference_s": reference_s,
+        "batch_s": batch_s,
+        "speedup": reference_s / batch_s,
+    }
+
+
+def bench_engine_hrelation(quick: bool) -> dict:
+    """One noisy replication per call of an h-relation superstep.
+
+    The ``bspbench`` shape: a P=32 total exchange carrying the payload,
+    then the dissemination sync, simulated ``calls`` times at ``runs=1``.
+    With one replication the FIFO scans' Python loop, not array width,
+    sets the cost — the shape the ``runs=256`` case above cannot show.
+    """
+    from repro.barriers.patterns import all_to_all_barrier, dissemination_barrier
+    from repro.cluster.presets import make_preset_machine
+    from repro.simmpi import reference
+    from repro.simmpi.engine import simulate_stages_batch
+
+    nprocs, calls, repeats = (32, 3, 2) if quick else (32, 9, 3)
+    machine = make_preset_machine("xeon-8x2x4")
+    sync = dissemination_barrier(nprocs)
+    stages = list(all_to_all_barrier(nprocs).stages) + list(sync.stages)
+    payloads = [64.0] + [0.0] * sync.num_stages
+    truth = machine.comm_truth(machine.placement(nprocs))
+
+    def run_reference():
+        rng = machine.rng("bench-h")
+        for _ in range(calls):
+            reference.simulate_stages(
+                truth, stages, payload_bytes=payloads, rng=rng,
+                noise=machine.noise,
+            )
+
+    def run_batch():
+        rng = machine.rng("bench-h")
+        for _ in range(calls):
+            simulate_stages_batch(
+                truth, stages, runs=1, payload_bytes=payloads, rng=rng,
+                noise=machine.noise,
+            )
+
+    reference_s = _best_of(repeats, run_reference)
+    batch_s = _best_of(repeats, run_batch)
+    return {
+        "pattern": "total-exchange+dissemination",
+        "nprocs": nprocs,
+        "runs": 1,
+        "calls": calls,
+        "messages": int(sum(int(s.sum()) for s in stages)),
         "repeats": repeats,
         "reference_s": reference_s,
         "batch_s": batch_s,
@@ -599,6 +658,7 @@ def run_all(quick: bool) -> dict:
         "unix_time": time.time(),
         "cases": {
             "engine_batch_vs_reference": bench_engine(quick),
+            "engine_hrelation": bench_engine_hrelation(quick),
             "bsp_batch_vs_loop": bench_bsp(quick),
             "stencil_batch_vs_loop": bench_stencil(quick),
             "halo_batch_vs_loop": bench_halo(quick),
@@ -651,6 +711,15 @@ def test_perf_engine_quick(emit, tmp_path):
         f"batch {engine['batch_s']:.4f}s)"
     )
     assert engine["speedup"] >= 5.0
+    hrel = artifact["cases"]["engine_hrelation"]
+    emit(
+        f"engine h-relation runs=1 speedup (quick): {hrel['speedup']:.1f}x "
+        f"(reference {hrel['reference_s']:.3f}s, "
+        f"batch {hrel['batch_s']:.4f}s)"
+    )
+    # The floor sits between per-message FIFO scans (about 2x on this
+    # shape) and scans over node slots (about 20x).
+    assert hrel["speedup"] >= 5.0
     bsp = artifact["cases"]["bsp_batch_vs_loop"]
     emit(
         f"bsp runs-axis speedup (quick): {bsp['speedup']:.1f}x "

@@ -518,9 +518,9 @@ class SurrogateSampler(Sampler):
         for j in range(len(self._objective_names)):
             y = np.array([values[j] for _, values in usable])
             ensemble = self._ensemble_factory().fit(X, y)
-            predictions[j] = ensemble.predict(U)
+            predictions[j], disagreement = ensemble.predict_with_uncertainty(U)
             scale = float(np.std(y)) or 1.0
-            spread += ensemble.uncertainty(U) / scale
+            spread += disagreement / scale
 
         # Distance to the nearest observation, from the maximin state —
         # candidates in unexplored territory get an exploration bonus even

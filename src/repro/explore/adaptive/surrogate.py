@@ -95,11 +95,11 @@ class LinearSurrogate:
 class SurrogateEnsemble:
     """The k-NN + linear pair: mean prediction and model disagreement.
 
-    ``predict`` averages the members; ``uncertainty`` is the absolute
-    spread between them — zero where both models agree (well-sampled,
-    locally linear regions), large where global trend and local structure
-    tell different stories, which is exactly where another sample buys
-    the most information.
+    ``predict_with_uncertainty`` averages the members, and its
+    uncertainty is the absolute spread between them — zero where both
+    models agree (well-sampled, locally linear regions), large where
+    global trend and local structure tell different stories, which is
+    exactly where another sample buys the most information.
     """
 
     def __init__(self, k: int = 5, ridge: float = 1e-6):
@@ -110,12 +110,10 @@ class SurrogateEnsemble:
             member.fit(X, y)
         return self
 
-    def _member_predictions(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([m.predict(X) for m in self.members])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._member_predictions(X).mean(axis=0)
-
-    def uncertainty(self, X: np.ndarray) -> np.ndarray:
-        preds = self._member_predictions(X)
-        return np.abs(preds.max(axis=0) - preds.min(axis=0))
+    def predict_with_uncertainty(
+        self, X: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The members' mean prediction and their absolute spread, from
+        one prediction per member."""
+        preds = np.stack([m.predict(X) for m in self.members])
+        return preds.mean(axis=0), np.abs(preds.max(axis=0) - preds.min(axis=0))

@@ -25,10 +25,15 @@ Execution is *replication-batched*: :func:`simulate_stages_batch` runs all
 ``R`` noisy replications of a stage pattern as ``(R, P)`` ndarray state in
 one pass.  Per replication the event semantics are exactly those of the
 scalar reference engine (:mod:`repro.simmpi.reference`): initiation
-cursors are per-sender cumulative sums, NIC FIFOs are per-node sequential
-scans over stably-sorted departures/arrivals, and Waitall exits are
-grouped maxima.  On the clean path (``rng=None`` or ``noise=None``) the
-two engines are bit-identical.
+cursors are per-sender cumulative sums, and Waitall exits are grouped
+maxima.  The FIFO chains (transmit NIC per source node, receive NIC per
+destination node, consumption per receiver) are sequential only within
+their queue.  Each chain is therefore scanned over *queue slots*: the
+messages are laid out ``(R, L, N)``, with ``N`` queues of at most ``L``
+messages each in stable time order, and slot ``k`` of every queue and
+replication is served in one step.  Every message keeps its exact
+reference operations, so on the clean path (``rng=None`` or
+``noise=None``) the two engines are bit-identical.
 
 RNG draw-order contract (noisy path)
 ------------------------------------
@@ -124,6 +129,84 @@ def _draw(noise, rng, base, runs: int) -> np.ndarray:
     if rng is None or noise is None:
         return np.broadcast_to(base, (runs, *np.shape(base)))
     return noise.sample_matrix(rng, base, runs)
+
+
+def _fifo_slots(ready, msgs, queues):
+    """Lay the messages ``msgs`` out as ``(R, L, N)`` FIFO slots.
+
+    ``ready`` is the ``(R, M)`` time at which every message of the stage
+    joins its FIFO, and ``queues`` holds, per message of ``msgs``, the
+    FIFO it queues at (a node's NIC, or a receiver).  A FIFO serves its
+    messages in ``(ready, index)`` order: the reference engine's stable
+    global order, restricted to that FIFO.  ``N`` counts the FIFOs that
+    carry messages, in ascending order, and ``L`` is the most any of them
+    carries.  Slot ``[r, k, c]`` holds the index of the ``k``-th message
+    FIFO ``c`` serves in replication ``r``, or ``-1`` in a padded tail
+    slot.  Gathering through ``-1`` reads the stage's last message: a
+    padded slot then only advances its FIFO's state after the FIFO's last
+    real message, and nothing reads that state after the scan.
+
+    Returns ``(order, slots, dest)``: ``order`` is ``(R, len(msgs))``,
+    each replication's messages sorted by ``(FIFO, ready)``; ``dest``
+    maps those sorted positions to flat ``(L, N)`` slot positions, and is
+    ``None`` when one FIFO carries every message, so that the layout is
+    ``order`` itself.
+    """
+    counts = np.bincount(queues)
+    counts = counts[counts > 0]
+    times = ready[:, msgs]
+    if counts.size == 1:
+        order = msgs[np.argsort(times, axis=1, kind="stable")]
+        return order, order[:, :, None], None
+    order = msgs[np.lexsort((times, np.broadcast_to(queues, times.shape)))]
+    width = counts.size
+    queue = np.repeat(np.arange(width), counts)
+    start = np.cumsum(counts) - counts
+    dest = (np.arange(queue.size) - start[queue]) * width + queue
+    slots = np.full((ready.shape[0], int(counts.max()) * width), -1,
+                    dtype=np.intp)
+    slots[:, dest] = order
+    return order, slots.reshape(ready.shape[0], -1, width), dest
+
+
+def _unslot(lay: np.ndarray, dest) -> np.ndarray:
+    """``(R, L, N)`` slot values back in :func:`_fifo_slots` sorted order."""
+    if dest is None:
+        return lay[:, :, 0]
+    return lay.reshape(lay.shape[0], -1)[:, dest]
+
+
+def _nic_scan(ready, msgs, nodes, gap: float):
+    """A NIC FIFO per node: each message enters the wire at
+    ``max(ready, free)``, and the NIC is free again ``gap`` later.
+
+    Returns every message's grant time (messages not in ``msgs`` keep
+    ``ready``) and the FIFO layout, for :func:`_predecessors`.
+    """
+    order, slots, dest = _fifo_slots(ready, msgs, nodes)
+    rows = np.arange(ready.shape[0])[:, None]
+    lay = ready[rows[:, :, None], slots]
+    free = np.zeros((ready.shape[0], slots.shape[2]))
+    for k in range(slots.shape[1]):
+        grant = lay[:, k]
+        np.maximum(grant, free, out=grant)
+        np.add(grant, gap, out=free)
+    granted = ready.copy()
+    granted[rows, order] = _unslot(lay, dest)
+    return granted, (order, slots, dest)
+
+
+def _predecessors(shape, fifo) -> np.ndarray:
+    """Each message's previous slot on its FIFO (``-1``: none, or the
+    message did not queue there); ``fifo`` is a :func:`_fifo_slots`
+    result or ``None`` for no FIFO at all."""
+    pred = np.full(shape, -1, dtype=np.intp)
+    if fifo is not None:
+        order, slots, dest = fifo
+        prev = np.full_like(slots, -1)
+        prev[:, 1:] = slots[:, :-1]
+        pred[np.arange(shape[0])[:, None], order] = _unslot(prev, dest)
+    return pred
 
 
 def simulate_stages_batch(
@@ -248,7 +331,6 @@ def _simulate_stages_batch(
     nodes = np.array(
         [truth.placement.node_of(r) for r in range(p)], dtype=np.intp
     )
-    n_nodes = int(nodes.max()) + 1 if p else 0
     remote = nodes[:, None] != nodes[None, :]
     rows = np.arange(runs)
 
@@ -276,9 +358,12 @@ def _simulate_stages_batch(
         # untraced hot path must not allocate per-stage (R, P) copies.
         stage_entry = t.copy() if (trace is not None or capture) else None
 
-        participants = np.flatnonzero(stage.any(axis=1) | stage.any(axis=0))
-        senders = np.flatnonzero(stage.any(axis=1))
-        send_counts = stage.sum(axis=1)[senders]
+        out_deg = stage.sum(axis=1)
+        in_deg = stage.sum(axis=0)
+        participants = np.flatnonzero(out_deg + in_deg)
+        senders = np.flatnonzero(out_deg)
+        send_counts = out_deg[senders]
+        receivers = np.flatnonzero(in_deg)
         offsets = np.concatenate(([0], np.cumsum(send_counts)))
         sender_of_msg = np.repeat(np.arange(senders.size), send_counts)
         within = np.arange(n_msg) - offsets[:-1][sender_of_msg]
@@ -314,94 +399,43 @@ def _simulate_stages_batch(
         departs = cursors[:, sender_of_msg, within + 1]
         busy_end[:, senders] = cursors[:, np.arange(senders.size), send_counts]
 
-        # 2./3. Transmit-NIC FIFO and wire transit: a per-node sequential
-        # scan over departures stably sorted per replication — the stable
-        # sort preserves the fixed (source, destination) tie order of the
-        # reference engine.
+        # 2./3. NIC FIFOs and wire transit: remote messages queue at the
+        # source node's transmit NIC in departure order and at the
+        # destination node's receive NIC in arrival order.  Each FIFO
+        # chain is sequential only within its node, so the scans walk node
+        # slots, every node and replication at once.
         msg_remote = remote[src, dst]
         src_nodes = nodes[src]
-        order = np.argsort(departs, axis=1, kind="stable")
-        dep_sorted = np.take_along_axis(departs, order, axis=1)
-        if capture:
-            tx_pred_sorted = np.full((runs, n_msg), -1, dtype=np.intp)
-            tx_last = np.full((runs, n_nodes), -1, dtype=np.intp)
-        if msg_remote.any():
-            wire = np.empty((runs, n_msg))
-            tx_free = np.zeros((runs, n_nodes))
-            for k in range(n_msg):
-                m = order[:, k]
-                node = src_nodes[m]
-                rm = msg_remote[m]
-                d = dep_sorted[:, k]
-                prev = tx_free[rows, node]
-                we = np.where(rm, np.maximum(d, prev), d)
-                tx_free[rows, node] = np.where(rm, we + truth.nic_gap, prev)
-                wire[:, k] = we
-                if capture:
-                    tx_pred_sorted[:, k] = np.where(
-                        rm, tx_last[rows, node], -1
-                    )
-                    tx_last[rows, node] = np.where(rm, m, tx_last[rows, node])
-        else:
-            wire = dep_sorted
-        if capture:
-            wire_entry = np.empty((runs, n_msg))
-            np.put_along_axis(wire_entry, order, wire, axis=1)
-            tx_pred = np.empty((runs, n_msg), dtype=np.intp)
-            np.put_along_axis(tx_pred, order, tx_pred_sorted, axis=1)
-        arrive_sorted = wire + np.take_along_axis(transit_vals, order, axis=1)
-        arrivals = np.empty((runs, n_msg))
-        np.put_along_axis(arrivals, order, arrive_sorted, axis=1)
-
-        # 4./5. Receive-NIC FIFO, consumption, acknowledgement: one scan in
-        # per-replication arrival order.
-        order2 = np.argsort(arrivals, axis=1, kind="stable")
-        arr2 = np.take_along_axis(arrivals, order2, axis=1)
-        recv2 = np.take_along_axis(recv_vals, order2, axis=1)
-        ack2 = np.take_along_axis(ack_vals, order2, axis=1)
         dst_nodes = nodes[dst]
-        recv_cursor = busy_end.copy()
-        rx_free = np.zeros((runs, n_nodes))
-        handles_sorted = np.empty((runs, n_msg))
-        acks_sorted = np.empty((runs, n_msg))
-        any_remote = bool(msg_remote.any())
-        if capture:
-            deliver_sorted = np.empty((runs, n_msg))
-            rx_pred_sorted = np.full((runs, n_msg), -1, dtype=np.intp)
-            recv_pred_sorted = np.full((runs, n_msg), -1, dtype=np.intp)
-            rx_last = np.full((runs, n_nodes), -1, dtype=np.intp)
-            rcv_last = np.full((runs, p), -1, dtype=np.intp)
-        for k in range(n_msg):
-            m = order2[:, k]
-            a = arr2[:, k]
-            j = dst[m]
-            if any_remote:
-                node = dst_nodes[m]
-                rm = msg_remote[m]
-                prev = rx_free[rows, node]
-                deliver = np.where(rm, np.maximum(a, prev), a)
-                rx_free[rows, node] = np.where(
-                    rm, deliver + truth.nic_gap, prev
-                )
-                if capture:
-                    rx_pred_sorted[:, k] = np.where(
-                        rm, rx_last[rows, node], -1
-                    )
-                    rx_last[rows, node] = np.where(rm, m, rx_last[rows, node])
-            else:
-                deliver = a
-            handle = np.maximum(deliver, recv_cursor[rows, j]) + recv2[:, k]
-            recv_cursor[rows, j] = handle
-            handles_sorted[:, k] = handle
-            acks_sorted[:, k] = handle + ack2[:, k]
-            if capture:
-                deliver_sorted[:, k] = deliver
-                recv_pred_sorted[:, k] = rcv_last[rows, j]
-                rcv_last[rows, j] = m
+        tx = np.flatnonzero(msg_remote)
+        wire, tx_fifo = departs, None
+        if tx.size:
+            wire, tx_fifo = _nic_scan(
+                departs, tx, src_nodes[tx], truth.nic_gap
+            )
+        arrivals = wire + transit_vals
+        deliver, rx_fifo = arrivals, None
+        if tx.size:
+            deliver, rx_fifo = _nic_scan(
+                arrivals, tx, dst_nodes[tx], truth.nic_gap
+            )
+
+        # 4./5. Consumption and acknowledgement: each receiver handles its
+        # messages in arrival order, starting at its own initiation end;
+        # the scan walks receiver slots.
+        recv_fifo = _fifo_slots(arrivals, np.arange(n_msg), dst)
+        order, slots, dest = recv_fifo
+        lay = deliver[rows[:, None, None], slots]
+        recv_lay = recv_vals[rows[:, None, None], slots]
+        cursor = busy_end[:, receivers]
+        for k in range(slots.shape[1]):
+            handle = lay[:, k]
+            np.maximum(handle, cursor, out=handle)
+            np.add(handle, recv_lay[:, k], out=handle)
+            cursor = handle
         handles = np.empty((runs, n_msg))
-        np.put_along_axis(handles, order2, handles_sorted, axis=1)
-        acks = np.empty((runs, n_msg))
-        np.put_along_axis(acks, order2, acks_sorted, axis=1)
+        handles[rows[:, None], order] = _unslot(lay, dest)
+        acks = handles + ack_vals
 
         # Stage exit: Waitall returns when sends are acked and receives
         # consumed — grouped maxima over the fixed message order;
@@ -410,21 +444,14 @@ def _simulate_stages_batch(
         new_t[:, participants] = busy_end[:, participants]
         ack_max = np.maximum.reduceat(acks, offsets[:-1], axis=1)
         new_t[:, senders] = np.maximum(new_t[:, senders], ack_max)
-        recv_perm = np.lexsort((src, dst))  # group messages by receiver
-        receivers, recv_counts = np.unique(dst, return_counts=True)
-        recv_offsets = np.concatenate(([0], np.cumsum(recv_counts)[:-1]))
+        recv_perm = np.argsort(dst, kind="stable")  # group by receiver
+        recv_offsets = np.cumsum(in_deg[receivers]) - in_deg[receivers]
         cons_max = np.maximum.reduceat(
             handles[:, recv_perm], recv_offsets, axis=1
         )
         new_t[:, receivers] = np.maximum(new_t[:, receivers], cons_max)
         t = new_t
         if capture:
-            deliver_canon = np.empty((runs, n_msg))
-            np.put_along_axis(deliver_canon, order2, deliver_sorted, axis=1)
-            rx_pred = np.empty((runs, n_msg), dtype=np.intp)
-            np.put_along_axis(rx_pred, order2, rx_pred_sorted, axis=1)
-            recv_pred = np.empty((runs, n_msg), dtype=np.intp)
-            np.put_along_axis(recv_pred, order2, recv_pred_sorted, axis=1)
             provenance.stages.append(
                 StageProvenance(
                     stage=s_idx,
@@ -440,13 +467,13 @@ def _simulate_stages_batch(
                     entry=stage_entry,
                     after_inv=after_inv,
                     departs=departs,
-                    wire_entry=wire_entry,
-                    tx_pred=tx_pred,
+                    wire_entry=wire,
+                    tx_pred=_predecessors((runs, n_msg), tx_fifo),
                     arrivals=arrivals,
-                    deliver=deliver_canon,
-                    rx_pred=rx_pred,
+                    deliver=deliver,
+                    rx_pred=_predecessors((runs, n_msg), rx_fifo),
                     handles=handles,
-                    recv_pred=recv_pred,
+                    recv_pred=_predecessors((runs, n_msg), recv_fifo),
                     acks=acks,
                     busy_end=busy_end,
                     exit=t,

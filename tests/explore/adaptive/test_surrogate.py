@@ -44,12 +44,12 @@ def test_ensemble_uncertainty_is_zero_on_agreement_and_positive_on_curvature():
     probe = X[::5]
     # Both members represent a linear function exactly (k-NN at observed
     # points), so disagreement at observed points is ~0.
-    assert ens.uncertainty(probe) == pytest.approx(0.0, abs=1e-6)
+    assert ens.predict_with_uncertainty(probe)[1] == pytest.approx(0.0, abs=1e-6)
 
     curved_y = (X[:, 0] - 0.5) ** 2
     ens = SurrogateEnsemble().fit(X[::3], curved_y[::3])
     off_grid = np.array([[0.5, 0.5], [0.05, 0.95]])
-    assert (ens.uncertainty(off_grid) > 0).all()
+    assert (ens.predict_with_uncertainty(off_grid)[1] > 0).all()
 
 
 def test_fit_validation():

@@ -52,7 +52,7 @@ def run_with_provenance(machine, pattern, runs=3, noisy=True, seed=11,
     prov = obs.EngineProvenance()
     rng = np.random.default_rng(seed) if noisy else None
     exits = simulate_stages_batch(
-        truth, pattern.stages, runs=runs, rng=rng,
+        truth, pattern.stages, runs=runs, rng=rng, noise=machine.noise,
         entry_times=entry_times, provenance=prov,
     )
     return prov, exits
@@ -137,6 +137,57 @@ class TestEngineCriticalPath:
             key = f"proc:{hop.process}"
             if key in slacks:
                 assert slacks[key] == 0
+
+
+def fifo_links(times, queues, members) -> list[int]:
+    """Each member's predecessor on its FIFO, serving in ``(time, index)``
+    order; ``-1`` for the first of a FIFO and for non-members."""
+    pred = [-1] * len(queues)
+    last: dict[int, int] = {}
+    for m in sorted(members, key=lambda m: (times[m], m)):
+        pred[m] = last.get(int(queues[m]), -1)
+        last[int(queues[m])] = m
+    return pred
+
+
+class TestFifoPredecessorLinks:
+    """The scans' predecessor links against a per-message walk over the
+    provenance's own event times, on multi-node noisy replications."""
+
+    @pytest.mark.parametrize("family", ["dissemination", "pairwise", "tree"])
+    @pytest.mark.parametrize("policy", ["round_robin", "block"])
+    def test_links_match_walk_and_blame_sums(self, machine, family, policy):
+        pattern = make_pattern(family, 16)
+        placement = machine.placement(pattern.nprocs, policy=policy)
+        assert len({placement.node_of(r) for r in range(16)}) > 1
+        truth = machine.comm_truth(placement)
+        prov = obs.EngineProvenance()
+        exits = simulate_stages_batch(
+            truth, pattern.stages, runs=4, rng=np.random.default_rng(9),
+            noise=machine.noise, provenance=prov,
+        )
+        for sp in prov.stages:
+            remote = np.flatnonzero(sp.msg_remote)
+            for r in range(4):
+                assert sp.tx_pred[r].tolist() == fifo_links(
+                    sp.departs[r], sp.src_nodes, remote
+                )
+                assert sp.rx_pred[r].tolist() == fifo_links(
+                    sp.arrivals[r], sp.dst_nodes, remote
+                )
+                assert sp.recv_pred[r].tolist() == fifo_links(
+                    sp.arrivals[r], sp.dst, range(sp.messages)
+                )
+        for r, path in enumerate(obs.extract_paths(prov)):
+            assert obs.validate_path(path) == []
+            assert path.makespan == exits[r].max()
+            makespan = Fraction(path.makespan)
+            for table in (
+                path.category_totals(),
+                path.process_totals(),
+                path.scope_totals(),
+            ):
+                assert sum(table.values(), Fraction(0)) == makespan
 
 
 class TestExplainReport:

@@ -123,6 +123,73 @@ class TestCleanBitIdentity:
             assert batch[r].tolist() == ref.tolist()
 
 
+#: Stage shapes that stress the FIFO scans' node-slot layout.
+STAGE_KINDS = ("sparse", "one-message", "gather", "all-local", "total-exchange")
+
+
+def make_stage(kind: str, nodes: np.ndarray, rng) -> np.ndarray:
+    """One ``kind`` stage over ranks placed on ``nodes``; no self-sends."""
+    p = nodes.size
+    off_diagonal = ~np.eye(p, dtype=bool)
+    if kind == "sparse":
+        return (rng.random((p, p)) < rng.uniform(0.05, 0.5)) & off_diagonal
+    if kind == "one-message":
+        stage = np.zeros((p, p), dtype=bool)
+        i, j = rng.choice(p, size=2, replace=False)
+        stage[i, j] = True
+        return stage
+    if kind == "gather":
+        # Every rank sends to one rank on a single destination node.
+        targets = np.flatnonzero(nodes == rng.choice(nodes))
+        stage = np.zeros((p, p), dtype=bool)
+        stage[np.arange(p), rng.choice(targets, size=p)] = True
+        return stage & off_diagonal
+    if kind == "all-local":
+        same_node = nodes[:, None] == nodes[None, :]
+        return same_node & off_diagonal & (rng.random((p, p)) < 0.6)
+    return off_diagonal
+
+
+class TestNodeSlotScans:
+    """The FIFO scans over node slots against the per-message reference.
+
+    ``(runs, P)`` entry skews give every replication its own departure
+    and arrival orders, so each row exercises a different slot layout.
+    """
+
+    @given(
+        p=st.integers(2, 24),
+        policy=st.sampled_from(["round_robin", "block"]),
+        kinds=st.lists(st.sampled_from(STAGE_KINDS), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+        runs=st.integers(2, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_reference_bitwise(self, p, policy, kinds, seed, runs):
+        machine = SimMachine(
+            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=7
+        )
+        placement = machine.placement(p, policy=policy)
+        nodes = np.array([placement.node_of(r) for r in range(p)])
+        truth = machine.comm_truth(placement)
+        rng = np.random.default_rng(seed)
+        stages = [make_stage(kind, nodes, rng) for kind in kinds]
+        payload = [rng.uniform(0.0, 4096.0, (p, p)) for _ in stages]
+        # Coarse skews: rows differ, and equal entries make ties that
+        # only the canonical (source, destination) order breaks.
+        entries = rng.integers(0, 4, (runs, p)) * 1e-5
+
+        batch = simulate_stages_batch(
+            truth, stages, runs=runs, payload_bytes=payload,
+            entry_times=entries,
+        )
+        for r in range(runs):
+            ref = reference.simulate_stages(
+                truth, stages, payload_bytes=payload, entry_times=entries[r]
+            )
+            assert batch[r].tolist() == ref.tolist()
+
+
 class TestNoisyDistribution:
     """KS-style tolerance checks: same ensemble, different draw order."""
 
