@@ -29,36 +29,36 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
         },
         "bsp_batch_vs_loop": {
           "nprocs": int, "runs": int, "supersteps": int, "repeats": int,
-          "loop_s": float,        # runs x scalar bsp_run (§6.4 sync example)
+          "loop_s": float,        # runs x bsp_run(runs=1) (§6.4 sync example)
           "batch_s": float,       # one bsp_run(runs=R) replication batch
           "speedup": float        # loop_s / batch_s  (target: >= 20)
         },
         "spinlock_batch_vs_loop": {
           "algorithm": str, "nthreads": int, "runs": int,
           "acquisitions": int, "repeats": int,
-          "loop_s": float,        # runs x scalar simulate_spinlock
+          "loop_s": float,        # runs x simulate_spinlock(runs=1)
           "batch_s": float,       # one simulate_spinlock(runs=R)
           "speedup": float        # loop_s / batch_s
         },
         "stencil_batch_vs_loop": {
           "nprocs": int, "n": int, "iterations": int, "runs": int,
           "repeats": int,
-          "loop_s": float,        # runs x scalar run_bsp_stencil
+          "loop_s": float,        # runs x run_bsp_stencil(runs=1)
           "batch_s": float,       # one run_bsp_stencil(runs=R)
           "speedup": float        # loop_s / batch_s  (target: >= 10)
         },
         "halo_batch_vs_loop": {
           "nprocs": int, "n": int, "depth": int, "cycles": int,
           "runs": int, "repeats": int,
-          "loop_s": float,        # runs x scalar measure_halo_iteration
+          "loop_s": float,        # runs x measure_halo_iteration(runs=1)
           "batch_s": float,       # one measure_halo_iteration(runs=R)
           "speedup": float        # loop_s / batch_s  (target: >= 10)
         },
         "bsp_plan_cache": {
           "nprocs": int, "supersteps": int, "messages": int,
           "repeats": int,
-          "uncached_s": float,    # bsp_run(plan_cache=False), all-to-all
-          "cached_s": float,      # bsp_run(plan_cache=True), default
+          "uncached_s": float,    # all-to-all, plan rebuilt every superstep
+          "cached_s": float,      # the same run with the (default) cache
           "speedup": float,       # end-to-end (thread noise included)
           "build_us": float,      # per-superstep structural plan build
           "replay_us": float,     # per-superstep cached-plan lookup
@@ -216,7 +216,7 @@ def bench_engine_hrelation(quick: bool) -> dict:
 
 
 def bench_bsp(quick: bool) -> dict:
-    """runs x scalar bsp_run vs one replication-batched bsp_run.
+    """runs x single-replication bsp_run vs one replication-batched run.
 
     The workload is the §6.4 dissemination-sync example: every superstep
     charges compute and puts a payload window to its neighbour, so each
@@ -265,7 +265,7 @@ def bench_bsp(quick: bool) -> dict:
 
 
 def bench_stencil(quick: bool) -> dict:
-    """runs x scalar run_bsp_stencil vs one replication-batched run.
+    """runs x single-replication run_bsp_stencil vs one batched run.
 
     Charge-only mode (``execute_numerics=False``) so the comparison
     isolates the simulated-time machinery the runs axis batches; the
@@ -306,7 +306,8 @@ def bench_stencil(quick: bool) -> dict:
 
 
 def bench_halo(quick: bool) -> dict:
-    """runs x scalar measure_halo_iteration vs one batched ensemble."""
+    """runs x single-replication measure_halo_iteration vs one batched
+    ensemble."""
     from repro.cluster.presets import make_preset_machine
     from repro.stencil import measure_halo_iteration
 
@@ -339,7 +340,8 @@ def bench_halo(quick: bool) -> dict:
 
 
 def bench_plan_cache(quick: bool) -> dict:
-    """bsp_run with the transfer-plan cache on (default) vs off.
+    """bsp_run with the transfer-plan cache vs a runtime whose cache never
+    stores a plan.
 
     A repeated-schedule all-to-all program: the cached path builds one
     plan per distinct superstep shape and replays it, the uncached path
@@ -379,9 +381,16 @@ def bench_plan_cache(quick: bool) -> dict:
 
     program = make_program(supersteps)
 
+    class _NeverStores(dict):
+        """A plan cache that forgets every plan it is handed."""
+
+        def __setitem__(self, key, value):
+            pass
+
     def run_uncached():
-        bsp_run(machine, nprocs, program, label="bench-plan",
-                plan_cache=False)
+        runtime = BSPRuntime(machine, nprocs, label="bench-plan")
+        runtime._plan_cache = _NeverStores()
+        runtime.run(program)
 
     def run_cached():
         bsp_run(machine, nprocs, program, label="bench-plan")
@@ -432,7 +441,8 @@ def bench_plan_cache(quick: bool) -> dict:
 
 
 def bench_spinlock(quick: bool) -> dict:
-    """runs x scalar spinlock contention runs vs one batched ensemble."""
+    """runs x single-replication spinlock contention runs vs one batched
+    ensemble."""
     from repro.cluster.presets import make_preset_machine
     from repro.spinlocks import simulate_spinlock
 

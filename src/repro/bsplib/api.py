@@ -72,8 +72,8 @@ class BSPContext:
     def time(self):
         """bsp_time: elapsed virtual seconds on this process.
 
-        A float for scalar runs; for a replication-batched run
-        (``runs=R``) the ``(R,)`` vector of per-replication clocks.
+        The ``(R,)`` vector of per-replication clocks (``R = 1`` unless
+        the run was started with ``runs=R``).
         Program *control flow* must not depend on this value — it is the
         only quantity that differs between replications.
         """
@@ -306,22 +306,16 @@ class BSPContext:
     def charge_kernel(self, kernel: Kernel, n: int, reps: int = 1,
                       footprint_bytes: float | None = None):
         """Charge the machine-model cost of ``reps`` kernel applications
-        without executing them; returns the charged seconds (a float, or
-        the ``(R,)`` per-replication charges of a batched run — one bulk
-        draw from this process's compute stream per call)."""
+        without executing them; returns the ``(R,)`` per-replication
+        charged seconds (one bulk draw from this process's compute stream
+        per call)."""
         runtime = self._runtime
         core = runtime.placement.core_of(self._pid)
         rng = self._state.rng if runtime.noisy else None
-        if runtime.runs is None:
-            dt = runtime.machine.kernel_time(
-                core, kernel, n, reps=reps, rng=rng,
-                footprint_bytes=footprint_bytes,
-            )
-        else:
-            dt = runtime.machine.kernel_time_runs(
-                core, kernel, n, runtime.runs, reps=reps, rng=rng,
-                footprint_bytes=footprint_bytes,
-            )
+        dt = runtime.machine.kernel_time_runs(
+            core, kernel, n, runtime.runs, reps=reps, rng=rng,
+            footprint_bytes=footprint_bytes,
+        )
         self._state.clock.advance(dt)
         self._state.compute_accum = self._state.compute_accum + dt
         return dt

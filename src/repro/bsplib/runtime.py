@@ -27,15 +27,16 @@ of the real implementation appears here as a fixed per-operation software
 overhead (``op_overhead``), which is exactly the BSP-vs-MPI overhead the
 Chapter 8 experiments observe.
 
-Replication batching (``runs=R``)
----------------------------------
+Replications (``runs=R``)
+-------------------------
 ``bsp_run(..., runs=R)`` executes all ``R`` noisy replications of a
-program in one pass: the SPMD threads run *once* (data movement is
-noise-independent), while every virtual-time quantity — clocks, commit
-times, superstep records — carries a leading replication axis as
-``(R, ...)`` ndarray state.  This requires the program's control flow not
-to depend on ``ctx.time()`` (the only quantity that differs between
-replications); all bundled programs and experiments satisfy this.
+program in one pass (``R = 1`` by default): the SPMD threads run *once*
+(data movement is noise-independent), while every virtual-time quantity
+— clocks, commit times, superstep records — carries a leading
+replication axis as ``(R, ...)`` ndarray state.  This requires the
+program's control flow not to depend on ``ctx.time()`` (the only
+quantity that differs between replications); all bundled programs and
+experiments satisfy this.
 
 Noise is drawn in bulk under the engine's replication-major contract
 (``docs/engine.md``), per superstep in this fixed order:
@@ -50,11 +51,12 @@ Noise is drawn in bulk under the engine's replication-major contract
 4. the payload-carrying sync's stage draws, per the event-engine
    contract.
 
-The scalar path (``runs=None``) is untouched and serves as the reference:
-on the clean path (``noisy=False``) every replication of a batched run is
-bit-identical to it (hypothesis-tested); noisy ensembles agree
-distributionally (KS-checked) while individual draws land in a different
-stream order.
+The scalar per-message scheduler survives only as the test oracle
+:func:`repro.bsplib.reference.reference_transfers`: on the clean path
+(``noisy=False``) every replication's arrivals are bit-identical to it
+(hypothesis-tested); noisy ensembles agree distributionally (KS-checked),
+since the oracle draws transits in processing rather than canonical
+order.
 
 Transfer-plan cache
 -------------------
@@ -66,13 +68,11 @@ case) therefore re-derive the same structural plan every superstep.  The
 runtime caches that plan — canonical ``(pid, sequence)`` record order,
 endpoint/byte arrays, clean wire-transit bases, NIC wire costs, and the
 remote masks the stable-argsort FIFO skeleton runs over — keyed by the
-superstep's per-process ``(kind, destination, nbytes)`` record structure,
-and replays it in both the scalar and the batched scheduler.  Replays are
-bit-identical to a fresh build (the cache stores only deterministic
-quantities and changes no draw order), enforced by
-``tests/bsplib/test_plan_cache.py``; disable with
-``bsp_run(..., plan_cache=False)``.  See ``docs/engine.md``,
-"Transfer-plan cache".
+superstep's per-process ``(kind, destination, nbytes)`` record structure.
+Replays are bit-identical to the oracle's fresh per-superstep build (the
+cache stores only deterministic quantities and changes no draw order),
+enforced by ``tests/bsplib/test_plan_cache.py``.  See
+``docs/engine.md``, "Transfer-plan cache".
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ from repro.bsplib.messages import (
 )
 from repro.bsplib.registration import RegistrationTable
 from repro.bsplib.sync_model import dissemination_payloads, sync_pattern
-from repro.machine.clock import BatchClock, VirtualClock
+from repro.machine.clock import BatchClock
 from repro.machine.simmachine import CommTruth, SimMachine
 from repro.obs import current as _telemetry
 from repro.obs.provenance import (
@@ -106,7 +106,7 @@ from repro.obs.provenance import (
     SuperstepProvenance,
     TransferPassProvenance,
 )
-from repro.simmpi.engine import simulate_stages, simulate_stages_batch
+from repro.simmpi.engine import simulate_stages_batch
 from repro.util.validation import require_int, require_nonnegative
 
 _COLLECTIVE_TIMEOUT = 120.0  # wall-clock guard against deadlocked programs
@@ -115,8 +115,7 @@ _COLLECTIVE_TIMEOUT = 120.0  # wall-clock guard against deadlocked programs
 def _transfer_endpoints(kind: str, rec) -> tuple[int, int, int]:
     """Wire (source, destination, bytes) of one pass-1 outbound record —
     get request headers travel requester -> owner; everything else carries
-    its payload plus a header.  Shared by the scalar and batched
-    schedulers so endpoint/size logic exists exactly once."""
+    its payload plus a header."""
     if kind == "get":
         return rec.requester_pid, rec.target_pid, HEADER_BYTES
     return rec.header.source_pid, rec.dest_pid, rec.nbytes + HEADER_BYTES
@@ -160,8 +159,8 @@ class _TransferPlan:
 class SuperstepRecord:
     """Virtual-time accounting of one superstep (the Ch. 8 measurables).
 
-    Every time array is ``(P,)`` for a scalar run and ``(R, P)`` for a
-    replication-batched run (process axis last).
+    Every time array is ``(R, P)``: replications first, process axis
+    last.
     """
 
     index: int
@@ -178,10 +177,9 @@ class SuperstepRecord:
 class BSPRunResult:
     """Outcome of one SPMD execution.
 
-    ``final_times`` is ``(P,)`` for a scalar run and ``(R, P)`` for a
-    replication-batched one (``bsp_run(..., runs=R)``); ``return_values``
-    and the delivered data are identical across replications, since only
-    time is noisy.
+    ``final_times`` is ``(R, P)`` (``bsp_run(..., runs=R)``, ``R = 1``
+    by default); ``return_values`` and the delivered data are identical
+    across replications, since only time is noisy.
     """
 
     nprocs: int
@@ -191,21 +189,19 @@ class BSPRunResult:
     provenance: BSPProvenance | None = None
 
     @property
-    def runs(self) -> int | None:
-        """Replication count, or ``None`` for a scalar run."""
-        return None if self.final_times.ndim == 1 else int(
-            self.final_times.shape[0]
-        )
+    def runs(self) -> int:
+        """Replication count."""
+        return int(self.final_times.shape[0])
 
     @property
     def run_seconds(self) -> np.ndarray:
-        """Per-replication virtual wall times: ``(R,)`` (``(1,)`` scalar)."""
-        return np.atleast_2d(self.final_times).max(axis=1)
+        """Per-replication virtual wall times, ``(R,)``."""
+        return self.final_times.max(axis=1)
 
     @property
     def total_seconds(self) -> float:
-        """Virtual wall time of the run (scalar), or the ensemble mean of
-        per-replication wall times (batched)."""
+        """Ensemble mean of per-replication virtual wall times (the run's
+        wall time when ``R = 1``)."""
         return float(self.run_seconds.mean())
 
     @property
@@ -217,9 +213,9 @@ class _ProcessState:
     """Mutable per-process runtime state (touched by its own thread, and by
     the resolving thread while all others are blocked in the collective)."""
 
-    def __init__(self, pid: int, rng, runs: int | None = None):
+    def __init__(self, pid: int, rng, runs: int):
         self.pid = pid
-        self.clock = VirtualClock() if runs is None else BatchClock(runs)
+        self.clock = BatchClock(runs)
         self.rng = rng
         self.regs = RegistrationTable()
         self.puts: list[PutRecord] = []
@@ -307,19 +303,16 @@ class BSPRuntime:
         op_overhead: float = 1.5e-6,
         label: str = "bsp-run",
         noisy: bool = True,
-        runs: int | None = None,
-        plan_cache: bool = True,
+        runs: int = 1,
         provenance: bool = False,
     ):
         self.machine = machine
         self.nprocs = require_int(nprocs, "nprocs")
         if self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        if runs is not None:
-            runs = require_int(runs, "runs")
-            if runs < 1:
-                raise ValueError("runs must be >= 1")
-        self.runs = runs
+        self.runs = require_int(runs, "runs")
+        if self.runs < 1:
+            raise ValueError("runs must be >= 1")
         self.placement = machine.placement(nprocs, policy=placement_policy)
         self.truth: CommTruth = machine.comm_truth(self.placement)
         self.op_overhead = require_nonnegative(op_overhead, "op_overhead")
@@ -347,7 +340,7 @@ class BSPRuntime:
         # superstep shape -> _TransferPlan; the schedule of a repeated-
         # schedule program is deterministic, so one structural build per
         # distinct shape serves every later superstep and replication.
-        self._plan_cache: dict | None = {} if plan_cache else None
+        self._plan_cache: dict = {}
         # Event provenance (repro.obs.provenance) is strictly opt-in:
         # recording stores the arrays the schedulers compute anyway plus
         # FIFO predecessor links, draws no randomness, and never changes
@@ -355,8 +348,7 @@ class BSPRuntime:
         self.provenance: BSPProvenance | None = (
             BSPProvenance(
                 nprocs=self.nprocs,
-                runs=1 if runs is None else int(runs),
-                scalar=runs is None,
+                runs=self.runs,
                 nic_gap=float(self.truth.nic_gap),
                 recv_overhead=float(self.truth.recv_overhead),
             )
@@ -382,7 +374,7 @@ class BSPRuntime:
             "bsp.run",
             label=self.label,
             nprocs=int(self.nprocs),
-            runs=None if self.runs is None else int(self.runs),
+            runs=self.runs,
             noisy=bool(self.noisy),
         ) as span:
             result = self._run(program, *args, **kwargs)
@@ -430,12 +422,10 @@ class BSPRuntime:
         if errors or self._collective.failure is not None:
             raise errors[0] if errors else self._collective.failure
         final_times = np.stack(
-            [np.asarray(state.clock.now, dtype=float)
-             for state in self.states],
-            axis=-1,
+            [state.clock.now for state in self.states], axis=-1
         )
         if self.provenance is not None:
-            self.provenance.final_times = np.atleast_2d(final_times)
+            self.provenance.final_times = final_times
         return BSPRunResult(
             nprocs=self.nprocs,
             return_values=[state.return_value for state in self.states],
@@ -451,13 +441,8 @@ class BSPRuntime:
 
     def _resolve_superstep(self) -> None:
         states = self.states
-        p = self.nprocs
-        batched = self.runs is not None
-        if batched:
-            # (R, P): replication-major, process axis last.
-            entries = np.stack([state.clock.now for state in states], axis=-1)
-        else:
-            entries = np.array([state.clock.now for state in states])
+        # (R, P): replication-major, process axis last.
+        entries = np.stack([state.clock.now for state in states], axis=-1)
 
         self._commit_registrations()
         self._commit_tag_sizes()
@@ -470,70 +455,41 @@ class BSPRuntime:
                 else np.zeros_like(entries)
             )
             ss_prov = SuperstepProvenance(
-                index=self._superstep,
-                prev_exit=np.atleast_2d(prev),
-                entries=np.atleast_2d(entries),
+                index=self._superstep, prev_exit=prev, entries=entries
             )
             self.provenance.supersteps.append(ss_prov)
 
-        last_arrival = entries.copy()
-        messages = 0
-        payload_total = 0
-        if p > 1:
-            last_arrival, messages, payload_total = (
-                self._schedule_transfers_batch(entries, ss_prov) if batched
-                else self._schedule_transfers(entries, ss_prov)
+        if self.nprocs > 1:
+            last_arrival, messages, payload_total = self._resolve_transfers(
+                entries, ss_prov
             )
-
-        if p > 1:
             sync_prov = None if ss_prov is None else EngineProvenance()
-            if batched:
-                sync_exit = simulate_stages_batch(
-                    self.truth,
-                    self._sync_stages,
-                    runs=self.runs,
-                    payload_bytes=self._sync_payloads,
-                    rng=self._sync_rng if self.noisy else None,
-                    noise=self._noise,
-                    entry_times=entries,
-                    provenance=sync_prov,
-                )
-            else:
-                sync_exit = simulate_stages(
-                    self.truth,
-                    self._sync_stages,
-                    payload_bytes=self._sync_payloads,
-                    rng=self._sync_rng if self.noisy else None,
-                    noise=self._noise,
-                    entry_times=entries,
-                    provenance=sync_prov,
-                )
+            sync_exit = simulate_stages_batch(
+                self.truth,
+                self._sync_stages,
+                runs=self.runs,
+                payload_bytes=self._sync_payloads,
+                rng=self._sync_rng if self.noisy else None,
+                noise=self._noise,
+                entry_times=entries,
+                provenance=sync_prov,
+            )
             if ss_prov is not None:
                 ss_prov.sync = sync_prov
         else:
+            last_arrival, messages, payload_total = entries.copy(), 0, 0
             sync_exit = entries.copy()
 
         exits = np.maximum(sync_exit, last_arrival)
         if ss_prov is not None:
-            ss_prov.sync_exit = np.atleast_2d(sync_exit)
-            ss_prov.last_arrival = np.atleast_2d(last_arrival)
-            ss_prov.exits = np.atleast_2d(exits)
+            ss_prov.sync_exit = sync_exit
+            ss_prov.last_arrival = last_arrival
+            ss_prov.exits = exits
         self._apply_data()
+        compute = np.empty_like(entries)
         for pid, state in enumerate(states):
-            if batched:
-                state.clock.advance_to(exits[:, pid])
-            else:
-                state.clock.advance_to(float(exits[pid]))
-
-        if batched:
-            compute = np.stack([
-                np.broadcast_to(
-                    np.asarray(state.compute_accum, dtype=float), (self.runs,)
-                )
-                for state in states
-            ], axis=-1)
-        else:
-            compute = np.array([state.compute_accum for state in states])
+            state.clock.advance_to(exits[:, pid])
+            compute[:, pid] = state.compute_accum
         record = SuperstepRecord(
             index=self._superstep,
             entry_times=entries,
@@ -583,17 +539,6 @@ class BSPRuntime:
             state.tag_size_request = None
 
     # ----------------------------------------------------------- transfers
-
-    def _noisy_transits(self, base: np.ndarray) -> np.ndarray:
-        """Bulk-perturb a vector of wire transits in schedule order.
-
-        One vector draw per scheduling pass replaces the deprecated
-        per-transfer ``sample_scalar`` round trips; draws fill in the
-        deterministic ship-call order of each pass.
-        """
-        if self._noise is None or base.size == 0:
-            return base
-        return self._noise.sample(self._sync_rng, base)
 
     def _canonical_outbound(self):
         """Enumerate the superstep's outbound records in canonical
@@ -650,151 +595,27 @@ class BSPRuntime:
         )
 
     def _transfer_plan(self):
-        """The superstep's canonical records and (possibly cached) plan."""
+        """The superstep's canonical records and (cached) plan."""
         ordered, key = self._canonical_outbound()
         if not ordered:
             return None, ordered
-        if self._plan_cache is None:
-            return self._build_transfer_plan(ordered), ordered
         plan = self._plan_cache.get(key)
         if plan is None:
-            plan = self._build_transfer_plan(ordered)
-            self._plan_cache[key] = plan
+            plan = self._plan_cache[key] = self._build_transfer_plan(ordered)
         return plan, ordered
 
-    def _schedule_transfers(self, entries: np.ndarray, prov=None):
-        """Scalar transfer scheduler, replaying the cached plan.
-
-        Event semantics are unchanged from the pre-cache implementation:
-        pass 1 processes messages in ``(commit_time, pid, sequence)``
-        order — recovered here as a stable argsort of commit times over
-        the canonical order, since commit times ascend with sequence
-        within a process — and noise is drawn in that processing order,
-        so noisy streams are bit-identical to the un-cached scheduler.
-
-        ``prov`` (a :class:`SuperstepProvenance`) optionally captures the
-        per-transfer event times and NIC predecessor links; capture reads
-        the values this scheduler computes anyway and draws no noise.
-        """
-        truth = self.truth
-        last_arrival = entries.copy()
-        plan, ordered = self._transfer_plan()
-        if plan is None:
-            return last_arrival, 0, 0
-        tx_free: dict[int, float] = {}
-        capture = prov is not None
-        tx_last: dict[int, int] = {}
-
-        def ship(k, remote, node_src, wire, ready, transit, gid, cap):
-            """Schedule canonical message ``k`` of one pass (pre-drawn
-            noisy ``transit``); returns its arrival time.  ``gid`` is the
-            superstep-global transfer id; ``cap`` the optional capture
-            triple ``(wire_entry, tx_pred, transits)``."""
-            if remote[k]:
-                node = int(node_src[k])
-                free = tx_free.get(node, 0.0)
-                wire_entry = max(ready, free)
-                tx_free[node] = wire_entry + truth.nic_gap + wire[k]
-                if cap is not None:
-                    cap[1][k] = tx_last.get(node, -1)
-                    tx_last[node] = gid
-            else:
-                wire_entry = ready
-            if cap is not None:
-                cap[0][k] = wire_entry
-                cap[2][k] = transit
-            return wire_entry + transit + truth.recv_overhead
-
-        # Pass 1: puts, hpputs, sends, and get request headers, in global
-        # deterministic commit order.
-        ready1 = np.array([rec.commit_time for _, rec in ordered])
-        order1 = np.argsort(ready1, kind="stable")
-        transits1 = self._noisy_transits(plan.base1[order1])
-        request_arrival = np.empty(len(ordered))
-        m1 = len(ordered)
-        cap1 = (
-            (np.empty(m1), np.full(m1, -1, dtype=np.intp), np.empty(m1))
-            if capture else None
-        )
-        arrivals1 = np.empty(m1) if capture else None
-        for pos in range(order1.size):
-            k = int(order1[pos])
-            arrival = ship(
-                k, plan.remote1, plan.node_src1, plan.wire1,
-                ready1[k], transits1[pos], k, cap1,
-            )
-            if capture:
-                arrivals1[k] = arrival
-            if plan.is_get[k]:  # request header: reply follows in pass 2
-                request_arrival[k] = arrival
-            else:
-                d = int(plan.dst1[k])
-                last_arrival[d] = max(last_arrival[d], arrival)
-        if capture:
-            prov.pass1 = TransferPassProvenance(
-                src=plan.src1, dst=plan.dst1, remote=plan.remote1,
-                node_src=plan.node_src1, wire_cost=plan.wire1,
-                ready=np.atleast_2d(ready1),
-                wire_entry=np.atleast_2d(cap1[0]),
-                tx_pred=np.atleast_2d(cap1[1]),
-                transits=np.atleast_2d(cap1[2]),
-                arrivals=np.atleast_2d(arrivals1),
-            )
-            prov.is_get = plan.is_get
-
-        # Pass 2: get replies leave once the owner has both received the
-        # request and finished its superstep computation (§6.2: the value
-        # transferred is the one at the end of the step); the NIC serves
-        # replies in (request arrival, requester) order.
-        if plan.src2.size:
-            req = request_arrival[plan.is_get]
-            ready2 = np.maximum(req, entries[plan.src2])
-            order2 = np.array(
-                sorted(range(req.size),
-                       key=lambda m: (req[m], int(plan.dst2[m]))),
-                dtype=np.intp,
-            )
-            transits2 = self._noisy_transits(plan.base2[order2])
-            m2 = int(plan.src2.size)
-            cap2 = (
-                (np.empty(m2), np.full(m2, -1, dtype=np.intp), np.empty(m2))
-                if capture else None
-            )
-            arrivals2 = np.empty(m2) if capture else None
-            for pos in range(order2.size):
-                m = int(order2[pos])
-                arrival = ship(
-                    m, plan.remote2, plan.node_src2, plan.wire2,
-                    ready2[m], transits2[pos], m1 + m, cap2,
-                )
-                if capture:
-                    arrivals2[m] = arrival
-                d = int(plan.dst2[m])
-                last_arrival[d] = max(last_arrival[d], arrival)
-            if capture:
-                prov.pass2 = TransferPassProvenance(
-                    src=plan.src2, dst=plan.dst2, remote=plan.remote2,
-                    node_src=plan.node_src2, wire_cost=plan.wire2,
-                    ready=np.atleast_2d(ready2),
-                    wire_entry=np.atleast_2d(cap2[0]),
-                    tx_pred=np.atleast_2d(cap2[1]),
-                    transits=np.atleast_2d(cap2[2]),
-                    arrivals=np.atleast_2d(arrivals2),
-                )
-        return last_arrival, plan.messages, plan.payload_total
-
-    def _schedule_transfers_batch(self, entries: np.ndarray, prov=None):
-        """Replication-batched counterpart of :meth:`_schedule_transfers`.
+    def _resolve_transfers(self, entries: np.ndarray, prov=None):
+        """FIFO-schedule the superstep's transfers over the ground truth.
 
         ``entries`` is ``(R, P)``; returns ``((R, P) last arrivals,
-        messages, payload bytes)``.  Per replication the event semantics
-        are exactly the scalar pass: messages are enumerated in the
+        messages, payload bytes)``.  Messages are enumerated in the
         canonical ``(pid, sequence)`` commit order (replication-invariant,
         and the bulk draw order), while each transmit-NIC FIFO processes
         its replication's messages in commit-time order via a stable
-        argsort — ties fall back to the canonical order, matching the
-        scalar sort key ``(commit_time, pid, sequence)``.  On the clean
-        path every replication is bit-identical to the scalar scheduler.
+        argsort — ties fall back to the canonical order, which is the
+        ``(commit_time, pid, sequence)`` processing order of the scalar
+        oracle :func:`repro.bsplib.reference.reference_transfers`.  On the
+        clean path every replication is bit-identical to that oracle.
 
         ``prov`` (a :class:`SuperstepProvenance`) optionally captures the
         per-transfer event times and NIC predecessor links; capture reads
@@ -803,11 +624,6 @@ class BSPRuntime:
         truth = self.truth
         runs = self.runs
         last_arrival = entries.copy()
-        # Canonical commit order: (pid, sequence).  Unlike the scalar
-        # pass's (commit_time, pid, sequence) sort this is replication-
-        # invariant; per-process sequences are commit-ordered already, so
-        # a stable argsort by commit time recovers the scalar order
-        # inside every replication.
         plan, ordered = self._transfer_plan()
         if plan is None:
             return last_arrival, 0, 0
@@ -824,70 +640,64 @@ class BSPRuntime:
 
         def draw_transits(base) -> np.ndarray:
             """One ``(R, M)`` bulk transit draw in canonical order."""
-            if self._noise is None or base.size == 0:
+            if self._noise is None:
                 return np.broadcast_to(base, (runs, base.size))
             return self._noise.sample_matrix(self._sync_rng, base, runs)
 
-        def ship_pass(src, dst, base, wire_all, node_src, remote_mask,
-                      ready, order_key, base_gid):
+        def ship_pass(base, wire_all, node_src, remote_mask, ready,
+                      order_key, base_gid):
             """FIFO-schedule one pass; returns ``(arrivals, transits,
-            wire_entry, tx_pred)`` — the last two ``None`` unless
+            wire_entry, tx_pred)`` — ``tx_pred`` is ``None`` unless
             capturing.
 
             ``order_key`` is the per-replication processing order of the
             shared transmit NICs (commit times in pass 1, request-header
-            arrivals in pass 2, mirroring the scalar sort keys).
+            arrivals in pass 2).
             """
             transits = draw_transits(base)
-            arrivals = ready + transits + truth.recv_overhead
-            wire_entries = txp = None
-            if capture:
-                wire_entries = np.array(ready, dtype=float, copy=True)
-                txp = np.full(ready.shape, -1, dtype=np.intp)
+            wire_entries = ready.copy()
+            txp = np.full(ready.shape, -1, dtype=np.intp) if capture else None
             remote = np.flatnonzero(remote_mask)
             if remote.size:
-                # Association matches the scalar ship() expression
-                # (wire_entry + nic_gap) + nbytes * inv_bandwidth, so the
-                # clean path is bit-identical.
-                wire_cost = wire_all[remote]
-                src_node = node_src[remote]
+                # Remote messages in per-replication NIC processing order;
+                # the scan walks its columns.
                 order = np.argsort(order_key[:, remote], axis=1, kind="stable")
+                g_sorted = remote[order]
+                node_sorted = node_src[g_sorted]
+                ready_sorted = ready[rows[:, None], g_sorted]
+                wire_sorted = wire_all[g_sorted]
+                entry_sorted = np.empty_like(ready_sorted)
                 for k in range(remote.size):
-                    m = order[:, k]
-                    g = remote[m]
+                    node = node_sorted[:, k]
                     wire_entry = np.maximum(
-                        ready[rows, g], tx_free[rows, src_node[m]]
+                        ready_sorted[:, k], tx_free[rows, node]
                     )
-                    tx_free[rows, src_node[m]] = (
-                        wire_entry + truth.nic_gap + wire_cost[m]
+                    # (wire_entry + nic_gap) + nbytes * inv_bandwidth, the
+                    # oracle's association.
+                    tx_free[rows, node] = (
+                        wire_entry + truth.nic_gap + wire_sorted[:, k]
                     )
-                    arrivals[rows, g] = (
-                        wire_entry + transits[rows, g] + truth.recv_overhead
-                    )
+                    entry_sorted[:, k] = wire_entry
                     if capture:
-                        wire_entries[rows, g] = wire_entry
-                        txp[rows, g] = tx_last[rows, src_node[m]]
-                        tx_last[rows, src_node[m]] = base_gid + g
+                        g = g_sorted[:, k]
+                        txp[rows, g] = tx_last[rows, node]
+                        tx_last[rows, node] = base_gid + g
+                wire_entries[rows[:, None], g_sorted] = entry_sorted
+            arrivals = wire_entries + transits + truth.recv_overhead
             return arrivals, transits, wire_entries, txp
 
-        def fold_arrivals(dst, arrivals, mask) -> None:
-            """Max arrivals into ``last_arrival`` per destination (the
-            scalar max chain is order-independent)."""
-            for d in np.unique(dst[mask]):
-                sel = mask & (dst == d)
-                last_arrival[:, d] = np.maximum(
-                    last_arrival[:, d], arrivals[:, sel].max(axis=1)
-                )
+        def fold_arrivals(dst, arrivals) -> None:
+            """Max arrivals into ``last_arrival`` per destination (the max
+            is order-independent)."""
+            np.maximum.at(last_arrival, (rows[:, None], dst), arrivals)
 
-        ready1 = np.stack(
-            [np.asarray(rec.commit_time, dtype=float) for _, rec in ordered],
-            axis=-1,
-        )
+        ready1 = np.stack([rec.commit_time for _, rec in ordered], axis=-1)
         arrivals1, transits1, we1, txp1 = ship_pass(
-            plan.src1, plan.dst1, plan.base1, plan.wire1, plan.node_src1,
-            plan.remote1, ready1, order_key=ready1, base_gid=0,
+            plan.base1, plan.wire1, plan.node_src1, plan.remote1, ready1,
+            order_key=ready1, base_gid=0,
         )
-        fold_arrivals(plan.dst1, arrivals1, ~plan.is_get)
+        payload = ~plan.is_get
+        fold_arrivals(plan.dst1[payload], arrivals1[:, payload])
         if capture:
             prov.pass1 = TransferPassProvenance(
                 src=plan.src1, dst=plan.dst1, remote=plan.remote1,
@@ -900,18 +710,16 @@ class BSPRuntime:
 
         if plan.src2.size:
             # Pass 2: replies leave once the owner has both received the
-            # request header and finished its superstep computation; the
-            # owner's NIC serves replies in request-arrival order.
+            # request header and finished its superstep computation (§6.2:
+            # the value transferred is the one at the end of the step);
+            # the owner's NIC serves replies in request-arrival order.
             request_arrivals = arrivals1[:, plan.is_get]
             ready2 = np.maximum(request_arrivals, entries[:, plan.src2])
             arrivals2, transits2, we2, txp2 = ship_pass(
-                plan.src2, plan.dst2, plan.base2, plan.wire2, plan.node_src2,
-                plan.remote2, ready2, order_key=request_arrivals,
-                base_gid=int(plan.src1.size),
+                plan.base2, plan.wire2, plan.node_src2, plan.remote2, ready2,
+                order_key=request_arrivals, base_gid=int(plan.src1.size),
             )
-            fold_arrivals(
-                plan.dst2, arrivals2, np.ones(plan.src2.size, dtype=bool)
-            )
+            fold_arrivals(plan.dst2, arrivals2)
             if capture:
                 prov.pass2 = TransferPassProvenance(
                     src=plan.src2, dst=plan.dst2, remote=plan.remote2,
@@ -1003,22 +811,19 @@ def bsp_run(
     op_overhead: float = 1.5e-6,
     label: str = "bsp-run",
     noisy: bool = True,
-    runs: int | None = None,
-    plan_cache: bool = True,
+    runs: int = 1,
     provenance: bool = False,
     **kwargs,
 ) -> BSPRunResult:
     """Convenience entry point: build a runtime and execute ``program``.
 
     ``runs=R`` executes all ``R`` noisy replications in one batched pass
-    (see the module docstring); the returned result then carries
-    ``(R, ...)`` time arrays and a per-replication ``run_seconds`` view.
-    ``plan_cache=False`` disables the per-superstep transfer-plan cache
-    (results are bit-identical either way; the flag exists for
-    benchmarking the cache itself).  ``provenance=True`` records event
-    provenance (:mod:`repro.obs.provenance`) on the result for
-    critical-path extraction; recording draws no randomness and leaves
-    every clock bit-identical.
+    (see the module docstring); the returned result carries ``(R, ...)``
+    time arrays and a per-replication ``run_seconds`` view.
+    ``provenance=True`` records event provenance
+    (:mod:`repro.obs.provenance`) on the result for critical-path
+    extraction; recording draws no randomness and leaves every clock
+    bit-identical.
     """
     runtime = BSPRuntime(
         machine,
@@ -1028,7 +833,6 @@ def bsp_run(
         label=label,
         noisy=noisy,
         runs=runs,
-        plan_cache=plan_cache,
         provenance=provenance,
     )
     return runtime.run(program, *args, **kwargs)

@@ -316,10 +316,9 @@ def inner_product(point: Mapping[str, Any]) -> dict:
         ctx.charge_kernel(DOT_PRODUCT, p)
         ctx.sync()
 
-    runs = point.get("runs")
     measured = bsp_run(
         machine, nprocs, program, label=f"fig32-{nprocs}",
-        runs=None if runs is None else int(runs),
+        runs=int(point.get("runs", 1)),
     ).total_seconds
     params = run_bspbench(
         machine, nprocs, samples=int(point.get("samples", 5))
@@ -586,10 +585,15 @@ def stencil_run(point: Mapping[str, Any]) -> dict:
     nprocs = int(point["nprocs"])
     iterations = int(point.get("iterations", 6))
     noisy = bool(point.get("noisy", True))
-    runs = point.get("runs")
+    runs = int(point.get("runs", 1))
     critpath = bool(point.get("critpath", False))
-    # Like runs, provenance exists only on the BSP runtime; an MPI-family
-    # request is an error rather than a silent scalar fallback.
+    # Replications and provenance exist only on the BSP runtime; an
+    # MPI-family request is an error rather than a silent single run.
+    if "runs" in point and impl != "BSP":
+        raise ValueError(
+            f"runs is only supported for the BSP implementation; "
+            f"got runs={runs} with impl={impl!r}"
+        )
     if critpath and impl != "BSP":
         raise ValueError(
             f"critpath is only supported for the BSP implementation; "
@@ -602,7 +606,7 @@ def stencil_run(point: Mapping[str, Any]) -> dict:
         (nprocs,),
         iterations=iterations,
         noisy=noisy,
-        runs=None if runs is None else int(runs),
+        runs=runs,
     )[impl][nprocs]
     metrics = {
         "mean_iteration_s": result.mean_iteration,
@@ -610,9 +614,9 @@ def stencil_run(point: Mapping[str, Any]) -> dict:
     }
     # Ensemble fields only appear when runs is requested, so existing
     # campaigns/goldens without the key stay byte-identical.
-    if runs is not None:
+    if "runs" in point:
         per_run = result.run_mean_iterations
-        metrics["ensemble_runs"] = int(runs)
+        metrics["ensemble_runs"] = runs
         metrics["ensemble_mean_iteration_s"] = float(per_run.mean())
         metrics["ensemble_spread_iteration_s"] = float(np.std(per_run))
     if critpath:
@@ -625,7 +629,7 @@ def stencil_run(point: Mapping[str, Any]) -> dict:
             machine, nprocs, n, iterations,
             execute_numerics=False, noisy=noisy,
             label=f"a-series-{nprocs}-{n}",
-            runs=None if runs is None else int(runs),
+            runs=runs,
             provenance=True,
         )
         report = explain(
@@ -670,8 +674,8 @@ def stencil_accuracy(point: Mapping[str, Any]) -> dict:
         block.interior_cells,
         2.0 * (block.height + 2) * (block.width + 2) * WORD,
     )
-    runs = point.get("runs")
-    if runs is not None and impl != "BSP":
+    runs = int(point.get("runs", 1))
+    if "runs" in point and impl != "BSP":
         raise ValueError(
             f"runs is only supported for the BSP implementation; "
             f"got runs={runs} with impl={impl!r}"
@@ -681,11 +685,10 @@ def stencil_accuracy(point: Mapping[str, Any]) -> dict:
         predicted = predict_bsp_iteration(blocks, spc, params).per_iteration
         result = run_bsp_stencil(
             machine, nprocs, n, iterations, execute_numerics=False,
-            label=f"b-{impl}-{n}-{nprocs}",
-            runs=None if runs is None else int(runs),
+            label=f"b-{impl}-{n}-{nprocs}", runs=runs,
         )
         measured = result.mean_iteration
-        if runs is not None:
+        if "runs" in point:
             ensemble = result.run_mean_iterations
     elif impl == "MPI":
         predicted = predict_mpi_iteration(blocks, spc, params).per_iteration
@@ -707,7 +710,7 @@ def stencil_accuracy(point: Mapping[str, Any]) -> dict:
         "ratio": predicted / measured,
     }
     if ensemble is not None:
-        metrics["ensemble_runs"] = int(runs)
+        metrics["ensemble_runs"] = runs
         metrics["ensemble_mean_iteration_s"] = float(ensemble.mean())
         metrics["ensemble_spread_iteration_s"] = float(np.std(ensemble))
     return metrics
@@ -748,18 +751,16 @@ def halo_depth(point: Mapping[str, Any]) -> dict:
             nprocs, n, depth, spc, params
         ).per_iteration,
     }
-    runs = point.get("runs")
-    if runs is None:
-        metrics["measured_s"] = measure_halo_iteration(
-            machine, nprocs, n, depth, cycles=int(point.get("cycles", 6))
-        )
-    else:
-        ensemble = measure_halo_iteration(
-            machine, nprocs, n, depth, cycles=int(point.get("cycles", 6)),
-            runs=int(runs),
-        )
-        metrics["measured_s"] = float(ensemble.mean())
-        metrics["ensemble_runs"] = int(runs)
+    runs = int(point.get("runs", 1))
+    ensemble = measure_halo_iteration(
+        machine, nprocs, n, depth, cycles=int(point.get("cycles", 6)),
+        runs=runs,
+    )
+    metrics["measured_s"] = float(ensemble.mean())
+    # Ensemble fields only appear when runs is requested, so existing
+    # campaigns/goldens without the key stay byte-identical.
+    if "runs" in point:
+        metrics["ensemble_runs"] = runs
         metrics["measured_spread_s"] = float(np.std(ensemble))
     return metrics
 
@@ -837,11 +838,10 @@ def spinlock(point: Mapping[str, Any]) -> dict:
     placement = machine.placement(
         nprocs, policy=str(point.get("placement", "block"))
     )
-    runs = point.get("runs")
     result = simulate_spinlock(
         machine, lock, placement,
         acquisitions_per_thread=int(point.get("acquisitions", 12)),
-        runs=None if runs is None else int(runs),
+        runs=int(point.get("runs", 1)),
     )
     return {"mean_handoff_s": result.mean_handoff}
 

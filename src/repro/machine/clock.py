@@ -5,45 +5,15 @@ the machine's kernel-time model; the superstep scheduler aligns clocks at
 synchronization.  ``bsp_time`` reads this clock, so application timings in
 examples and experiments are simulated-platform seconds, not wall time.
 
-:class:`VirtualClock` is the scalar clock of a single run;
-:class:`BatchClock` carries one clock value per replication of a
-replication-batched run (``bsp_run(..., runs=R)``) as an ``(R,)`` vector.
+:class:`BatchClock` carries one clock value per replication of a run
+(``bsp_run(..., runs=R)``, ``R = 1`` by default) as an ``(R,)`` vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.validation import require_int, require_nonnegative
-
-
-class VirtualClock:
-    """Monotonically advancing virtual time in seconds."""
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float = 0.0):
-        self._now = require_nonnegative(start, "start")
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, dt: float) -> float:
-        """Move forward by ``dt`` seconds; returns the new time."""
-        dt = require_nonnegative(dt, "dt")
-        self._now += dt
-        return self._now
-
-    def advance_to(self, t: float) -> float:
-        """Move forward to absolute time ``t`` (no-op if already past)."""
-        require_nonnegative(t, "t")
-        if t > self._now:
-            self._now = t
-        return self._now
-
-    def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now:.9f})"
+from repro.util.validation import require_int
 
 
 class BatchClock:
@@ -52,7 +22,9 @@ class BatchClock:
     Every replication of a batched BSP run executes the same superstep
     schedule, but noisy charges advance each replication's clock by its own
     sampled duration.  ``advance``/``advance_to`` accept a scalar (applied
-    to every replication) or an ``(R,)`` vector.
+    to every replication) or an ``(R,)`` vector.  ``advance`` given a
+    Python ``float`` — every per-operation software charge — takes a short
+    path that skips the array conversion but keeps the non-negativity check.
 
     Returned and exposed arrays are never mutated afterwards — each advance
     rebinds a fresh array — so callers may keep references (e.g. as commit
@@ -79,9 +51,13 @@ class BatchClock:
     def advance(self, dt) -> np.ndarray:
         """Move forward by ``dt`` seconds (scalar or per-replication);
         returns the new ``(R,)`` times."""
-        dt = np.asarray(dt, dtype=float)
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative")
+        if type(dt) is float:
+            if dt < 0.0:
+                raise ValueError("dt must be non-negative")
+        else:
+            dt = np.asarray(dt, dtype=float)
+            if np.any(dt < 0.0):
+                raise ValueError("dt must be non-negative")
         self._now = self._now + dt
         return self._now
 

@@ -144,15 +144,10 @@ class SuperstepProvenance:
 
 @dataclass
 class BSPProvenance:
-    """One BSP run's record; filled by ``bsp_run(..., provenance=True)``.
-
-    ``runs`` is 1 for a scalar run (arrays normalised to one replication
-    row); ``scalar`` distinguishes that case for reporting.
-    """
+    """One BSP run's record; filled by ``bsp_run(..., provenance=True)``."""
 
     nprocs: int = 0
     runs: int = 1
-    scalar: bool = False
     nic_gap: float = 0.0
     recv_overhead: float = 0.0
     supersteps: list[SuperstepProvenance] = field(default_factory=list)

@@ -52,30 +52,30 @@ ALGORITHMS = ("test_and_set", "ticket", "mcs")
 class SpinlockResult:
     """Outcome of one contention experiment.
 
-    ``per_acquisition`` is ``(N,)`` for a single run and ``(R, N)`` for a
-    replication batch (``runs=R``): the same handoff schedule re-rolled
-    under ``R`` independent noise replications.
+    ``per_acquisition`` is ``(R, N)`` (``runs=R``, ``R = 1`` by
+    default): the same handoff schedule re-rolled under ``R`` independent
+    noise replications.
     """
 
     algorithm: str
     nthreads: int
     acquisitions: int
-    total_seconds: float  # single run: the run's span; batch: mean span
+    total_seconds: float  # mean span over the replications
     per_acquisition: np.ndarray  # cost of each critical-section handoff
     critical_section: float = 0.2e-6
 
     @property
-    def runs(self) -> int | None:
-        """Replication count, or ``None`` for a single (scalar) run."""
-        return None if self.per_acquisition.ndim == 1 else int(
-            self.per_acquisition.shape[0]
-        )
+    def runs(self) -> int:
+        """Replication count."""
+        return int(self.per_acquisition.shape[0])
 
     @property
     def run_seconds(self) -> np.ndarray:
-        """Per-replication total span, shape ``(R,)`` (``(1,)`` scalar)."""
-        handoffs = np.atleast_2d(self.per_acquisition)
-        return handoffs.sum(axis=1) + self.acquisitions * self.critical_section
+        """Per-replication total span, shape ``(R,)``."""
+        return (
+            self.per_acquisition.sum(axis=1)
+            + self.acquisitions * self.critical_section
+        )
 
     @property
     def mean_handoff(self) -> float:
@@ -160,27 +160,25 @@ def simulate_spinlock(
     critical_section: float = 0.2e-6,
     stream: str = "spinlock",
     noisy: bool = True,
-    runs: int | None = None,
+    runs: int = 1,
 ) -> SpinlockResult:
     """Simulate ``nthreads`` contending for one lock until every thread has
     completed its share of acquisitions.
 
-    Noise is applied to the whole handoff schedule with one bulk
-    :meth:`NoiseModel.sample` call (or one :meth:`NoiseModel.sample_matrix`
-    call for a ``runs=R`` replication batch, draws filling
-    replication-major) — the scalar reference loop survives as
-    :func:`repro.spinlocks.reference.reference_spinlock`, bit-identical on
-    the clean path and KS-equivalent on the noisy one.
+    Noise is applied to the whole handoff schedule of all ``runs``
+    replications with one bulk :meth:`NoiseModel.sample_matrix` call,
+    draws filling replication-major — the scalar reference loop survives
+    as :func:`repro.spinlocks.reference.reference_spinlock`, bit-identical
+    on the clean path and KS-equivalent on the noisy one.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; know {ALGORITHMS}")
     require_int(acquisitions_per_thread, "acquisitions_per_thread")
     if acquisitions_per_thread < 1:
         raise ValueError("acquisitions_per_thread must be >= 1")
-    if runs is not None:
-        runs = require_int(runs, "runs")
-        if runs < 1:
-            raise ValueError("runs must be >= 1")
+    runs = require_int(runs, "runs")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     nthreads = placement.nprocs
     clean = _handoff_schedule(
         machine, algorithm, placement, acquisitions_per_thread, stream
@@ -188,15 +186,10 @@ def simulate_spinlock(
     total = int(clean.shape[0])
     if noisy:
         rng = machine.rng(stream, algorithm, nthreads)
-        if runs is None:
-            handoffs = machine.noise.sample(rng, clean)
-        else:
-            handoffs = machine.noise.sample_matrix(rng, clean, runs)
+        handoffs = machine.noise.sample_matrix(rng, clean, runs)
     else:
-        handoffs = clean if runs is None else np.broadcast_to(
-            clean, (runs, total)
-        ).copy()
-    spans = handoffs.sum(axis=-1) + total * critical_section
+        handoffs = np.broadcast_to(clean, (runs, total)).copy()
+    spans = handoffs.sum(axis=1) + total * critical_section
     return SpinlockResult(
         algorithm=algorithm,
         nthreads=nthreads,
@@ -213,11 +206,11 @@ def contention_sweep(
     algorithms=ALGORITHMS,
     acquisitions_per_thread: int = 16,
     placement_policy: str = "block",
-    runs: int | None = None,
+    runs: int = 1,
 ) -> dict[str, dict[int, SpinlockResult]]:
     """Mean handoff cost vs. contention level per algorithm (§5.1's
-    experiment shape).  ``runs=R`` replicates every cell's noise ``R``
-    times in one bulk draw per cell."""
+    experiment shape).  Every cell's noise is replicated ``runs`` times
+    in one bulk draw per cell."""
     out: dict[str, dict[int, SpinlockResult]] = {a: {} for a in algorithms}
     for n in thread_counts:
         placement = machine.placement(n, policy=placement_policy)

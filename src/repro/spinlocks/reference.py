@@ -110,6 +110,6 @@ def reference_spinlock(
         nthreads=nthreads,
         acquisitions=total,
         total_seconds=now,
-        per_acquisition=np.asarray(costs),
+        per_acquisition=np.asarray(costs)[np.newaxis],  # one replication
         critical_section=critical_section,
     )

@@ -76,17 +76,17 @@ def run_strong_scaling(
     process_counts,
     iterations: int = 6,
     noisy: bool = True,
-    runs: int | None = None,
+    runs: int = 1,
 ) -> dict[str, dict[int, StencilRunResult]]:
     """A-series harness: per-implementation strong-scaling sweeps.
 
     BSP runs charge-only here (its numerics are validated separately); all
-    implementations share the machine and problem.  ``runs=R`` batches the
-    BSP sweeps as ``R``-replication ensembles (``iteration_seconds``
-    becomes ``(R, iterations)``); the MPI-family cost models have no
-    batched path, so requesting ``runs`` for them is an error rather
-    than a silent scalar fallback."""
-    if runs is not None and any(name != "BSP" for name in implementations):
+    implementations share the machine and problem.  The BSP sweeps are
+    ``runs``-replication ensembles (``iteration_seconds`` is ``(R,
+    iterations)``); the MPI-family cost models have no replication axis,
+    so ``runs > 1`` for them is an error rather than a silent
+    single-run fallback."""
+    if runs != 1 and any(name != "BSP" for name in implementations):
         others = [name for name in implementations if name != "BSP"]
         raise ValueError(
             f"runs is only supported for the BSP implementation; "

@@ -20,6 +20,9 @@ thesis's experimental subjects:
 MPI-family implementations are cost models over the event engine (the
 numerics are identical to BSP's by construction, so only time differs);
 the BSP implementation supports both real numerics and charge-only mode.
+It always runs on the BSP runtime's replication axis (``runs=1`` by
+default), so its timings carry a leading ``(R, ...)`` axis; charge-only
+runs build no grid data at all.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ THREAD_BARRIER_BASE = 2.0e-6  # per-iteration node-internal thread fence [s]
 class StencilRunResult:
     """Timing (and optionally field data) of one stencil run.
 
-    ``iteration_seconds`` is ``(iterations,)`` for a scalar run and
-    ``(R, iterations)`` for a replication-batched run
-    (``run_bsp_stencil(..., runs=R)``); ``total_seconds`` is then the
-    ensemble mean of per-replication wall times.
+    ``iteration_seconds`` is ``(R, iterations)`` for a BSP run
+    (``run_bsp_stencil(..., runs=R)``), whose ``total_seconds`` is the
+    ensemble mean of per-replication wall times, and ``(iterations,)``
+    for the unreplicated MPI-family cost models.
     """
 
     name: str
@@ -61,17 +64,12 @@ class StencilRunResult:
     provenance: object | None = None  # BSPProvenance when requested (BSP)
 
     @property
-    def runs(self) -> int | None:
-        """Replication count, or ``None`` for a scalar run."""
-        if self.iteration_seconds.ndim == 1:
-            return None
-        return int(self.iteration_seconds.shape[0])
-
-    @property
     def run_mean_iterations(self) -> np.ndarray:
-        """Per-replication mean iteration seconds: ``(R,)`` (``(1,)`` for
-        a scalar run)."""
-        return np.atleast_2d(self.iteration_seconds).mean(axis=1)
+        """Per-replication mean iteration seconds of a BSP run, ``(R,)``.
+
+        BSP-only: an MPI-family result's ``(iterations,)`` array has no
+        replication axis, and numpy raises ``AxisError`` for it."""
+        return self.iteration_seconds.mean(axis=1)
 
     @property
     def mean_iteration(self) -> float:
@@ -95,33 +93,31 @@ def run_bsp_stencil(
     noisy: bool = True,
     initial=None,
     label: str = "bsp-stencil",
-    runs: int | None = None,
+    runs: int = 1,
     provenance: bool = False,
 ) -> StencilRunResult:
     """The BSPlib implementation (§8.3.1) on the simulated platform.
 
-    ``runs=R`` executes all ``R`` noisy replications in one batched
-    ``bsp_run`` pass (the grid numerics run once — data movement is
-    noise-independent): ``iteration_seconds`` becomes ``(R, iterations)``
-    and ``total_seconds`` the ensemble mean of per-replication wall
-    times.  The scalar path (``runs=None``) is unchanged and serves as
-    the behavioural oracle (clean path bit-identical per replication,
-    noisy ensembles KS-equivalent; ``tests/stencil/test_stencil_batch.py``).
-    ``provenance=True`` records event provenance on the result for
-    critical-path extraction (``repro.obs.explain``); timings stay
-    bit-identical.
+    All ``runs`` noisy replications execute in one batched ``bsp_run``
+    pass (the grid numerics run once — data movement is
+    noise-independent): ``iteration_seconds`` is ``(R, iterations)`` and
+    ``total_seconds`` the ensemble mean of per-replication wall times.
+    With ``execute_numerics=False`` only time is charged: ``initial`` is
+    neither built nor read.  ``provenance=True`` records event provenance
+    on the result for critical-path extraction (``repro.obs.explain``);
+    timings stay bit-identical.
     """
     require_int(iterations, "iterations")
     blocks = decompose(n, nprocs)
     if min(b.height for b in blocks) < 3 or min(b.width for b in blocks) < 3:
         raise ValueError("blocks must be at least 3x3 for the region split")
 
-    if initial is None:
-        rng = np.random.default_rng(1234)
-        initial = rng.standard_normal((n, n))
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (n, n):
-        raise ValueError("initial field must be n x n")
+    if execute_numerics:
+        if initial is None:
+            initial = np.random.default_rng(1234).standard_normal((n, n))
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != (n, n):
+            raise ValueError("initial field must be n x n")
 
     def program(ctx):
         block = blocks[ctx.pid]
@@ -207,15 +203,14 @@ def run_bsp_stencil(
             f"exchange + {iterations} iterations); update the extraction "
             f"to match the program's superstep structure"
         )
-    # exit_times is (P,) per superstep for a scalar run and (R, P) for a
-    # batched one; step_ends is then (S,) or (R, S) with supersteps last.
+    # exit_times is (R, P) per superstep; step_ends is (R, S).
     step_ends = np.stack(
-        [rec.exit_times.max(axis=-1) for rec in result.supersteps], axis=-1
+        [rec.exit_times.max(axis=1) for rec in result.supersteps], axis=1
     )
     if iterations:
-        iteration_seconds = np.diff(step_ends, axis=-1)[..., -iterations:]
+        iteration_seconds = np.diff(step_ends, axis=1)[:, -iterations:]
     else:
-        iteration_seconds = np.zeros(step_ends.shape[:-1] + (0,))
+        iteration_seconds = np.zeros((result.runs, 0))
 
     field = None
     if execute_numerics:

@@ -10,6 +10,11 @@ C1 (Fig. 8.18) compares predicted and measured iteration times across
 depths, checking that the model's choice lands at (or next to) the measured
 optimum — the "parameter values to optimize for balanced overlapping" of
 the abstract.
+
+:func:`measure_halo_iteration` measures ``runs`` noisy replications in one
+batched pass (``runs=1`` by default) and always returns the ``(R,)``
+per-replication vector; its scalar per-cycle loop is kept only as the
+test oracle :func:`repro.stencil.reference.reference_halo_iteration`.
 """
 
 from __future__ import annotations
@@ -19,10 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.barriers.cost_model import CommParameters
-from repro.bsplib.sync_model import predict_sync_cost
+from repro.bsplib.sync_model import (
+    dissemination_payloads,
+    predict_sync_cost,
+    sync_pattern,
+)
 from repro.kernels.numeric import STENCIL5
 from repro.machine.simmachine import SimMachine
-from repro.simmpi.engine import simulate_stages, simulate_stages_batch
+from repro.simmpi.engine import simulate_stages_batch
 from repro.stencil.grid import decompose
 from repro.stencil.impls import WORD, _exchange_stages
 from repro.util.validation import require_int, require_positive
@@ -103,41 +112,71 @@ def measure_halo_iteration(
     depth: int,
     cycles: int = 6,
     noisy: bool = True,
-    runs: int | None = None,
-) -> float | np.ndarray:
+    runs: int = 1,
+) -> np.ndarray:
     """Charge-model execution of the deep-halo scheme: per cycle, sweep the
     widening bands, exchange depth-wide borders with overlap, and run the
-    payload sync.  Returns mean seconds per *iteration* (sweep).
+    payload sync.  Returns the ``(R,)`` vector of per-replication mean
+    seconds per *iteration* (sweep); ``R = runs`` replications execute in
+    one batched pass.
 
-    With ``runs=R`` all ``R`` noisy replications execute in one batched
-    pass and the return value is the ``(R,)`` vector of per-replication
-    means.  Draw order per cycle (the "Stencil draws" contract in
-    ``docs/engine.md``): one bulk replication-major ``(R, nprocs, depth)``
-    sweep draw, then the exchange stages through
+    Draw order per cycle (the "BSP runtime, stencil and halo draws"
+    contract in ``docs/engine.md``): one bulk replication-major ``(R,
+    nprocs, depth)`` sweep draw, then the exchange stages through
     :func:`simulate_stages_batch`, then the dissemination sync.  The
-    scalar path (``runs=None``) is the behavioural oracle: the clean
-    batched path is bit-identical to it per replication, the noisy
-    ensembles are KS-equivalent (``tests/stencil/test_stencil_batch.py``).
+    scalar loop survives as the oracle
+    :func:`repro.stencil.reference.reference_halo_iteration`, to which
+    ``runs=1`` is bit-identical, clean and noisy
+    (``tests/stencil/test_stencil_batch.py``).
     """
     depth = require_int(depth, "depth")
     require_int(cycles, "cycles")
-    blocks = decompose(n, nprocs)
+    runs = require_int(runs, "runs")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     placement = machine.placement(nprocs)
     truth = machine.comm_truth(placement)
-    stages, payloads = _exchange_stages(blocks)
-    payloads = [p * depth for p in payloads]
-    from repro.bsplib.sync_model import dissemination_payloads, sync_pattern
-
-    sync_stages = sync_pattern(nprocs).stages
-    sync_payloads = dissemination_payloads(nprocs)
+    stages, payloads, sync_stages, sync_payloads, sweep_clean = (
+        _halo_schedule(machine, placement, n, depth)
+    )
     rng = machine.rng("halo", nprocs, n, depth) if noisy else None
     noise = machine.noise if noisy else None
+    clock = np.zeros((runs, nprocs))
+    for _ in range(cycles):
+        # One replication-major bulk draw covers every (run, rank, sweep)
+        # of the cycle; the first (widest) sweep happens before the
+        # exchange commits.
+        if rng is not None:
+            sweeps = noise.sample_matrix(rng, sweep_clean, runs=runs)
+        else:
+            sweeps = np.broadcast_to(sweep_clean, (runs, *sweep_clean.shape))
+        first = sweeps[..., 0]
+        rest = sweeps[..., 1:].sum(axis=-1)
+        comm_entry = clock + first
+        exits_comm = simulate_stages_batch(
+            truth, stages, runs=runs, payload_bytes=payloads,
+            rng=rng, noise=noise, entry_times=comm_entry,
+        )
+        body_end = np.maximum(comm_entry + rest, exits_comm)
+        if nprocs > 1:
+            clock = simulate_stages_batch(
+                truth, sync_stages, runs=runs, payload_bytes=sync_payloads,
+                rng=rng, noise=noise, entry_times=body_end,
+            )
+        else:
+            clock = body_end
+    return clock.max(axis=-1) / (cycles * depth)
 
+
+def _halo_schedule(machine: SimMachine, placement, n: int, depth: int):
+    """The deterministic skeleton of one halo cycle: exchange stages and
+    depth-wide payloads, the dissemination sync's stages and payloads, and
+    the clean ``(nprocs, depth)`` per-(rank, sweep) compute times."""
+    nprocs = placement.nprocs
+    blocks = decompose(n, nprocs)
+    stages, payloads = _exchange_stages(blocks)
     footprints = [2.0 * (b.height + 2 * depth) * (b.width + 2 * depth) * WORD
                   for b in blocks]
-    # Clean per-(rank, sweep) times are fixed across cycles; each cycle
-    # takes one bulk (nprocs, depth) noise draw instead of nprocs * depth
-    # scalar draws.
     sweep_clean = np.array([
         [
             machine.kernel_time_clean(
@@ -148,61 +187,13 @@ def measure_halo_iteration(
         ]
         for rank, block in enumerate(blocks)
     ])
-    if runs is not None:
-        runs = require_int(runs, "runs")
-        if runs < 1:
-            raise ValueError("runs must be >= 1")
-        clock = np.zeros((runs, nprocs))
-        for _ in range(cycles):
-            # One replication-major bulk draw covers every (run, rank,
-            # sweep) of the cycle.
-            if rng is not None:
-                sweeps = noise.sample_matrix(rng, sweep_clean, runs=runs)
-            else:
-                sweeps = np.broadcast_to(
-                    sweep_clean, (runs, *sweep_clean.shape)
-                )
-            first = sweeps[..., 0]
-            rest = sweeps[..., 1:].sum(axis=-1)
-            comm_entry = clock + first
-            exits_comm = simulate_stages_batch(
-                truth, stages, runs=runs, payload_bytes=payloads,
-                rng=rng, noise=noise, entry_times=comm_entry,
-            )
-            body_end = np.maximum(comm_entry + rest, exits_comm)
-            if nprocs > 1:
-                clock = simulate_stages_batch(
-                    truth, sync_stages, runs=runs,
-                    payload_bytes=sync_payloads,
-                    rng=rng, noise=noise, entry_times=body_end,
-                )
-            else:
-                clock = body_end
-        return clock.max(axis=-1) / (cycles * depth)
-
-    clock = np.zeros(nprocs)
-    for _ in range(cycles):
-        # First sweep (widest band) happens before communication commits.
-        if rng is not None:
-            sweeps = noise.sample(rng, sweep_clean)
-        else:
-            sweeps = sweep_clean
-        first = sweeps[:, 0]
-        rest = sweeps[:, 1:].sum(axis=1)
-        comm_entry = clock + first
-        exits_comm = simulate_stages(
-            truth, stages, payload_bytes=payloads,
-            rng=rng, noise=noise, entry_times=comm_entry,
-        )
-        body_end = np.maximum(comm_entry + rest, exits_comm)
-        if nprocs > 1:
-            clock = simulate_stages(
-                truth, sync_stages, payload_bytes=sync_payloads,
-                rng=rng, noise=noise, entry_times=body_end,
-            )
-        else:
-            clock = body_end
-    return float(clock.max()) / (cycles * depth)
+    return (
+        stages,
+        [p * depth for p in payloads],
+        sync_pattern(nprocs).stages,
+        dissemination_payloads(nprocs),
+        sweep_clean,
+    )
 
 
 @dataclass(frozen=True)
@@ -221,24 +212,22 @@ def optimize_halo_depth(
     params: CommParameters,
     cycles: int = 6,
     noisy: bool = True,
-    runs: int | None = None,
+    runs: int = 1,
 ) -> tuple[int, list[HaloSweepPoint]]:
     """Sweep halo depths, returning the model's chosen depth and the
     predicted/measured series of Fig. 8.18 (C1).
 
-    With ``runs=R`` each depth is measured as a batched ``R``-replication
-    ensemble and ``measured`` is the ensemble mean."""
+    Each depth is measured as a batched ``runs``-replication ensemble and
+    ``measured`` is the ensemble mean."""
     points = []
     for depth in depths:
         predicted = predict_halo_iteration(
             nprocs, n, depth, sec_per_cell, params
         ).per_iteration
-        measured = measure_halo_iteration(
+        measured = float(measure_halo_iteration(
             machine, nprocs, n, depth, cycles=cycles, noisy=noisy,
             runs=runs,
-        )
-        if runs is not None:
-            measured = float(np.asarray(measured).mean())
+        ).mean())
         points.append(HaloSweepPoint(depth=depth, predicted=predicted,
                                      measured=measured))
     chosen = min(points, key=lambda pt: pt.predicted).depth

@@ -5,21 +5,35 @@ A BSP program's transfer schedule is deterministic — only noise varies
 across supersteps and replications — so the canonical ``(pid, sequence)``
 plan (endpoint arrays, clean transit bases, stable-argsort skeleton) is
 built once per distinct superstep shape and replayed.  The cache must be
-*invisible*: every scheduled time with the cache on is bit-identical to
-the cache-off build-per-superstep path, for the scalar and batched
-schedulers, clean and noisy alike.
+*invisible*: every cached replay is bit-identical to the scalar oracle's
+fresh per-superstep plan build (:mod:`repro.bsplib.reference`), on the
+clean path and — fed the transits the run drew — on the noisy path, for
+one replication and for many.  End to end, a noisy run that replays
+cached plans is bitwise the run that rebuilds every plan, so a cache hit
+consumes the noise stream exactly as a fresh build does.
 """
 
 import numpy as np
 import pytest
 
-from repro.bsplib import bsp_run
 from repro.bsplib.runtime import BSPRuntime
 from repro.cluster import presets
 from repro.kernels import DAXPY
 from repro.machine import SimMachine
 
-from .test_runtime_batch import RECORD_FIELDS, make_program
+from .test_runtime_batch import (
+    RECORD_FIELDS,
+    assert_matches_oracle,
+    make_program,
+    run_recorded,
+)
+
+
+class _NeverStores(dict):
+    """A plan cache that forgets every plan it is handed."""
+
+    def __setitem__(self, key, value):
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -29,34 +43,51 @@ def machine():
     )
 
 
-def assert_identical_runs(a, b):
-    assert a.final_times.tolist() == b.final_times.tolist()
-    assert a.return_values == b.return_values
-    assert a.superstep_count == b.superstep_count
-    for rec_a, rec_b in zip(a.supersteps, b.supersteps):
-        assert rec_a.messages == rec_b.messages
-        assert rec_a.payload_bytes == rec_b.payload_bytes
-        for name in RECORD_FIELDS:
-            assert getattr(rec_a, name).tolist() == \
-                getattr(rec_b, name).tolist(), name
+def assert_replays_match_oracle(machine, nprocs, program, noisy, runs=1):
+    """Under both placements: ``block`` packs processes onto shared nodes,
+    so the transmit-NIC FIFOs see real contention."""
+    for policy in ("round_robin", "block"):
+        runtime, result = run_recorded(
+            machine, nprocs, program, label="pc", noisy=noisy, runs=runs,
+            placement_policy=policy,
+        )
+        # Repeated shapes must really be replays for the check to mean much.
+        assert len(runtime._plan_cache) < len(runtime.outbound)
+        assert_matches_oracle(runtime, result, pre_drawn=noisy)
 
 
 class TestCacheInvisibility:
     @pytest.mark.parametrize("noisy", [True, False])
     def test_scalar_bit_identity(self, machine, noisy):
-        program = make_program(8, 4, True, True, reps=2)
-        on = bsp_run(machine, 6, program, label="pc", noisy=noisy)
-        off = bsp_run(machine, 6, program, label="pc", noisy=noisy,
-                      plan_cache=False)
-        assert_identical_runs(on, off)
+        program = make_program(8, 4, True, True, reps=2, skew=True)
+        assert_replays_match_oracle(machine, 6, program, noisy)
 
     @pytest.mark.parametrize("noisy", [True, False])
     def test_batch_bit_identity(self, machine, noisy):
-        program = make_program(8, 4, True, True, reps=2)
-        on = bsp_run(machine, 6, program, label="pc", noisy=noisy, runs=5)
-        off = bsp_run(machine, 6, program, label="pc", noisy=noisy, runs=5,
-                      plan_cache=False)
-        assert_identical_runs(on, off)
+        program = make_program(8, 4, True, True, reps=2, skew=True)
+        assert_replays_match_oracle(machine, 6, program, noisy, runs=5)
+
+    @pytest.mark.parametrize("runs", [1, 4])
+    def test_noisy_run_matches_uncached_run(self, machine, runs):
+        """Whole noisy runs, cached against never-cached: final times and
+        every per-superstep record are bitwise equal."""
+        program = make_program(8, 4, True, True, reps=2, skew=True)
+        cached = BSPRuntime(machine, 6, label="nc", runs=runs)
+        uncached = BSPRuntime(machine, 6, label="nc", runs=runs)
+        uncached._plan_cache = _NeverStores()
+        res_c = cached.run(program)
+        res_u = uncached.run(program)
+        assert 0 < len(cached._plan_cache) < res_c.superstep_count
+        assert len(uncached._plan_cache) == 0
+        assert res_c.final_times.tobytes() == res_u.final_times.tobytes()
+        assert res_c.return_values == res_u.return_values
+        assert res_c.superstep_count == res_u.superstep_count
+        for rec_c, rec_u in zip(res_c.supersteps, res_u.supersteps):
+            assert rec_c.messages == rec_u.messages
+            assert rec_c.payload_bytes == rec_u.payload_bytes
+            for name in RECORD_FIELDS:
+                assert (getattr(rec_c, name).tobytes()
+                        == getattr(rec_u, name).tobytes()), name
 
     def test_mixed_shape_program(self, machine):
         """Supersteps with different communication shapes get distinct
@@ -77,9 +108,7 @@ class TestCacheInvisibility:
                     ctx.get((pid + 2) % p, window, 0, scratch, nelems=8)
                 ctx.sync()
 
-        on = bsp_run(machine, 4, program, label="mixed")
-        off = bsp_run(machine, 4, program, label="mixed", plan_cache=False)
-        assert_identical_runs(on, off)
+        assert_replays_match_oracle(machine, 4, program, noisy=True)
 
 
 class TestCachePopulation:
@@ -99,7 +128,6 @@ class TestCachePopulation:
         # The 5 identical data supersteps must collapse onto one entry
         # (the registration superstep has no outbound records and makes
         # no entry at all).
-        assert runtime._plan_cache is not None
         assert len(runtime._plan_cache) == 1
 
     def test_distinct_shapes_get_distinct_plans(self, machine):
@@ -116,9 +144,3 @@ class TestCachePopulation:
         runtime = BSPRuntime(machine, 4, label="shapes")
         runtime.run(program)
         assert len(runtime._plan_cache) == 2
-
-    def test_cache_disabled(self, machine):
-        program = make_program(4, 2, False, False, reps=1)
-        runtime = BSPRuntime(machine, 4, label="off", plan_cache=False)
-        runtime.run(program)
-        assert runtime._plan_cache is None

@@ -315,7 +315,7 @@ class TestOverlapAccounting:
         assert res.superstep_count == 2
         rec = res.supersteps[1]
         assert rec.messages == 4
-        assert rec.entry_times.shape == (4,)
+        assert rec.entry_times.shape == (1, 4)
         assert (rec.exit_times >= rec.entry_times).all()
         assert (rec.exit_times >= rec.sync_exit - 1e-15).all()
 

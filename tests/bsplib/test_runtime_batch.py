@@ -1,16 +1,18 @@
-"""Batched BSP runs axis vs the scalar runtime: identity and distribution.
+"""The BSP runtime's replication axis vs its scalar oracle.
 
-The contract under test (docs/engine.md, "BSP runtime draws"):
+The contract under test (docs/engine.md, "BSP runtime, stencil and halo
+draws"):
 
 * clean path (``noisy=False``): every replication of
-  ``bsp_run(..., runs=R)`` is *bit-identical* to the scalar runtime — the
-  vectorized clocks, transfer scheduler and batched sync apply the same
-  floating-point operations per replication, across payload shapes,
-  process counts, and communication mixes (puts, gets, sends);
-* noisy path: the replication-major bulk draws produce different
-  individual runs but statistically equivalent ensembles;
+  ``bsp_run(..., runs=R)`` schedules its transfers *bit-identically* to
+  the scalar oracle :func:`repro.bsplib.reference.reference_transfers`
+  fed that replication's recorded commit and entry times — across payload
+  shapes, process counts, and communication mixes (puts, gets, sends);
+* noisy path: the replication-major bulk draws land in a different
+  stream order than the oracle's processing-order draws, so the
+  ensembles are compared distributionally (KS);
 * data movement is noise-independent: a batched run returns exactly the
-  scalar run's values and delivered buffers.
+  single run's values and delivered buffers.
 
 Mirrors ``tests/simmpi/test_engine_batch.py`` one layer up the stack.
 """
@@ -21,9 +23,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bsplib import bsp_run
+from repro.bsplib.reference import reference_transfers
+from repro.bsplib.runtime import BSPRuntime
 from repro.cluster import presets
 from repro.kernels import DAXPY, DOT_PRODUCT
 from repro.machine import SimMachine
+from repro.obs.provenance import rep_row
+
+
+class RecordingRuntime(BSPRuntime):
+    """A runtime that keeps each superstep's canonical outbound records,
+    the structural input the oracle rebuilds its plan from."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, provenance=True, **kwargs)
+        self.outbound: dict[int, list] = {}
+
+    def _canonical_outbound(self):
+        ordered, key = super()._canonical_outbound()
+        self.outbound[self._superstep] = list(ordered)
+        return ordered, key
+
+
+def run_recorded(machine, nprocs, program, **kwargs):
+    runtime = RecordingRuntime(machine, nprocs, **kwargs)
+    return runtime, runtime.run(program)
+
+
+def oracle_transfers(runtime, ss, r, **kwargs):
+    """The oracle's schedule of replication ``r`` of superstep ``ss``."""
+    return reference_transfers(
+        runtime.truth, runtime.placement, runtime.outbound[ss.index],
+        rep_row(ss.pass1.ready, r), rep_row(ss.entries, r), **kwargs,
+    )
+
+
+def assert_matches_oracle(runtime, result, pre_drawn=False):
+    """Every replication of every superstep is bit-identical to the
+    oracle fed the recorded commit and entry times (and, with
+    ``pre_drawn``, the transits the run drew)."""
+    prov = result.provenance
+    for rec, ss in zip(result.supersteps, prov.supersteps):
+        for r in range(result.runs):
+            if ss.pass1 is None:  # no transfers: nothing arrives
+                assert rec.messages == 0
+                assert rec.last_arrival[r].tolist() == \
+                    rec.entry_times[r].tolist()
+                continue
+            transits = None
+            if pre_drawn:
+                transits = (
+                    rep_row(ss.pass1.transits, r),
+                    np.empty(0) if ss.pass2 is None
+                    else rep_row(ss.pass2.transits, r),
+                )
+            ref = oracle_transfers(runtime, ss, r, transits=transits)
+            assert ref.last_arrival.tolist() == rec.last_arrival[r].tolist()
+            assert ref.arrivals1.tolist() == \
+                rep_row(ss.pass1.arrivals, r).tolist()
+            if ss.pass2 is not None:
+                assert ref.arrivals2.tolist() == \
+                    rep_row(ss.pass2.arrivals, r).tolist()
+            assert ref.messages == rec.messages
+            assert ref.payload_bytes == rec.payload_bytes
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +96,11 @@ def machine():
 
 
 def make_program(payload_elems: int, supersteps: int, use_gets: bool,
-                 use_sends: bool, reps: int):
+                 use_sends: bool, reps: int, skew: bool = False):
     """An SPMD program exercising every communication kind with
-    deterministic (time-independent) control flow."""
+    deterministic (time-independent) control flow; ``skew`` gives the
+    processes unequal compute, so commit-time order departs from the
+    canonical ``(pid, sequence)`` order even on the clean path."""
 
     def program(ctx):
         p, pid = ctx.nprocs, ctx.pid
@@ -45,8 +109,9 @@ def make_program(payload_elems: int, supersteps: int, use_gets: bool,
         ctx.push_reg(window)
         ctx.sync()
         src = np.arange(payload_elems, dtype=float) + pid
+        extra = 96 * ((5 * pid) % 7) if skew else 0
         for step in range(supersteps):
-            ctx.charge_kernel(DAXPY, 512 + 128 * step, reps=reps)
+            ctx.charge_kernel(DAXPY, 512 + 128 * step + extra, reps=reps)
             ctx.put((pid + 1 + step) % p, src, window,
                     offset=payload_elems * pid)
             if use_gets:
@@ -77,33 +142,42 @@ class TestCleanBitIdentity:
         use_gets=st.booleans(),
         use_sends=st.booleans(),
         runs=st.integers(1, 4),
+        skew=st.booleans(),
+        policy=st.sampled_from(["round_robin", "block"]),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_batch_matches_scalar_bitwise(
-        self, p, payload_elems, supersteps, use_gets, use_sends, runs
+        self, p, payload_elems, supersteps, use_gets, use_sends, runs, skew,
+        policy,
     ):
+        """``block`` placement packs processes onto shared nodes, so the
+        transmit-NIC FIFOs see real contention."""
         machine = SimMachine(
             presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=7
         )
         program = make_program(payload_elems, supersteps, use_gets,
-                               use_sends, reps=2)
-        ref = bsp_run(machine, p, program, label="clean", noisy=False)
-        bat = bsp_run(machine, p, program, label="clean", noisy=False,
-                      runs=runs)
+                               use_sends, reps=2, skew=skew)
+        runtime, bat = run_recorded(
+            machine, p, program, label="clean", noisy=False, runs=runs,
+            placement_policy=policy,
+        )
         assert bat.final_times.shape == (runs, p)
-        for r in range(runs):
-            assert bat.final_times[r].tolist() == ref.final_times.tolist()
-        assert bat.return_values == ref.return_values
-        assert bat.superstep_count == ref.superstep_count
-        for rec_s, rec_b in zip(ref.supersteps, bat.supersteps):
-            assert rec_s.messages == rec_b.messages
-            assert rec_s.payload_bytes == rec_b.payload_bytes
+        assert_matches_oracle(runtime, bat)
+        # Clean replications are identical, and each equals the default
+        # single run.
+        one = bsp_run(machine, p, program, label="clean", noisy=False,
+                      placement_policy=policy)
+        assert bat.return_values == one.return_values
+        assert bat.superstep_count == one.superstep_count
+        for rec_1, rec_b in zip(one.supersteps, bat.supersteps):
+            assert rec_1.messages == rec_b.messages
+            assert rec_1.payload_bytes == rec_b.payload_bytes
             for name in RECORD_FIELDS:
-                scalar = getattr(rec_s, name)
+                single = getattr(rec_1, name)
                 batch = getattr(rec_b, name)
                 assert batch.shape == (runs, p)
                 for r in range(runs):
-                    assert batch[r].tolist() == scalar.tolist(), name
+                    assert batch[r].tolist() == single[0].tolist(), name
 
     def test_single_process_run(self, machine):
         def program(ctx):
@@ -116,38 +190,53 @@ class TestCleanBitIdentity:
         assert res.return_values == [0]
 
     def test_scalar_total_seconds_unchanged_semantics(self, machine):
+        """The default run is one replication whose scalar total is its
+        wall time."""
         program = make_program(4, 1, False, False, reps=1)
         res = bsp_run(machine, 4, program, label="scal", noisy=False)
-        assert res.runs is None
+        assert res.runs == 1
+        assert res.final_times.shape == (1, 4)
         assert res.total_seconds == float(res.final_times.max())
         assert res.run_seconds.shape == (1,)
 
 
 class TestNoisyDistribution:
     def test_ensemble_agrees_with_looped_scalar_runs(self):
-        """Two-sample KS between a batched ensemble and independent scalar
-        runs (per-run distinct labels select independent streams of the
-        same distribution)."""
+        """Two-sample KS, per data superstep, between the batched
+        ensemble's transfer span and the oracle's, the oracle drawing its
+        own transits for each replication's recorded commit and entry
+        times."""
         machine = SimMachine(
             presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=5
         )
         program = make_program(8, 2, True, False, reps=2)
         runs = 200
-        batch = bsp_run(
+        runtime, batch = run_recorded(
             machine, 8, program, label="ks-batch", runs=runs
-        ).run_seconds
-        loop = np.array([
-            bsp_run(machine, 8, program, label=f"ks-loop-{r}").total_seconds
-            for r in range(runs)
-        ])
-        # 1% two-sample KS critical value for n = m = 200 is ~0.163.
-        grid = np.sort(np.concatenate([batch, loop]))
-        ks = np.abs(
-            np.searchsorted(np.sort(batch), grid, side="right") / runs
-            - np.searchsorted(np.sort(loop), grid, side="right") / runs
-        ).max()
-        assert ks < 0.163, f"KS={ks:.3f}"
-        assert np.median(batch) == pytest.approx(np.median(loop), rel=0.05)
+        )
+        rng = machine.rng("ks-oracle")
+        data_steps = [
+            (rec, ss)
+            for rec, ss in zip(batch.supersteps, batch.provenance.supersteps)
+            if ss.pass1 is not None
+        ]
+        assert len(data_steps) == 2
+        for rec, ss in data_steps:
+            span = rec.last_arrival.max(axis=1) - rec.entry_times.min(axis=1)
+            oracle = np.array([
+                oracle_transfers(
+                    runtime, ss, r, noise=machine.noise, rng=rng
+                ).last_arrival.max() - rec.entry_times[r].min()
+                for r in range(runs)
+            ])
+            # 1% two-sample KS critical value for n = m = 200 is ~0.163.
+            grid = np.sort(np.concatenate([span, oracle]))
+            ks = np.abs(
+                np.searchsorted(np.sort(span), grid, side="right") / runs
+                - np.searchsorted(np.sort(oracle), grid, side="right") / runs
+            ).max()
+            assert ks < 0.163, f"KS={ks:.3f} at superstep {rec.index}"
+            assert np.median(span) == pytest.approx(np.median(oracle), rel=0.05)
 
     def test_batch_reproducible_and_rows_vary(self, machine):
         program = make_program(6, 2, False, True, reps=1)
@@ -158,11 +247,11 @@ class TestNoisyDistribution:
 
     def test_noisy_data_movement_matches_scalar(self, machine):
         """Only time is noisy: delivered data and return values are those
-        of the scalar run."""
+        of the single run."""
         program = make_program(5, 2, True, True, reps=1)
-        scalar = bsp_run(machine, 5, program, label="data")
+        single = bsp_run(machine, 5, program, label="data")
         batch = bsp_run(machine, 5, program, label="data", runs=4)
-        assert batch.return_values == scalar.return_values
+        assert batch.return_values == single.return_values
 
     def test_run_seconds_and_total(self, machine):
         program = make_program(4, 1, False, False, reps=1)
@@ -186,6 +275,39 @@ class TestEdgeCases:
         for rec in res.supersteps:
             assert rec.exit_times.shape == (1, 3)
 
+    def test_reply_fifo_serves_request_arrival_order(self, machine):
+        """Large get replies from one node contend for its transmit NIC.
+        The owners finish computing in the reverse of the order their
+        requests arrive, so replies become ready in one order while the
+        NIC must serve them in the other (request arrival)."""
+        nelems = 20_000
+
+        def program(ctx):
+            p, pid = ctx.nprocs, ctx.pid
+            half = p // 2
+            window = np.zeros(nelems)
+            scratch = np.zeros(nelems)
+            ctx.push_reg(window)
+            ctx.sync()
+            k = (5 * (pid % half + half)) % 7
+            if pid >= half:
+                ctx.charge_seconds(1e-4 * (1 + k))
+                ctx.get(pid - half, window, 0, scratch, nelems=nelems)
+            else:
+                ctx.charge_seconds(1e-3 + 1e-4 * (7 - k))
+            ctx.sync()
+
+        runtime, res = run_recorded(
+            machine, 16, program, label="replies", noisy=False,
+            placement_policy="block",
+        )
+        assert_matches_oracle(runtime, res)
+        replies = res.provenance.supersteps[1]
+        assert replies.pass2.remote.all()
+        requested = np.argsort(replies.pass1.arrivals[0], kind="stable")
+        ready = np.argsort(replies.pass2.ready[0], kind="stable")
+        assert requested.tolist() != ready.tolist()
+
     def test_comm_free_superstep(self, machine):
         """A superstep with no outbound records exercises the batched
         scheduler's empty path."""
@@ -194,10 +316,11 @@ class TestEdgeCases:
             ctx.charge_kernel(DAXPY, 256)
             ctx.sync()
 
-        scalar = bsp_run(machine, 4, program, label="quiet", noisy=False)
+        single = bsp_run(machine, 4, program, label="quiet", noisy=False)
         batch = bsp_run(
             machine, 4, program, label="quiet", noisy=False, runs=2
         )
         for r in range(2):
-            assert batch.final_times[r].tolist() == scalar.final_times.tolist()
+            assert batch.final_times[r].tolist() == \
+                single.final_times[0].tolist()
         assert batch.supersteps[0].messages == 0

@@ -9,8 +9,8 @@ from one bulk draw (``sample`` / ``sample_matrix``).  Contract:
 * noisy path: per-acquisition draws land in a different stream order, but
   the ensembles are KS-equivalent;
 * ``runs=R`` re-rolls the same schedule under ``R`` independent noise
-  replications, replication-major, with row 0 of ``runs=1`` equal to the
-  un-batched noisy run.
+  replications, replication-major; the default ``runs=1`` row is the
+  one-shot bulk draw over the handoff vector.
 """
 
 import numpy as np
@@ -66,15 +66,15 @@ class TestCleanBitIdentity:
 
     def test_clean_batch_rows_equal_scalar(self, machine):
         placement = machine.placement(6, policy="block")
-        scalar = simulate_spinlock(machine, "ticket", placement, noisy=False)
+        ref = reference_spinlock(machine, "ticket", placement, noisy=False)
         batch = simulate_spinlock(
             machine, "ticket", placement, noisy=False, runs=3
         )
-        assert batch.per_acquisition.shape == (3, scalar.acquisitions)
+        assert batch.per_acquisition.shape == (3, ref.acquisitions)
         for r in range(3):
             assert (
                 batch.per_acquisition[r].tolist()
-                == scalar.per_acquisition.tolist()
+                == ref.per_acquisition[0].tolist()
             )
 
 
@@ -97,7 +97,7 @@ class TestNoisyDistribution:
             reference_spinlock(
                 machine, algorithm, placement, acquisitions_per_thread=8,
                 rng=rng,
-            ).per_acquisition
+            ).per_acquisition[0]
             for _ in range(runs)
         ])
         n = batch.size
@@ -112,16 +112,16 @@ class TestNoisyDistribution:
         assert np.median(batch) == pytest.approx(np.median(loop), rel=0.05)
 
     def test_scalar_noisy_path_is_runs_one_row(self, machine):
-        """The un-batched noisy path and runs=1 consume the stream
-        identically (sample on (N,) vs sample_matrix broadcast (1, N))."""
+        """The default runs=1 row consumes the stream as one bulk draw over
+        the (N,) handoff vector does (sample_matrix broadcasts to (1, N))."""
         placement = machine.placement(5, policy="block")
-        scalar = simulate_spinlock(machine, "mcs", placement)
-        batch = simulate_spinlock(machine, "mcs", placement, runs=1)
-        assert batch.per_acquisition.shape == (1, scalar.acquisitions)
-        assert (
-            batch.per_acquisition[0].tolist()
-            == scalar.per_acquisition.tolist()
+        clean = simulate_spinlock(machine, "mcs", placement, noisy=False)
+        one = simulate_spinlock(machine, "mcs", placement)
+        assert one.per_acquisition.shape == (1, clean.acquisitions)
+        drawn = machine.noise.sample(
+            machine.rng("spinlock", "mcs", 5), clean.per_acquisition[0]
         )
+        assert one.per_acquisition[0].tolist() == drawn.tolist()
 
     def test_batch_deterministic_and_rows_vary(self, machine):
         placement = machine.placement(4, policy="block")

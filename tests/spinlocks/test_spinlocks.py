@@ -29,7 +29,7 @@ class TestSimulation:
             machine, algorithm, placement, acquisitions_per_thread=5
         )
         assert result.acquisitions == 30
-        assert result.per_acquisition.shape == (30,)
+        assert result.per_acquisition.shape == (1, 30)
         assert result.total_seconds > 0
 
     def test_unknown_algorithm(self, machine):

@@ -42,12 +42,23 @@ class TestBSPNumerics:
         np.testing.assert_allclose(result.field, initial)
         assert result.iteration_seconds.size == 0
 
-    def test_charge_only_mode_skips_field(self, machine):
+    def test_charge_only_mode_skips_field(self, machine, monkeypatch):
+        """A charge-only run never reads a field, so it neither returns one
+        nor draws the default one (machine streams still get seeded
+        generators)."""
+        real_default_rng = np.random.default_rng
+
+        def streams_only(seed=None):
+            if not isinstance(seed, np.random.SeedSequence):
+                raise AssertionError("charge-only run drew an initial field")
+            return real_default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", streams_only)
         result = run_bsp_stencil(
             machine, 4, 64, 2, execute_numerics=False, label="charge"
         )
         assert result.field is None
-        assert result.iteration_seconds.shape == (2,)
+        assert result.iteration_seconds.shape == (1, 2)
 
     def test_blocks_too_small_rejected(self, machine):
         with pytest.raises(ValueError, match="3x3"):

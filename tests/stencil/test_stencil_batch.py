@@ -1,18 +1,19 @@
-"""Batched stencil runs axis vs the scalar paths: identity and distribution.
+"""The stencil and halo replication axes: identity and distribution.
 
-The contract under test (docs/engine.md, "Stencil draws"):
+The contract under test (docs/engine.md, "BSP runtime, stencil and halo
+draws"):
 
 * clean path (``noisy=False``): every replication of
-  ``run_bsp_stencil(..., runs=R)`` and ``measure_halo_iteration(...,
-  runs=R)`` is *bit-identical* to the scalar path — same floating-point
-  operations per replication across grid sizes, process counts and halo
+  ``run_bsp_stencil(..., runs=R)`` is *bit-identical* to the single run,
+  and every replication of ``measure_halo_iteration(..., runs=R)`` to
+  the scalar oracle :func:`repro.stencil.reference.
+  reference_halo_iteration` — across grid sizes, process counts and halo
   depths;
-* noisy path: the replication-major bulk draws produce different
-  individual replications but statistically equivalent ensembles (the
-  batched draw order differs from looping the scalar path, so streams
-  are compared distributionally, not bitwise);
+* noisy path: ``measure_halo_iteration(runs=1)`` is bit-identical to the
+  oracle too (a ``(1, ...)`` draw consumes the stream as the ``(...)``
+  draw does); larger ensembles are compared distributionally;
 * the grid numerics are noise-independent: a batched ``run_bsp_stencil``
-  assembles exactly the scalar run's field.
+  assembles exactly the single run's field.
 
 Mirrors ``tests/bsplib/test_runtime_batch.py`` one layer up the stack.
 """
@@ -26,6 +27,7 @@ from repro.cluster import presets
 from repro.machine import SimMachine
 from repro.stencil import measure_halo_iteration, run_bsp_stencil
 from repro.stencil.experiments import run_strong_scaling
+from repro.stencil.reference import reference_halo_iteration
 
 
 def make_machine(seed=77):
@@ -61,10 +63,10 @@ class TestStencilCleanBitIdentity:
         for r in range(runs):
             assert (
                 bat.iteration_seconds[r].tolist()
-                == ref.iteration_seconds.tolist()
+                == ref.iteration_seconds[0].tolist()
             )
         # total_seconds is the ensemble mean, so the mean of R identical
-        # replications may differ from the scalar value by one ulp.
+        # replications may differ from the single value by one ulp.
         assert bat.total_seconds == pytest.approx(ref.total_seconds, rel=1e-12)
 
     def test_numerics_match_scalar(self, machine):
@@ -74,15 +76,16 @@ class TestStencilCleanBitIdentity:
         assert bat.field.tolist() == ref.field.tolist()
 
     def test_result_properties(self, machine):
-        scalar = run_bsp_stencil(
+        single = run_bsp_stencil(
             machine, 4, 16, 3, execute_numerics=False, noisy=False
         )
-        assert scalar.runs is None
-        assert scalar.run_mean_iterations.shape == (1,)
+        assert single.iteration_seconds.shape == (1, 3)
+        assert single.run_mean_iterations.shape == (1,)
+        assert single.mean_iteration == single.run_mean_iterations[0]
         batch = run_bsp_stencil(
             machine, 4, 16, 3, execute_numerics=False, noisy=False, runs=5
         )
-        assert batch.runs == 5
+        assert batch.iteration_seconds.shape == (5, 3)
         assert batch.run_mean_iterations.shape == (5,)
         assert batch.run_mean_iterations[0] == pytest.approx(
             batch.iteration_seconds[0].mean()
@@ -99,13 +102,12 @@ class TestHaloCleanBitIdentity:
     @settings(max_examples=25, deadline=None)
     def test_batch_matches_scalar_bitwise(self, nprocs, n, depth, runs):
         machine = make_machine(seed=7)
-        ref = measure_halo_iteration(
+        ref = reference_halo_iteration(
             machine, nprocs, n, depth, cycles=3, noisy=False
         )
         bat = measure_halo_iteration(
             machine, nprocs, n, depth, cycles=3, noisy=False, runs=runs
         )
-        assert isinstance(ref, float)
         assert bat.shape == (runs,)
         for r in range(runs):
             assert bat[r] == ref
@@ -115,9 +117,26 @@ class TestHaloCleanBitIdentity:
             measure_halo_iteration(machine, 4, 32, 2, runs=0)
 
 
+class TestHaloNoisyBitIdentity:
+    @given(
+        nprocs=st.sampled_from([1, 2, 4, 6]),
+        n=st.sampled_from([24, 32, 48]),
+        depth=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_runs_one_matches_reference_bitwise(self, nprocs, n, depth, seed):
+        machine = make_machine(seed=seed)
+        one = measure_halo_iteration(machine, nprocs, n, depth, cycles=3)
+        assert one.shape == (1,)
+        assert one[0] == reference_halo_iteration(
+            machine, nprocs, n, depth, cycles=3
+        )
+
+
 class TestNoisyDistribution:
     def test_stencil_ensemble_agrees_with_looped_scalar(self):
-        """Two-sample KS between a batched ensemble and independent scalar
+        """Two-sample KS between a batched ensemble and independent single
         runs (per-run distinct labels select independent streams of the
         same distribution)."""
         machine = make_machine(seed=5)
@@ -144,14 +163,14 @@ class TestNoisyDistribution:
 
     def test_halo_ensemble_agrees_with_looped_scalar(self):
         """measure_halo_iteration derives its stream from the machine seed
-        and the (nprocs, n, depth) key, so the independent scalar ensemble
+        and the (nprocs, n, depth) key, so the independent oracle ensemble
         varies the machine seed instead of a label."""
         runs = 200
         batch = measure_halo_iteration(
             make_machine(seed=5), 6, 48, 2, cycles=3, runs=runs
         )
         loop = np.array([
-            measure_halo_iteration(
+            reference_halo_iteration(
                 make_machine(seed=1000 + r), 6, 48, 2, cycles=3
             )
             for r in range(runs)
