@@ -10,7 +10,8 @@ asks for:
   the seeded-deterministic strategies (``random``, ``stratified``,
   ``halving``, ``surrogate`` — including a Pareto mode);
 * :mod:`~repro.explore.adaptive.surrogate` — the k-NN + linear ensemble
-  whose disagreement drives exploration;
+  whose disagreement drives exploration, and the running nearest-neighbour
+  state the sampler keeps across batches;
 * :mod:`~repro.explore.adaptive.encoding`  — design points as vectors in
   the unit hypercube;
 * :mod:`~repro.explore.adaptive.driver`    — :class:`AdaptiveCampaign`,
@@ -25,6 +26,7 @@ See ``docs/adaptive.md`` and ``examples/adaptive_barrier_space.py``.
 from repro.explore.adaptive.encoding import SpaceEncoder
 from repro.explore.adaptive.surrogate import (
     LinearSurrogate,
+    NearestNeighbours,
     NearestNeighbourSurrogate,
     SurrogateEnsemble,
 )
@@ -54,6 +56,7 @@ from repro.explore.adaptive.drift import (
 __all__ = [
     "SpaceEncoder",
     "LinearSurrogate",
+    "NearestNeighbours",
     "NearestNeighbourSurrogate",
     "SurrogateEnsemble",
     "Observation",

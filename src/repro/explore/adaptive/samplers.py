@@ -41,7 +41,11 @@ from typing import Any
 import numpy as np
 
 from repro.explore.adaptive.encoding import SpaceEncoder
-from repro.explore.adaptive.surrogate import SurrogateEnsemble
+from repro.explore.adaptive.surrogate import (
+    LinearSurrogate,
+    NearestNeighbours,
+    mean_and_spread,
+)
 from repro.explore.space import DesignPoint, DesignSpace
 
 
@@ -397,7 +401,7 @@ class SurrogateSampler(Sampler):
 
     Until ``warmup`` observations carry a usable objective the sampler
     space-fills (greedy maximin, like ``stratified``).  After that, every
-    batch refits a :class:`SurrogateEnsemble` per objective on the encoded
+    batch fits the k-NN + linear ensemble per objective on the encoded
     observations and splits the batch:
 
     * **exploit** (``1 - explore`` of the batch): the unproposed
@@ -408,8 +412,11 @@ class SurrogateSampler(Sampler):
       — surrogate disagreement plus distance to the nearest observation —
       which is where another sample most improves the model.
 
-    Everything is refit from scratch per batch, so the proposal sequence
-    is a pure function of the observations fed back.
+    The linear model is refit per batch; the candidates' nearest
+    observations are kept across batches (:class:`NearestNeighbours`, one
+    state for every objective) and merged exactly, so the proposal
+    sequence is the same pure function of the observations fed back as a
+    refit from scratch.
     """
 
     name = "surrogate"
@@ -441,7 +448,12 @@ class SurrogateSampler(Sampler):
         self._filler = _MaximinState(self._encoded.copy())
         self._filler_first = self.rng.randrange(len(self.candidates))
         self._filler_started = False
-        self._ensemble_factory = lambda: SurrogateEnsemble(k=k, ridge=ridge)
+        self._neighbours = NearestNeighbours(self._encoded, k)
+        self._linear = LinearSurrogate(ridge)
+        # Usable observations only ever append (observations are never
+        # retracted), so they are sorted out once, as they arrive.
+        self._usable: list[tuple[int, tuple[float, ...]]] = []
+        self._scanned = 0
 
     # ------------------------------------------------------------- plumbing
 
@@ -456,10 +468,10 @@ class SurrogateSampler(Sampler):
             self._filler.exclude(idx)
             self._filler_started = True
 
-    def _usable(self) -> list[tuple[int, tuple[float, ...]]]:
-        """Observations that are in-space and carry every objective."""
-        usable = []
-        for obs in self.observations:
+    def _absorb(self) -> list[tuple[int, tuple[float, ...]]]:
+        """Observations that are in-space and carry every objective, as
+        ``(candidate index, sign-normalised values)`` in arrival order."""
+        for obs in self.observations[self._scanned:]:
             idx = self._index.get(obs.point.key)
             if idx is None:
                 continue
@@ -470,8 +482,9 @@ class SurrogateSampler(Sampler):
                     break
                 values.append(self._sign(name) * value)
             else:
-                usable.append((idx, tuple(values)))
-        return usable
+                self._usable.append((idx, tuple(values)))
+        self._scanned = len(self.observations)
+        return self._usable
 
     # ------------------------------------------------------------ proposing
 
@@ -493,7 +506,7 @@ class SurrogateSampler(Sampler):
 
     def _pick(self, batch: int) -> list[DesignPoint]:
         picks: list[int] = []
-        usable = self._usable()
+        usable = self._absorb()
         if len(usable) < self.warmup:
             while len(picks) < batch:
                 idx = self._fill_pick()
@@ -509,7 +522,9 @@ class SurrogateSampler(Sampler):
             return []
         rows = np.array([idx for idx, _ in usable])
         X = self._encoded[rows]
-        U = self._encoded[np.array(unproposed)]
+        positions = np.array(unproposed)
+        U = self._encoded[positions]
+        self._neighbours.extend(X[self._neighbours.references:])
 
         # One ensemble per objective, all on sign-normalised ("smaller is
         # better") targets.
@@ -517,15 +532,17 @@ class SurrogateSampler(Sampler):
         spread = np.zeros(len(unproposed))
         for j in range(len(self._objective_names)):
             y = np.array([values[j] for _, values in usable])
-            ensemble = self._ensemble_factory().fit(X, y)
-            predictions[j], disagreement = ensemble.predict_with_uncertainty(U)
+            predictions[j], disagreement = mean_and_spread([
+                self._neighbours.predict(y, positions),
+                self._linear.fit(X, y).predict(U),
+            ])
             scale = float(np.std(y)) or 1.0
             spread += disagreement / scale
 
         # Distance to the nearest observation, from the maximin state —
         # candidates in unexplored territory get an exploration bonus even
         # where the two surrogates happen to agree.
-        distance = self._filler.min_dist[np.array(unproposed)]
+        distance = self._filler.min_dist[positions]
         distance = np.where(np.isfinite(distance), distance, 0.0)
         uncertainty = spread + distance
 
@@ -547,18 +564,11 @@ class SurrogateSampler(Sampler):
             # by predicted value, then candidate order.
             n_local = max(1, n_exploit // 4) if n_exploit else 0
             best_row = rows[int(np.argmin([v[0] for _, v in usable]))]
-            best_point = self.candidates[best_row]
-            features = self._encoder.features
-            neighbour_positions = [
-                pos for pos, ci in enumerate(unproposed)
-                if sum(
-                    self.candidates[ci].get(name) != best_point.get(name)
-                    for name in features
-                ) == 1
-            ]
-            neighbour_positions.sort(
-                key=lambda pos: (predictions[0][pos], pos)
-            )
+            differences = self._encoder.differences(best_row)[positions]
+            neighbour_positions = np.flatnonzero(differences == 1)
+            neighbour_positions = neighbour_positions[np.argsort(
+                predictions[0][neighbour_positions], kind="stable"
+            )]
             for pos in neighbour_positions[:n_local]:
                 taken[pos] = True
                 chosen.append(unproposed[pos])

@@ -2,19 +2,84 @@
 
 The adaptive engine's surrogates are deliberately modest: a
 nearest-neighbour interpolator and a ridge-regularised linear model, both
-exact, dependency-free (numpy only), and refit from scratch on every
-batch — at campaign scales (10^2–10^4 candidates, 10^1–10^3 observations)
-a refit costs microseconds, and statelessness is what keeps the sampler
-bit-reproducible.  The two see the objective differently — the linear
-model extrapolates global trend, the neighbour model tracks local
-structure — and :class:`SurrogateEnsemble` turns their *disagreement*
-into the uncertainty signal the explore half of the acquisition rule
-feeds on (Memeti & Pllana 2021 use the same trick with heavier models).
+exact and dependency-free (numpy only).  The two see the objective
+differently — the linear model extrapolates global trend, the neighbour
+model tracks local structure — and :class:`SurrogateEnsemble` turns their
+*disagreement* into the uncertainty signal the explore half of the
+acquisition rule feeds on (Memeti & Pllana 2021 use the same trick with
+heavier models).
+
+The linear model is refit from scratch on every batch: a ``(d+1)``-square
+solve.  The neighbour model's cost is the search, so that state persists:
+:class:`NearestNeighbours` keeps every candidate's ``k`` nearest
+observations across batches, and a batch only measures the candidates
+against the observations that arrived since the last one.  Because
+observations only ever append, the merge is exact — it selects the same
+neighbours in the same order as a full stable sort over every
+observation, so the weighted sums, and with them the sampler's proposal
+sequence, are bit-identical to a from-scratch refit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class NearestNeighbours:
+    """Every query row's ``k`` nearest reference rows, kept across appends.
+
+    ``distance`` and ``column`` are ``(queries, min(k, references))``:
+    each row's nearest references in ascending distance, ties in
+    reference (column) order — the first ``k`` of a stable argsort of the
+    row's distances to every reference seen.
+
+    :meth:`extend` appends references.  The ``k`` nearest of the first
+    ``n + m`` references lie among the ``k`` nearest of the first ``n``
+    and the ``m`` new ones, so it measures only the new rows and re-sorts
+    the ``(queries, k + m)`` block: the kept entries (already in
+    ``(distance, column)`` order) followed by the new columns (higher
+    column numbers, in order).  A stable sort of that block reproduces the
+    full sort's first ``k`` exactly, ties at the ``k``-th distance
+    included, and each distance is computed by the same expression as in
+    a full ``(queries, references)`` matrix, so it is the same float.
+    """
+
+    def __init__(self, queries: np.ndarray, k: int):
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.queries = np.asarray(queries, dtype=float)
+        self.k = k
+        self.references = 0
+        self.distance = np.empty((len(self.queries), 0))
+        self.column = np.empty((len(self.queries), 0), dtype=np.intp)
+
+    def extend(self, X: np.ndarray) -> "NearestNeighbours":
+        """Append the reference rows ``X``, numbered from ``references``."""
+        X = np.asarray(X, dtype=float)
+        if len(X) == 0:
+            return self
+        fresh = np.sqrt(
+            ((self.queries[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        )
+        columns = np.arange(self.references, self.references + len(X))
+        distance = np.concatenate([self.distance, fresh], axis=1)
+        column = np.concatenate(
+            [self.column, np.broadcast_to(columns, fresh.shape)], axis=1
+        )
+        order = np.argsort(distance, axis=1, kind="stable")[:, :self.k]
+        self.distance = np.take_along_axis(distance, order, axis=1)
+        self.column = np.take_along_axis(column, order, axis=1)
+        self.references += len(X)
+        return self
+
+    def predict(self, y: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Inverse-distance-weighted mean of the reference targets ``y``
+        over each selected query row's neighbours."""
+        if self.references == 0:
+            raise RuntimeError("no references to predict from")
+        w = 1.0 / (self.distance[rows] + 1e-12)
+        w /= w.sum(axis=1, keepdims=True)
+        return (w * np.asarray(y, dtype=float)[self.column[rows]]).sum(axis=1)
 
 
 class NearestNeighbourSurrogate:
@@ -44,18 +109,7 @@ class NearestNeighbourSurrogate:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._X is None:
             raise RuntimeError("fit before predict")
-        X = np.asarray(X, dtype=float)
-        # (m, n) pairwise distances; small spaces make this exact approach
-        # cheaper than any index structure.
-        d = np.sqrt(
-            ((X[:, None, :] - self._X[None, :, :]) ** 2).sum(axis=2)
-        )
-        k = min(self.k, len(self._X))
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
-        rows = np.arange(len(X))[:, None]
-        w = 1.0 / (d[rows, nearest] + 1e-12)
-        w /= w.sum(axis=1, keepdims=True)
-        return (w * self._y[nearest]).sum(axis=1)
+        return NearestNeighbours(X, self.k).extend(self._X).predict(self._y)
 
 
 class LinearSurrogate:
@@ -115,5 +169,13 @@ class SurrogateEnsemble:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The members' mean prediction and their absolute spread, from
         one prediction per member."""
-        preds = np.stack([m.predict(X) for m in self.members])
-        return preds.mean(axis=0), np.abs(preds.max(axis=0) - preds.min(axis=0))
+        return mean_and_spread([m.predict(X) for m in self.members])
+
+
+def mean_and_spread(
+    predictions: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble rule: the members' mean prediction, and the absolute
+    spread between them as the uncertainty."""
+    preds = np.stack(predictions)
+    return preds.mean(axis=0), np.abs(preds.max(axis=0) - preds.min(axis=0))

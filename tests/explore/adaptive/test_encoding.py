@@ -1,8 +1,12 @@
-"""SpaceEncoder: feature selection, scaling, determinism."""
+"""SpaceEncoder: feature selection, scaling, determinism, equality codes."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.explore.adaptive import reference
 from repro.explore.adaptive.encoding import SpaceEncoder
 from repro.explore.space import DesignSpace
 
@@ -56,3 +60,53 @@ def test_two_encoders_from_the_same_expansion_agree():
 def test_empty_candidates_rejected():
     with pytest.raises(ValueError):
         SpaceEncoder([])
+
+
+def test_numerically_constant_axis_is_dropped():
+    # 1 and 1.0 are distinct axis values (distinct JSON) but one number.
+    space = DesignSpace.grid(n=[1, 1.0], p=["a", "b"])
+    enc = SpaceEncoder(space.expand())
+    assert enc.features == ["p"]
+    assert enc.encode_many(space.expand()).tolist() == [[0.0], [1.0]] * 2
+
+
+def test_differences_follow_python_equality_not_json():
+    space = DesignSpace.from_dict({
+        "axes": {"flag": [1, 1.0, True, "x", None, [1, 2], [1.0, 2]]},
+        "points": [{"other": 3}],
+    })
+    enc = SpaceEncoder(space.expand())
+    # 1 == 1.0 == True; [1, 2] == [1.0, 2]; the point without "flag"
+    # reads it as None.  ("other" has one value, so it is no feature.)
+    assert enc.features == ["flag"]
+    assert enc.differences(0).tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+    assert enc.differences(4).tolist() == [1, 1, 1, 1, 0, 1, 1, 0]
+    assert enc.differences(5).tolist() == [1, 1, 1, 1, 1, 0, 0, 1]
+
+
+# Values that collide under == but not in JSON (1, 1.0, True; 0.0, -0.0),
+# NaN (unequal to itself), None, and lists.
+_values = st.sampled_from([
+    0, 1, 2, 1.0, 0.0, -0.0, 2.5, True, False, None, math.nan,
+    "a", "b", [1, 2], [1.0, 2], [], {"u": 1},
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.dictionaries(st.sampled_from(["p", "q", "r"]), _values, max_size=3),
+        min_size=1, max_size=25,
+    ),
+    best=st.integers(min_value=0),
+)
+def test_one_coordinate_neighbours_match_the_python_oracle(rows, best):
+    """The vectorised neighbour test over codes selects exactly the
+    candidates the per-value ``!=`` test selects."""
+    space = DesignSpace.from_dict({"points": rows})
+    points = space.expand()
+    enc = SpaceEncoder(points)
+    best %= len(points)
+    assert np.flatnonzero(enc.differences(best) == 1).tolist() == (
+        reference.coordinate_neighbours(points, points[best], enc.features)
+    )

@@ -111,6 +111,13 @@ def test_surrogate_requires_an_objective(small_space):
         SurrogateSampler(small_space)
 
 
+@pytest.mark.parametrize("options", [{"k": 0}, {"ridge": -1.0}])
+def test_surrogate_rejects_bad_model_options_when_built(small_space, options):
+    # Before any budget is spent, not at the first post-warmup batch.
+    with pytest.raises(ValueError, match="k must|ridge must"):
+        make_sampler("surrogate", small_space, objective="cost", **options)
+
+
 def test_surrogate_warms_up_space_filling_then_exploits():
     space = bowl_space(na=18, nb=20, modes=5)
     sampler = SurrogateSampler(

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.explore.adaptive import reference
 from repro.explore.adaptive.surrogate import (
     LinearSurrogate,
+    NearestNeighbours,
     NearestNeighbourSurrogate,
     SurrogateEnsemble,
 )
@@ -61,3 +64,74 @@ def test_fit_validation():
         NearestNeighbourSurrogate().fit(np.empty((0, 2)), np.empty(0))
     with pytest.raises(RuntimeError):
         LinearSurrogate().predict(np.array([[0.0]]))
+
+
+def test_nearest_neighbours_rejects_k_below_one_and_predicting_empty():
+    with pytest.raises(ValueError):
+        NearestNeighbours(_grid(3), k=0)
+    with pytest.raises(RuntimeError):
+        NearestNeighbours(_grid(3), k=2).predict(np.empty(0))
+
+
+@st.composite
+def _append_schedules(draw):
+    """A small grid encoding (few levels per axis, so equal distances
+    abound), a reference sequence drawn from it with repeats, and the
+    sizes it arrives in — zero-sized and single-row appends included."""
+    dims = draw(st.integers(min_value=1, max_value=3))
+    levels = draw(st.integers(min_value=2, max_value=4))
+    axis = np.linspace(0.0, 1.0, levels)
+    grid = np.array(np.meshgrid(*[axis] * dims)).reshape(dims, -1).T
+    picks = draw(st.lists(
+        st.integers(min_value=0, max_value=len(grid) - 1),
+        min_size=1, max_size=30,
+    ))
+    # Sorted cut points, repeats allowed: equal cuts are empty appends.
+    cuts = sorted(draw(st.lists(
+        st.integers(min_value=0, max_value=len(picks)), max_size=8,
+    )))
+    sizes = np.diff([0, *cuts, len(picks)]).tolist()
+    y = draw(st.lists(
+        st.floats(min_value=-1e3, max_value=1e3), min_size=len(picks),
+        max_size=len(picks),
+    ))
+    return grid, grid[picks], np.array(y), sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_append_schedules(),
+    k=st.integers(min_value=1, max_value=8),
+)
+def test_running_top_k_matches_the_full_sort_oracle_bit_for_bit(case, k):
+    queries, references, y, sizes = case
+    state = NearestNeighbours(queries, k)
+    seen = 0
+    for size in sizes:
+        state.extend(references[seen:seen + size])
+        seen += size
+        assert state.references == seen
+        if seen == 0:
+            continue
+        # Fewer than k references in the early rounds: every one of them.
+        distance, column = reference.knn_nearest(
+            references[:seen], queries, k
+        )
+        assert state.column.shape == (len(queries), min(k, seen))
+        assert np.array_equal(state.column, column)
+        assert np.array_equal(state.distance, distance)
+        rows = np.arange(0, len(queries), 2)
+        assert np.array_equal(
+            state.predict(y[:seen], rows),
+            reference.knn_predict(references[:seen], y[:seen], queries, k)[rows],
+        )
+
+
+def test_knn_surrogate_predicts_as_the_full_sort_oracle():
+    X = _grid(6)
+    y = np.sin(7.0 * X[:, 0]) + X[:, 1] ** 2
+    probe = _grid(11)
+    assert np.array_equal(
+        NearestNeighbourSurrogate(k=4).fit(X[::2], y[::2]).predict(probe),
+        reference.knn_predict(X[::2], y[::2], probe, 4),
+    )
