@@ -5,7 +5,7 @@ in prose (``docs/engine.md``) and in dynamic tests: bulk seeded draws
 under a documented order, no wall-clock on compute paths, canonical
 iteration orders, picklable executor payloads, telemetry that never
 perturbs results.  This package is the executable form of those
-contracts: an AST-based rule pack (DET001–DET006) with inline
+contracts: an AST-based rule pack (DET001–DET007) with inline
 ``# repro: allow[RULE]`` suppressions and a justified-JSON baseline,
 run as ``python -m repro.analysis [paths...]`` and gated in CI.
 
@@ -31,7 +31,7 @@ from repro.analysis.core import (
     lint_source,
     register,
 )
-from repro.analysis import rules as _rules  # noqa: F401  (registers DET001-006)
+from repro.analysis import rules as _rules  # noqa: F401  (registers DET001-007)
 
 __all__ = [
     "Baseline",

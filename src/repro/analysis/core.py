@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 #: ``# repro: allow[DET001]`` / ``# repro: allow[DET001,DET004] -- why``.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9_,\s]+)\]")
 
-#: Rule id shape: three letters + three digits (DET001 ... DET006).
+#: Rule id shape: three letters + three digits (DET001 ... DET007).
 _RULE_ID_RE = re.compile(r"^[A-Z]{3}\d{3}$")
 
 

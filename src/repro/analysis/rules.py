@@ -524,3 +524,53 @@ class TelemetryFastPath(Rule):
                         f"on `if {var} is None` or wrap the emission in "
                         f"`if {var} is not None:`",
                     )
+
+
+
+def _is_append_open(node: ast.Call) -> bool:
+    """``os.open`` with ``O_APPEND`` in its flags, or ``open``/``io.open``/
+    ``<path>.open`` with a literal append mode (``"a"``, ``"ab"``, ...)."""
+    chain = attr_chain(node.func)
+    if chain == "os.open":
+        return any(
+            getattr(sub, "id", getattr(sub, "attr", None)) == "O_APPEND"
+            for arg in node.args[1:] for sub in ast.walk(arg)
+        )
+    if chain in ("open", "io.open"):
+        position = 1
+    elif getattr(node.func, "attr", None) == "open":  # Path(...).open(mode)
+        position = 0
+    else:
+        return False
+    mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                node.args[position] if len(node.args) > position else None)
+    text = mode.value if isinstance(mode, ast.Constant) else None
+    return (isinstance(text, str) and "a" in text
+            and set(text) <= set("rwxabt+"))
+
+
+@register
+class AppendThroughJsonl(Rule):
+    """DET007 — no raw append-mode opens outside ``repro.util.jsonl``.
+
+    The primitive's writer terminates a torn tail before appending; a
+    hand-rolled ``O_APPEND`` writer does not, so one torn write splices
+    the next good record onto its fragment and both are lost.  Flagged:
+    ``os.open`` with ``O_APPEND`` spelled in its arguments, and
+    ``open``/``io.open``/``<path>.open`` with a literal append mode, in
+    every module but ``repro.util.jsonl``.
+    """
+
+    id = "DET007"
+    title = "raw append-mode open outside repro.util.jsonl"
+
+    def check(self, module: Module) -> Iterator[Finding]:
+        if module.name == "repro.util.jsonl":
+            return
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call) and _is_append_open(node):
+                yield self.finding(
+                    module, node,
+                    "raw append-mode open: append through repro.util.jsonl "
+                    "(append for records, write for raw bytes)",
+                )

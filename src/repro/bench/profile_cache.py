@@ -26,8 +26,8 @@ profiles from older code versions can never be served.
 Worker processes of the ``process``/``chunked`` executors inherit the
 configured cache through ``fork`` (and through the ``REPRO_PROFILE_CACHE``
 environment variable under ``spawn``); each worker appends fresh profiles
-with the same single-``os.write`` ``O_APPEND`` discipline as the result
-cache, so concurrent writers cannot interleave records.
+to the same crash-safe :mod:`repro.util.jsonl` log as the result cache,
+so concurrent writers cannot interleave records.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.barriers.cost_model import CommParameters
 from repro.cluster.topology import Placement
 from repro.machine.simmachine import SimMachine
 from repro.obs import current as _telemetry
+from repro.util import jsonl
 
 #: Version token baked into every cache key.  Bump when the comm
 #: benchmark's RNG draw order, estimators, or defaults change meaning.
@@ -193,9 +194,6 @@ class ProfileCache:
             self._run_misses = 0
             self._run_benchmark_s = 0.0
         self._path = os.fspath(path)
-        directory = os.path.dirname(self._path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         self._store = ResultCache(self._path)
         if export_env:
             os.environ[ENV_VAR] = self._path
@@ -325,8 +323,8 @@ class ProfileCache:
         """Persist the hit/miss/benchmark-time deltas accrued since the
         last flush as one JSONL record next to ``profiles.jsonl``.
 
-        Appends with the same single-``os.write`` ``O_APPEND`` discipline
-        as the profiles themselves, so executor workers and the campaign
+        Appends through the same crash-safe log as the profiles themselves
+        (:mod:`repro.util.jsonl`), so executor workers and the campaign
         parent can flush concurrently.  No-op (returns ``None``) when no
         persistence is attached or nothing happened since the last flush.
         """
@@ -345,13 +343,8 @@ class ProfileCache:
         self._run_misses = 0
         self._run_benchmark_s = 0.0
         path = os.path.join(os.path.dirname(self._path), "stats.jsonl")
-        line = json.dumps(record, sort_keys=True) + "\n"
         try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
+            jsonl.append(path, [record], site="profile_cache.stats")
         except OSError:
             return None  # stats are best-effort; never fail the run
         return record
@@ -375,22 +368,6 @@ def stats_path_for(store_dir: str | os.PathLike) -> str:
 def read_run_stats(store_dir: str | os.PathLike) -> list[dict]:
     """Every persisted per-run stats record for a store, oldest first.
 
-    Torn tail lines are skipped, mirroring the result-cache loader.
+    Torn lines are quarantined and skipped (:func:`repro.util.jsonl.read`).
     """
-    path = stats_path_for(store_dir)
-    records: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
-                    records.append(record)
-    except OSError:
-        return []
-    return records
+    return jsonl.read(stats_path_for(store_dir))

@@ -3,9 +3,10 @@
 The cache is what makes campaigns resumable and cheap to re-run: a record
 is stored under ``sha256(experiment, point)`` the first time its point is
 evaluated, and every later campaign — same process or a fresh one — is
-served from disk.  Appending a line per result keeps writes crash-safe
-(a torn final line is detected and ignored on load) and lets several
-sequential campaigns share one store directory.
+served from disk.  The store is a :mod:`repro.util.jsonl` log: appending
+a line per result keeps writes crash-safe (a torn line costs only its own
+record, which re-evaluates) and lets several campaigns share one store
+directory.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from collections.abc import Iterator, Mapping
 from typing import Any
 
 from repro.explore.space import canonical_json
+from repro.util import jsonl
+from repro.util.jsonl import CorruptStoreWarning  # noqa: F401  (re-exported)
 
 
 def record_key(experiment: str, point: Mapping[str, Any]) -> str:
@@ -26,14 +28,13 @@ def record_key(experiment: str, point: Mapping[str, Any]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-class CorruptStoreWarning(UserWarning):
-    """A result store carried unreadable lines; they were skipped (torn
-    trailing line) or quarantined to ``<store>.corrupt`` (mid-file), and
-    their points will simply be re-evaluated on the next run."""
+def _is_entry(entry: dict) -> bool:
+    return isinstance(entry.get("key"), str) and "record" in entry
 
 
 class ResultCache:
-    """A dict-like view over one append-only JSONL file.
+    """A dict-like view over one append-only JSONL log
+    (:mod:`repro.util.jsonl`); a key put again supersedes its record.
 
     ``durable=True`` adds an ``fsync`` after every append, trading write
     throughput for the guarantee that an acknowledged record survives a
@@ -43,83 +44,10 @@ class ResultCache:
     def __init__(self, path: str | os.PathLike, durable: bool = False):
         self.path = os.fspath(path)
         self.durable = durable
-        self._records: dict[str, dict] = {}
-        self._load()
-
-    @property
-    def corrupt_path(self) -> str:
-        """Where unreadable mid-file lines are quarantined on load."""
-        return f"{self.path}.corrupt"
-
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as fh:
-            raw_lines = fh.read().splitlines(keepends=True)
-        corrupt: list[tuple[int, str]] = []  # (1-based line number, text)
-        for number, raw in enumerate(raw_lines, start=1):
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                self._records[entry["key"]] = entry["record"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                corrupt.append((number, line))
-        if not corrupt:
-            return
-        # A torn *trailing* line is the expected residue of a killed
-        # writer (single O_APPEND write, so only the tail can tear):
-        # truncate it away — leaving it would splice the next append
-        # onto the garbage — and warn.  Unreadable lines *before* the
-        # tail mean something worse happened to the file; quarantine
-        # them to the .corrupt sidecar so they stay inspectable, and
-        # carry on — their points just look uncached and will be
-        # re-evaluated.
-        if corrupt[-1][0] == len(raw_lines):
-            repaired = "truncated"
-            try:
-                good = sum(len(r) for r in raw_lines[:-1])
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(good)
-            except OSError:
-                repaired = "skipped (store not writable)"
-            warnings.warn(
-                f"result store {self.path!r}: {repaired} torn trailing "
-                f"line {corrupt[-1][0]} (interrupted writer); the record "
-                f"will be re-evaluated",
-                CorruptStoreWarning,
-                stacklevel=3,
-            )
-            corrupt.pop()
-        if corrupt:
-            self._quarantine_corrupt([line for _, line in corrupt])
-            numbers = ", ".join(str(n) for n, _ in corrupt)
-            warnings.warn(
-                f"result store {self.path!r}: quarantined "
-                f"{len(corrupt)} corrupt line(s) ({numbers}) to "
-                f"{self.corrupt_path!r}; their records will be "
-                f"re-evaluated",
-                CorruptStoreWarning,
-                stacklevel=3,
-            )
-
-    def _quarantine_corrupt(self, lines: list[str]) -> None:
-        seen: set[str] = set()
-        if os.path.exists(self.corrupt_path):
-            with open(self.corrupt_path, "r", encoding="utf-8") as fh:
-                seen = {line.strip() for line in fh if line.strip()}
-        fresh = [line for line in lines if line not in seen]
-        if not fresh:
-            return
-        payload = ("\n".join(fresh) + "\n").encode("utf-8")
-        fd = os.open(
-            self.corrupt_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            os.write(fd, payload)
-        finally:
-            os.close(fd)
+        self._records: dict[str, dict] = {
+            entry["key"]: entry["record"]
+            for entry in jsonl.read(self.path, accept=_is_entry)
+        }
 
     # ------------------------------------------------------------- queries
 
@@ -138,52 +66,17 @@ class ResultCache:
     # ------------------------------------------------------------- updates
 
     def put(self, key: str, record: Mapping[str, Any]) -> None:
-        """Store one record, appending it atomically to the backing file.
-
-        The full line — record plus trailing newline — goes to the file in
-        a single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
-        campaign processes sharing a store can never interleave bytes
-        within each other's records, and a killed writer leaves at most
-        one torn *trailing* line (which :meth:`_load` skips) rather than a
-        corrupt record in the middle of the file.
-        """
-        entry = {"key": key, "record": dict(record)}
-        # Round-trip through JSON so the in-memory record is bit-identical
-        # to what a later session will load from disk.
-        line = json.dumps(entry, sort_keys=True)
-        self._records[key] = json.loads(line)["record"]
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        payload = (line + "\n").encode("utf-8")
-        # Chaos hook: an active torn-append fault truncates this write,
-        # simulating a writer killed between partial append and
-        # completion (the in-memory record stays intact, exactly as a
-        # crashed process's results would have before it died).
-        from repro.explore.resilience import maybe_tear
-
-        torn = maybe_tear(
-            "cache.put", str(dict(record).get("experiment", "")), key, payload
+        """Store one record, appending it to the backing log in a single
+        crash-safe write (:func:`repro.util.jsonl.append`)."""
+        record = dict(record)
+        payload = jsonl.append(
+            self.path, [{"key": key, "record": record}], site="cache.put",
+            experiment=str(record.get("experiment", "")), key=key,
+            durable=self.durable,
         )
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            if torn is not None:
-                os.write(fd, torn)
-                return
-            written = os.write(fd, payload)
-            if written != len(payload):
-                # Short write (disk full, quota): the tail is torn and the
-                # atomicity promise no longer holds for this record — fail
-                # loudly so the campaign aborts instead of acknowledging a
-                # record the file does not carry.
-                raise OSError(
-                    f"short append to {self.path!r}: wrote {written} of "
-                    f"{len(payload)} bytes"
-                )
-            if self.durable:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
+        # The in-memory record is the decoded line, so it is bit-identical
+        # to what a later session will load from disk.
+        self._records[key] = json.loads(payload)["record"]
 
     def clear(self) -> None:
         self._records.clear()

@@ -366,12 +366,13 @@ def _cmd_ls(args: argparse.Namespace) -> int:
     if not files:
         print(f"no campaigns under {args.store_dir!r}")
         return 0
+    from repro.explore.cache import ResultCache
+
     rows = []
     for fname in files:
         path = os.path.join(args.store_dir, fname)
-        with open(path, "r", encoding="utf-8") as fh:
-            count = sum(1 for line in fh if line.strip())
-        rows.append([fname[: -len(".jsonl")], count, path])
+        # Live records only: torn lines and superseded puts don't count.
+        rows.append([fname[: -len(".jsonl")], len(ResultCache(path)), path])
     print(format_table(["campaign", "records", "path"], rows))
     return 0
 
@@ -381,8 +382,13 @@ def _cmd_show(args: argparse.Namespace) -> int:
     if not os.path.exists(path):
         raise SystemExit(f"no stored campaign {args.name!r} under "
                          f"{args.store_dir!r} (expected {path})")
-    # The store file holds cache entries; rebuild displayable records
-    # through ResultCache, which tolerates a torn tail line.
+    _print_results(_load_store(path), sort=args.sort, limit=args.limit)
+    return 0
+
+
+def _load_store(path: str) -> ResultSet:
+    """A store's live records as a ResultSet, rebuilt from its cache
+    entries through ResultCache (which skips unreadable lines)."""
     from repro.explore.cache import ResultCache
     from repro.explore.results import ResultRecord
 
@@ -399,16 +405,12 @@ def _cmd_show(args: argparse.Namespace) -> int:
             point=entry.get("point", {}),
             metrics=entry.get("metrics", entry),
         ))
-    _print_results(ResultSet(tuple(records)), sort=args.sort, limit=args.limit)
-    return 0
+    return ResultSet(tuple(records))
 
 
 def _store_records(args: argparse.Namespace) -> tuple[str, ResultSet]:
     """Resolve the ``results`` argument: a JSONL path, or a campaign name
     under ``--store-dir``; returns (path, records)."""
-    from repro.explore.cache import ResultCache
-    from repro.explore.results import ResultRecord
-
     from repro.explore.resilience import quarantine_path
 
     if os.path.exists(args.store) and not os.path.isdir(args.store):
@@ -424,20 +426,7 @@ def _store_records(args: argparse.Namespace) -> tuple[str, ResultSet]:
                 f"no store file {args.store!r} and no stored campaign "
                 f"{args.store!r} under {args.store_dir!r} (expected {path})"
             )
-    cache = ResultCache(path)
-    records = []
-    # Store append order *is* the canonical display order (one JSONL
-    # file read sequentially — deterministic per store, and the run
-    # order is what a human wants to see).
-    for key in cache.keys():  # repro: allow[DET004]
-        entry = cache.get(key)
-        records.append(ResultRecord(
-            key=key,
-            experiment=entry.get("experiment", ""),
-            point=entry.get("point", {}),
-            metrics=entry.get("metrics", entry),
-        ))
-    return path, ResultSet(tuple(records))
+    return path, _load_store(path)
 
 
 def _cmd_results(args: argparse.Namespace) -> int:

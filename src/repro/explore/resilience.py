@@ -22,7 +22,7 @@ robustness substrate:
   ``degrade`` is enabled — falls back to in-process serial evaluation
   once rebuilt pools stop making progress, instead of aborting.
 * :class:`FaultPlan` — a deterministic fault-injection harness.  Faults
-  (exceptions, hangs, worker kills, torn cache appends) are described as
+  (exceptions, hangs, worker kills, torn log appends) are described as
   data, activated through the env-inherited :data:`ENV_VAR` hook exactly
   like ``REPRO_TELEMETRY``, and fire a *bounded, seeded* number of times
   per targeted point via an on-disk firing ledger shared by every worker
@@ -54,6 +54,7 @@ from fnmatch import fnmatchcase
 from typing import Any
 
 from repro.obs import current as _telemetry
+from repro.util import jsonl
 
 #: Environment variable carrying a JSON fault plan into executor workers
 #: (fork inheritance or explicit export), mirroring ``REPRO_TELEMETRY``.
@@ -141,8 +142,11 @@ class RetryPolicy:
 #: Recognised fault kinds.
 FAULT_KINDS = ("exception", "hang", "kill", "torn-append")
 
-#: Recognised injection sites.
-FAULT_SITES = ("evaluate", "cache.put")
+#: Recognised injection sites: point evaluation, then one append site
+#: per persistent log (result store, quarantine sidecar, telemetry event
+#: stream, profile-cache run stats).
+FAULT_SITES = ("evaluate", "cache.put", "quarantine.append",
+               "telemetry.flush", "profile_cache.stats")
 
 
 @dataclass(frozen=True)
@@ -163,9 +167,11 @@ class FaultSpec:
       a non-worker process (serial executor, degraded fallback) it
       downgrades to :class:`FaultInjected` so the campaign process
       survives;
-    * ``torn-append`` — truncate one result-cache append mid-line,
-      simulating a crash between partial write and completion
-      (site ``cache.put``).
+    * ``torn-append`` — truncate one log append mid-line, simulating a
+      crash between partial write and completion.  Its site names the
+      log: ``cache.put`` (result store, keyed by point),
+      ``quarantine.append`` (keyed by point), ``telemetry.flush`` and
+      ``profile_cache.stats`` (keyed by the log's file name).
     """
 
     kind: str
@@ -277,19 +283,12 @@ class FaultPlan:
             return 0
 
     def _record_firing(self, index: int, key: str) -> None:
-        fd = os.open(
-            self._ledger_path(index, key),
-            os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644,
-        )
-        try:
-            os.write(fd, b"x")
-        finally:
-            os.close(fd)
+        jsonl.write(self._ledger_path(index, key), b"x")
 
-    def _next_fault(self, site: str, experiment: str,
-                    key: str) -> tuple[int, FaultSpec] | None:
+    def _next_fault(self, site: str, experiment: str, key: str,
+                    kind: str | None = None) -> tuple[int, FaultSpec] | None:
         for index, spec in enumerate(self.faults):
-            if spec.site != site:
+            if spec.site != site or kind not in (None, spec.kind):
                 continue
             if not self._targets(index, spec, key, experiment):
                 continue
@@ -334,16 +333,11 @@ class FaultPlan:
              payload: bytes) -> bytes | None:
         """Return a truncated payload when a torn-append fault fires for
         this write, else ``None`` (write normally)."""
-        for index, spec in enumerate(self.faults):
-            if spec.kind != "torn-append" or spec.site != site:
-                continue
-            if not self._targets(index, spec, key, experiment):
-                continue
-            if spec.times > 0 and self._fired(index, key) >= spec.times:
-                continue
-            self._record_firing(index, key)
-            return payload[: max(1, len(payload) // 2)]
-        return None
+        found = self._next_fault(site, experiment, key, kind="torn-append")
+        if found is None:
+            return None
+        self._record_firing(found[0], key)
+        return payload[: max(1, len(payload) // 2)]
 
 
 # Module activation state, mirroring repro.obs.telemetry: one optional
@@ -408,7 +402,8 @@ def maybe_inject(site: str, experiment: str, key: str) -> None:
 
 def maybe_tear(site: str, experiment: str, key: str,
                payload: bytes) -> bytes | None:
-    """Torn-append hook for the result cache; ``None`` when inactive."""
+    """Torn-append hook for :func:`repro.util.jsonl.append`; ``None``
+    when inactive."""
     plan = current_plan()
     if plan is None:
         return None
@@ -454,38 +449,17 @@ def quarantine_path(store_path: str | os.PathLike) -> str:
 
 def append_quarantine(path: str | os.PathLike, record: Mapping[str, Any]
                       ) -> None:
-    """Append one quarantine record with the store's single-``os.write``
-    O_APPEND discipline (crash-safe, concurrency-safe)."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    payload = (json.dumps(dict(record), sort_keys=True) + "\n").encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, payload)
-    finally:
-        os.close(fd)
+    """Append one quarantine record to the sidecar log
+    (:func:`repro.util.jsonl.append`: crash-safe, concurrency-safe)."""
+    jsonl.append(
+        path, [dict(record)], site="quarantine.append",
+        experiment=str(record.get("experiment", "")), key=record.get("key"),
+    )
 
 
 def read_quarantine(path: str | os.PathLike) -> list[dict]:
-    """Every parseable quarantine record at ``path`` (append order)."""
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        return []
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records
+    """Every readable quarantine record at ``path`` (append order)."""
+    return jsonl.read(path)
 
 
 # ------------------------------------------------------------ pool driver

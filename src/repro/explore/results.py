@@ -14,6 +14,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.util import jsonl
+
 
 @dataclass(frozen=True)
 class ResultRecord:
@@ -273,10 +275,4 @@ class ResultSet:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "ResultSet":
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(ResultRecord.from_dict(json.loads(line)))
-        return cls(tuple(records))
+        return cls(tuple(map(ResultRecord.from_dict, jsonl.read(path))))

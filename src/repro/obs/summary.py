@@ -2,10 +2,11 @@
 
 A telemetry sink directory holds one ``events-<pid>.jsonl`` stream per
 process that recorded anything — the campaign parent plus every executor
-worker.  This module merges those streams (sorted by filename, torn tail
-lines ignored — exactly the result cache's discipline), folds the metric
-events into one deterministic snapshot, and derives the run reports the
-CLI prints: top-k slowest points, cache rates, per-worker utilization.
+worker.  This module merges those streams (sorted by filename; torn
+lines are quarantined by the :mod:`repro.util.jsonl` reader), folds the
+metric events into one deterministic snapshot, and derives the run
+reports the CLI prints: top-k slowest points, cache rates, per-worker
+utilization.
 
 :class:`TelemetrySummary` is the artifact persisted next to each
 campaign store (``<store>/.telemetry/summary-<campaign>.json``): a small
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
+from repro.util import jsonl
 
 #: Telemetry artifacts live here, next to a campaign's result store.
 TELEMETRY_DIRNAME = ".telemetry"
@@ -40,27 +42,17 @@ def read_events(sink_dir: str | os.PathLike) -> list[dict]:
     """Merge every event stream under ``sink_dir``.
 
     Files merge in sorted-name order with per-file order preserved, so
-    the fold is deterministic for a given set of files; unparseable
-    (torn) lines are skipped like the result cache's loader.
+    the fold is deterministic for a given set of files; unreadable
+    (torn) lines are quarantined and skipped (:func:`repro.util.jsonl.read`).
     """
     sink_dir = os.fspath(sink_dir)
     if not os.path.isdir(sink_dir):
         return []
     events: list[dict] = []
     for fname in sorted(os.listdir(sink_dir)):
-        if not (fname.startswith("events-") and fname.endswith(".jsonl")):
-            continue
-        with open(os.path.join(sink_dir, fname), encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(event, dict) and "type" in event:
-                    events.append(event)
+        if fname.startswith("events-") and fname.endswith(".jsonl"):
+            events.extend(jsonl.read(os.path.join(sink_dir, fname),
+                                     accept=lambda event: "type" in event))
     return events
 
 

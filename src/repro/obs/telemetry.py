@@ -18,12 +18,13 @@ its parent.  Two timebases coexist, clearly distinguished by the
   superstep summaries).  Same record shape, different meaning; the
   Chrome exporter renders them on a dedicated lane.
 
-Event persistence mirrors the result cache's discipline: each process
-appends to its **own** ``events-<pid>-*.jsonl`` file under the sink
-directory with single ``O_APPEND`` writes, so multiprocessing executor
-workers can stream spans concurrently and the parent merges the files
-afterwards (sorted by name).  A forked child never re-writes events it
-inherited from its parent's buffer: flushing drops foreign-pid events.
+Event persistence uses the result store's log (:mod:`repro.util.jsonl`):
+each process appends to its **own** ``events-<pid>.jsonl`` file under
+the sink directory, one crash-safe write per flush, so multiprocessing
+executor workers can stream spans concurrently and the parent merges
+the files afterwards (sorted by name).  A forked child never re-writes
+events it inherited from its parent's buffer: flushing drops foreign-pid
+events.
 
 Activation travels to executor workers the same two ways as the profile
 cache: ``fork`` workers inherit the module singleton; ``spawn`` workers
@@ -33,7 +34,6 @@ their first :func:`current` call.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -41,6 +41,7 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
+from repro.util import jsonl
 
 #: Environment variable carrying the sink directory (or "1" for a
 #: memory-only context) into spawn-started executor workers.
@@ -302,18 +303,8 @@ class Telemetry:
             events, self._events = self._events, []
         if not events:
             return 0
-        payload = "".join(
-            json.dumps(e, sort_keys=True) + "\n" for e in events
-        ).encode("utf-8")
         try:
-            fd = os.open(
-                self._sink_path(),
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644,
-            )
-            try:
-                os.write(fd, payload)
-            finally:
-                os.close(fd)
+            jsonl.append(self._sink_path(), events, site="telemetry.flush")
         except OSError:
             return 0
         return len(events)

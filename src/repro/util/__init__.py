@@ -1,4 +1,5 @@
-"""Small shared utilities: argument validation and plain-text tables."""
+"""Small shared utilities: argument validation, plain-text tables, and
+the crash-safe JSONL append log (:mod:`repro.util.jsonl`)."""
 
 from repro.util.validation import (
     require_positive,

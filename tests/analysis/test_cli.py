@@ -112,7 +112,7 @@ def test_list_rules_and_explain(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET002", "DET003",
-                    "DET004", "DET005", "DET006"):
+                    "DET004", "DET005", "DET006", "DET007"):
         assert rule_id in out
     assert main(["--explain", "det003"]) == 0
     assert "wall-clock" in capsys.readouterr().out.lower()

@@ -81,6 +81,20 @@ FIXTURES = {
         """,
         {"DET006"},
     ),
+    # DET007: a hand-rolled JSONL writer that skips the primitive's
+    # torn-tail check.
+    "fixtpkg/obs/sink.py": (
+        """
+        import json
+        import os
+
+        def flush(path, events):
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            os.write(fd, "".join(json.dumps(e) + "\\n" for e in events).encode())
+            os.close(fd)
+        """,
+        {"DET007"},
+    ),
 }
 
 

@@ -332,3 +332,60 @@ def test_det006_unrelated_count_method_passes():
                 total += row.count("x")
             return total
     """, **HOT) == []
+
+
+# ------------------------------------------------------------------ DET007
+
+
+def test_det007_flags_raw_o_append_open():
+    findings = lint("""
+        import os
+
+        def log(path, payload):
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+            os.write(fd, payload)
+    """)
+    assert rule_ids(findings) == ["DET007"]
+    assert "repro.util.jsonl" in findings[0].message
+
+
+def test_det007_flags_append_mode_open():
+    findings = lint("""
+        import io
+
+        def log(path, pathobj, line):
+            with open(path, "a") as fh:
+                fh.write(line)
+            with io.open(path, mode="ab") as fh:
+                fh.write(line)
+            with pathobj.open("a+") as fh:
+                fh.write(line)
+            with Path(path).open(mode="at") as fh:
+                fh.write(line)
+    """)
+    assert rule_ids(findings) == ["DET007"] * 4
+
+
+def test_det007_read_and_write_opens_pass():
+    assert lint("""
+        import os
+
+        def copy(src, dst, image):
+            fd = os.open(dst, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            os.close(fd)
+            with open(src, "rb") as fh, open(dst, mode="w") as out:
+                out.write(fh.read())
+            return image.open("data.png")
+    """) == []
+
+
+def test_det007_primitive_module_exempt():
+    src = """
+        import os
+
+        def write(path, payload):
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            os.write(fd, payload)
+    """
+    assert lint(src, path="src/repro/util/jsonl.py",
+                module="repro.util.jsonl") == []

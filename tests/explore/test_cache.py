@@ -2,8 +2,12 @@
 
 import json
 import os
+import warnings
 
-from repro.explore.cache import ResultCache, record_key
+import pytest
+
+from repro.explore.cache import CorruptStoreWarning, ResultCache, record_key
+from repro.explore.resilience import FaultPlan, FaultSpec, activate, deactivate
 
 
 def test_record_key_is_stable_and_content_addressed():
@@ -45,6 +49,46 @@ def test_later_puts_override_and_torn_tail_is_ignored(tmp_path):
     reloaded = ResultCache(path)
     assert reloaded.get("a") == {"v": 2}
     assert "torn" not in reloaded
+
+
+def test_clean_put_after_torn_put_survives_reload(tmp_path):
+    """A torn put and a clean put in one session: the clean record must
+    not be spliced onto the fragment and lost with it."""
+    path = tmp_path / "c.jsonl"
+    cache = ResultCache(path)
+    activate(FaultPlan(
+        faults=(FaultSpec(kind="torn-append", site="cache.put"),),
+        state_dir=str(tmp_path / "faults"),
+    ), export_env=False)
+    try:
+        cache.put("a", {"v": 1})  # torn
+    finally:
+        deactivate()
+    cache.put("b", {"v": 2})
+    with pytest.warns(CorruptStoreWarning, match="1 unreadable line"):
+        reloaded = ResultCache(path)
+    assert reloaded.get("b") == {"v": 2}
+    assert "a" not in reloaded  # lost only its own record; re-evaluates
+
+
+def test_mid_file_corruption_is_quarantined_and_reported_once(tmp_path):
+    path = tmp_path / "c.jsonl"
+    cache = ResultCache(path)
+    cache.put("a", {"v": 1})
+    with open(path, "ab") as fh:
+        fh.write(b'["not", "an", "entry"]\n{"key": "x"}\n')
+    cache.put("b", {"v": 2})
+    with pytest.warns(CorruptStoreWarning, match=r"2 unreadable line\(s\) \(2, 3\)"):
+        reloaded = ResultCache(path)
+    assert list(reloaded.keys()) == ["a", "b"]
+    sidecar = tmp_path / "c.jsonl.corrupt"
+    assert sidecar.read_text().splitlines() == [
+        '["not", "an", "entry"]', '{"key": "x"}'
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # already quarantined: no re-warn
+        assert len(ResultCache(path)) == 2
+    assert len(sidecar.read_text().splitlines()) == 2  # deduplicated
 
 
 def test_clear_removes_file(tmp_path):

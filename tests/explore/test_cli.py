@@ -73,6 +73,22 @@ def test_ls_empty_store(tmp_path, capsys):
     assert "no campaigns" in capsys.readouterr().out
 
 
+def test_ls_counts_live_records(tmp_path, capsys):
+    from repro.explore.cache import CorruptStoreWarning, ResultCache
+
+    store = tmp_path / "campaigns"
+    cache = ResultCache(store / "demo.jsonl")
+    cache.put("a", {"v": 1})
+    cache.put("b", {"v": 2})
+    cache.put("a", {"v": 3})  # supersedes the first put
+    with open(store / "demo.jsonl", "ab") as fh:
+        fh.write(b'{"key": "c", "rec')  # torn tail
+    with pytest.warns(CorruptStoreWarning):
+        assert main(["ls", "--store-dir", str(store)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["demo", "2", str(store / "demo.jsonl")] in rows
+
+
 def test_adapt_runs_within_budget_and_reports_best(spec_path, tmp_path,
                                                    capsys):
     store = str(tmp_path / "campaigns")
