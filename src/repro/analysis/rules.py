@@ -391,7 +391,7 @@ class PicklableExecutorCallables(Rule):
 
 #: Dotted-name suffixes of the engine hot-path modules.
 _HOT_MODULE_SUFFIXES = (
-    "simmpi.engine", "simmpi.requests", "bsplib.runtime",
+    "simmpi.engine", "bsplib.runtime",
     "machine.simmachine", "machine.clock",
     "stencil.impls", "spinlocks.model",
 )

@@ -11,7 +11,6 @@ from repro.barriers.patterns import (
     pairwise_exchange_barrier,
     kary_dissemination_barrier,
     from_stages,
-    DEFAULT_BARRIERS,
 )
 from repro.barriers.correctness import (
     knowledge_trace,
@@ -28,7 +27,7 @@ from repro.barriers.cost_model import (
     predict_barrier_cost,
     critical_path_recursive,
 )
-from repro.barriers.simulate import BarrierTiming, measure_barrier, measure_barrier_sweep
+from repro.barriers.simulate import BarrierTiming, measure_barrier
 from repro.barriers.evaluate import (
     BarrierEvaluation,
     evaluate_barrier,
@@ -47,7 +46,6 @@ __all__ = [
     "pairwise_exchange_barrier",
     "kary_dissemination_barrier",
     "from_stages",
-    "DEFAULT_BARRIERS",
     "knowledge_trace",
     "is_correct_barrier",
     "uninformed_pairs",
@@ -61,7 +59,6 @@ __all__ = [
     "critical_path_recursive",
     "BarrierTiming",
     "measure_barrier",
-    "measure_barrier_sweep",
     "BarrierEvaluation",
     "evaluate_barrier",
     "profile_placement",

@@ -255,10 +255,3 @@ def from_stages(name: str, stages) -> BarrierPattern:
     if not stages:
         raise ValueError("need at least one stage")
     return BarrierPattern(name, stages[0].shape[0], tuple(stages))
-
-
-DEFAULT_BARRIERS = {
-    "linear": linear_barrier,
-    "tree": tree_barrier,
-    "dissemination": dissemination_barrier,
-}

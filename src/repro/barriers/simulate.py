@@ -85,28 +85,3 @@ def measure_barrier(
         runs=runs,
         per_run_worst=worst,
     )
-
-
-def measure_barrier_sweep(
-    machine: SimMachine,
-    pattern_factory,
-    process_counts,
-    runs: int = 64,
-    placement_policy: str = "round_robin",
-    payload_fn=None,
-) -> dict[int, BarrierTiming]:
-    """Measure one barrier family over a range of process counts.
-
-    ``pattern_factory(P)`` builds the pattern; ``payload_fn(P)`` (optional)
-    supplies the per-stage payload specification, e.g. the Chapter 6
-    message-count map exchange.
-    """
-    results: dict[int, BarrierTiming] = {}
-    for nprocs in process_counts:
-        pattern = pattern_factory(nprocs)
-        placement = machine.placement(nprocs, policy=placement_policy)
-        payload = payload_fn(nprocs) if payload_fn is not None else None
-        results[nprocs] = measure_barrier(
-            machine, pattern, placement, runs=runs, payload_bytes=payload
-        )
-    return results

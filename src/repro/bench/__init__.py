@@ -2,7 +2,6 @@
 
 from repro.bench.stats import (
     student_t_critical,
-    mean_confidence_interval,
     outlier_mask,
     resample_outliers,
     RegressionLine,
@@ -14,7 +13,6 @@ from repro.bench.sampling import FilteredSample, collect_filtered
 from repro.bench.comm_bench import (
     CommBenchReport,
     benchmark_comm,
-    benchmark_comm_for_counts,
     DEFAULT_SIZES,
     DEFAULT_REQUEST_COUNTS,
 )
@@ -30,7 +28,6 @@ from repro.bench.blas_profile import (
     SweepPoint,
     KernelSweep,
     sweep_kernel,
-    sweep_kernels,
     in_cache_sizes,
     beyond_cache_sizes,
 )
@@ -38,15 +35,12 @@ from repro.bench.bspbench import (
     RatePoint,
     BSPBenchResult,
     run_bspbench,
-    bspbench_table,
     measure_rate_points,
     measure_h_relations,
 )
-from repro.bench.validation import StabilityReport, benchmark_stability
 
 __all__ = [
     "student_t_critical",
-    "mean_confidence_interval",
     "outlier_mask",
     "resample_outliers",
     "RegressionLine",
@@ -57,7 +51,6 @@ __all__ = [
     "collect_filtered",
     "CommBenchReport",
     "benchmark_comm",
-    "benchmark_comm_for_counts",
     "DEFAULT_SIZES",
     "DEFAULT_REQUEST_COUNTS",
     "KernelProfile",
@@ -69,15 +62,11 @@ __all__ = [
     "SweepPoint",
     "KernelSweep",
     "sweep_kernel",
-    "sweep_kernels",
     "in_cache_sizes",
     "beyond_cache_sizes",
     "RatePoint",
     "BSPBenchResult",
     "run_bspbench",
-    "bspbench_table",
     "measure_rate_points",
     "measure_h_relations",
-    "StabilityReport",
-    "benchmark_stability",
 ]

@@ -82,21 +82,6 @@ def sweep_kernel(
     return KernelSweep(kernel_name=kernel.name, points=tuple(points))
 
 
-def sweep_kernels(
-    machine: SimMachine,
-    core: int,
-    kernels,
-    sizes,
-    batch: int = 64,
-) -> dict[str, KernelSweep]:
-    """Sweep a kernel family (e.g. the eight L1 BLAS routines) over shared
-    element counts."""
-    return {
-        kernel.name: sweep_kernel(machine, core, kernel, sizes, batch=batch)
-        for kernel in kernels
-    }
-
-
 def in_cache_sizes(kernel: Kernel, l1_bytes: int, points: int = 16) -> list[int]:
     """Element counts whose memory use stays within the L1 capacity
     (the Fig. 4.5 x-axis)."""

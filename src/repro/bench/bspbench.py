@@ -162,10 +162,3 @@ def run_bspbench(
         h_values=tuple(hs),
         h_times_seconds=tuple(float(t) for t in times),
     )
-
-
-def bspbench_table(
-    machine: SimMachine, process_counts, **kwargs
-) -> dict[int, BSPBenchResult]:
-    """Table 3.1: one bspbench run per process count."""
-    return {p: run_bspbench(machine, p, **kwargs) for p in process_counts}

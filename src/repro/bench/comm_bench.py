@@ -199,19 +199,3 @@ def benchmark_comm(
         intercept_max_size=intercept_max_size,
         runs=1,
     )[0]
-
-
-def benchmark_comm_for_counts(
-    machine: SimMachine,
-    process_counts,
-    placement_policy: str = "round_robin",
-    **kwargs,
-) -> dict[int, CommBenchReport]:
-    """Independent benchmark per process count (the thesis re-benchmarks
-    each configuration because placement — and thus every pairwise value —
-    changes with P)."""
-    out: dict[int, CommBenchReport] = {}
-    for nprocs in process_counts:
-        placement = machine.placement(nprocs, policy=placement_policy)
-        out[nprocs] = benchmark_comm(machine, placement, **kwargs)
-    return out

@@ -67,18 +67,6 @@ def student_t_critical(confidence: float, dof: int, resolution: float = 1.0e-4) 
     return float(x0 + frac * (x1 - x0))
 
 
-def mean_confidence_interval(samples, confidence: float = 0.95) -> tuple[float, float]:
-    """Student-t confidence interval for the distribution mean."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("need at least two samples")
-    n = samples.size
-    mean = float(samples.mean())
-    sem = float(samples.std(ddof=1)) / math.sqrt(n)
-    t_star = student_t_critical(confidence, n - 1)
-    return mean - t_star * sem, mean + t_star * sem
-
-
 def outlier_mask(samples, confidence: float = 0.95) -> np.ndarray:
     """Boolean mask of samples outside the t-interval built from the rest.
 

@@ -21,7 +21,6 @@ from repro.core.matrix_model import (
     CommunicationModel,
     SuperstepModel,
 )
-from repro.core.program import ProgramModel, ProgramStep, iterate
 
 __all__ = [
     "SuperstepTerms",
@@ -39,7 +38,4 @@ __all__ = [
     "ComputationModel",
     "CommunicationModel",
     "SuperstepModel",
-    "ProgramModel",
-    "ProgramStep",
-    "iterate",
 ]

@@ -46,7 +46,6 @@ from repro.explore.experiments import (
     EXPERIMENTS,
     PATTERN_FAMILIES,
     Experiment,
-    experiment_names,
     get_experiment,
     register_experiment,
     run_point,
@@ -121,7 +120,6 @@ __all__ = [
     "EXPERIMENTS",
     "PATTERN_FAMILIES",
     "Experiment",
-    "experiment_names",
     "get_experiment",
     "register_experiment",
     "run_point",

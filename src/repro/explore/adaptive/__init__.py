@@ -9,9 +9,9 @@ asks for:
 * :mod:`~repro.explore.adaptive.samplers`  — the ``Sampler`` protocol and
   the seeded-deterministic strategies (``random``, ``stratified``,
   ``halving``, ``surrogate`` — including a Pareto mode);
-* :mod:`~repro.explore.adaptive.surrogate` — the k-NN + linear ensemble
-  whose disagreement drives exploration, and the running nearest-neighbour
-  state the sampler keeps across batches;
+* :mod:`~repro.explore.adaptive.surrogate` — the k-NN and linear
+  surrogates whose disagreement drives exploration, and the running
+  nearest-neighbour state the sampler keeps across batches;
 * :mod:`~repro.explore.adaptive.encoding`  — design points as vectors in
   the unit hypercube;
 * :mod:`~repro.explore.adaptive.driver`    — :class:`AdaptiveCampaign`,
@@ -24,12 +24,7 @@ See ``docs/adaptive.md`` and ``examples/adaptive_barrier_space.py``.
 """
 
 from repro.explore.adaptive.encoding import SpaceEncoder
-from repro.explore.adaptive.surrogate import (
-    LinearSurrogate,
-    NearestNeighbours,
-    NearestNeighbourSurrogate,
-    SurrogateEnsemble,
-)
+from repro.explore.adaptive.surrogate import LinearSurrogate, NearestNeighbours
 from repro.explore.adaptive.samplers import (
     Observation,
     RandomSampler,
@@ -57,8 +52,6 @@ __all__ = [
     "SpaceEncoder",
     "LinearSurrogate",
     "NearestNeighbours",
-    "NearestNeighbourSurrogate",
-    "SurrogateEnsemble",
     "Observation",
     "RandomSampler",
     "SAMPLERS",

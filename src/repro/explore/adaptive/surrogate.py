@@ -4,7 +4,7 @@ The adaptive engine's surrogates are deliberately modest: a
 nearest-neighbour interpolator and a ridge-regularised linear model, both
 exact and dependency-free (numpy only).  The two see the objective
 differently — the linear model extrapolates global trend, the neighbour
-model tracks local structure — and :class:`SurrogateEnsemble` turns their
+model tracks local structure — and :func:`mean_and_spread` turns their
 *disagreement* into the uncertainty signal the explore half of the
 acquisition rule feeds on (Memeti & Pllana 2021 use the same trick with
 heavier models).
@@ -82,36 +82,6 @@ class NearestNeighbours:
         return (w * np.asarray(y, dtype=float)[self.column[rows]]).sum(axis=1)
 
 
-class NearestNeighbourSurrogate:
-    """Inverse-distance-weighted k-NN regression.
-
-    Prediction at an observed point reproduces its observation exactly
-    (distance ~ 0 dominates the weights), so the exploit ranking never
-    re-proposes a known point over an equally-promising unknown one.
-    """
-
-    name = "knn"
-
-    def __init__(self, k: int = 5):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self._X: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "NearestNeighbourSurrogate":
-        if len(X) == 0:
-            raise ValueError("cannot fit on zero observations")
-        self._X = np.asarray(X, dtype=float)
-        self._y = np.asarray(y, dtype=float)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._X is None:
-            raise RuntimeError("fit before predict")
-        return NearestNeighbours(X, self.k).extend(self._X).predict(self._y)
-
-
 class LinearSurrogate:
     """Ridge-regularised least squares with intercept.
 
@@ -144,32 +114,6 @@ class LinearSurrogate:
             raise RuntimeError("fit before predict")
         X = np.asarray(X, dtype=float)
         return np.hstack([np.ones((len(X), 1)), X]) @ self._beta
-
-
-class SurrogateEnsemble:
-    """The k-NN + linear pair: mean prediction and model disagreement.
-
-    ``predict_with_uncertainty`` averages the members, and its
-    uncertainty is the absolute spread between them — zero where both
-    models agree (well-sampled, locally linear regions), large where
-    global trend and local structure tell different stories, which is
-    exactly where another sample buys the most information.
-    """
-
-    def __init__(self, k: int = 5, ridge: float = 1e-6):
-        self.members = (NearestNeighbourSurrogate(k), LinearSurrogate(ridge))
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "SurrogateEnsemble":
-        for member in self.members:
-            member.fit(X, y)
-        return self
-
-    def predict_with_uncertainty(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The members' mean prediction and their absolute spread, from
-        one prediction per member."""
-        return mean_and_spread([m.predict(X) for m in self.members])
 
 
 def mean_and_spread(

@@ -77,10 +77,6 @@ def get_experiment(name: str) -> Experiment:
         raise KeyError(f"unknown experiment {name!r} (known: {known})") from None
 
 
-def experiment_names() -> list[str]:
-    return sorted(EXPERIMENTS)
-
-
 def run_point(experiment: str, point: Mapping[str, Any]) -> dict:
     """Evaluate one design point — the unit of work both executors run."""
     return get_experiment(experiment)(point)

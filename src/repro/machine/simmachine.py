@@ -222,13 +222,3 @@ class SimMachine:
 
     def describe(self) -> str:
         return self.topology.describe()
-
-
-def make_machine(
-    topology: Topology,
-    params: ClusterParams,
-    noise: NoiseModel | None = None,
-    seed: int = 2012,
-) -> SimMachine:
-    """Convenience constructor mirroring the preset functions."""
-    return SimMachine(topology, params, noise=noise, seed=seed)

@@ -17,7 +17,10 @@ Typical use::
     obs.current().flush()
 
     events = obs.read_events("campaigns/.telemetry")
-    obs.write_chrome_trace("trace.json", events)   # open in Perfetto
+
+and export the recorded spans as a Chrome trace (open it in Perfetto)::
+
+    python -m repro.explore trace campaigns --chrome trace.json
 
 See ``docs/observability.md`` for the span/metric model and the CLI
 (``python -m repro.explore trace/stats``).
@@ -35,7 +38,6 @@ from repro.obs.attribution import (
 from repro.obs.chrome import (
     chrome_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.obs.critpath import (
     CriticalPath,
@@ -76,7 +78,6 @@ from repro.obs.summary import (
     telemetry_dir_for,
     top_spans,
     worker_utilization,
-    write_metrics_snapshot,
     write_summary,
 )
 from repro.obs.telemetry import (
@@ -86,7 +87,6 @@ from repro.obs.telemetry import (
     current,
     disable,
     enable,
-    is_enabled,
     wallclock,
 )
 
@@ -124,7 +124,6 @@ __all__ = [
     "event_graph",
     "explain",
     "extract_paths",
-    "is_enabled",
     "list_summaries",
     "load_summary",
     "merged_metrics",
@@ -140,7 +139,5 @@ __all__ = [
     "validate_path",
     "wallclock",
     "worker_utilization",
-    "write_chrome_trace",
-    "write_metrics_snapshot",
     "write_summary",
 ]

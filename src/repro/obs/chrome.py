@@ -189,19 +189,6 @@ def chrome_trace(
     return {"displayTimeUnit": "ms", "traceEvents": trace_events}
 
 
-def write_chrome_trace(
-    path: str,
-    events: Iterable[Mapping[str, Any]],
-    critpath: Mapping[str, Any] | Iterable[Mapping[str, Any]] | None = None,
-) -> dict:
-    """Export ``events`` to ``path``; returns the written document."""
-    doc = chrome_trace(events, critpath=critpath)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-    return doc
-
-
 def validate_chrome_trace(doc: Mapping[str, Any]) -> int:
     """Check a document against the Chrome ``trace_event`` JSON shape.
 

@@ -354,14 +354,3 @@ def summarize_run(
     )
     write_summary(store_dir, summary)
     return summary
-
-
-def write_metrics_snapshot(
-    sink_dir: str | os.PathLike, events: Iterable[Mapping[str, Any]]
-) -> str:
-    """Write the merged metrics snapshot JSON into the sink directory."""
-    path = os.path.join(os.fspath(sink_dir), "metrics.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(merged_metrics(events), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections.abc import Mapping
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
@@ -391,10 +390,6 @@ def current() -> Telemetry | None:
         if value:
             return enable(None if value == "1" else value)
     return active
-
-
-def is_enabled() -> bool:
-    return current() is not None
 
 
 def wallclock() -> float:

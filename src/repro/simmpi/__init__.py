@@ -11,18 +11,10 @@ from repro.simmpi.engine import (
     simulate_stages_batch,
     stage_payload_matrix,
 )
-from repro.simmpi.requests import (
-    PersistentBarrier,
-    PersistentRequest,
-    StageRequests,
-)
 
 __all__ = [
     "simulate_stages",
     "simulate_stages_batch",
     "stage_payload_matrix",
     "StageEventTrace",
-    "PersistentBarrier",
-    "PersistentRequest",
-    "StageRequests",
 ]

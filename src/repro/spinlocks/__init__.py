@@ -5,17 +5,13 @@ from repro.spinlocks.model import (
     LINE_TRANSFER_SCALE,
     SpinlockResult,
     barrier_lower_bound,
-    contention_sweep,
     simulate_spinlock,
 )
-from repro.spinlocks.reference import reference_spinlock
 
 __all__ = [
     "ALGORITHMS",
     "LINE_TRANSFER_SCALE",
     "SpinlockResult",
     "barrier_lower_bound",
-    "contention_sweep",
-    "reference_spinlock",
     "simulate_spinlock",
 ]

@@ -200,29 +200,6 @@ def simulate_spinlock(
     )
 
 
-def contention_sweep(
-    machine: SimMachine,
-    thread_counts,
-    algorithms=ALGORITHMS,
-    acquisitions_per_thread: int = 16,
-    placement_policy: str = "block",
-    runs: int = 1,
-) -> dict[str, dict[int, SpinlockResult]]:
-    """Mean handoff cost vs. contention level per algorithm (§5.1's
-    experiment shape).  Every cell's noise is replicated ``runs`` times
-    in one bulk draw per cell."""
-    out: dict[str, dict[int, SpinlockResult]] = {a: {} for a in algorithms}
-    for n in thread_counts:
-        placement = machine.placement(n, policy=placement_policy)
-        for algorithm in algorithms:
-            out[algorithm][n] = simulate_spinlock(
-                machine, algorithm, placement,
-                acquisitions_per_thread=acquisitions_per_thread,
-                runs=runs,
-            )
-    return out
-
-
 def barrier_lower_bound(machine: SimMachine, placement: Placement) -> float:
     """§5.1: a single uncontended atomic arrival signal is a lower bound on
     any barrier's per-process cost — the cheapest possible handoff."""

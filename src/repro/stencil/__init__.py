@@ -24,7 +24,6 @@ from repro.stencil.predictor import (
     predict_bsp_iteration,
     predict_mpi_iteration,
     predict_iteration,
-    prediction_sweep,
 )
 from repro.stencil.optimizer import (
     HaloPrediction,
@@ -37,8 +36,6 @@ from repro.stencil.experiments import (
     ExperimentConfig,
     default_configurations,
     run_strong_scaling,
-    scaling_rows,
-    wall_time_rows,
     IMPLEMENTATIONS,
     LARGE_PROBLEM,
     SMALL_PROBLEM,
@@ -66,7 +63,6 @@ __all__ = [
     "predict_bsp_iteration",
     "predict_mpi_iteration",
     "predict_iteration",
-    "prediction_sweep",
     "HaloPrediction",
     "HaloSweepPoint",
     "predict_halo_iteration",
@@ -75,8 +71,6 @@ __all__ = [
     "ExperimentConfig",
     "default_configurations",
     "run_strong_scaling",
-    "scaling_rows",
-    "wall_time_rows",
     "IMPLEMENTATIONS",
     "LARGE_PROBLEM",
     "SMALL_PROBLEM",

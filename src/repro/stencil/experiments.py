@@ -1,10 +1,9 @@
-"""Chapter 8 experiment definitions and harnesses (Tables 8.1-8.2, A/B/C).
+"""Chapter 8 experiment definitions and the A-series harness (Table 8.1).
 
-Table 8.1 enumerates the experimental configurations; the A-series compares
-strong scaling of the implementations, the B-series compares prediction to
-measurement for large and small problems, and C1 validates the adapted
-(deep-halo) superstep.  Each harness returns plain rows/series so the
-benchmark modules can print them exactly.
+Table 8.1 enumerates the experimental configurations; the A-series
+compares strong scaling of the implementations.  The campaign adapter
+``stencil-run`` (:mod:`repro.explore.experiments`) runs the harness one
+design point at a time.
 """
 
 from __future__ import annotations
@@ -108,61 +107,4 @@ def run_strong_scaling(
                 per_count[nprocs] = runner(machine, nprocs, n, iterations,
                                            noisy=noisy)
         out[name] = per_count
-    return out
-
-
-def scaling_rows(results: dict[str, dict[int, StencilRunResult]]) -> list[list]:
-    """Rows of an A-series figure: P followed by per-impl iteration time."""
-    names = list(results)
-    counts = sorted(next(iter(results.values())))
-    rows = []
-    for p in counts:
-        row = [p]
-        for name in names:
-            row.append(results[name][p].mean_iteration)
-        rows.append(row)
-    return rows
-
-
-def wall_time_rows(
-    machine: SimMachine,
-    n: int,
-    process_counts,
-    iterations: int = 6,
-    noisy: bool = True,
-) -> list[list]:
-    """Table 8.2: MPI and MPI+R wall times side by side."""
-    rows = []
-    for nprocs in process_counts:
-        mpi = run_mpi_stencil(machine, nprocs, n, iterations, noisy=noisy)
-        mpir = run_mpi_r_stencil(machine, nprocs, n, iterations, noisy=noisy)
-        rows.append(
-            [
-                nprocs,
-                mpi.total_seconds,
-                mpir.total_seconds,
-                mpi.total_seconds / mpir.total_seconds,
-            ]
-        )
-    return rows
-
-
-def weak_scaling_points(
-    machine: SimMachine,
-    local_side: int,
-    process_counts,
-    iterations: int = 5,
-    noisy: bool = True,
-) -> dict[int, StencilRunResult]:
-    """Weak-mode sweep (§4.3's recommended regime): the per-process block
-    stays ``local_side^2`` while the global problem grows with P, so the
-    compute-rate profile remains valid at every scale."""
-    out: dict[int, StencilRunResult] = {}
-    for nprocs in process_counts:
-        # Keep the global grid square-ish with ~local_side^2 cells/rank.
-        n = int(round((local_side * local_side * nprocs) ** 0.5))
-        out[nprocs] = run_bsp_stencil(
-            machine, nprocs, n, iterations, execute_numerics=False,
-            noisy=noisy, label=f"weak-{nprocs}-{local_side}",
-        )
     return out

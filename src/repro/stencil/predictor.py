@@ -224,22 +224,3 @@ def predict_iteration(
     if kind == "mpi+r":
         return predict_mpi_iteration(blocks, spc, params, overlap=True)
     raise ValueError(f"unknown prediction kind {kind!r}")
-
-
-def prediction_sweep(
-    machine: SimMachine,
-    n: int,
-    process_counts,
-    kind: str = "bsp",
-    comm_samples: int = 7,
-    comm_sizes=tuple(2**k for k in range(0, 17, 4)),
-) -> dict[int, StencilPrediction]:
-    """Predict per-iteration cost over a strong-scaling sweep, profiling
-    the platform independently per process count (as the thesis does)."""
-    return {
-        nprocs: predict_iteration(
-            machine, n, nprocs, kind=kind,
-            comm_samples=comm_samples, comm_sizes=comm_sizes,
-        )
-        for nprocs in process_counts
-    }

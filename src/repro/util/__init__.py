@@ -8,7 +8,7 @@ from repro.util.validation import (
     require_in_range,
     require_matrix,
 )
-from repro.util.tables import format_table, format_series
+from repro.util.tables import format_table
 
 __all__ = [
     "require_positive",
@@ -17,5 +17,4 @@ __all__ = [
     "require_in_range",
     "require_matrix",
     "format_table",
-    "format_series",
 ]

@@ -1,7 +1,7 @@
-"""Plain-text table/series formatting for benchmark harness output.
+"""Plain-text table formatting for benchmark harness output.
 
-The benchmark harness prints the same rows/series the thesis tables and
-figures report; these helpers keep that output aligned and diff-friendly.
+The benchmark harness prints the same rows the thesis tables and figures
+report; this helper keeps that output aligned and diff-friendly.
 """
 
 from __future__ import annotations
@@ -34,14 +34,4 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     ]
     for row in str_rows:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def format_series(name: str, xs: Sequence, ys: Sequence) -> str:
-    """Render one named (x, y) series, one point per line."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    lines = [f"# series: {name}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{_cell(x)}\t{_cell(y)}")
     return "\n".join(lines)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.barriers.patterns import dissemination_barrier, linear_barrier
-from repro.barriers.simulate import (
-    BarrierTiming,
-    measure_barrier,
-    measure_barrier_sweep,
-)
+from repro.barriers.simulate import measure_barrier
 from repro.cluster import presets
 from repro.machine import SimMachine
 
@@ -65,34 +61,39 @@ class TestMeasureBarrier:
 
 
 class TestSweep:
+    """``measure_barrier`` over process counts, placements and payloads."""
+
     def test_sweep_shape(self, machine):
-        results = measure_barrier_sweep(
-            machine, dissemination_barrier, (2, 4, 8), runs=4
-        )
-        assert set(results) == {2, 4, 8}
-        assert all(isinstance(t, BarrierTiming) for t in results.values())
+        for nprocs in (2, 4, 8):
+            timing = measure_barrier(
+                machine, dissemination_barrier(nprocs),
+                machine.placement(nprocs), runs=4,
+            )
+            assert timing.nprocs == nprocs
+            assert timing.per_run_worst.shape == (4,)
 
     def test_payload_fn_applied(self, machine):
         from repro.bsplib.sync_model import dissemination_payloads
 
-        with_payload = measure_barrier_sweep(
-            machine, dissemination_barrier, (8,), runs=8,
-            payload_fn=dissemination_payloads,
-        )[8]
-        without = measure_barrier_sweep(
-            machine, dissemination_barrier, (8,), runs=8
-        )[8]
+        placement = machine.placement(8)
+        with_payload = measure_barrier(
+            machine, dissemination_barrier(8), placement, runs=8,
+            payload_bytes=dissemination_payloads(8),
+        )
+        without = measure_barrier(
+            machine, dissemination_barrier(8), placement, runs=8
+        )
         assert with_payload.mean_worst > without.mean_worst
 
     def test_placement_policy_forwarded(self, machine):
-        block = measure_barrier_sweep(
-            machine, dissemination_barrier, (10,), runs=4,
-            placement_policy="block",
-        )[10]
-        rr = measure_barrier_sweep(
-            machine, dissemination_barrier, (10,), runs=4,
-            placement_policy="round_robin",
-        )[10]
+        block = measure_barrier(
+            machine, dissemination_barrier(10),
+            machine.placement(10, policy="block"), runs=4,
+        )
+        rr = measure_barrier(
+            machine, dissemination_barrier(10),
+            machine.placement(10, policy="round_robin"), runs=4,
+        )
         # Block placement keeps 10 ranks on two nodes with different pair
         # structure than round-robin parity; times should differ.
         assert block.mean_worst != rr.mean_worst

@@ -7,7 +7,6 @@ from repro.bench.blas_profile import (
     beyond_cache_sizes,
     in_cache_sizes,
     sweep_kernel,
-    sweep_kernels,
 )
 from repro.cluster import presets
 from repro.cluster.noise import QUIET
@@ -88,11 +87,9 @@ class TestBeyondCacheKnee:
 
 class TestSweepHarness:
     def test_all_eight_kernels(self, machine):
-        sweeps = sweep_kernels(
-            machine, 0, BLAS_L1_KERNELS, [1024, 4096], batch=5
-        )
-        assert len(sweeps) == 8
-        for sweep in sweeps.values():
+        assert len(BLAS_L1_KERNELS) == 8
+        for kernel in BLAS_L1_KERNELS:
+            sweep = sweep_kernel(machine, 0, kernel, [1024, 4096], batch=5)
             assert len(sweep.points) == 2
             assert all(p.median_seconds > 0 for p in sweep.points)
 

@@ -1,10 +1,8 @@
 """Unit tests for the classic bspbench emulation (§3.1)."""
 
-import numpy as np
 import pytest
 
 from repro.bench.bspbench import (
-    bspbench_table,
     measure_h_relations,
     measure_rate_points,
     run_bspbench,
@@ -49,7 +47,7 @@ class TestHRelations:
 class TestBSPBenchTable:
     @pytest.fixture(scope="class")
     def table(self, machine):
-        return bspbench_table(machine, (8, 16, 32), samples=5)
+        return {p: run_bspbench(machine, p, samples=5) for p in (8, 16, 32)}
 
     def test_table_3_1_structure(self, table):
         """Table 3.1's qualitative content: r roughly constant near

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.comm_bench import benchmark_comm, benchmark_comm_for_counts
+from repro.bench.comm_bench import benchmark_comm
 from repro.cluster import presets
 from repro.cluster.noise import QUIET
 from repro.cluster.topology import Relation
@@ -118,11 +118,11 @@ class TestHarness:
         assert report.invocation_overheads.shape == (4,)
 
     def test_multiple_counts(self, machine):
-        reports = benchmark_comm_for_counts(
-            machine, (2, 4), samples=5, sizes=FAST_SIZES
-        )
-        assert set(reports) == {2, 4}
-        assert reports[2].params.nprocs == 2
+        for nprocs in (2, 4):
+            report = benchmark_comm(
+                machine, machine.placement(nprocs), samples=5, sizes=FAST_SIZES
+            )
+            assert report.params.nprocs == nprocs
 
     def test_validation(self, machine):
         placement = machine.placement(4)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.bench.stats import (
     batched_regression,
     linear_regression,
-    mean_confidence_interval,
     median,
     outlier_mask,
     resample_outliers,
@@ -33,26 +32,6 @@ class TestStudentTCritical:
     def test_rejects_bad_dof(self):
         with pytest.raises(ValueError):
             student_t_critical(0.95, 0)
-
-
-class TestConfidenceInterval:
-    def test_contains_mean(self):
-        rng = np.random.default_rng(0)
-        samples = rng.normal(10.0, 1.0, size=30)
-        lo, hi = mean_confidence_interval(samples, 0.95)
-        assert lo < samples.mean() < hi
-
-    def test_narrows_with_samples(self):
-        rng = np.random.default_rng(1)
-        small = rng.normal(0, 1, 10)
-        large = rng.normal(0, 1, 1000)
-        lo_s, hi_s = mean_confidence_interval(small)
-        lo_l, hi_l = mean_confidence_interval(large)
-        assert (hi_l - lo_l) < (hi_s - lo_s)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([1.0])
 
 
 class TestOutlierMask:

@@ -1,13 +1,37 @@
-"""Tests for benchmark stability validation (§5.6.4)."""
+"""Stability of the §5.6.3 communication benchmark (§5.6.4).
 
-import pytest
+The thesis accepts a benchmark protocol once its "reproducible
+variability stabilised at approximately an order of magnitude lower than
+the measured result".  These tests repeat ``benchmark_comm`` under
+independent noise streams and check the per-pair relative spread of the
+extracted latencies against that criterion.
+"""
 
-from repro.bench.validation import benchmark_stability
+import numpy as np
+
+from repro.bench.comm_bench import benchmark_comm
 from repro.cluster import presets
 from repro.cluster.noise import NoiseModel, QUIET
 from repro.machine import SimMachine
 
 FAST_SIZES = tuple(2**k for k in range(0, 17, 4))
+
+
+def latency_spread(machine, nprocs, repeats, samples):
+    """Per-pair (max - min) / median of the extracted latency over
+    ``repeats`` benchmark runs on independent streams, off-diagonal."""
+    placement = machine.placement(nprocs)
+    stack = np.stack([
+        benchmark_comm(
+            machine, placement, samples=samples, sizes=FAST_SIZES,
+            stream=f"stability-{r}",
+        ).params.latency
+        for r in range(repeats)
+    ])
+    mask = ~np.eye(nprocs, dtype=bool)
+    mid = np.median(stack, axis=0)[mask]
+    mid = np.where(mid > 0, mid, 1.0)
+    return (stack.max(axis=0)[mask] - stack.min(axis=0)[mask]) / mid
 
 
 class TestBenchmarkStability:
@@ -16,27 +40,21 @@ class TestBenchmarkStability:
             presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
             noise=QUIET, seed=1,
         )
-        report = benchmark_stability(
-            machine, machine.placement(6), repeats=3, samples=3,
-            sizes=FAST_SIZES,
-        )
-        assert report.worst_latency_spread < 1e-9
-        assert report.acceptable(1e-6)
+        spread = latency_spread(machine, 6, repeats=3, samples=3)
+        assert spread.shape == (6 * 6 - 6,)
+        assert spread.max() < 1e-9
 
     def test_default_noise_meets_criterion(self):
         """§5.6.4: variability an order of magnitude under the measurement."""
         machine = SimMachine(
             presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=2
         )
-        report = benchmark_stability(
-            machine, machine.placement(8), repeats=4, samples=15,
-            sizes=FAST_SIZES,
-        )
-        assert report.acceptable(0.15)
+        spread = latency_spread(machine, 8, repeats=4, samples=15)
+        assert np.median(spread) <= 0.15
 
     def test_wild_noise_fails_criterion(self):
-        """A platform too noisy for the protocol must be flagged — the
-        thesis's signal to recalibrate the benchmark."""
+        """A platform too noisy for the protocol shows it — the thesis's
+        signal to recalibrate the benchmark."""
         machine = SimMachine(
             presets.xeon_8x2x4_topology(),
             presets.xeon_8x2x4_params(),
@@ -44,27 +62,5 @@ class TestBenchmarkStability:
                              outlier_scale=30.0),
             seed=3,
         )
-        report = benchmark_stability(
-            machine, machine.placement(6), repeats=4, samples=5,
-            sizes=FAST_SIZES,
-        )
-        assert not report.acceptable(0.05)
-
-    def test_repeats_validated(self):
-        machine = SimMachine(
-            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=4
-        )
-        with pytest.raises(ValueError):
-            benchmark_stability(machine, machine.placement(4), repeats=1)
-
-    def test_spread_shapes(self):
-        machine = SimMachine(
-            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=5
-        )
-        p = 5
-        report = benchmark_stability(
-            machine, machine.placement(p), repeats=2, samples=5,
-            sizes=FAST_SIZES,
-        )
-        assert report.latency_rel_spread.shape == (p * p - p,)
-        assert report.overhead_rel_spread.shape == (p * p - p,)
+        spread = latency_spread(machine, 6, repeats=4, samples=5)
+        assert np.median(spread) > 0.05

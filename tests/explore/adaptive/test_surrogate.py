@@ -1,4 +1,4 @@
-"""The k-NN / linear surrogates and their disagreement ensemble."""
+"""The k-NN / linear surrogates and their disagreement rule."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ from repro.explore.adaptive import reference
 from repro.explore.adaptive.surrogate import (
     LinearSurrogate,
     NearestNeighbours,
-    NearestNeighbourSurrogate,
-    SurrogateEnsemble,
+    mean_and_spread,
 )
 
 
@@ -21,8 +20,8 @@ def _grid(n=25):
 def test_knn_reproduces_observations_exactly():
     X = _grid(5)
     y = X[:, 0] * 2 + X[:, 1]
-    model = NearestNeighbourSurrogate(k=3).fit(X, y)
-    assert model.predict(X) == pytest.approx(y, abs=1e-6)
+    model = NearestNeighbours(X, k=3).extend(X)
+    assert model.predict(y) == pytest.approx(y, abs=1e-6)
 
 
 def test_linear_recovers_a_linear_function():
@@ -40,28 +39,32 @@ def test_linear_stays_defined_with_fewer_points_than_features():
     assert np.isfinite(model.predict(np.array([[0.5, 0.5]]))).all()
 
 
+def _knn_linear_spread(X, y, probe):
+    """The surrogate sampler's rule: k-NN and linear predictions at
+    ``probe``, combined by ``mean_and_spread``."""
+    knn = NearestNeighbours(probe, k=5).extend(X).predict(y)
+    linear = LinearSurrogate().fit(X, y).predict(probe)
+    return mean_and_spread([knn, linear])
+
+
 def test_ensemble_uncertainty_is_zero_on_agreement_and_positive_on_curvature():
     X = _grid(7)
     linear_y = X[:, 0] + X[:, 1]
-    ens = SurrogateEnsemble().fit(X, linear_y)
-    probe = X[::5]
     # Both members represent a linear function exactly (k-NN at observed
     # points), so disagreement at observed points is ~0.
-    assert ens.predict_with_uncertainty(probe)[1] == pytest.approx(0.0, abs=1e-6)
+    spread = _knn_linear_spread(X, linear_y, X[::5])[1]
+    assert spread == pytest.approx(0.0, abs=1e-6)
 
     curved_y = (X[:, 0] - 0.5) ** 2
-    ens = SurrogateEnsemble().fit(X[::3], curved_y[::3])
     off_grid = np.array([[0.5, 0.5], [0.05, 0.95]])
-    assert (ens.predict_with_uncertainty(off_grid)[1] > 0).all()
+    assert (_knn_linear_spread(X[::3], curved_y[::3], off_grid)[1] > 0).all()
 
 
 def test_fit_validation():
     with pytest.raises(ValueError):
-        NearestNeighbourSurrogate(k=0)
-    with pytest.raises(ValueError):
         LinearSurrogate(ridge=-1.0)
     with pytest.raises(ValueError):
-        NearestNeighbourSurrogate().fit(np.empty((0, 2)), np.empty(0))
+        LinearSurrogate().fit(np.empty((0, 2)), np.empty(0))
     with pytest.raises(RuntimeError):
         LinearSurrogate().predict(np.array([[0.0]]))
 
@@ -125,13 +128,3 @@ def test_running_top_k_matches_the_full_sort_oracle_bit_for_bit(case, k):
             state.predict(y[:seen], rows),
             reference.knn_predict(references[:seen], y[:seen], queries, k)[rows],
         )
-
-
-def test_knn_surrogate_predicts_as_the_full_sort_oracle():
-    X = _grid(6)
-    y = np.sin(7.0 * X[:, 0]) + X[:, 1] ** 2
-    probe = _grid(11)
-    assert np.array_equal(
-        NearestNeighbourSurrogate(k=4).fit(X[::2], y[::2]).predict(probe),
-        reference.knn_predict(X[::2], y[::2], probe, 4),
-    )

@@ -222,7 +222,6 @@ class TestSink:
         second = obs.enable()
         assert first is second
         assert obs.current() is first
-        assert obs.is_enabled()
         obs.disable()
         assert obs.current() is None
         assert obs.ENV_VAR not in os.environ

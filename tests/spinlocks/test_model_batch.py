@@ -20,12 +20,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import presets
 from repro.machine import SimMachine
-from repro.spinlocks import (
-    ALGORITHMS,
-    contention_sweep,
-    reference_spinlock,
-    simulate_spinlock,
-)
+from repro.spinlocks import ALGORITHMS, simulate_spinlock
+from repro.spinlocks.reference import reference_spinlock
 
 
 @pytest.fixture(scope="module")
@@ -140,15 +136,14 @@ class TestRunsAxis:
                 machine, "mcs", machine.placement(2), runs=0
             )
 
-    def test_contention_sweep_passthrough(self, machine):
-        sweep = contention_sweep(
-            machine, (2, 4), algorithms=("mcs",),
-            acquisitions_per_thread=4, runs=5,
-        )
-        for n in (2, 4):
-            result = sweep["mcs"][n]
+    def test_noisy_batch_shape(self, machine):
+        for nthreads in (2, 4):
+            result = simulate_spinlock(
+                machine, "mcs", machine.placement(nthreads, policy="block"),
+                acquisitions_per_thread=4, runs=5,
+            )
             assert result.runs == 5
-            assert result.per_acquisition.shape == (5, 4 * n)
+            assert result.per_acquisition.shape == (5, 4 * nthreads)
 
     def test_clean_batch_shape(self, machine):
         result = simulate_spinlock(

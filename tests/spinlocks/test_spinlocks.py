@@ -9,7 +9,6 @@ from repro.machine import SimMachine
 from repro.spinlocks import (
     ALGORITHMS,
     barrier_lower_bound,
-    contention_sweep,
     simulate_spinlock,
 )
 
@@ -71,15 +70,16 @@ class TestLocalityDominates:
     def test_simple_lock_degrades_faster(self, machine):
         """§5.1 guideline 2: contention punishes test-and-set far more than
         the queue lock — the storm grows with the waiter count."""
-        sweep = contention_sweep(
-            machine, (2, 8), algorithms=("test_and_set", "mcs"),
-            acquisitions_per_thread=8,
-        )
-        tas_growth = (
-            sweep["test_and_set"][8].mean_handoff
-            / sweep["test_and_set"][2].mean_handoff
-        )
-        mcs_growth = sweep["mcs"][8].mean_handoff / sweep["mcs"][2].mean_handoff
+        handoff = {
+            (algorithm, n): simulate_spinlock(
+                machine, algorithm, machine.placement(n, policy="block"),
+                acquisitions_per_thread=8,
+            ).mean_handoff
+            for n in (2, 8)
+            for algorithm in ("test_and_set", "mcs")
+        }
+        tas_growth = handoff["test_and_set", 8] / handoff["test_and_set", 2]
+        mcs_growth = handoff["mcs", 8] / handoff["mcs", 2]
         assert tas_growth > 2.0 * mcs_growth
 
     def test_mcs_handoffs_are_single_transfers(self, machine):

@@ -8,8 +8,6 @@ from repro.stencil.experiments import (
     IMPLEMENTATIONS,
     default_configurations,
     run_strong_scaling,
-    scaling_rows,
-    wall_time_rows,
 )
 
 
@@ -47,18 +45,3 @@ class TestStrongScalingHarness:
         assert set(results) == set(IMPLEMENTATIONS)
         for per_count in results.values():
             assert set(per_count) == {4, 8}
-
-    def test_scaling_rows_format(self, machine):
-        results = run_strong_scaling(machine, ["MPI"], 256, (4, 8), iterations=2)
-        rows = scaling_rows(results)
-        assert [row[0] for row in rows] == [4, 8]
-        assert all(len(row) == 2 for row in rows)
-
-
-class TestWallTimeRows:
-    def test_table_8_2_columns(self, machine):
-        rows = wall_time_rows(machine, 512, (8, 16), iterations=2, noisy=False)
-        assert len(rows) == 2
-        for p, t_mpi, t_mpir, ratio in rows:
-            assert t_mpi > 0 and t_mpir > 0
-            assert ratio == pytest.approx(t_mpi / t_mpir)

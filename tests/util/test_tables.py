@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import format_series, format_table
+from repro.util.tables import format_table
 
 
 class TestFormatTable:
@@ -22,15 +22,3 @@ class TestFormatTable:
         text = format_table(["v"], [[1234567.0], [0.00001234]])
         assert "1.235e+06" in text
         assert "1.234e-05" in text
-
-
-class TestFormatSeries:
-    def test_point_per_line(self):
-        text = format_series("demo", [1, 2], [0.5, 0.25])
-        lines = text.splitlines()
-        assert lines[0] == "# series: demo"
-        assert len(lines) == 3
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("demo", [1], [1, 2])
