@@ -17,15 +17,16 @@ from repro.machine import SimMachine
 FAST_SIZES = tuple(2**k for k in range(0, 17, 4))
 
 
-def latency_spread(machine, nprocs, repeats, samples):
-    """Per-pair (max - min) / median of the extracted latency over
-    ``repeats`` benchmark runs on independent streams, off-diagonal."""
+def pair_spread(machine, nprocs, repeats, samples, field="latency"):
+    """Per-pair (max - min) / median of the extracted ``field`` (latency by
+    default) over ``repeats`` benchmark runs on independent streams,
+    off-diagonal."""
     placement = machine.placement(nprocs)
     stack = np.stack([
-        benchmark_comm(
+        getattr(benchmark_comm(
             machine, placement, samples=samples, sizes=FAST_SIZES,
             stream=f"stability-{r}",
-        ).params.latency
+        ).params, field)
         for r in range(repeats)
     ])
     mask = ~np.eye(nprocs, dtype=bool)
@@ -40,7 +41,7 @@ class TestBenchmarkStability:
             presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
             noise=QUIET, seed=1,
         )
-        spread = latency_spread(machine, 6, repeats=3, samples=3)
+        spread = pair_spread(machine, 6, repeats=3, samples=3)
         assert spread.shape == (6 * 6 - 6,)
         assert spread.max() < 1e-9
 
@@ -49,7 +50,7 @@ class TestBenchmarkStability:
         machine = SimMachine(
             presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=2
         )
-        spread = latency_spread(machine, 8, repeats=4, samples=15)
+        spread = pair_spread(machine, 8, repeats=4, samples=15)
         assert np.median(spread) <= 0.15
 
     def test_wild_noise_fails_criterion(self):
@@ -62,5 +63,15 @@ class TestBenchmarkStability:
                              outlier_scale=30.0),
             seed=3,
         )
-        spread = latency_spread(machine, 6, repeats=4, samples=5)
+        spread = pair_spread(machine, 6, repeats=4, samples=5)
         assert np.median(spread) > 0.05
+
+    def test_spread_shapes(self):
+        machine = SimMachine(
+            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=5
+        )
+        p = 5
+        for field in ("latency", "overhead"):
+            spread = pair_spread(machine, p, repeats=2, samples=5,
+                                    field=field)
+            assert spread.shape == (p * p - p,)
