@@ -27,6 +27,14 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
           "batch_s": float,       # best-of-repeats: calls x runs=1 batch
           "speedup": float        # reference_s / batch_s
         },
+        "engine_small_calls": {
+          "patterns": [str], "nprocs": [int], "runs": [int],
+          "calls": int,           # measure_barrier calls per pass
+          "repeats": int,
+          "reference_us": float,  # best pass, per call: runs x scalar engine
+          "batch_us": float,      # best pass, per call: measure_barrier
+          "speedup": float        # reference_us / batch_us
+        },
         "bsp_batch_vs_loop": {
           "nprocs": int, "runs": int, "supersteps": int, "repeats": int,
           "loop_s": float,        # runs x bsp_run(runs=1) (§6.4 sync example)
@@ -212,6 +220,62 @@ def bench_engine_hrelation(quick: bool) -> dict:
         "reference_s": reference_s,
         "batch_s": batch_s,
         "speedup": reference_s / batch_s,
+    }
+
+
+def bench_engine_small_calls(quick: bool) -> dict:
+    """Per-call cost of the many small barrier measurements of a sweep.
+
+    The ``sweep-chunked`` benchmark shapes: five barrier families x P in
+    {4, ..., 16} x runs in {2, 3}, one ``measure_barrier`` call each.
+    Every call is a handful of stages of a few messages, so fixed
+    per-call and per-stage costs (truth building, stage setup, noise
+    calls) dominate, which the P=64 x 256-run case above cannot show.
+    The reference is the same protocol over the scalar engine: one truth
+    and one stream per call, then ``runs`` scalar replications.
+    """
+    from repro.barriers.simulate import measure_barrier
+    from repro.cluster.presets import make_preset_machine
+    from repro.explore.experiments import PATTERN_FAMILIES
+    from repro.simmpi import reference
+
+    families = [
+        "linear", "tree", "dissemination", "sequential", "kary-dissemination",
+    ]
+    sizes = [4, 6, 8, 10, 12, 16]
+    runs_axis = [2, 3]
+    repeats = 3 if quick else 7
+    machine = make_preset_machine("xeon-8x2x4")
+    shapes = [
+        (PATTERN_FAMILIES[name](p), machine.placement(p), runs)
+        for name in families for p in sizes for runs in runs_axis
+    ]
+
+    def run_reference():
+        for pattern, placement, runs in shapes:
+            truth = machine.comm_truth(placement)
+            rng = machine.rng("bench-small", pattern.name, pattern.nprocs, runs)
+            for _ in range(runs):
+                reference.simulate_stages(
+                    truth, pattern.stages, rng=rng, noise=machine.noise
+                )
+
+    def run_batch():
+        for pattern, placement, runs in shapes:
+            measure_barrier(machine, pattern, placement, runs=runs)
+
+    run_batch()  # warm-up: imports and first-touch allocations
+    reference_us = _best_of(repeats, run_reference) / len(shapes) * 1e6
+    batch_us = _best_of(repeats, run_batch) / len(shapes) * 1e6
+    return {
+        "patterns": families,
+        "nprocs": sizes,
+        "runs": runs_axis,
+        "calls": len(shapes),
+        "repeats": repeats,
+        "reference_us": reference_us,
+        "batch_us": batch_us,
+        "speedup": reference_us / batch_us,
     }
 
 
@@ -669,6 +733,7 @@ def run_all(quick: bool) -> dict:
         "cases": {
             "engine_batch_vs_reference": bench_engine(quick),
             "engine_hrelation": bench_engine_hrelation(quick),
+            "engine_small_calls": bench_engine_small_calls(quick),
             "bsp_batch_vs_loop": bench_bsp(quick),
             "stencil_batch_vs_loop": bench_stencil(quick),
             "halo_batch_vs_loop": bench_halo(quick),
@@ -730,6 +795,15 @@ def test_perf_engine_quick(emit, tmp_path):
     # The floor sits between per-message FIFO scans (about 2x on this
     # shape) and scans over node slots (about 20x).
     assert hrel["speedup"] >= 5.0
+    small = artifact["cases"]["engine_small_calls"]
+    emit(
+        f"engine small calls (quick): {small['batch_us']:.0f}us per "
+        f"measure_barrier vs {small['reference_us']:.0f}us reference "
+        f"({small['speedup']:.1f}x)"
+    )
+    # Fixed per-call costs decide this shape; the batch engine must not
+    # lose to the scalar loop on it.
+    assert small["speedup"] >= 1.0
     bsp = artifact["cases"]["bsp_batch_vs_loop"]
     emit(
         f"bsp runs-axis speedup (quick): {bsp['speedup']:.1f}x "

@@ -108,7 +108,7 @@ def benchmark_comm_ensemble(
     # request adds its start overhead plus, for remote pairs, one NIC
     # serialisation slot — so the extracted gradient absorbs the stack's
     # per-message injection cost exactly as a real benchmark would.
-    nodes = np.array([placement.node_of(r) for r in range(p)])
+    nodes = placement.nodes
     remote = (nodes[:, None] != nodes[None, :]).astype(float)
     per_request = truth.start_overhead + remote * truth.nic_gap
     counts = np.asarray(request_counts, dtype=float)

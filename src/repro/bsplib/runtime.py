@@ -333,9 +333,7 @@ class BSPRuntime:
         self._records: list[SuperstepRecord] = []
         self._sync_stages = sync_pattern(nprocs).stages
         self._sync_payloads = dissemination_payloads(nprocs)
-        self._nodes = np.array(
-            [self.placement.node_of(r) for r in range(nprocs)], dtype=np.intp
-        )
+        self._nodes = self.placement.nodes
         self._n_nodes = int(self._nodes.max()) + 1
         # superstep shape -> _TransferPlan; the schedule of a repeated-
         # schedule program is deterministic, so one structural build per

@@ -47,34 +47,46 @@ class NoiseModel:
         The log-normal factor is median-1 so central-tendency statistics of
         samples recover the base duration.
         """
-        base = np.asarray(base, dtype=float)
-        if np.any(base < 0):
-            raise ValueError("durations must be non-negative")
-        out = base * rng.lognormal(mean=0.0, sigma=self.jitter_sigma, size=base.shape)
-        if self.outlier_prob > 0.0:
-            hits = rng.random(base.shape) < self.outlier_prob
-            if np.any(hits):
-                spikes = rng.uniform(1.0, max(1.0, self.outlier_scale), size=base.shape)
-                out = out + np.where(hits, spikes * base, 0.0)
-        return np.maximum(out, self.floor)
+        base = _durations(base)
+        return self.perturb(rng, base, base.shape)
 
     def sample_matrix(
         self, rng: np.random.Generator, base, runs: int
     ) -> np.ndarray:
         """``runs`` independent perturbations of ``base`` in one bulk draw.
 
-        ``base`` (scalar or any array shape ``S``) is broadcast to
-        ``(runs, *S)`` and sampled with a single :meth:`sample` call, so
+        ``base`` (scalar or any array shape ``S``) is validated once,
+        unbroadcast, and perturbed straight into a ``(runs, *S)`` draw, so
         the draws fill the replication axis in C order (replication-major)
         — the draw-order contract of the batched event engine
-        (:mod:`repro.simmpi.engine`).  This is the entry point hot paths
-        should use; one matrix draw replaces ``runs * base.size`` scalar
-        round trips through 0-d arrays.
+        (:mod:`repro.simmpi.engine`).  The values are bit-identical to
+        :meth:`sample` on ``base`` broadcast to ``(runs, *S)``.  This is the
+        entry point hot paths should use; one matrix draw replaces
+        ``runs * base.size`` scalar round trips through 0-d arrays.
         """
         if runs < 1:
             raise ValueError("runs must be >= 1")
-        base = np.asarray(base, dtype=float)
-        return self.sample(rng, np.broadcast_to(base, (runs, *base.shape)))
+        base = _durations(base)
+        return self.perturb(rng, base, (runs, *base.shape))
+
+    def perturb(self, rng: np.random.Generator, base, shape) -> np.ndarray:
+        """The noise kernel: one draw of ``shape`` around ``base``.
+
+        ``base`` is a float scalar or array that broadcasts to ``shape``
+        and is **not validated**: callers guarantee it is non-negative.
+        :meth:`sample` and :meth:`sample_matrix` check their input and
+        call this; the event engine calls it directly on durations its
+        :class:`~repro.machine.simmachine.CommTruth` and payload checks
+        already cover.  A broadcast base draws exactly the values of the
+        materialised one, element for element.
+        """
+        out = base * rng.lognormal(mean=0.0, sigma=self.jitter_sigma, size=shape)
+        if self.outlier_prob > 0.0:
+            hits = rng.random(shape) < self.outlier_prob
+            if hits.any():
+                spikes = rng.uniform(1.0, max(1.0, self.outlier_scale), size=shape)
+                out = out + np.where(hits, spikes * base, 0.0)
+        return np.maximum(out, self.floor)
 
     def sample_scalar(self, rng: np.random.Generator, base: float) -> float:
         """Perturb one scalar duration.
@@ -100,6 +112,14 @@ class NoiseModel:
             stacklevel=2,
         )
         return float(self.sample(rng, np.asarray(base, dtype=float)))
+
+
+def _durations(base) -> np.ndarray:
+    """``base`` as a float array, rejecting negative (or NaN) durations."""
+    base = np.asarray(base, dtype=float)
+    if not (base >= 0).all():
+        raise ValueError("durations must be non-negative")
+    return base
 
 
 QUIET = NoiseModel(jitter_sigma=0.0, outlier_prob=0.0, floor=0.0)

@@ -101,7 +101,10 @@ class Placement:
 
     ``cores[r]`` is the core executing rank ``r``.  The mapping is injective;
     a rank owns its core for the duration of a run (the thesis pins affinity
-    precisely to keep pairwise costs reproducible, §5.2).
+    precisely to keep pairwise costs reproducible, §5.2).  ``nodes[r]`` and
+    ``sockets[r]`` are rank ``r``'s node and global socket index, computed
+    once here and read-only, so hot paths index them instead of calling
+    :meth:`node_of` per rank.
     """
 
     def __init__(self, topology: Topology, cores):
@@ -114,6 +117,12 @@ class Placement:
         if cores.min() < 0 or cores.max() >= topology.total_cores:
             raise ValueError("placement references cores outside the topology")
         self.cores = cores
+        node, within = np.divmod(cores, topology.cores_per_node)
+        self.nodes = _frozen(node.astype(np.intp))
+        self.sockets = _frozen(
+            node * topology.sockets_per_node
+            + within // topology.cores_per_socket
+        )
 
     @property
     def nprocs(self) -> int:
@@ -134,11 +143,9 @@ class Placement:
     def relation_matrix(self) -> np.ndarray:
         """P x P integer matrix of :class:`Relation` values."""
         p = self.nprocs
-        nodes = np.array([self.topology.node_of(c) for c in self.cores])
-        sockets = np.array([self.topology.socket_of(c) for c in self.cores])
         rel = np.full((p, p), int(Relation.REMOTE), dtype=np.int64)
-        same_node = nodes[:, None] == nodes[None, :]
-        same_socket = sockets[:, None] == sockets[None, :]
+        same_node = self.nodes[:, None] == self.nodes[None, :]
+        same_socket = self.sockets[:, None] == self.sockets[None, :]
         rel[same_node] = int(Relation.SAME_NODE)
         rel[same_node & same_socket] = int(Relation.SAME_SOCKET)
         np.fill_diagonal(rel, int(Relation.SELF))
@@ -175,3 +182,8 @@ class Placement:
                 f"nprocs must be in [1, {topology.total_cores}], got {nprocs}"
             )
         return cls(topology, np.arange(nprocs, dtype=np.int64))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array

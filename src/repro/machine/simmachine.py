@@ -19,7 +19,7 @@ from repro.cluster.params import ClusterParams
 from repro.cluster.topology import Placement, Relation, Topology
 from repro.kernels.base import Kernel
 from repro.machine import compute
-from repro.util.validation import require_int
+from repro.util.validation import require_int, require_nonnegative
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,11 @@ class CommTruth:
 
     Indexed ``[source, destination]`` by rank.  The analytic model never sees
     these; it sees benchmark estimates of them (repro.bench.comm_bench).
+
+    Every duration is checked once, here: the matrices must be finite and
+    non-negative, and they are made read-only so the check stays true.
+    The event engine relies on it to draw noise around these values
+    without re-validating them per stage.
     """
 
     placement: Placement
@@ -37,6 +42,22 @@ class CommTruth:
     nic_gap: float
     recv_overhead: float
     invocation_overhead: float
+
+    def __post_init__(self):
+        p = self.placement.nprocs
+        for name in ("latency", "start_overhead", "inv_bandwidth"):
+            matrix = np.asarray(getattr(self, name), dtype=float)
+            if matrix.shape != (p, p):
+                raise ValueError(
+                    f"{name} must be {p} x {p}, got {matrix.shape}"
+                )
+            if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
+                raise ValueError(f"{name} must be finite and non-negative")
+            matrix.flags.writeable = False
+            object.__setattr__(self, name, matrix)
+        for name in ("nic_gap", "recv_overhead", "invocation_overhead"):
+            value = require_nonnegative(getattr(self, name), name)
+            object.__setattr__(self, name, value)
 
     @property
     def nprocs(self) -> int:

@@ -40,7 +40,8 @@ RNG draw-order contract (noisy path)
 All stochastic terms flow through the machine's :class:`NoiseModel` via the
 caller-provided generator; passing ``rng=None`` yields clean event times.
 Noise is drawn in bulk per stage, in this fixed sequence of
-:meth:`NoiseModel.sample` calls:
+:meth:`NoiseModel.perturb` calls (the kernel behind
+:meth:`NoiseModel.sample_matrix`, with identical draws):
 
 1. invocation overheads, shape ``(R, n_participants)`` with participants
    in ascending rank order;
@@ -60,7 +61,8 @@ replaced the reference engine's per-message interleaved draws (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,19 +93,26 @@ def stage_payload_matrix(payload_bytes, stage_idx: int, p: int) -> np.ndarray:
     Accepts ``None`` (pure signals), a scalar applied to every stage, or a
     per-stage sequence whose entries are scalars or full matrices.  Shared
     by the event engine and the analytic cost model so both price the same
-    traffic.
+    traffic.  Every byte count must be finite and non-negative: this is
+    the one place payloads are checked, so the engine draws transit noise
+    around them without re-validating.
     """
     if payload_bytes is None:
         return np.zeros((p, p))
-    if np.isscalar(payload_bytes):
-        return np.full((p, p), float(payload_bytes))
-    spec = payload_bytes[stage_idx]
+    spec = payload_bytes
+    if not np.isscalar(spec):
+        spec = spec[stage_idx]
     if np.isscalar(spec):
-        return np.full((p, p), float(spec))
-    spec = np.asarray(spec, dtype=float)
-    if spec.shape != (p, p):
-        raise ValueError("per-stage payload matrix has wrong shape")
-    return spec
+        matrix = np.full((p, p), float(spec))
+    else:
+        matrix = np.asarray(spec, dtype=float)
+        if matrix.shape != (p, p):
+            raise ValueError("per-stage payload matrix has wrong shape")
+    if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
+        raise ValueError(
+            f"stage {stage_idx} payload bytes must be finite and non-negative"
+        )
+    return matrix
 
 
 def _batch_entry_times(entry_times, runs: int, p: int) -> np.ndarray:
@@ -120,53 +129,180 @@ def _batch_entry_times(entry_times, runs: int, p: int) -> np.ndarray:
     )
 
 
-def _draw(noise, rng, base, runs: int) -> np.ndarray:
-    """One bulk noise matrix: ``(runs, *base.shape)``, replication-major.
+def _draw(noise, rng, base, shape) -> np.ndarray:
+    """One bulk noise matrix of ``shape``, replication-major.
 
-    On the clean path the broadcast base values are returned as a
-    (read-only) view — no RNG state is consumed.
+    ``base`` is a scalar or a per-message vector that broadcasts to
+    ``shape``; it goes straight to :meth:`NoiseModel.perturb`, with no
+    broadcast copy and no re-validation, since :class:`CommTruth` and
+    :func:`stage_payload_matrix` have checked every duration it is built
+    from.  On the clean path the base values come back as a read-only
+    broadcast view, and no RNG state is consumed.
     """
     if rng is None or noise is None:
-        return np.broadcast_to(base, (runs, *np.shape(base)))
-    return noise.sample_matrix(rng, base, runs)
+        return np.broadcast_to(base, shape)
+    return noise.perturb(rng, base, shape)
 
 
-def _fifo_slots(ready, msgs, queues):
-    """Lay the messages ``msgs`` out as ``(R, L, N)`` FIFO slots.
+#: Most stage plans :func:`_stage_plan` keeps.  A sweep that never
+#: repeats a (pattern, P) pair, such as ``fig-5-6-to-5-9``, never hits the
+#: cache, so an unbounded one would only grow there.
+PLAN_CACHE_SIZE = 256
 
-    ``ready`` is the ``(R, M)`` time at which every message of the stage
-    joins its FIFO, and ``queues`` holds, per message of ``msgs``, the
-    FIFO it queues at (a node's NIC, or a receiver).  A FIFO serves its
-    messages in ``(ready, index)`` order: the reference engine's stable
-    global order, restricted to that FIFO.  ``N`` counts the FIFOs that
-    carry messages, in ascending order, and ``L`` is the most any of them
-    carries.  Slot ``[r, k, c]`` holds the index of the ``k``-th message
-    FIFO ``c`` serves in replication ``r``, or ``-1`` in a padded tail
-    slot.  Gathering through ``-1`` reads the stage's last message: a
-    padded slot then only advances its FIFO's state after the FIFO's last
-    real message, and nothing reads that state after the scan.
 
-    Returns ``(order, slots, dest)``: ``order`` is ``(R, len(msgs))``,
-    each replication's messages sorted by ``(FIFO, ready)``; ``dest``
-    maps those sorted positions to flat ``(L, N)`` slot positions, and is
-    ``None`` when one FIFO carries every message, so that the layout is
-    ``order`` itself.
+@dataclass(frozen=True)
+class _Fifo:
+    """The structural half of a FIFO slot layout (see :func:`_fifo_slots`).
+
+    ``msgs`` are the messages that queue and ``queues`` the FIFO each one
+    joins.  ``width`` counts the FIFOs that carry messages and ``depth``
+    is the most any of them carries; ``dest`` maps each message's position
+    in ``(FIFO, time)`` order to its flat ``(depth, width)`` slot, and is
+    ``None`` when one FIFO carries every message.
     """
+
+    msgs: np.ndarray
+    queues: np.ndarray
+    depth: int
+    width: int
+    dest: np.ndarray | None
+
+
+def _fifo(msgs: np.ndarray, queues: np.ndarray) -> _Fifo:
     counts = np.bincount(queues)
     counts = counts[counts > 0]
-    times = ready[:, msgs]
     if counts.size == 1:
-        order = msgs[np.argsort(times, axis=1, kind="stable")]
-        return order, order[:, :, None], None
-    order = msgs[np.lexsort((times, np.broadcast_to(queues, times.shape)))]
+        return _Fifo(msgs, queues, int(msgs.size), 1, None)
     width = counts.size
     queue = np.repeat(np.arange(width), counts)
     start = np.cumsum(counts) - counts
     dest = (np.arange(queue.size) - start[queue]) * width + queue
-    slots = np.full((ready.shape[0], int(counts.max()) * width), -1,
+    return _Fifo(msgs, queues, int(counts.max()), width, dest)
+
+
+@dataclass(frozen=True)
+class _StagePlan:
+    """Everything about one stage that its structure and the node map fix.
+
+    Messages are in the fixed sender-major ``(source, destination)``
+    order.  ``pad_width`` is the most requests any sender issues plus one:
+    the initiation cursors' zero-padded row length.  ``start_slots`` and
+    ``last_slots`` index the flattened ``(senders, pad_width)`` cursors:
+    each message's departure, and each sender's initiation end.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    participants: np.ndarray
+    senders: np.ndarray
+    receivers: np.ndarray
+    offsets: np.ndarray
+    sender_of_msg: np.ndarray
+    sender_pos: np.ndarray
+    pad_width: int
+    start_slots: np.ndarray
+    last_slots: np.ndarray
+    msg_remote: np.ndarray
+    src_nodes: np.ndarray
+    dst_nodes: np.ndarray
+    tx: np.ndarray
+    tx_fifo: _Fifo | None
+    rx_fifo: _Fifo | None
+    recv_fifo: _Fifo
+    recv_perm: np.ndarray
+    recv_offsets: np.ndarray
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _stage_plan(stage_key: bytes, node_key: bytes) -> _StagePlan | None:
+    """The plan of the stage whose ``(P, P)`` bool bytes are ``stage_key``,
+    with ranks on the nodes whose ``intp`` bytes are ``node_key``.
+
+    A pure function of its key, so a cached plan is the cold build; its
+    arrays are read-only because every later call shares them.  ``None``
+    is an empty stage.
+    """
+    nodes = np.frombuffer(node_key, dtype=np.intp)
+    p = nodes.size
+    stage = np.frombuffer(stage_key, dtype=bool).reshape(p, p)
+    src, dst = np.nonzero(stage)
+    n_msg = src.size
+    if n_msg == 0:
+        return None
+    out_deg = stage.sum(axis=1)
+    in_deg = stage.sum(axis=0)
+    participants = np.flatnonzero(out_deg + in_deg)
+    senders = np.flatnonzero(out_deg)
+    send_counts = out_deg[senders]
+    receivers = np.flatnonzero(in_deg)
+    offsets = np.concatenate(([0], np.cumsum(send_counts)))
+    sender_of_msg = np.repeat(np.arange(senders.size), send_counts)
+    within = np.arange(n_msg) - offsets[:-1][sender_of_msg]
+    pad_width = int(send_counts.max()) + 1
+    src_nodes = nodes[src]
+    dst_nodes = nodes[dst]
+    msg_remote = src_nodes != dst_nodes
+    tx = np.flatnonzero(msg_remote)
+    plan = _StagePlan(
+        src=src,
+        dst=dst,
+        participants=participants,
+        senders=senders,
+        receivers=receivers,
+        offsets=offsets,
+        sender_of_msg=sender_of_msg,
+        sender_pos=np.searchsorted(participants, senders),
+        pad_width=pad_width,
+        start_slots=sender_of_msg * pad_width + within + 1,
+        last_slots=np.arange(senders.size) * pad_width + send_counts,
+        msg_remote=msg_remote,
+        src_nodes=src_nodes,
+        dst_nodes=dst_nodes,
+        tx=tx,
+        tx_fifo=_fifo(tx, src_nodes[tx]) if tx.size else None,
+        rx_fifo=_fifo(tx, dst_nodes[tx]) if tx.size else None,
+        recv_fifo=_fifo(np.arange(n_msg), dst),
+        recv_perm=np.argsort(dst, kind="stable"),  # group by receiver
+        recv_offsets=np.cumsum(in_deg[receivers]) - in_deg[receivers],
+    )
+    for holder in (plan, plan.tx_fifo, plan.rx_fifo, plan.recv_fifo):
+        if holder is None:
+            continue
+        for f in fields(holder):
+            value = getattr(holder, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return plan
+
+
+def _fifo_slots(ready, fifo: _Fifo):
+    """Lay the messages of ``fifo`` out as ``(R, L, N)`` FIFO slots.
+
+    ``ready`` is the ``(R, M)`` time at which every message of the stage
+    joins its FIFO.  A FIFO serves its messages in ``(ready, index)``
+    order: the reference engine's stable global order, restricted to that
+    FIFO.  ``N`` is ``fifo.width`` and ``L`` is ``fifo.depth``.  Slot
+    ``[r, k, c]`` holds the index of the ``k``-th message FIFO ``c``
+    serves in replication ``r``, or ``-1`` in a padded tail slot.
+    Gathering through ``-1`` reads the stage's last message: a padded slot
+    then only advances its FIFO's state after the FIFO's last real
+    message, and nothing reads that state after the scan.
+
+    Returns ``(order, slots, dest)``: ``order`` is ``(R, len(msgs))``,
+    each replication's messages sorted by ``(FIFO, ready)``; ``dest`` is
+    ``fifo.dest``, or ``None`` when the layout is ``order`` itself.
+    """
+    times = ready[:, fifo.msgs]
+    if fifo.dest is None:
+        order = fifo.msgs[np.argsort(times, axis=1, kind="stable")]
+        return order, order[:, :, None], None
+    order = fifo.msgs[
+        np.lexsort((times, np.broadcast_to(fifo.queues, times.shape)))
+    ]
+    slots = np.full((ready.shape[0], fifo.depth * fifo.width), -1,
                     dtype=np.intp)
-    slots[:, dest] = order
-    return order, slots.reshape(ready.shape[0], -1, width), dest
+    slots[:, fifo.dest] = order
+    return order, slots.reshape(ready.shape[0], -1, fifo.width), fifo.dest
 
 
 def _unslot(lay: np.ndarray, dest) -> np.ndarray:
@@ -176,14 +312,14 @@ def _unslot(lay: np.ndarray, dest) -> np.ndarray:
     return lay.reshape(lay.shape[0], -1)[:, dest]
 
 
-def _nic_scan(ready, msgs, nodes, gap: float):
+def _nic_scan(ready, fifo: _Fifo, gap: float):
     """A NIC FIFO per node: each message enters the wire at
     ``max(ready, free)``, and the NIC is free again ``gap`` later.
 
-    Returns every message's grant time (messages not in ``msgs`` keep
-    ``ready``) and the FIFO layout, for :func:`_predecessors`.
+    Returns every message's grant time (messages not in ``fifo.msgs``
+    keep ``ready``) and the FIFO layout, for :func:`_predecessors`.
     """
-    order, slots, dest = _fifo_slots(ready, msgs, nodes)
+    order, slots, dest = _fifo_slots(ready, fifo)
     rows = np.arange(ready.shape[0])[:, None]
     lay = ready[rows[:, :, None], slots]
     free = np.zeros((ready.shape[0], slots.shape[2]))
@@ -327,11 +463,7 @@ def _simulate_stages_batch(
             )
         return np.broadcast_to(one[0], (runs, p)).copy()
 
-    stages = list(stages)
-    nodes = np.array(
-        [truth.placement.node_of(r) for r in range(p)], dtype=np.intp
-    )
-    remote = nodes[:, None] != nodes[None, :]
+    node_key = truth.placement.nodes.tobytes()
     rows = np.arange(runs)
 
     t = _batch_entry_times(entry_times, runs, p)
@@ -347,43 +479,35 @@ def _simulate_stages_batch(
         stage = np.asarray(stage, dtype=bool)
         if stage.shape != (p, p):
             raise ValueError(f"stage {s_idx} has wrong shape {stage.shape}")
-        src, dst = np.nonzero(stage)  # sender-major fixed message order
-        n_msg = src.size
-        if n_msg == 0:
+        plan = _stage_plan(stage.tobytes(), node_key)
+        if plan is None:
             # A stage with receivers but no senders cannot occur in a valid
             # pattern; a fully empty stage just costs nothing.
             continue
-        payload = stage_payload_matrix(payload_bytes, s_idx, p)
+        src, dst = plan.src, plan.dst
+        participants, senders = plan.participants, plan.senders
+        receivers = plan.receivers
+        n_msg = src.size
+        latency = truth.latency[src, dst]
+        transit = latency
+        if payload_bytes is not None:
+            payload = stage_payload_matrix(payload_bytes, s_idx, p)
+            transit = (
+                latency + payload[src, dst] * truth.inv_bandwidth[src, dst]
+            )
         # Entry snapshot only when a trace/provenance was requested: the
         # untraced hot path must not allocate per-stage (R, P) copies.
         stage_entry = t.copy() if (trace is not None or capture) else None
 
-        out_deg = stage.sum(axis=1)
-        in_deg = stage.sum(axis=0)
-        participants = np.flatnonzero(out_deg + in_deg)
-        senders = np.flatnonzero(out_deg)
-        send_counts = out_deg[senders]
-        receivers = np.flatnonzero(in_deg)
-        offsets = np.concatenate(([0], np.cumsum(send_counts)))
-        sender_of_msg = np.repeat(np.arange(senders.size), send_counts)
-        within = np.arange(n_msg) - offsets[:-1][sender_of_msg]
-
         # --- bulk noise (documented draw order; see module docstring) ----
+        shape = (runs, n_msg)
         inv_vals = _draw(
-            noise, rng, np.full(participants.size, truth.invocation_overhead),
-            runs,
+            noise, rng, truth.invocation_overhead, (runs, participants.size)
         )
-        start_vals = _draw(noise, rng, truth.start_overhead[src, dst], runs)
-        transit_vals = _draw(
-            noise, rng,
-            truth.latency[src, dst] + payload[src, dst]
-            * truth.inv_bandwidth[src, dst],
-            runs,
-        )
-        recv_vals = _draw(
-            noise, rng, np.full(n_msg, truth.recv_overhead), runs
-        )
-        ack_vals = _draw(noise, rng, truth.latency[src, dst], runs)
+        start_vals = _draw(noise, rng, truth.start_overhead[src, dst], shape)
+        transit_vals = _draw(noise, rng, transit, shape)
+        recv_vals = _draw(noise, rng, truth.recv_overhead, shape)
+        ack_vals = _draw(noise, rng, latency, shape)
 
         # 1. Initiation: departure cursors are per-sender cumulative sums
         # seeded with entry + invocation overhead; padding with zeros keeps
@@ -391,39 +515,33 @@ def _simulate_stages_batch(
         busy_end = t.copy()
         after_inv = t[:, participants] + inv_vals
         busy_end[:, participants] = after_inv
-        sender_pos = np.searchsorted(participants, senders)
-        pad = np.zeros((runs, senders.size, int(send_counts.max()) + 1))
-        pad[:, :, 0] = after_inv[:, sender_pos]
-        pad[:, sender_of_msg, within + 1] = start_vals
-        cursors = np.cumsum(pad, axis=2)
-        departs = cursors[:, sender_of_msg, within + 1]
-        busy_end[:, senders] = cursors[:, np.arange(senders.size), send_counts]
+        pad = np.zeros((runs, senders.size, plan.pad_width))
+        pad[:, :, 0] = after_inv[:, plan.sender_pos]
+        flat = pad.reshape(runs, -1)
+        flat[:, plan.start_slots] = start_vals
+        cursors = np.cumsum(flat.reshape(pad.shape), axis=2).reshape(runs, -1)
+        departs = cursors[:, plan.start_slots]
+        busy_end[:, senders] = cursors[:, plan.last_slots]
 
         # 2./3. NIC FIFOs and wire transit: remote messages queue at the
         # source node's transmit NIC in departure order and at the
         # destination node's receive NIC in arrival order.  Each FIFO
         # chain is sequential only within its node, so the scans walk node
         # slots, every node and replication at once.
-        msg_remote = remote[src, dst]
-        src_nodes = nodes[src]
-        dst_nodes = nodes[dst]
-        tx = np.flatnonzero(msg_remote)
         wire, tx_fifo = departs, None
-        if tx.size:
-            wire, tx_fifo = _nic_scan(
-                departs, tx, src_nodes[tx], truth.nic_gap
-            )
+        if plan.tx.size:
+            wire, tx_fifo = _nic_scan(departs, plan.tx_fifo, truth.nic_gap)
         arrivals = wire + transit_vals
         deliver, rx_fifo = arrivals, None
-        if tx.size:
+        if plan.tx.size:
             deliver, rx_fifo = _nic_scan(
-                arrivals, tx, dst_nodes[tx], truth.nic_gap
+                arrivals, plan.rx_fifo, truth.nic_gap
             )
 
         # 4./5. Consumption and acknowledgement: each receiver handles its
         # messages in arrival order, starting at its own initiation end;
         # the scan walks receiver slots.
-        recv_fifo = _fifo_slots(arrivals, np.arange(n_msg), dst)
+        recv_fifo = _fifo_slots(arrivals, plan.recv_fifo)
         order, slots, dest = recv_fifo
         lay = deliver[rows[:, None, None], slots]
         recv_lay = recv_vals[rows[:, None, None], slots]
@@ -439,15 +557,13 @@ def _simulate_stages_batch(
 
         # Stage exit: Waitall returns when sends are acked and receives
         # consumed — grouped maxima over the fixed message order;
-        # non-participants pass through untouched.
-        new_t = t.copy()
-        new_t[:, participants] = busy_end[:, participants]
-        ack_max = np.maximum.reduceat(acks, offsets[:-1], axis=1)
+        # non-participants pass through untouched, as they do in
+        # ``busy_end``.
+        new_t = busy_end.copy()
+        ack_max = np.maximum.reduceat(acks, plan.offsets[:-1], axis=1)
         new_t[:, senders] = np.maximum(new_t[:, senders], ack_max)
-        recv_perm = np.argsort(dst, kind="stable")  # group by receiver
-        recv_offsets = np.cumsum(in_deg[receivers]) - in_deg[receivers]
         cons_max = np.maximum.reduceat(
-            handles[:, recv_perm], recv_offsets, axis=1
+            handles[:, plan.recv_perm], plan.recv_offsets, axis=1
         )
         new_t[:, receivers] = np.maximum(new_t[:, receivers], cons_max)
         t = new_t
@@ -459,11 +575,11 @@ def _simulate_stages_batch(
                     dst=dst,
                     participants=participants,
                     senders=senders,
-                    sender_of_msg=sender_of_msg,
-                    offsets=offsets,
-                    msg_remote=msg_remote,
-                    src_nodes=src_nodes,
-                    dst_nodes=dst_nodes,
+                    sender_of_msg=plan.sender_of_msg,
+                    offsets=plan.offsets,
+                    msg_remote=plan.msg_remote,
+                    src_nodes=plan.src_nodes,
+                    dst_nodes=plan.dst_nodes,
                     entry=stage_entry,
                     after_inv=after_inv,
                     departs=departs,

@@ -111,3 +111,23 @@ class TestSampleMatrix:
         base = np.array([1e-6, 5e-4])
         out = QUIET.sample_matrix(np.random.default_rng(4), base, 3)
         np.testing.assert_array_equal(out, np.broadcast_to(base, (3, 2)))
+
+    @pytest.mark.parametrize("bad", [-1e-9, np.nan])
+    def test_negative_or_nan_base_rejected(self, bad):
+        base = np.array([1e-6, bad])
+        with pytest.raises(ValueError, match="non-negative"):
+            NoiseModel().sample_matrix(np.random.default_rng(5), base, 3)
+
+    def test_kernel_matches_broadcast_sample_bitwise(self):
+        """The unbroadcast kernel draws exactly what sample() draws on
+        the materialised (R, *S) base — spike branch included."""
+        model = NoiseModel(outlier_prob=0.5)
+        base = np.array([[1e-6, 2e-6, 0.0], [3e-6, 4e-3, 5e-6]])
+        a = model.sample_matrix(np.random.default_rng(6), base, 4)
+        b = model.sample(
+            np.random.default_rng(6), np.broadcast_to(base, (4, *base.shape))
+        )
+        assert a.tobytes() == b.tobytes()
+        c = model.perturb(np.random.default_rng(6), 2e-6, (4, 3))
+        d = model.sample(np.random.default_rng(6), np.full((4, 3), 2e-6))
+        assert c.tobytes() == d.tobytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import presets
 from repro.cluster.topology import Placement, Relation, Topology
 
 
@@ -143,3 +144,23 @@ class TestPlacementValidation:
         pl = Placement.block(xeon, 4)
         with pytest.raises(ValueError):
             pl.core_of(4)
+
+
+class TestPlacementNodeMaps:
+    @pytest.mark.parametrize("name", presets.preset_names())
+    @pytest.mark.parametrize("policy", ["round_robin", "block"])
+    def test_maps_match_per_rank_calls(self, name, policy):
+        topo = presets.get_preset(name).topology()
+        for nprocs in sorted({1, 2, topo.total_cores // 2 + 1, topo.total_cores}):
+            pl = getattr(Placement, policy)(topo, nprocs)
+            assert pl.nodes.tolist() == [pl.node_of(r) for r in range(nprocs)]
+            assert pl.sockets.tolist() == [
+                topo.socket_of(pl.core_of(r)) for r in range(nprocs)
+            ]
+
+    def test_maps_read_only(self, xeon):
+        pl = Placement.round_robin(xeon, 12)
+        for array in (pl.nodes, pl.sockets):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 5

@@ -7,7 +7,7 @@ from repro.cluster import presets
 from repro.cluster.noise import NoiseModel
 from repro.cluster.topology import Relation
 from repro.kernels.numeric import DAXPY
-from repro.machine.simmachine import SimMachine
+from repro.machine.simmachine import CommTruth, SimMachine
 
 
 @pytest.fixture
@@ -53,6 +53,54 @@ class TestCommTruth:
         remote = machine.params.links[Relation.REMOTE].latency
         assert truth.latency[0, 1] == remote  # odd neighbour: other node
         assert truth.latency[0, 2] < remote  # even neighbour: same node
+
+
+class TestCommTruthValidation:
+    """Durations are checked once, when the truth is built; the engine
+    draws noise around them without re-checking."""
+
+    def _fields(self, machine, **changes):
+        truth = machine.comm_truth(machine.placement(4))
+        fields = {
+            "placement": truth.placement,
+            "latency": truth.latency.copy(),
+            "start_overhead": truth.start_overhead.copy(),
+            "inv_bandwidth": truth.inv_bandwidth.copy(),
+            "nic_gap": truth.nic_gap,
+            "recv_overhead": truth.recv_overhead,
+            "invocation_overhead": truth.invocation_overhead,
+        }
+        fields.update(changes)
+        return fields
+
+    @pytest.mark.parametrize(
+        "name", ["latency", "start_overhead", "inv_bandwidth"]
+    )
+    @pytest.mark.parametrize("bad", [-1e-9, np.nan, np.inf])
+    def test_bad_matrix_rejected(self, machine, name, bad):
+        fields = self._fields(machine)
+        fields[name][1, 2] = bad
+        with pytest.raises(ValueError, match=name):
+            CommTruth(**fields)
+
+    def test_wrong_shape_rejected(self, machine):
+        with pytest.raises(ValueError, match="latency"):
+            CommTruth(**self._fields(machine, latency=np.zeros((3, 3))))
+
+    @pytest.mark.parametrize(
+        "name", ["nic_gap", "recv_overhead", "invocation_overhead"]
+    )
+    @pytest.mark.parametrize("bad", [-1e-9, np.nan])
+    def test_bad_scalar_rejected(self, machine, name, bad):
+        with pytest.raises(ValueError, match=name):
+            CommTruth(**self._fields(machine, **{name: bad}))
+
+    def test_matrices_read_only(self, machine):
+        truth = machine.comm_truth(machine.placement(4))
+        for matrix in (truth.latency, truth.start_overhead, truth.inv_bandwidth):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 1] = -1.0
 
 
 class TestKernelTime:

@@ -161,6 +161,41 @@ class TestPayloadSpec:
         with pytest.raises(ValueError):
             stage_payload_matrix([np.ones((3, 3))], 0, 2)
 
+    @pytest.mark.parametrize("bad", [-1e6, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            lambda bad: bad,
+            lambda bad: [1.0, bad],
+            lambda bad: [np.ones((2, 2)), np.array([[0.0, bad], [1.0, 0.0]])],
+        ],
+        ids=["scalar", "per-stage-scalar", "per-stage-matrix"],
+    )
+    def test_negative_or_non_finite_rejected(self, spec, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            stage_payload_matrix(spec(bad), 1, 2)
+
+
+class TestBadPayloadRejected:
+    """A negative or non-finite payload fails on the clean and the noisy
+    path alike, before any event time is computed."""
+
+    @pytest.mark.parametrize("bad", [-1e6, np.nan])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_engine_rejects(self, bad, noisy):
+        machine = SimMachine(
+            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=3
+        )
+        truth = machine.comm_truth(machine.placement(4))
+        stage = np.zeros((4, 4), dtype=bool)
+        stage[0, 1] = True
+        kwargs = (
+            {"rng": machine.rng("bad-payload"), "noise": machine.noise}
+            if noisy else {}
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_stages(truth, [stage], payload_bytes=bad, **kwargs)
+
 
 class TestValidationErrors:
     def test_wrong_stage_shape(self, machine):
