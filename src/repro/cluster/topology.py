@@ -61,12 +61,21 @@ class Topology:
 
     def node_of(self, core: int) -> int:
         self._check_core(core)
-        return core // self.cores_per_node
+        return self._node_index(core)
 
     def socket_of(self, core: int) -> int:
         """Global socket index of a core."""
         self._check_core(core)
-        node, within = divmod(core, self.cores_per_node)
+        return self._socket_index(core)
+
+    def _node_index(self, cores):
+        """Node of each core: unchecked, so ``cores`` may be an array."""
+        return cores // self.cores_per_node
+
+    def _socket_index(self, cores):
+        """Global socket index of each core, unchecked like
+        :meth:`_node_index`."""
+        node, within = divmod(cores, self.cores_per_node)
         return node * self.sockets_per_node + within // self.cores_per_socket
 
     def relation(self, a: int, b: int) -> Relation:
@@ -103,39 +112,40 @@ class Placement:
     a rank owns its core for the duration of a run (the thesis pins affinity
     precisely to keep pairwise costs reproducible, §5.2).  ``nodes[r]`` and
     ``sockets[r]`` are rank ``r``'s node and global socket index, computed
-    once here and read-only, so hot paths index them instead of calling
-    :meth:`node_of` per rank.
+    once here, so hot paths index them instead of calling :meth:`node_of`
+    per rank.  All three arrays are read-only, so they cannot fall out of
+    step.
     """
 
     def __init__(self, topology: Topology, cores):
         self.topology = topology
-        cores = np.asarray(cores, dtype=np.int64)
+        cores = np.array(cores, dtype=np.int64)  # a copy we may freeze
         if cores.ndim != 1 or cores.size == 0:
             raise ValueError("placement needs a non-empty 1-D core list")
         if np.unique(cores).size != cores.size:
             raise ValueError("placement maps two ranks to one core")
         if cores.min() < 0 or cores.max() >= topology.total_cores:
             raise ValueError("placement references cores outside the topology")
-        self.cores = cores
-        node, within = np.divmod(cores, topology.cores_per_node)
-        self.nodes = _frozen(node.astype(np.intp))
-        self.sockets = _frozen(
-            node * topology.sockets_per_node
-            + within // topology.cores_per_socket
-        )
+        self.cores = _frozen(cores)
+        self.nodes = _frozen(topology._node_index(cores).astype(np.intp))
+        self.sockets = _frozen(topology._socket_index(cores))
 
     @property
     def nprocs(self) -> int:
         return int(self.cores.size)
 
     def core_of(self, rank: int) -> int:
-        require_int(rank, "rank")
-        if not 0 <= rank < self.nprocs:
-            raise ValueError(f"rank {rank} out of range for P={self.nprocs}")
+        self._check_rank(rank)
         return int(self.cores[rank])
 
     def node_of(self, rank: int) -> int:
-        return self.topology.node_of(self.core_of(rank))
+        self._check_rank(rank)
+        return int(self.nodes[rank])
+
+    def _check_rank(self, rank: int) -> None:
+        require_int(rank, "rank")
+        if not 0 <= rank < self.nprocs:
+            raise ValueError(f"rank {rank} out of range for P={self.nprocs}")
 
     def relation(self, a: int, b: int) -> Relation:
         return self.topology.relation(self.core_of(a), self.core_of(b))

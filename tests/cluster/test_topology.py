@@ -153,6 +153,9 @@ class TestPlacementNodeMaps:
         topo = presets.get_preset(name).topology()
         for nprocs in sorted({1, 2, topo.total_cores // 2 + 1, topo.total_cores}):
             pl = getattr(Placement, policy)(topo, nprocs)
+            assert pl.nodes.tolist() == [
+                topo.node_of(pl.core_of(r)) for r in range(nprocs)
+            ]
             assert pl.nodes.tolist() == [pl.node_of(r) for r in range(nprocs)]
             assert pl.sockets.tolist() == [
                 topo.socket_of(pl.core_of(r)) for r in range(nprocs)
@@ -160,7 +163,13 @@ class TestPlacementNodeMaps:
 
     def test_maps_read_only(self, xeon):
         pl = Placement.round_robin(xeon, 12)
-        for array in (pl.nodes, pl.sockets):
+        for array in (pl.cores, pl.nodes, pl.sockets):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 5
+
+    def test_callers_cores_stay_writable(self, xeon):
+        cores = np.arange(4, dtype=np.int64)
+        Placement(xeon, cores)
+        cores[0] = 9
+        assert cores[0] == 9
