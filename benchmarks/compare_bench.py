@@ -5,7 +5,7 @@ CI runs the perf smoke against the committed artifact::
     python benchmarks/compare_bench.py BASELINE.json FRESH.json \
         --threshold 0.25
 
-Only *ratio* metrics are compared — ``speedup``, ``structural_speedup``,
+Only *ratio* metrics are compared — ``speedup`` and
 ``points_per_s_cold`` (higher is better) and ``overhead_pct`` (lower is
 better, compared in absolute percentage points).  Absolute wall-clock
 seconds are machine-dependent and say nothing across runner generations;
@@ -25,7 +25,7 @@ import json
 import sys
 
 #: case-key metrics where larger is better; regression = relative drop.
-HIGHER_IS_BETTER = ("speedup", "structural_speedup", "points_per_s_cold")
+HIGHER_IS_BETTER = ("speedup", "points_per_s_cold")
 
 #: metrics in percent where smaller is better; regression = absolute
 #: growth in percentage points (relative comparison is unstable near 0).

@@ -146,15 +146,16 @@ class BSPContext:
             length=int(src.shape[0]),
             sequence=self._state.next_seq(),
         )
-        self._state.puts.append(
+        self._state.ops.append((
+            "put",
             PutRecord(
                 header=header,
                 dest_pid=pid,
                 payload=None if high_performance else src.copy(),
                 source_view=src if high_performance else None,
                 commit_time=commit,
-            )
-        )
+            ),
+        ))
 
     def put(self, pid: int, src: np.ndarray, dst: np.ndarray, offset: int = 0) -> None:
         """bsp_put: buffered remote write.  ``src`` is safe to reuse
@@ -191,7 +192,8 @@ class BSPContext:
             length=nelems,
             sequence=self._state.next_seq(),
         )
-        self._state.gets.append(
+        self._state.ops.append((
+            "get",
             GetRecord(
                 header=header,
                 requester_pid=self._pid,
@@ -200,8 +202,8 @@ class BSPContext:
                 dest_offset=dst_offset,
                 commit_time=commit,
                 high_performance=high_performance,
-            )
-        )
+            ),
+        ))
 
     def get(self, pid: int, src: np.ndarray, offset: int, dst: np.ndarray,
             nelems: int | None = None, dst_offset: int = 0) -> None:
@@ -252,15 +254,16 @@ class BSPContext:
             length=len(payload),
             sequence=self._state.next_seq(),
         )
-        self._state.sends.append(
+        self._state.ops.append((
+            "send",
             SendRecord(
                 header=header,
                 dest_pid=pid,
                 tag=tag,
                 payload=payload,
                 commit_time=commit,
-            )
-        )
+            ),
+        ))
 
     def qsize(self) -> tuple[int, int]:
         """bsp_qsize: (number of queued messages, total payload bytes)."""

@@ -79,7 +79,9 @@ class GetRecord:
 
     @property
     def nbytes(self) -> int:
-        return int(self.header.length)
+        """Reply payload: ``header.length`` counts elements of the
+        destination array."""
+        return int(self.header.length) * self.dest_array.itemsize
 
 
 @dataclass

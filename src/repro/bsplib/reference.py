@@ -4,17 +4,15 @@ This is the per-message scheduler the runtime ran before its
 replication axis became the only path, kept as the behavioural oracle
 for :meth:`repro.bsplib.runtime.BSPRuntime._resolve_transfers` — the
 role :mod:`repro.simmpi.reference` plays for the event engine.  It
-schedules one replication of one superstep from scratch: no plan cache,
-a fresh endpoint/transit build per call, and plain Python loops.  The
-contract, enforced by ``tests/bsplib/test_runtime_batch.py`` and
-``tests/bsplib/test_plan_cache.py``:
+schedules one replication of one superstep in plain Python loops.  The
+contract, enforced by ``tests/bsplib/test_runtime_batch.py``:
 
 * **clean path**: every replication of a run's arrivals and
   ``last_arrival`` is *bit-identical* to this scheduler fed that
   replication's commit times and entry times;
 * **pre-drawn transits** (``transits=...``, canonical order): given the
   transits a noisy run drew, arrivals are again bit-identical — which
-  checks the cached plan's wire costs, masks and FIFO order on the noisy
+  checks the runtime's wire costs, masks and FIFO order on the noisy
   path;
 * **noisy path**: drawing its own transits, the oracle consumes the
   stream in *processing* order (``(commit_time, pid, sequence)``, as the

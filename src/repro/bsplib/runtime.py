@@ -57,22 +57,6 @@ The scalar per-message scheduler survives only as the test oracle
 (hypothesis-tested); noisy ensembles agree distributionally (KS-checked),
 since the oracle draws transits in processing rather than canonical
 order.
-
-Transfer-plan cache
--------------------
-A BSP program's transfer *schedule* is deterministic: which process puts
-how many bytes where is fixed by the program, and only commit times and
-noise vary across supersteps and replications.  Repeated-schedule
-programs (the stencil family's iteration supersteps being the canonical
-case) therefore re-derive the same structural plan every superstep.  The
-runtime caches that plan — canonical ``(pid, sequence)`` record order,
-endpoint/byte arrays, clean wire-transit bases, NIC wire costs, and the
-remote masks the stable-argsort FIFO skeleton runs over — keyed by the
-superstep's per-process ``(kind, destination, nbytes)`` record structure.
-Replays are bit-identical to the oracle's fresh per-superstep build (the
-cache stores only deterministic quantities and changes no draw order),
-enforced by ``tests/bsplib/test_plan_cache.py``.  See
-``docs/engine.md``, "Transfer-plan cache".
 """
 
 from __future__ import annotations
@@ -124,35 +108,6 @@ def _transfer_endpoints(kind: str, rec) -> tuple[int, int, int]:
 def _reply_endpoints(rec: GetRecord) -> tuple[int, int, int]:
     """Wire (source, destination, bytes) of one pass-2 get reply."""
     return rec.target_pid, rec.requester_pid, rec.nbytes + HEADER_BYTES
-
-
-@dataclass(frozen=True)
-class _TransferPlan:
-    """The deterministic skeleton of one superstep's transfer schedule.
-
-    Everything here is a pure function of the superstep's record
-    *structure* (who sends what where) and the runtime's fixed ground
-    truth — commit times and noise are the only quantities that vary
-    across supersteps/replications, and they stay outside the plan.
-    Arrays are in canonical ``(pid, sequence)`` order; pass 2 covers the
-    get replies in the canonical order of their requesting gets.
-    """
-
-    src1: np.ndarray  # pass-1 wire sources (intp)
-    dst1: np.ndarray  # pass-1 wire destinations (intp)
-    base1: np.ndarray  # clean wire transits: latency + bytes/bandwidth
-    wire1: np.ndarray  # transmit-NIC occupancy: bytes/bandwidth
-    node_src1: np.ndarray  # source node per message
-    remote1: np.ndarray  # bool: crosses a node boundary
-    is_get: np.ndarray  # bool: pass-1 record is a get request header
-    src2: np.ndarray  # pass-2 (get reply) counterparts of the above
-    dst2: np.ndarray
-    base2: np.ndarray
-    wire2: np.ndarray
-    node_src2: np.ndarray
-    remote2: np.ndarray
-    messages: int  # total wire messages (pass 1 + pass 2)
-    payload_total: int  # total wire bytes (pass 1 + pass 2)
 
 
 @dataclass
@@ -218,9 +173,10 @@ class _ProcessState:
         self.clock = BatchClock(runs)
         self.rng = rng
         self.regs = RegistrationTable()
-        self.puts: list[PutRecord] = []
-        self.gets: list[GetRecord] = []
-        self.sends: list[SendRecord] = []
+        # This superstep's puts, gets and sends as ``(kind, record)``
+        # pairs; each append takes one sequence number, so the log is in
+        # sequence order.
+        self.ops: list[tuple[str, PutRecord | GetRecord | SendRecord]] = []
         self.sequence = 0
         self.compute_accum = 0.0
         self.tag_size = 0
@@ -335,10 +291,6 @@ class BSPRuntime:
         self._sync_payloads = dissemination_payloads(nprocs)
         self._nodes = self.placement.nodes
         self._n_nodes = int(self._nodes.max()) + 1
-        # superstep shape -> _TransferPlan; the schedule of a repeated-
-        # schedule program is deterministic, so one structural build per
-        # distinct shape serves every later superstep and replication.
-        self._plan_cache: dict = {}
         # Event provenance (repro.obs.provenance) is strictly opt-in:
         # recording stores the arrays the schedulers compute anyway plus
         # FIFO predecessor links, draws no randomness, and never changes
@@ -447,19 +399,13 @@ class BSPRuntime:
 
         ss_prov: SuperstepProvenance | None = None
         if self.provenance is not None:
-            prev = (
-                self._records[-1].exit_times
-                if self._records
-                else np.zeros_like(entries)
-            )
-            ss_prov = SuperstepProvenance(
-                index=self._superstep, prev_exit=prev, entries=entries
-            )
+            ss_prov = SuperstepProvenance(index=self._superstep, entries=entries)
             self.provenance.supersteps.append(ss_prov)
 
+        ordered = self._canonical_outbound()
         if self.nprocs > 1:
             last_arrival, messages, payload_total = self._resolve_transfers(
-                entries, ss_prov
+                entries, ordered, ss_prov
             )
             sync_prov = None if ss_prov is None else EngineProvenance()
             sync_exit = simulate_stages_batch(
@@ -480,10 +426,8 @@ class BSPRuntime:
 
         exits = np.maximum(sync_exit, last_arrival)
         if ss_prov is not None:
-            ss_prov.sync_exit = sync_exit
-            ss_prov.last_arrival = last_arrival
             ss_prov.exits = exits
-        self._apply_data()
+        self._apply_data(ordered)
         compute = np.empty_like(entries)
         for pid, state in enumerate(states):
             state.clock.advance_to(exits[:, pid])
@@ -502,9 +446,7 @@ class BSPRuntime:
         self._superstep += 1
         for state in states:
             state.compute_accum = 0.0
-            state.puts.clear()
-            state.gets.clear()
-            state.sends.clear()
+            state.ops.clear()
 
     def _commit_registrations(self) -> None:
         push_counts = {state.regs.pending_pushes for state in self.states}
@@ -538,74 +480,17 @@ class BSPRuntime:
 
     # ----------------------------------------------------------- transfers
 
-    def _canonical_outbound(self):
-        """Enumerate the superstep's outbound records in canonical
-        ``(pid, sequence)`` order, plus the structural cache key.
+    def _canonical_outbound(self) -> list[tuple[str, object]]:
+        """The superstep's outbound ``(kind, record)`` pairs in canonical
+        ``(pid, sequence)`` order: the per-pid concatenation of the op
+        logs, each already in sequence order."""
+        return [op for state in self.states for op in state.ops]
 
-        The key strips sequence numbers (they keep counting across
-        supersteps) and keeps the per-process ``(kind, destination,
-        nbytes)`` shape — exactly the inputs :class:`_TransferPlan` is a
-        function of; a ``None`` marker separates processes.
-        """
-        ordered: list[tuple[str, object]] = []
-        key: list = []
-        for state in self.states:
-            items = (
-                [(rec.header.sequence, "put", rec.dest_pid, rec)
-                 for rec in state.puts]
-                + [(rec.header.sequence, "send", rec.dest_pid, rec)
-                   for rec in state.sends]
-                + [(rec.header.sequence, "get", rec.target_pid, rec)
-                   for rec in state.gets]
-            )
-            items.sort(key=lambda item: item[0])  # sequences unique per pid
-            for _seq, kind, dst, rec in items:
-                ordered.append((kind, rec))
-                key.append((kind, dst, rec.nbytes))
-            key.append(None)
-        return ordered, tuple(key)
-
-    def _build_transfer_plan(self, ordered) -> _TransferPlan:
-        truth = self.truth
-        nodes = self._nodes
-
-        def pass_arrays(endpoints):
-            src = np.array([e[0] for e in endpoints], dtype=np.intp)
-            dst = np.array([e[1] for e in endpoints], dtype=np.intp)
-            nbytes = np.array([e[2] for e in endpoints], dtype=float)
-            wire = nbytes * truth.inv_bandwidth[src, dst]
-            base = truth.latency[src, dst] + wire
-            return src, dst, nbytes, base, wire
-
-        ends1 = [_transfer_endpoints(kind, rec) for kind, rec in ordered]
-        src1, dst1, nbytes1, base1, wire1 = pass_arrays(ends1)
-        gets = [rec for kind, rec in ordered if kind == "get"]
-        ends2 = [_reply_endpoints(rec) for rec in gets]
-        src2, dst2, nbytes2, base2, wire2 = pass_arrays(ends2)
-        return _TransferPlan(
-            src1=src1, dst1=dst1, base1=base1, wire1=wire1,
-            node_src1=nodes[src1], remote1=nodes[src1] != nodes[dst1],
-            is_get=np.array([kind == "get" for kind, _ in ordered]),
-            src2=src2, dst2=dst2, base2=base2, wire2=wire2,
-            node_src2=nodes[src2], remote2=nodes[src2] != nodes[dst2],
-            messages=len(ordered) + len(gets),
-            payload_total=int(nbytes1.sum()) + int(nbytes2.sum()),
-        )
-
-    def _transfer_plan(self):
-        """The superstep's canonical records and (cached) plan."""
-        ordered, key = self._canonical_outbound()
-        if not ordered:
-            return None, ordered
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = self._plan_cache[key] = self._build_transfer_plan(ordered)
-        return plan, ordered
-
-    def _resolve_transfers(self, entries: np.ndarray, prov=None):
+    def _resolve_transfers(self, entries: np.ndarray, ordered, prov=None):
         """FIFO-schedule the superstep's transfers over the ground truth.
 
-        ``entries`` is ``(R, P)``; returns ``((R, P) last arrivals,
+        ``entries`` is ``(R, P)`` and ``ordered`` the canonical outbound
+        ``(kind, record)`` list; returns ``((R, P) last arrivals,
         messages, payload bytes)``.  Messages are enumerated in the
         canonical ``(pid, sequence)`` commit order (replication-invariant,
         and the bulk draw order), while each transmit-NIC FIFO processes
@@ -620,10 +505,10 @@ class BSPRuntime:
         the values this scheduler computes anyway and draws no noise.
         """
         truth = self.truth
+        nodes = self._nodes
         runs = self.runs
         last_arrival = entries.copy()
-        plan, ordered = self._transfer_plan()
-        if plan is None:
+        if not ordered:
             return last_arrival, 0, 0
         rows = np.arange(runs)
         tx_free = np.zeros((runs, self._n_nodes))
@@ -636,23 +521,25 @@ class BSPRuntime:
             if capture else None
         )
 
-        def draw_transits(base) -> np.ndarray:
-            """One ``(R, M)`` bulk transit draw in canonical order."""
-            if self._noise is None:
-                return np.broadcast_to(base, (runs, base.size))
-            return self._noise.sample_matrix(self._sync_rng, base, runs)
-
-        def ship_pass(base, wire_all, node_src, remote_mask, ready,
-                      order_key, base_gid):
-            """FIFO-schedule one pass; returns ``(arrivals, transits,
-            wire_entry, tx_pred)`` — ``tx_pred`` is ``None`` unless
-            capturing.
+        def ship_pass(endpoints, ready, order_key, base_gid):
+            """FIFO-schedule one pass of ``(source, destination, bytes)``
+            wire endpoints; returns ``(dst, arrivals, pass provenance)``,
+            the provenance ``None`` unless capturing.
 
             ``order_key`` is the per-replication processing order of the
             shared transmit NICs (commit times in pass 1, request-header
             arrivals in pass 2).
             """
-            transits = draw_transits(base)
+            src, dst, nbytes = np.array(endpoints, dtype=np.intp).T
+            wire_all = nbytes * truth.inv_bandwidth[src, dst]
+            node_src = nodes[src]
+            remote_mask = node_src != nodes[dst]
+            # One (R, M) bulk transit draw in canonical order.
+            base = truth.latency[src, dst] + wire_all
+            if self._noise is None:
+                transits = np.broadcast_to(base, (runs, base.size))
+            else:
+                transits = self._noise.sample_matrix(self._sync_rng, base, runs)
             wire_entries = ready.copy()
             txp = np.full(ready.shape, -1, dtype=np.intp) if capture else None
             remote = np.flatnonzero(remote_mask)
@@ -682,82 +569,88 @@ class BSPRuntime:
                         tx_last[rows, node] = base_gid + g
                 wire_entries[rows[:, None], g_sorted] = entry_sorted
             arrivals = wire_entries + transits + truth.recv_overhead
-            return arrivals, transits, wire_entries, txp
+            pass_prov = None
+            if capture:
+                pass_prov = TransferPassProvenance(
+                    src=src, dst=dst, remote=remote_mask, node_src=node_src,
+                    wire_cost=wire_all, ready=ready, wire_entry=wire_entries,
+                    tx_pred=txp,
+                    transits=np.array(transits, dtype=float, copy=True),
+                    arrivals=arrivals,
+                )
+            return dst, arrivals, pass_prov
 
         def fold_arrivals(dst, arrivals) -> None:
             """Max arrivals into ``last_arrival`` per destination (the max
             is order-independent)."""
             np.maximum.at(last_arrival, (rows[:, None], dst), arrivals)
 
+        ends1 = [_transfer_endpoints(kind, rec) for kind, rec in ordered]
+        is_get = np.array([kind == "get" for kind, _ in ordered])
         ready1 = np.stack([rec.commit_time for _, rec in ordered], axis=-1)
-        arrivals1, transits1, we1, txp1 = ship_pass(
-            plan.base1, plan.wire1, plan.node_src1, plan.remote1, ready1,
-            order_key=ready1, base_gid=0,
+        dst1, arrivals1, pass1 = ship_pass(
+            ends1, ready1, order_key=ready1, base_gid=0
         )
-        payload = ~plan.is_get
-        fold_arrivals(plan.dst1[payload], arrivals1[:, payload])
+        payload = ~is_get
+        fold_arrivals(dst1[payload], arrivals1[:, payload])
         if capture:
-            prov.pass1 = TransferPassProvenance(
-                src=plan.src1, dst=plan.dst1, remote=plan.remote1,
-                node_src=plan.node_src1, wire_cost=plan.wire1,
-                ready=ready1, wire_entry=we1, tx_pred=txp1,
-                transits=np.array(transits1, dtype=float, copy=True),
-                arrivals=arrivals1,
-            )
-            prov.is_get = plan.is_get
+            prov.pass1 = pass1
+            prov.is_get = is_get
 
-        if plan.src2.size:
+        ends2 = [_reply_endpoints(rec) for kind, rec in ordered if kind == "get"]
+        if ends2:
             # Pass 2: replies leave once the owner has both received the
             # request header and finished its superstep computation (§6.2:
             # the value transferred is the one at the end of the step);
             # the owner's NIC serves replies in request-arrival order.
-            request_arrivals = arrivals1[:, plan.is_get]
-            ready2 = np.maximum(request_arrivals, entries[:, plan.src2])
-            arrivals2, transits2, we2, txp2 = ship_pass(
-                plan.base2, plan.wire2, plan.node_src2, plan.remote2, ready2,
-                order_key=request_arrivals, base_gid=int(plan.src1.size),
+            request_arrivals = arrivals1[:, is_get]
+            owners = np.array([e[0] for e in ends2], dtype=np.intp)
+            ready2 = np.maximum(request_arrivals, entries[:, owners])
+            dst2, arrivals2, pass2 = ship_pass(
+                ends2, ready2, order_key=request_arrivals,
+                base_gid=len(ends1),
             )
-            fold_arrivals(plan.dst2, arrivals2)
+            fold_arrivals(dst2, arrivals2)
             if capture:
-                prov.pass2 = TransferPassProvenance(
-                    src=plan.src2, dst=plan.dst2, remote=plan.remote2,
-                    node_src=plan.node_src2, wire_cost=plan.wire2,
-                    ready=ready2, wire_entry=we2, tx_pred=txp2,
-                    transits=np.array(transits2, dtype=float, copy=True),
-                    arrivals=arrivals2,
-                )
-        return last_arrival, plan.messages, plan.payload_total
+                prov.pass2 = pass2
+        messages = len(ends1) + len(ends2)
+        payload_total = sum(e[2] for e in ends1) + sum(e[2] for e in ends2)
+        return last_arrival, messages, payload_total
 
     # ------------------------------------------------------- data movement
 
-    def _apply_data(self) -> None:
+    def _apply_data(self, ordered) -> None:
         # Gets first: they read source values from the end of the computing
         # phase, before any put lands (BSPlib ordering).
         get_values = []
-        for state in self.states:
-            for rec in sorted(state.gets, key=lambda r: r.header.sequence):
-                source = self.states[rec.target_pid].regs.array_at(
-                    rec.header.reg_index
+        for kind, rec in ordered:
+            if kind != "get":
+                continue
+            source = self.states[rec.target_pid].regs.array_at(
+                rec.header.reg_index
+            )
+            start, length = rec.header.offset, rec.header.length
+            if start + length > source.shape[0]:
+                raise CommunicationError(
+                    f"get overruns registered buffer on process "
+                    f"{rec.target_pid}: offset {start} + {length} > "
+                    f"{source.shape[0]}"
                 )
-                length = rec.dest_array[
-                    rec.dest_offset : rec.dest_offset + rec.header.length
-                ].shape[0]
-                start = rec.header.offset
-                value = source[start : start + length].copy()
-                get_values.append((rec, value))
+            get_values.append((rec, source[start : start + length].copy()))
 
-        for state in self.states:
-            for rec in sorted(state.puts, key=lambda r: r.header.sequence):
-                dest = self.states[rec.dest_pid].regs.array_at(rec.header.reg_index)
-                data = rec.payload if rec.payload is not None else rec.source_view
-                start = rec.header.offset
-                if start + data.shape[0] > dest.shape[0]:
-                    raise CommunicationError(
-                        f"put overruns registered buffer on process "
-                        f"{rec.dest_pid}: offset {start} + {data.shape[0]} > "
-                        f"{dest.shape[0]}"
-                    )
-                dest[start : start + data.shape[0]] = data
+        for kind, rec in ordered:
+            if kind != "put":
+                continue
+            dest = self.states[rec.dest_pid].regs.array_at(rec.header.reg_index)
+            data = rec.payload if rec.payload is not None else rec.source_view
+            start = rec.header.offset
+            if start + data.shape[0] > dest.shape[0]:
+                raise CommunicationError(
+                    f"put overruns registered buffer on process "
+                    f"{rec.dest_pid}: offset {start} + {data.shape[0]} > "
+                    f"{dest.shape[0]}"
+                )
+            dest[start : start + data.shape[0]] = data
 
         for rec, value in get_values:
             rec.dest_array[
@@ -767,19 +660,15 @@ class BSPRuntime:
         for state in self.states:
             state.incoming = []
             state.move_cursor = 0
-        deliveries = []
-        for state in self.states:
-            for rec in state.sends:
-                deliveries.append(rec)
-        deliveries.sort(key=lambda r: (r.header.source_pid, r.header.sequence))
-        for rec in deliveries:
-            self.states[rec.dest_pid].incoming.append(
-                DeliveredMessage(
-                    source_pid=rec.header.source_pid,
-                    tag=rec.tag,
-                    payload=rec.payload,
+        for kind, rec in ordered:
+            if kind == "send":
+                self.states[rec.dest_pid].incoming.append(
+                    DeliveredMessage(
+                        source_pid=rec.header.source_pid,
+                        tag=rec.tag,
+                        payload=rec.payload,
+                    )
                 )
-            )
 
     # -------------------------------------------------------------- helper
 

@@ -131,14 +131,11 @@ class SuperstepProvenance:
     """
 
     index: int
-    prev_exit: np.ndarray  # (r, P) previous superstep's exits (0 at start)
     entries: np.ndarray  # (r, P) compute-end per process
     pass1: TransferPassProvenance | None = None
     is_get: np.ndarray | None = None  # (M1,) bool: get request header
     pass2: TransferPassProvenance | None = None
     sync: EngineProvenance | None = None  # dissemination sync stages
-    sync_exit: np.ndarray | None = None  # (r, P)
-    last_arrival: np.ndarray | None = None  # (r, P)
     exits: np.ndarray | None = None  # (r, P)
 
 

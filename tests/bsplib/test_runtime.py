@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bsplib import BSPAbort, BSPError, bsp_run
+from repro.bsplib.errors import CommunicationError
+from repro.bsplib.messages import HEADER_BYTES
 from repro.cluster import presets
 from repro.kernels import DAXPY, DOT_PRODUCT
 from repro.machine import SimMachine
@@ -235,6 +237,40 @@ class TestGetSemantics:
 
         with pytest.raises(BSPError, match="overruns"):
             bsp_run(machine, 2, program, label="getover")
+
+    def test_remote_get_overrun_rejected(self, machine):
+        """The local destination fits but the owner's registered buffer
+        does not: the get fails at sync, as an overrunning put does."""
+
+        def program(ctx):
+            mine = np.array([10.0, 11.0])
+            ctx.push_reg(mine)
+            ctx.sync()
+            fetched = np.full(4, -1.0)
+            ctx.get((ctx.pid + 1) % ctx.nprocs, mine, 1, fetched, nelems=4)
+            ctx.sync()
+
+        with pytest.raises(CommunicationError,
+                           match="get overruns registered buffer"):
+            bsp_run(machine, 2, program, label="remote-getover")
+
+    def test_get_reply_priced_in_bytes(self, machine):
+        """A get of k float64 values costs a request header plus a reply
+        of 8k bytes and a header, as a put of the same array would."""
+        nprocs, k = 4, 5
+
+        def program(ctx):
+            mine = np.arange(k, dtype=np.float64)
+            ctx.push_reg(mine)
+            ctx.sync()
+            fetched = np.zeros(k)
+            ctx.get((ctx.pid + 1) % ctx.nprocs, mine, 0, fetched)
+            ctx.sync()
+
+        res = bsp_run(machine, nprocs, program, label="getbytes")
+        data = res.supersteps[1]
+        assert data.messages == 2 * nprocs
+        assert data.payload_bytes == nprocs * (2 * HEADER_BYTES + 8 * k)
 
 
 class TestAbort:

@@ -33,16 +33,16 @@ from repro.obs.provenance import rep_row
 
 class RecordingRuntime(BSPRuntime):
     """A runtime that keeps each superstep's canonical outbound records,
-    the structural input the oracle rebuilds its plan from."""
+    the structural input the oracle schedules from."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, provenance=True, **kwargs)
         self.outbound: dict[int, list] = {}
 
     def _canonical_outbound(self):
-        ordered, key = super()._canonical_outbound()
+        ordered = super()._canonical_outbound()
         self.outbound[self._superstep] = list(ordered)
-        return ordered, key
+        return ordered
 
 
 def run_recorded(machine, nprocs, program, **kwargs):
@@ -198,6 +198,56 @@ class TestCleanBitIdentity:
         assert res.final_times.shape == (1, 4)
         assert res.total_seconds == float(res.final_times.max())
         assert res.run_seconds.shape == (1,)
+
+
+def assert_both_placements_match_oracle(machine, nprocs, program, noisy,
+                                       runs=1):
+    """Under both placements: ``block`` packs processes onto shared nodes,
+    so the transmit-NIC FIFOs see real contention.  Noisy runs are checked
+    against the oracle fed the transits they drew."""
+    for policy in ("round_robin", "block"):
+        runtime, result = run_recorded(
+            machine, nprocs, program, label="pc", noisy=noisy, runs=runs,
+            placement_policy=policy,
+        )
+        assert_matches_oracle(runtime, result, pre_drawn=noisy)
+
+
+class TestOracleBothPlacements:
+    """Skewed compute over repeated supersteps, on the clean path and on
+    the noisy path with pre-drawn transits."""
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_scalar_bit_identity(self, machine, noisy):
+        program = make_program(8, 4, True, True, reps=2, skew=True)
+        assert_both_placements_match_oracle(machine, 6, program, noisy)
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_batch_bit_identity(self, machine, noisy):
+        program = make_program(8, 4, True, True, reps=2, skew=True)
+        assert_both_placements_match_oracle(
+            machine, 6, program, noisy, runs=5
+        )
+
+    def test_mixed_shape_program(self, machine):
+        """Supersteps alternate between two communication shapes."""
+
+        def program(ctx):
+            p, pid = ctx.nprocs, ctx.pid
+            window = np.zeros(64 * p)
+            ctx.push_reg(window)
+            ctx.sync()
+            src = np.arange(16, dtype=float)
+            for step in range(6):
+                ctx.charge_kernel(DAXPY, 512)
+                # Alternate between two shapes: puts-only and puts+gets.
+                ctx.put((pid + 1) % p, src, window, offset=16 * pid)
+                if step % 2:
+                    scratch = np.zeros(8)
+                    ctx.get((pid + 2) % p, window, 0, scratch, nelems=8)
+                ctx.sync()
+
+        assert_both_placements_match_oracle(machine, 4, program, noisy=True)
 
 
 class TestNoisyDistribution:
