@@ -29,10 +29,10 @@ import tokenize
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-#: ``# repro: allow[DET001]`` / ``# repro: allow[DET001,DET004] -- why``.
+#: ``# repro: allow[DET002]`` / ``# repro: allow[DET002,DET004] -- why``.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9_,\s]+)\]")
 
-#: Rule id shape: three letters + three digits (DET001 ... DET007).
+#: Rule id shape: three letters + three digits (DET002 ... DET007).
 _RULE_ID_RE = re.compile(r"^[A-Z]{3}\d{3}$")
 
 
@@ -108,7 +108,7 @@ RULES: dict[str, Rule] = {}
 def register(cls: type) -> type:
     """Class decorator adding one rule instance to :data:`RULES`."""
     if not _RULE_ID_RE.match(getattr(cls, "id", "") or ""):
-        raise ValueError(f"rule {cls!r} needs an id like 'DET001'")
+        raise ValueError(f"rule {cls!r} needs an id like 'DET002'")
     if cls.id in RULES:
         raise ValueError(f"duplicate rule id {cls.id}")
     RULES[cls.id] = cls()

@@ -1,9 +1,8 @@
 """The DET rule pack: the engine's determinism contracts, machine-checked.
 
 Every rule here encodes a contract that already exists in prose
-(``docs/engine.md``, ``docs/observability.md``) or in a dynamic guard
-(the ``error::DeprecationWarning:repro`` pytest filter).  The linter
-makes them hold on *every* path of *every* file, not just the paths a
+(``docs/engine.md``, ``docs/observability.md``).  The linter makes
+them hold on *every* path of *every* file, not just the paths a
 test happens to execute — which is the precondition for dropping in a
 compiled backend or sharding campaigns across hosts without silently
 losing bit-reproducibility.
@@ -44,43 +43,6 @@ def _in_loop(module: Module, node: ast.AST) -> bool:
                 return True
         current = ancestor
     return False
-
-
-@register
-class NoDeprecatedScalarDraws(Rule):
-    """DET001 — no ``sample_scalar`` outside ``*/reference.py``.
-
-    ``NoiseModel.sample_scalar`` boxes every duration through a 0-d
-    array and three scalar RNG calls; the batched engines draw in bulk
-    under the documented draw-order contract (docs/engine.md).  The
-    runtime ``DeprecationWarning`` only fires on executed paths — this
-    rule covers the rest.  Preserved scalar oracles live in
-    ``reference.py`` modules, which are exempt; the deprecated method's
-    own definition (and its internal ``self.sample`` delegation) does
-    not call itself, so the noise model passes untouched.
-    """
-
-    id = "DET001"
-    title = "deprecated scalar noise draw outside a reference oracle"
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        if module.path.replace("\\", "/").endswith("/reference.py"):
-            return
-        if module.name.endswith(".reference"):
-            return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "sample_scalar"
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "sample_scalar is deprecated on hot paths: draw in "
-                    "bulk with NoiseModel.sample / sample_matrix "
-                    "(docs/engine.md draw-order contract)",
-                )
 
 
 #: numpy.random constructors that are fine *when given a seed argument*.
@@ -224,7 +186,7 @@ class NoWallClock(Rule):
 #: RNG draws, store/file writes, telemetry emission, ordered collection.
 _ORDER_SENSITIVE_SINKS = frozenset({
     # draws
-    "sample", "sample_matrix", "sample_scalar", "integers", "normal",
+    "sample", "sample_matrix", "integers", "normal",
     "lognormal", "uniform", "choice", "shuffle", "permutation",
     "standard_normal", "random",
     # stores / files / serialisation

@@ -23,11 +23,13 @@ benchmark:
 or estimator changes; it is part of every key, so stale persisted
 profiles from older code versions can never be served.
 
-Worker processes of the ``process``/``chunked`` executors inherit the
-configured cache through ``fork`` (and through the ``REPRO_PROFILE_CACHE``
-environment variable under ``spawn``); each worker appends fresh profiles
+Worker processes of the ``process``/``chunked`` executors are forked,
+so they inherit the configured cache; each worker appends fresh profiles
 to the same crash-safe :mod:`repro.util.jsonl` log as the result cache,
-so concurrent writers cannot interleave records.
+so concurrent writers cannot interleave records.  Hit/miss counts and
+benchmark time are recorded only as telemetry metrics
+(``profile_cache.hits``/``.misses``, ``profile_cache.benchmark_seconds``),
+which ``explore stats`` sums from the store's sink.
 """
 
 from __future__ import annotations
@@ -46,15 +48,10 @@ from repro.barriers.cost_model import CommParameters
 from repro.cluster.topology import Placement
 from repro.machine.simmachine import SimMachine
 from repro.obs import current as _telemetry
-from repro.util import jsonl
 
 #: Version token baked into every cache key.  Bump when the comm
 #: benchmark's RNG draw order, estimators, or defaults change meaning.
 PROFILE_PROTOCOL = "comm-bench/v2-batched-draws"
-
-#: Environment variable carrying the persistence path into spawn-started
-#: executor workers (fork workers inherit the configured singleton).
-ENV_VAR = "REPRO_PROFILE_CACHE"
 
 
 def _describe(value: Any) -> Any:
@@ -148,75 +145,35 @@ class ProfileCache:
         self._memory: dict[str, CommParameters] = {}
         self._store = None  # lazily-built repro.explore.cache.ResultCache
         self._path: str | None = None
-        self._env_checked = False
         self.hits = 0
         self.misses = 0
-        # Per-run deltas since the last ``flush_run_stats`` — persisted as
-        # one JSONL record per flushing process under the cache directory.
-        self._run_hits = 0
-        self._run_misses = 0
-        self._run_benchmark_s = 0.0
 
     # ------------------------------------------------------- configuration
 
-    def configure(
-        self, path: str | os.PathLike | None, export_env: bool = False
-    ) -> None:
+    def configure(self, path: str | os.PathLike | None) -> None:
         """Attach (or detach, with ``None``) the persistence file.
 
         Existing records are loaded eagerly; the in-process memo survives
         reconfiguration because keys are content-addressed.  Reconfiguring
         to the already-attached path is a no-op (campaigns rebind the
-        singleton per evaluation batch).  With ``export_env`` the path is
-        also published to :data:`ENV_VAR` so spawn-started executor
-        workers pick the same file up; detaching (``path=None``) removes
-        the variable again.
+        singleton per evaluation batch).
         """
         from repro.explore.cache import ResultCache
 
-        self._env_checked = True
         if path is None:
-            self.flush_run_stats()  # attribute pending deltas to the old store
-            self._store = None
-            self._path = None
-            os.environ.pop(ENV_VAR, None)
-            return
-        if os.fspath(path) == self._path:
-            if export_env:
-                os.environ[ENV_VAR] = self._path
-            return
-        if self._path is not None:
-            self.flush_run_stats()  # attribute pending deltas to the old store
-        else:
-            # Store-less deltas belong to no store; don't misattribute
-            # them to the one being attached.
-            self._run_hits = 0
-            self._run_misses = 0
-            self._run_benchmark_s = 0.0
-        self._path = os.fspath(path)
-        self._store = ResultCache(self._path)
-        if export_env:
-            os.environ[ENV_VAR] = self._path
+            self._store = self._path = None
+        elif os.fspath(path) != self._path:
+            self._path = os.fspath(path)
+            self._store = ResultCache(self._path)
 
     @property
     def path(self) -> str | None:
         return self._path
 
-    def _ensure_configured(self) -> None:
-        if self._env_checked:
-            return
-        self._env_checked = True
-        env_path = os.environ.get(ENV_VAR)
-        if env_path:
-            self.configure(env_path)
-
     def clear_memory(self) -> None:
         self._memory.clear()
         self.hits = 0
         self.misses = 0
-        self._run_hits = 0
-        self._run_misses = 0
-        self._run_benchmark_s = 0.0
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -246,7 +203,6 @@ class ProfileCache:
             benchmark_comm,
         )
 
-        self._ensure_configured()
         if request_counts is None:
             request_counts = DEFAULT_REQUEST_COUNTS
         if stream is None:
@@ -261,7 +217,6 @@ class ProfileCache:
         params = self._memory.get(key)
         if params is not None:
             self.hits += 1
-            self._run_hits += 1
             if tele is not None:
                 tele.count("profile_cache.hits")
             if self._store is not None and self._store.get(key) is None:
@@ -278,12 +233,10 @@ class ProfileCache:
                 params = _params_from_record(record)
                 self._memory[key] = params
                 self.hits += 1
-                self._run_hits += 1
                 if tele is not None:
                     tele.count("profile_cache.hits")
                 return params
         self.misses += 1
-        self._run_misses += 1
         if tele is not None:
             tele.count("profile_cache.misses")
         bench_pc0 = time.perf_counter()
@@ -297,7 +250,6 @@ class ProfileCache:
             intercept_max_size=intercept_max_size,
         )
         bench_s = time.perf_counter() - bench_pc0
-        self._run_benchmark_s += bench_s
         if tele is not None:
             tele.observe("profile_cache.benchmark_seconds", bench_s)
             tele.emit_span(
@@ -317,38 +269,6 @@ class ProfileCache:
             self._store.put(key, record)
         return params
 
-    # ----------------------------------------------------------- run stats
-
-    def flush_run_stats(self) -> dict | None:
-        """Persist the hit/miss/benchmark-time deltas accrued since the
-        last flush as one JSONL record next to ``profiles.jsonl``.
-
-        Appends through the same crash-safe log as the profiles themselves
-        (:mod:`repro.util.jsonl`), so executor workers and the campaign
-        parent can flush concurrently.  No-op (returns ``None``) when no
-        persistence is attached or nothing happened since the last flush.
-        """
-        if self._path is None:
-            return None
-        if not (self._run_hits or self._run_misses or self._run_benchmark_s):
-            return None
-        record = {
-            "pid": os.getpid(),
-            "unix_time": time.time(),
-            "hits": self._run_hits,
-            "misses": self._run_misses,
-            "benchmark_s": self._run_benchmark_s,
-        }
-        self._run_hits = 0
-        self._run_misses = 0
-        self._run_benchmark_s = 0.0
-        path = os.path.join(os.path.dirname(self._path), "stats.jsonl")
-        try:
-            jsonl.append(path, [record], site="profile_cache.stats")
-        except OSError:
-            return None  # stats are best-effort; never fail the run
-        return record
-
 
 #: Process-wide singleton used by ``repro.barriers.evaluate`` and the
 #: stencil predictor; campaigns attach persistence to it.
@@ -358,16 +278,3 @@ PROFILE_CACHE = ProfileCache()
 def store_path_for(store_dir: str | os.PathLike) -> str:
     """Canonical persistence path alongside a campaign result store."""
     return os.path.join(os.fspath(store_dir), ".profile-cache", "profiles.jsonl")
-
-
-def stats_path_for(store_dir: str | os.PathLike) -> str:
-    """The per-run cache-stats JSONL next to a store's profile cache."""
-    return os.path.join(os.fspath(store_dir), ".profile-cache", "stats.jsonl")
-
-
-def read_run_stats(store_dir: str | os.PathLike) -> list[dict]:
-    """Every persisted per-run stats record for a store, oldest first.
-
-    Torn lines are quarantined and skipped (:func:`repro.util.jsonl.read`).
-    """
-    return jsonl.read(stats_path_for(store_dir))

@@ -18,7 +18,6 @@ throughout the thesis) are robust here while means are not.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,31 +86,6 @@ class NoiseModel:
                 spikes = rng.uniform(1.0, max(1.0, self.outlier_scale), size=shape)
                 out = out + np.where(hits, spikes * base, 0.0)
         return np.maximum(out, self.floor)
-
-    def sample_scalar(self, rng: np.random.Generator, base: float) -> float:
-        """Perturb one scalar duration.
-
-        .. deprecated::
-            Hot paths (the event engine, benchmarks, charge models) must
-            not call this per value — it boxes every duration through a
-            0-d array and three scalar RNG calls.  Use :meth:`sample` on a
-            whole vector or :meth:`sample_matrix` for a replication batch;
-            this remains only for genuinely scalar one-off draws.
-
-            The warning below is raised with ``stacklevel=2``, so pytest's
-            ``error::DeprecationWarning`` rule scoped to ``repro`` modules
-            turns any *in-repo* caller into a test failure while leaving
-            external one-off users (and the deprecation test itself) on a
-            plain warning.
-        """
-        warnings.warn(
-            "NoiseModel.sample_scalar is deprecated on hot paths: use "
-            "NoiseModel.sample on a whole vector or NoiseModel.sample_matrix "
-            "for a replication batch",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return float(self.sample(rng, np.asarray(base, dtype=float)))
 
 
 def _durations(base) -> np.ndarray:

@@ -12,7 +12,9 @@ points, and re-running is a pure cache read.
 Executor equivalence is a design invariant, not an accident: workers are
 handed ``(experiment name, point dict)`` — plain picklable data — and the
 runner reassembles records in point order, so the serial and parallel
-executors produce bit-identical result sets.
+executors produce bit-identical result sets.  Pool workers are forked:
+they inherit the parent's experiments, profile cache, telemetry context
+and fault plan, and no campaign state passes through the environment.
 """
 
 from __future__ import annotations
@@ -77,16 +79,14 @@ def _evaluate(task: tuple[str, dict]) -> tuple[bool, dict]:
     parallel executor pickles it by reference.
 
     With telemetry on, each task records a ``campaign.point`` span keyed
-    like the result cache and flushes its own event file plus the profile
-    cache's per-run stats — so pool workers stream their spans before the
-    pool tears them down, and the parent merges afterwards.
+    like the result cache and flushes its own event file — so pool
+    workers stream their spans before the pool tears them down, and the
+    parent merges afterwards.
     """
     experiment, params = task
     tele = _telemetry()
     if tele is None:
         return _evaluate_point(experiment, params)
-    from repro.bench.profile_cache import PROFILE_CACHE
-
     with tele.span(
         "campaign.point",
         experiment=experiment,
@@ -96,7 +96,6 @@ def _evaluate(task: tuple[str, dict]) -> tuple[bool, dict]:
         ok, metrics = _evaluate_point(experiment, params)
         span.set("ok", ok)
     tele.flush()
-    PROFILE_CACHE.flush_run_stats()
     return ok, metrics
 
 
@@ -108,12 +107,11 @@ def _evaluate_chunk(chunk: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
 
 
 def _pool_context():
-    """The multiprocessing context of the pool executor: fork where
-    available so experiments registered at runtime (e.g. in tests) exist
-    in the workers; falls back to spawn, under which only importable
-    experiments resolve."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+    """The multiprocessing context of the pool executor: always ``fork``.
+    Workers inherit everything the parent holds — experiments registered
+    at runtime, the profile cache's store, the telemetry sink, the fault
+    plan — so nothing is handed over through the environment."""
+    return multiprocessing.get_context("fork")
 
 
 def _task_keys(tasks: list[tuple[str, dict]]) -> list[str]:
@@ -217,6 +215,9 @@ class PoolExecutor:
         workers = self.workers or min(len(tasks), os.cpu_count() or 1)
         chunks = self._chunks(tasks, workers)
         workers = min(workers, len(chunks))
+        # Resolve a REPRO_FAULTS plan before the pool forks, so every
+        # worker inherits the one plan and its shared firing ledger.
+        current_plan()
         with _observed_map(
             self.name, len(tasks), workers, chunks=len(chunks)
         ) as pre_fork:
@@ -310,11 +311,6 @@ class CampaignStats:
         """Fraction of this run's points served from cache."""
         return self.cached / self.total if self.total else 0.0
 
-    @property
-    def computed_rate(self) -> float:
-        """Fraction of this run's points computed fresh."""
-        return self.evaluated / self.total if self.total else 0.0
-
 
 @dataclass(frozen=True)
 class CampaignOutcome:
@@ -394,9 +390,7 @@ class Campaign:
         if tele is None:
             return self._serve(points)
         if self.store_dir is not None:
-            tele.attach_sink(
-                telemetry_dir_for(self.store_dir), export_env=True
-            )
+            tele.attach_sink(telemetry_dir_for(self.store_dir))
         try:
             with tele.span(
                 "campaign.serve",
@@ -421,31 +415,25 @@ class Campaign:
         if stats.quarantined:
             tele.count("campaign.points.quarantined", stats.quarantined)
         tele.flush()
-        from repro.bench.profile_cache import PROFILE_CACHE
-
-        PROFILE_CACHE.flush_run_stats()
         return records, stats
 
     def _serve(
         self, points: Sequence[DesignPoint]
     ) -> tuple[list[ResultRecord], CampaignStats]:
         # Persist memoized comm profiles alongside the result store so
-        # every campaign (and executor worker — via fork inheritance or
-        # the exported env var under spawn) sharing this store also shares
-        # benchmark profiles.  Rebinding per batch keeps the singleton
-        # pointed at the *active* campaign's store when several stores are
-        # used in one process, and a store-less campaign detaches it so
-        # profiles never land in a stale (possibly deleted) directory.
+        # every campaign (and its forked executor workers) sharing this
+        # store also shares benchmark profiles.  Rebinding per batch keeps
+        # the singleton pointed at the *active* campaign's store when
+        # several stores are used in one process, and a store-less
+        # campaign detaches it so profiles never land in a stale
+        # (possibly deleted) directory.
         # Values are bit-identical with and without the cache, so executor
         # equivalence is unaffected.
         from repro.bench.profile_cache import PROFILE_CACHE, store_path_for
 
-        if self.store_dir is not None:
-            PROFILE_CACHE.configure(
-                store_path_for(self.store_dir), export_env=True
-            )
-        else:
-            PROFILE_CACHE.configure(None)
+        PROFILE_CACHE.configure(
+            None if self.store_dir is None else store_path_for(self.store_dir)
+        )
         points = list(points)
         keys = [record_key(self.experiment, p) for p in points]
 

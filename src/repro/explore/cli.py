@@ -613,9 +613,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro import obs
-    from repro.bench.profile_cache import read_run_stats
 
     store = _telemetry_store(args)
+    sink = obs.telemetry_dir_for(store)
+    events = obs.read_events(sink)
     summaries = obs.list_summaries(store)
     if summaries:
         rows = []
@@ -638,24 +639,23 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             rows,
         ))
     else:
-        print(f"no run summaries under {obs.telemetry_dir_for(store)!r}")
+        print(f"no run summaries under {sink!r}")
 
-    run_stats = read_run_stats(store)
-    if run_stats:
-        hits = sum(int(r.get("hits", 0)) for r in run_stats)
-        misses = sum(int(r.get("misses", 0)) for r in run_stats)
-        bench_s = sum(float(r.get("benchmark_s", 0.0)) for r in run_stats)
-        served = hits + misses
-        rate = hits / served if served else 0.0
+    metrics = obs.merged_metrics(events)
+    counters = metrics["counters"]
+    hits = int(counters.get("profile_cache.hits", {}).get("total", 0))
+    misses = int(counters.get("profile_cache.misses", {}).get("total", 0))
+    if hits or misses:
+        bench_s = metrics["histograms"].get(
+            "profile_cache.benchmark_seconds", {}
+        ).get("total", 0.0)
         print(
             f"profile cache: {hits} hits, {misses} misses "
-            f"(hit rate {rate:.0%}) over {len(run_stats)} flushes; "
+            f"(hit rate {hits / (hits + misses):.0%}); "
             f"{bench_s:.2f}s spent benchmarking"
         )
 
     if args.telemetry:
-        sink = obs.telemetry_dir_for(store)
-        events = obs.read_events(sink)
         if not events:
             print(obs.describe_empty_sink(sink), file=sys.stderr)
             return 1

@@ -23,13 +23,13 @@ robustness substrate:
   once rebuilt pools stop making progress, instead of aborting.
 * :class:`FaultPlan` — a deterministic fault-injection harness.  Faults
   (exceptions, hangs, worker kills, torn log appends) are described as
-  data, activated through the env-inherited :data:`ENV_VAR` hook exactly
-  like ``REPRO_TELEMETRY``, and fire a *bounded, seeded* number of times
-  per targeted point via an on-disk firing ledger shared by every worker
-  process.  Because experiments are pure functions of their point, a
-  campaign under transient injected faults converges to a ResultSet
-  bit-identical to the fault-free run — which is what the chaos tests
-  assert.
+  data, activated by :func:`activate` or by a user-set :data:`ENV_VAR`
+  (read once per process, never written, like ``REPRO_TELEMETRY``), and
+  fire a *bounded, seeded* number of times per targeted point via an
+  on-disk firing ledger that forked pool workers inherit.  Because
+  experiments are pure functions of their point, a campaign under
+  transient injected faults converges to a ResultSet bit-identical to
+  the fault-free run — which is what the chaos tests assert.
 
 Determinism contract: retries never re-draw randomness — an experiment
 evaluation is a pure function of its point, so attempt N returns exactly
@@ -56,8 +56,8 @@ from typing import Any
 from repro.obs import current as _telemetry
 from repro.util import jsonl
 
-#: Environment variable carrying a JSON fault plan into executor workers
-#: (fork inheritance or explicit export), mirroring ``REPRO_TELEMETRY``.
+#: Environment variable a user sets to a JSON fault plan to run a
+#: campaign under chaos without code changes, mirroring ``REPRO_TELEMETRY``.
 ENV_VAR = "REPRO_FAULTS"
 
 #: Exit status used by injected worker kills, distinguishable from
@@ -144,9 +144,9 @@ FAULT_KINDS = ("exception", "hang", "kill", "torn-append")
 
 #: Recognised injection sites: point evaluation, then one append site
 #: per persistent log (result store, quarantine sidecar, telemetry event
-#: stream, profile-cache run stats).
+#: stream).
 FAULT_SITES = ("evaluate", "cache.put", "quarantine.append",
-               "telemetry.flush", "profile_cache.stats")
+               "telemetry.flush")
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ class FaultSpec:
     * ``torn-append`` — truncate one log append mid-line, simulating a
       crash between partial write and completion.  Its site names the
       log: ``cache.put`` (result store, keyed by point),
-      ``quarantine.append`` (keyed by point), ``telemetry.flush`` and
-      ``profile_cache.stats`` (keyed by the log's file name).
+      ``quarantine.append`` (keyed by point) and ``telemetry.flush``
+      (keyed by the log's file name).
     """
 
     kind: str
@@ -220,9 +220,9 @@ class FaultPlan:
 
     ``state_dir`` holds one append-only file per (fault, point) pair;
     its size is the firing count.  :func:`activate` fills it in (a fresh
-    temporary directory) when absent and re-exports the completed plan
-    to :data:`ENV_VAR`, so forked or spawned workers share one ledger —
-    firing budgets are global to the campaign, not per process.
+    temporary directory) when absent; forked workers inherit the
+    activated plan, so they share one ledger — firing budgets are global
+    to the campaign, not per process.
     """
 
     faults: tuple[FaultSpec, ...] = ()
@@ -341,8 +341,8 @@ class FaultPlan:
 
 
 # Module activation state, mirroring repro.obs.telemetry: one optional
-# process-wide plan, lazily picked up from the environment so executor
-# workers (fork or spawn) join the parent's plan and ledger.
+# process-wide plan, lazily picked up from a user-set ENV_VAR.  Forked
+# executor workers inherit it, and with it the parent's ledger.
 class _State:
     plan: FaultPlan | None = None
     env_checked = False
@@ -351,12 +351,10 @@ class _State:
 _STATE = _State()
 
 
-def activate(plan: FaultPlan, export_env: bool = True) -> FaultPlan:
+def activate(plan: FaultPlan) -> FaultPlan:
     """Activate a fault plan process-wide; returns the completed plan.
 
-    Creates the firing-ledger directory when the plan has none and — by
-    default — exports the completed plan to :data:`ENV_VAR` so worker
-    processes started later share it.
+    Creates the firing-ledger directory when the plan has none.
     """
     if plan.state_dir is None:
         plan = replace(
@@ -366,23 +364,20 @@ def activate(plan: FaultPlan, export_env: bool = True) -> FaultPlan:
         os.makedirs(plan.state_dir, exist_ok=True)
     _STATE.plan = plan
     _STATE.env_checked = True
-    if export_env:
-        os.environ[ENV_VAR] = plan.to_json()
     return plan
 
 
 def deactivate() -> None:
-    """Drop the active plan and its environment export (idempotent)."""
+    """Drop the active plan (idempotent)."""
     _STATE.plan = None
     _STATE.env_checked = True
-    os.environ.pop(ENV_VAR, None)
 
 
 def current_plan() -> FaultPlan | None:
     """The active fault plan, or ``None`` — one attribute read when no
     chaos is configured.  The first call honours :data:`ENV_VAR`; an
-    env-built plan missing its ledger directory is re-activated (and
-    re-exported) so every later process shares the same ledger."""
+    env-built plan without a ledger directory gets a fresh one, which
+    workers forked after this call share."""
     plan = _STATE.plan
     if plan is None and not _STATE.env_checked:
         _STATE.env_checked = True

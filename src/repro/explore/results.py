@@ -14,8 +14,6 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.util import jsonl
-
 
 @dataclass(frozen=True)
 class ResultRecord:
@@ -267,12 +265,3 @@ class ResultSet:
             with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
                 write(fh)
         return columns
-
-    def to_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path: str) -> "ResultSet":
-        return cls(tuple(map(ResultRecord.from_dict, jsonl.read(path))))

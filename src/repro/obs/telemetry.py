@@ -26,10 +26,10 @@ the files afterwards (sorted by name).  A forked child never re-writes
 events it inherited from its parent's buffer: flushing drops foreign-pid
 events.
 
-Activation travels to executor workers the same two ways as the profile
-cache: ``fork`` workers inherit the module singleton; ``spawn`` workers
-find the sink directory in the :data:`ENV_VAR` environment variable on
-their first :func:`current` call.
+Executor workers are forked and inherit the module singleton.  A user
+can also switch telemetry on from outside by setting the :data:`ENV_VAR`
+environment variable, read once per process on the first
+:func:`current` call; this module reads it and never writes it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from typing import Any
 from repro.obs.metrics import MetricsRegistry
 from repro.util import jsonl
 
-#: Environment variable carrying the sink directory (or "1" for a
-#: memory-only context) into spawn-started executor workers.
+#: Environment variable a user sets to the sink directory (or "1" for a
+#: memory-only context) to switch telemetry on without code changes.
 ENV_VAR = "REPRO_TELEMETRY"
 
 #: Flush the in-memory event buffer to the sink once it holds this many
@@ -252,21 +252,14 @@ class Telemetry:
 
     # --------------------------------------------------------------- sink
 
-    def attach_sink(
-        self, sink_dir: str | os.PathLike, export_env: bool = False
-    ) -> None:
-        """Stream events to ``<sink_dir>/events-<pid>-<n>.jsonl`` files.
-
-        With ``export_env`` the directory is also published to
-        :data:`ENV_VAR` so spawn-started executor workers join the same
-        sink.  Attaching is idempotent per directory.
+    def attach_sink(self, sink_dir: str | os.PathLike) -> None:
+        """Stream events to ``<sink_dir>/events-<pid>.jsonl``, one file
+        per process.  Attaching is idempotent per directory.
         """
         sink_dir = os.fspath(sink_dir)
         if self.sink_dir != sink_dir:
             os.makedirs(sink_dir, exist_ok=True)
             self.sink_dir = sink_dir
-        if export_env:
-            os.environ[ENV_VAR] = sink_dir
 
     def _sink_path(self) -> str:
         # Keyed by *current* pid: after a fork the child streams into its
@@ -308,12 +301,6 @@ class Telemetry:
             return 0
         return len(events)
 
-    def drain_events(self) -> list[dict]:
-        """Remove and return the buffered (unflushed) events."""
-        with self._lock:
-            events, self._events = self._events, []
-        return events
-
     def events(self) -> list[dict]:
         """A copy of the buffered (unflushed) events, for inspection."""
         with self._lock:
@@ -344,9 +331,7 @@ if hasattr(os, "register_at_fork"):  # POSIX only; absent on Windows
     os.register_at_fork(after_in_child=_on_fork_in_child)
 
 
-def enable(
-    sink_dir: str | os.PathLike | None = None, export_env: bool = False
-) -> Telemetry:
+def enable(sink_dir: str | os.PathLike | None = None) -> Telemetry:
     """Turn telemetry on (idempotent); returns the active context.
 
     A second call re-uses the existing context, attaching ``sink_dir``
@@ -358,9 +343,7 @@ def enable(
         if _STATE.active is None:
             _STATE.active = Telemetry()
     if sink_dir is not None:
-        _STATE.active.attach_sink(sink_dir, export_env=export_env)
-    elif export_env:
-        os.environ[ENV_VAR] = "1"
+        _STATE.active.attach_sink(sink_dir)
     return _STATE.active
 
 
@@ -371,7 +354,6 @@ def disable() -> None:
         _STATE.env_checked = True
     if active is not None:
         active.flush()
-    os.environ.pop(ENV_VAR, None)
 
 
 def current() -> Telemetry | None:
@@ -379,8 +361,8 @@ def current() -> Telemetry | None:
 
     This is the one call every instrumented hot path makes; when
     telemetry is off it is a module attribute read plus one ``if``.
-    The first call in a process honours :data:`ENV_VAR`, which is how
-    spawn-started executor workers inherit activation.
+    The first call in a process honours :data:`ENV_VAR`, which a user
+    sets to switch telemetry on from outside.
     """
     active = _STATE.active
     if active is None and not _STATE.env_checked:

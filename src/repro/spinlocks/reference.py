@@ -14,10 +14,9 @@ engine.  The contract, enforced by ``tests/spinlocks/test_model_batch.py``:
   handoff vector instead of one boxed scalar draw per acquisition), so
   individual samples differ while the ensembles agree distributionally.
 
-The only deliberate edit: the per-acquisition draw inlines the guts of the
-deprecated ``NoiseModel.sample_scalar`` (``float(noise.sample(rng, 0-d))``)
-so the oracle reproduces the historical stream bit-for-bit without
-tripping the deprecation gate, and the noise generator may be passed in
+The only deliberate edit: the per-acquisition draw is one boxed 0-d draw
+(``float(noise.sample(rng, 0-d))``), so the oracle reproduces the
+historical stream bit-for-bit, and the noise generator may be passed in
 (``rng=...``) so equivalence tests can draw many *distinct* reference
 replications from one continuing stream.
 """
@@ -96,8 +95,8 @@ def reference_spinlock(
                 for _ in sockets
             )
         if rng is not None:
-            # Inlined sample_scalar: one boxed 0-d draw per acquisition —
-            # the deprecated hot-path pattern this module exists to pin.
+            # One boxed 0-d draw per acquisition — the historical scalar
+            # pattern this module exists to pin.
             handoff = float(
                 machine.noise.sample(rng, np.asarray(handoff, dtype=float))
             )

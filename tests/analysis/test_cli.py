@@ -104,15 +104,15 @@ def test_unknown_rule_selection_exits_two(dirty_tree, capsys):
 
 
 def test_rule_selection_filters(dirty_tree):
-    assert main([str(dirty_tree), "--rules", "DET001"]) == 0
+    assert main([str(dirty_tree), "--rules", "DET003"]) == 0
     assert main([str(dirty_tree), "--rules", "DET002"]) == 1
 
 
 def test_list_rules_and_explain(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "DET003",
-                    "DET004", "DET005", "DET006", "DET007"):
+    for rule_id in ("DET002", "DET003", "DET004", "DET005", "DET006",
+                    "DET007"):
         assert rule_id in out
     assert main(["--explain", "det003"]) == 0
     assert "wall-clock" in capsys.readouterr().out.lower()

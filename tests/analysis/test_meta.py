@@ -3,11 +3,8 @@ violation when seeded into a realistic fixture package.
 
 This is the linter's own regression harness — if a refactor of the rule
 pack silently stops detecting a contract violation, this test fails.
-The fixture deliberately mirrors the repository's layout (an engine
-module on a hot path, an explore-layer campaign module, a CLI module),
-and the DET001 case is exactly the regression the runtime
-``DeprecationWarning`` filter cannot see: a reintroduced
-``sample_scalar`` call on a hot loop in a module no test executes.
+The fixture deliberately mirrors the repository's layout (a BSP runtime
+module on a hot path, explore-layer campaign modules, an obs sink).
 """
 
 import textwrap
@@ -18,19 +15,6 @@ from repro.analysis import all_rules, lint_paths
 
 #: module-relative path → (source, rule ids expected to fire there).
 FIXTURES = {
-    # DET001: scalar draws back on the event-engine hot loop.  Nothing
-    # imports or runs this module, so the dynamic warning filter can
-    # never fire — only static analysis sees it.
-    "fixtpkg/simmpi/engine.py": (
-        """
-        def _charge(noise, rng, stages):
-            total = 0.0
-            for stage in stages:
-                total += noise.sample_scalar(rng, stage.base)
-            return total
-        """,
-        {"DET001"},
-    ),
     # DET002: module-global RNG state in a sampler.
     "fixtpkg/explore/samplers.py": (
         """
@@ -129,11 +113,3 @@ def test_fixture_set_covers_every_registered_rule():
     for _, expected in FIXTURES.values():
         covered |= expected
     assert covered == {rule.id for rule in all_rules()}
-
-
-def test_reintroduced_scalar_draw_on_hot_path_is_caught(fixture_tree):
-    # The acceptance-criteria case, pinned on its own: DET001 fires on
-    # the engine fixture even though no test ever imports it.
-    result = lint_paths([str(fixture_tree / "fixtpkg" / "simmpi")])
-    assert [f.rule for f in result.findings] == ["DET001"]
-    assert "sample_scalar" in result.findings[0].snippet

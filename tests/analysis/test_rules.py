@@ -18,33 +18,6 @@ def rule_ids(findings):
     return [f.rule for f in findings]
 
 
-# ------------------------------------------------------------------ DET001
-
-
-def test_det001_flags_sample_scalar_call():
-    findings = lint("""
-        def hot(noise, rng):
-            return noise.sample_scalar(rng, 1.0)
-    """)
-    assert rule_ids(findings) == ["DET001"]
-    assert "sample_matrix" in findings[0].message
-
-
-def test_det001_reference_module_exempt():
-    src = """
-        def oracle(noise, rng):
-            return noise.sample_scalar(rng, 1.0)
-    """
-    assert lint(src, path="pkg/reference.py", module="pkg.reference") == []
-
-
-def test_det001_bulk_draws_pass():
-    assert lint("""
-        def hot(noise, rng):
-            return noise.sample_matrix(rng, [1.0, 2.0], runs=8)
-    """) == []
-
-
 # ------------------------------------------------------------------ DET002
 
 

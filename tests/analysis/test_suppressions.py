@@ -40,7 +40,7 @@ def test_allow_on_preceding_line_suppresses():
 def test_allow_for_other_rule_does_not_suppress():
     src = VIOLATION.replace(
         "return random.random()",
-        "return random.random()  # repro: allow[DET001]",
+        "return random.random()  # repro: allow[DET003]",
     )
     assert [f.rule for f in lint_source(src, module="pkg.mod")] == ["DET002"]
 
@@ -48,7 +48,7 @@ def test_allow_for_other_rule_does_not_suppress():
 def test_allow_multiple_rules_in_one_marker():
     src = VIOLATION.replace(
         "return random.random()",
-        "return random.random()  # repro: allow[DET001, DET002]",
+        "return random.random()  # repro: allow[DET003, DET002]",
     )
     assert lint_source(src, module="pkg.mod") == []
 

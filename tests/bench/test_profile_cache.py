@@ -8,7 +8,6 @@ import pytest
 from repro.barriers.evaluate import FAST_COMM_SIZES, profile_placement
 from repro.bench.comm_bench import DEFAULT_REQUEST_COUNTS
 from repro.bench.profile_cache import (
-    ENV_VAR,
     PROFILE_PROTOCOL,
     ProfileCache,
     machine_fingerprint,
@@ -17,13 +16,6 @@ from repro.bench.profile_cache import (
 )
 from repro.cluster import presets
 from repro.machine.simmachine import SimMachine
-
-
-@pytest.fixture(autouse=True)
-def _isolate_env(monkeypatch):
-    """Campaigns running earlier in the session export ENV_VAR; these
-    tests must see a deterministic (unset) environment."""
-    monkeypatch.delenv(ENV_VAR, raising=False)
 
 
 @pytest.fixture
@@ -106,18 +98,6 @@ class TestServing:
         np.testing.assert_array_equal(
             first.inv_bandwidth, second.inv_bandwidth
         )
-
-    def test_env_var_pickup(self, machine, tmp_path, monkeypatch):
-        placement = machine.placement(4)
-        path = store_path_for(tmp_path)
-        seeded = ProfileCache()
-        seeded.configure(path)
-        seeded.get_or_benchmark(machine, placement, 3, FAST_COMM_SIZES)
-
-        monkeypatch.setenv(ENV_VAR, path)
-        fresh = ProfileCache()  # un-configured: must read the env var
-        fresh.get_or_benchmark(machine, placement, 3, FAST_COMM_SIZES)
-        assert fresh.hits == 1 and fresh.misses == 0
 
     def test_detach_persistence(self, machine, tmp_path):
         cache = ProfileCache()

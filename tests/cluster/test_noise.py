@@ -44,28 +44,6 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(outlier_prob=0.9)
 
-    def test_scalar_helper_deprecated(self):
-        """sample_scalar still works for one-off draws but warns; the
-        pyproject filterwarnings rule turns the warning into an error for
-        any repro-internal caller (this test calls from outside repro, so
-        the warning is observable rather than fatal)."""
-        rng = np.random.default_rng(5)
-        model = NoiseModel(jitter_sigma=0.05, outlier_prob=0.0)
-        with pytest.deprecated_call():
-            value = model.sample_scalar(rng, 1.0)
-        assert isinstance(value, float)
-        assert value > 0
-
-    def test_scalar_helper_matches_vector_draw(self):
-        """The deprecated helper and a length-1 sample consume the stream
-        identically — the guarantee that let hot paths migrate without
-        re-rolling any golden."""
-        model = NoiseModel()
-        with pytest.deprecated_call():
-            scalar = model.sample_scalar(np.random.default_rng(6), 2.5e-6)
-        vector = model.sample(np.random.default_rng(6), np.array([2.5e-6]))
-        assert scalar == vector[0]
-
 
 @given(
     sigma=st.floats(0.0, 0.3),

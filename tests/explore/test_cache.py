@@ -59,7 +59,7 @@ def test_clean_put_after_torn_put_survives_reload(tmp_path):
     activate(FaultPlan(
         faults=(FaultSpec(kind="torn-append", site="cache.put"),),
         state_dir=str(tmp_path / "faults"),
-    ), export_env=False)
+    ))
     try:
         cache.put("a", {"v": 1})  # torn
     finally:

@@ -12,6 +12,7 @@ attempt.
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -19,14 +20,17 @@ import time
 
 import pytest
 
+from repro.explore import resilience
 from repro.explore.campaign import Campaign, PoolExecutor, run_campaign
 from repro.explore.experiments import register_experiment
 from repro.explore.resilience import (
+    ENV_VAR,
     FaultPlan,
     FaultSpec,
     PoolBrokenError,
     RetryPolicy,
     activate,
+    current_plan,
     deactivate,
     read_quarantine,
 )
@@ -155,6 +159,28 @@ def test_repeated_worker_death_without_degrade_raises():
     assert excinfo.value.remaining == 3
 
 
+def test_env_plan_budget_is_per_campaign_under_a_pool(monkeypatch):
+    # A REPRO_FAULTS plan has no ledger until its first current_plan()
+    # call makes one.  The pool resolves it before forking, so all four
+    # workers share that ledger: each point's one firing is spent once,
+    # and its retry succeeds in whichever worker runs it.
+    monkeypatch.setenv(ENV_VAR, FaultPlan(
+        faults=(FaultSpec(kind="exception", rate=1.0, times=1),)
+    ).to_json())
+    monkeypatch.setattr(resilience._STATE, "env_checked", False)
+    ns = range(16)
+    try:
+        outcome = run(
+            ns, executor="process", workers=4, on_error="store",
+            policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+        )
+    finally:
+        shutil.rmtree(current_plan().state_dir)
+    assert outcome.stats.quarantined == 0
+    deactivate()
+    assert outcome.results == run(ns).results
+
+
 def test_quarantine_is_deterministic_under_permanent_faults(tmp_path):
     # A fault with an unlimited budget can never be outlasted: the same
     # seeded points quarantine on every run, and the rest evaluate
@@ -204,7 +230,6 @@ def _spawn(script_path, store):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)
-    env.pop("REPRO_FAULTS", None)
     return subprocess.Popen(
         [sys.executable, str(script_path), str(store)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,

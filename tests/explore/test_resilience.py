@@ -119,15 +119,15 @@ def test_fault_plan_json_round_trip():
         FaultPlan.from_json("[1, 2]")
 
 
-def test_activation_exports_env_and_fills_state_dir(tmp_path):
+def test_activation_fills_state_dir_and_leaves_env_untouched(tmp_path):
+    env = dict(os.environ)
     plan = activate(FaultPlan(faults=(FaultSpec(kind="exception"),)))
     assert plan.state_dir is not None and os.path.isdir(plan.state_dir)
-    exported = FaultPlan.from_json(os.environ[ENV_VAR])
-    assert exported == plan
     assert current_plan() == plan
     deactivate()
-    assert ENV_VAR not in os.environ
     assert current_plan() is None
+    assert dict(os.environ) == env
+    os.rmdir(plan.state_dir)
 
 
 def test_env_var_is_honoured_lazily(tmp_path, monkeypatch):
@@ -136,12 +136,14 @@ def test_env_var_is_honoured_lazily(tmp_path, monkeypatch):
     )
     deactivate()
     monkeypatch.setenv(ENV_VAR, plan.to_json())
+    env = dict(os.environ)
     # deactivate() marked env as checked; force a re-check as a fresh
-    # process (e.g. a spawned worker) would see it.
+    # process would see it.
     from repro.explore import resilience
 
     resilience._STATE.env_checked = False
     assert current_plan() == plan
+    assert dict(os.environ) == env  # read, never written back
 
 
 def test_firing_budget_is_shared_through_the_ledger(tmp_path):

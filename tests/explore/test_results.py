@@ -89,13 +89,6 @@ def test_pareto_argument_validation(rs):
         rs.pareto_front(["cost"], maximize=["msgs"])
 
 
-def test_jsonl_round_trip(rs, tmp_path):
-    path = str(tmp_path / "results.jsonl")
-    rs.to_jsonl(path)
-    loaded = ResultSet.from_jsonl(path)
-    assert loaded == rs
-
-
 def test_to_rows_and_names(rs):
     assert rs.point_names() == ["preset", "p"]
     assert rs.metric_names() == ["cost", "msgs", "error"]

@@ -3,17 +3,20 @@ cache — and the hard constraint that it never perturbs a result."""
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.barriers.patterns import dissemination_barrier
-from repro.bench.profile_cache import read_run_stats
 from repro.bsplib.runtime import bsp_run
 from repro.cluster import presets
 from repro.explore.campaign import run_campaign
+from repro.explore.cli import main
 from repro.explore.experiments import register_experiment
 from repro.explore.space import DesignSpace
 from repro.machine.simmachine import SimMachine
@@ -202,29 +205,107 @@ class TestRecordedCampaignTelemetry:
 # --------------------------------------------------------- profile cache
 
 class TestProfileCacheTelemetry:
-    def test_per_run_stats_persisted_and_counters_recorded(self, tmp_path):
+    def run_barrier_campaign(self, store):
         obs.enable()
         run_campaign(
             "pc", BARRIER_SPACE, "barrier-cost",
-            store_dir=tmp_path, executor="serial",
+            store_dir=store, executor="serial",
         )
-        stats = read_run_stats(tmp_path)
-        assert stats, "no per-run profile-cache stats were flushed"
-        assert all(
-            set(r) >= {"pid", "unix_time", "hits", "misses", "benchmark_s"}
-            for r in stats
+        return obs.merged_metrics(
+            obs.read_events(obs.telemetry_dir_for(store))
+        )["counters"]
+
+    @staticmethod
+    def served(counters, name):
+        return int(counters.get(name, {}).get("total", 0))
+
+    def test_per_run_stats_persisted_and_counters_recorded(self, tmp_path):
+        """The store's sink is the one persisted record of profile-cache
+        hits and misses: one lookup per point lands in its counters."""
+        counters = self.run_barrier_campaign(tmp_path)
+        hits = self.served(counters, "profile_cache.hits")
+        misses = self.served(counters, "profile_cache.misses")
+        assert hits + misses >= 4  # one profile lookup per point
+
+    def test_stats_cli_reports_the_sink_counters(self, tmp_path, capsys):
+        counters = self.run_barrier_campaign(tmp_path)
+        hits = self.served(counters, "profile_cache.hits")
+        misses = self.served(counters, "profile_cache.misses")
+        assert hits + misses >= 4
+        capsys.readouterr()
+        assert main(["stats", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"profile cache: {hits} hits, {misses} misses" in out
+
+
+# ------------------------------------------------ no environment hand-off
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: One small profile campaign: it fills the store's profile cache and,
+#: with telemetry on, its sink.
+PROFILE_SPACE = {
+    "axes": {"pattern": ["linear"]},
+    "constants": {
+        "preset": "xeon-8x2x4", "nprocs": 4, "runs": 2, "comm_samples": 3,
+    },
+}
+
+#: An unrelated process: profiles an opteron placement no campaign used.
+UNRELATED_PROFILE = """
+from repro.barriers.evaluate import profile_placement
+from repro.cluster import presets
+from repro.machine.simmachine import SimMachine
+
+m = SimMachine(
+    presets.opteron_12x2x6_topology(), presets.opteron_12x2x6_params(),
+    seed=3,
+)
+profile_placement(m, m.placement(8), comm_samples=3)
+"""
+
+
+def repro_environment():
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+
+def file_tree(root):
+    """Every file under ``root`` with its bytes."""
+    tree = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, root)] = fh.read()
+    return tree
+
+
+class TestNoEnvironmentHandOff:
+    """Forked workers inherit campaign state; nothing goes through the
+    environment, so nothing reaches processes the campaign never made."""
+
+    def test_campaign_leaves_the_environment_untouched(self, tmp_path):
+        before = repro_environment()
+        obs.enable()
+        run_campaign(
+            "leak", PROFILE_SPACE, "barrier-cost",
+            store_dir=tmp_path, executor="process", workers=1,
         )
-        served = sum(r["hits"] + r["misses"] for r in stats)
-        assert served >= 4  # one profile lookup per point
-        metrics = obs.merged_metrics(
-            obs.read_events(obs.telemetry_dir_for(tmp_path))
+        assert repro_environment() == before
+
+    def test_later_process_leaves_the_store_alone(self, tmp_path):
+        obs.enable()
+        run_campaign(
+            "leak", PROFILE_SPACE, "barrier-cost", store_dir=tmp_path,
         )
-        counters = metrics["counters"]
-        recorded = sum(
-            counters.get(name, {}).get("total", 0.0)
-            for name in ("profile_cache.hits", "profile_cache.misses")
+        before = file_tree(tmp_path)
+        assert any(p.startswith(".profile-cache") for p in before)
+        assert any(p.startswith(obs.TELEMETRY_DIRNAME) for p in before)
+        subprocess.run(
+            [sys.executable, "-c", UNRELATED_PROFILE],
+            check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
         )
-        assert recorded >= 4
+        assert file_tree(tmp_path) == before
 
 
 # ------------------------------------------------- engine trace opt-in

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.profile_cache import ProfileCache, read_run_stats, store_path_for
 from repro.explore.cache import CorruptStoreWarning, ResultCache
 from repro.explore.resilience import (
     FaultPlan,
@@ -62,24 +61,10 @@ def _event_stream(tmp_path):
     return Path(tele._sink_path()), write, lambda: [e["i"] for e in read_events(sink)]
 
 
-def _run_stats(tmp_path):
-    store = tmp_path / "store"
-    cache = ProfileCache()
-    cache.configure(store_path_for(store))
-
-    def write(i):
-        cache._run_hits = i
-        cache.flush_run_stats()
-
-    path = store / ".profile-cache" / "stats.jsonl"
-    return path, write, lambda: [r["hits"] for r in read_run_stats(store)]
-
-
 LOGS = {
     "cache.put": _result_store,
     "quarantine.append": _quarantine_sidecar,
     "telemetry.flush": _event_stream,
-    "profile_cache.stats": _run_stats,
 }
 
 
@@ -112,7 +97,7 @@ def test_record_after_a_torn_append_fault_survives(tmp_path, site):
     activate(FaultPlan(
         faults=(FaultSpec(kind="torn-append", site=site),),
         state_dir=str(tmp_path / "faults"),
-    ), export_env=False)
+    ))
     write(2)
     deactivate()
     assert not path.read_bytes().endswith(b"\n")  # the fault tore it
