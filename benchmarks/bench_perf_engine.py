@@ -68,9 +68,12 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
           "cache_hit_rate_warm": float      # 1.0 = pure store read
         },
         "profile_cache": {
+          "nprocs": int,          # P of the profiled placement
           "benchmark_s": float,   # one uncached comm-bench profile
           "memo_hit_s": float,    # in-process memo hit
           "disk_load_s": float,   # fresh process: configure + disk hit
+          "put_s": float,         # best-of-3: encode + append one profile
+          "record_bytes": int,    # encoded record (one JSONL line)
           "speedup": float        # benchmark_s / disk_load_s
         },
         "telemetry_overhead": {
@@ -107,6 +110,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -473,10 +477,16 @@ def bench_campaign(quick: bool) -> dict:
 
 
 def bench_profile_cache(quick: bool) -> dict:
-    """Uncached profile vs memo hit vs fresh-process disk load."""
+    """Uncached profile vs memo hit vs fresh-process disk load, plus the
+    cost and size of storing one profile record."""
     from repro.barriers.evaluate import FAST_COMM_SIZES
-    from repro.bench.profile_cache import ProfileCache, store_path_for
+    from repro.bench.profile_cache import (
+        ProfileCache,
+        _params_to_record,
+        store_path_for,
+    )
     from repro.cluster.presets import make_preset_machine
+    from repro.explore.cache import ResultCache
 
     nprocs = 16 if quick else 32
     samples = 5
@@ -486,8 +496,14 @@ def bench_profile_cache(quick: bool) -> dict:
         cache = ProfileCache()
         cache.configure(store_path_for(store))
         start = time.perf_counter()
-        cache.get_or_benchmark(machine, placement, samples, FAST_COMM_SIZES)
+        params = cache.get_or_benchmark(
+            machine, placement, samples, FAST_COMM_SIZES
+        )
         benchmark_s = time.perf_counter() - start
+        record_bytes = os.path.getsize(store_path_for(store))
+
+        log = ResultCache(os.path.join(store, "put-probe.jsonl"))
+        put_s = _best_of(3, lambda: log.put("probe", _params_to_record(params)))
 
         memo_hit_s = _best_of(3, lambda: cache.get_or_benchmark(
             machine, placement, samples, FAST_COMM_SIZES
@@ -503,9 +519,12 @@ def bench_profile_cache(quick: bool) -> dict:
 
         disk_load_s = _best_of(3, disk_load)
     return {
+        "nprocs": nprocs,
         "benchmark_s": benchmark_s,
         "memo_hit_s": memo_hit_s,
         "disk_load_s": disk_load_s,
+        "put_s": put_s,
+        "record_bytes": record_bytes,
         "speedup": benchmark_s / disk_load_s,
     }
 
@@ -715,6 +734,9 @@ def test_perf_engine_quick(emit, tmp_path):
     assert spin["speedup"] >= 3.0
     cache = artifact["cases"]["profile_cache"]
     assert cache["disk_load_s"] < cache["benchmark_s"]
+    # Binary records: about 32 bytes per matrix element over three
+    # matrices, against about 66 per element as JSON float lists.
+    assert cache["record_bytes"] < 40 * cache["nprocs"] ** 2
     tele = artifact["cases"]["telemetry_overhead"]
     emit(
         f"telemetry overhead (quick): {tele['overhead_pct']:.1f}% "

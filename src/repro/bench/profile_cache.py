@@ -15,13 +15,21 @@ benchmark:
 * optional **JSONL persistence** alongside a campaign's result store
   (``<store_dir>/.profile-cache/profiles.jsonl``), so sequential
   campaigns, suite regenerations, and adaptive runs share profiles
-  across processes.  Records round-trip through JSON on first compute,
-  so a memory hit, a disk hit, and a fresh benchmark are bit-identical
-  — executor equivalence (serial ≡ process ≡ chunked) is preserved.
+  across processes.
 
-``PROFILE_PROTOCOL`` must be bumped whenever the benchmark's draw order
-or estimator changes; it is part of every key, so stale persisted
-profiles from older code versions can never be served.
+A record stores each P × P matrix as ``{"shape": [P, P], "f64le": ...}``:
+base64 of its little-endian float64 bytes, exact by construction and
+about a third of the size of a JSON float list.  Every served profile —
+fresh, from disk, or from the memo — is the decode of such a record, so
+a memory hit, a disk hit, and a fresh benchmark are bit-identical and
+executor equivalence (serial ≡ process ≡ chunked) is preserved.  The
+decode wraps the record's bytes without a copy, so served matrices are
+read-only.  A record that parses as JSON but does not decode is a miss:
+the profile is benchmarked again and its new record supersedes it.
+
+``PROFILE_PROTOCOL`` must be bumped whenever the benchmark's draw order,
+estimator or record format changes; it is part of every key, so stale
+persisted profiles from older code versions can never be served.
 
 Worker processes of the ``process``/``chunked`` executors are forked,
 so they inherit the configured cache; each worker appends fresh profiles
@@ -34,6 +42,7 @@ which ``explore stats`` sums from the store's sink.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import enum
 import hashlib
@@ -50,8 +59,9 @@ from repro.machine.simmachine import SimMachine
 from repro.obs import current as _telemetry
 
 #: Version token baked into every cache key.  Bump when the comm
-#: benchmark's RNG draw order, estimators, or defaults change meaning.
-PROFILE_PROTOCOL = "comm-bench/v2-batched-draws"
+#: benchmark's RNG draw order, estimators, or defaults change meaning,
+#: or when the record format changes.
+PROFILE_PROTOCOL = "comm-bench/v3-binary-records"
 
 
 def _describe(value: Any) -> Any:
@@ -114,31 +124,59 @@ def profile_key(
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
+def _encode_matrix(matrix: np.ndarray) -> dict:
+    data = np.ascontiguousarray(matrix, dtype="<f8")
+    return {
+        "shape": list(data.shape),
+        "f64le": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_matrix(field: dict) -> np.ndarray:
+    shape = field["shape"]
+    raw = base64.b64decode(field["f64le"], validate=True)
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(isinstance(n, int) and n > 0 for n in shape)
+            and shape[0] == shape[1]):
+        raise ValueError(f"profile matrix shape {shape!r} is not P x P")
+    if len(raw) != shape[0] * shape[1] * 8:
+        raise ValueError(
+            f"profile matrix of shape {shape} carries {len(raw)} bytes"
+        )
+    return np.frombuffer(raw, "<f8").reshape(shape)
+
+
 def _params_to_record(params: CommParameters) -> dict:
     return {
-        "overhead": params.overhead.tolist(),
-        "latency": params.latency.tolist(),
+        "overhead": _encode_matrix(params.overhead),
+        "latency": _encode_matrix(params.latency),
         "inv_bandwidth": (
             None if params.inv_bandwidth is None
-            else params.inv_bandwidth.tolist()
+            else _encode_matrix(params.inv_bandwidth)
         ),
     }
 
 
 def _params_from_record(record: dict) -> CommParameters:
-    inv = record.get("inv_bandwidth")
-    return CommParameters(
-        overhead=np.array(record["overhead"], dtype=float),
-        latency=np.array(record["latency"], dtype=float),
-        inv_bandwidth=None if inv is None else np.array(inv, dtype=float),
-    )
+    """Decode a record into read-only matrices; ``ValueError`` when it
+    does not decode (a missing key, bad base64, a wrong byte count or a
+    matrix that is not P × P)."""
+    try:
+        inv = record["inv_bandwidth"]
+        return CommParameters(
+            overhead=_decode_matrix(record["overhead"]),
+            latency=_decode_matrix(record["latency"]),
+            inv_bandwidth=None if inv is None else _decode_matrix(inv),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed profile record: {exc!r}") from exc
 
 
 class ProfileCache:
     """In-process memo with optional shared JSONL persistence.
 
-    Returned :class:`CommParameters` are shared objects — treat them as
-    immutable (every consumer in the repository already does).
+    Returned :class:`CommParameters` are shared objects whose matrices
+    are read-only; a consumer that needs to modify one copies it first.
     """
 
     def __init__(self):
@@ -223,14 +261,17 @@ class ProfileCache:
                 # Write a memory hit through to a newly-attached store, so
                 # switching store directories mid-process still leaves each
                 # one self-sufficient for later sessions.  (The in-memory
-                # params ARE the round-tripped record, so this reproduces
-                # the on-disk form exactly.)
+                # params ARE a decoded record, so this reproduces the
+                # on-disk form exactly.)
                 self._store.put(key, _params_to_record(params))
             return params
         if self._store is not None:
             record = self._store.get(key)
-            if record is not None:
-                params = _params_from_record(record)
+            try:
+                params = None if record is None else _params_from_record(record)
+            except ValueError:
+                params = None  # undecodable: benchmarked and put afresh below
+            if params is not None:
                 self._memory[key] = params
                 self.hits += 1
                 if tele is not None:
@@ -259,10 +300,9 @@ class ProfileCache:
                 key=key,
                 samples=int(samples),
             )
-        # Round-trip through JSON so a fresh profile is bit-identical to
-        # its later disk-served copy (floats survive repr round-trips
-        # exactly; executor-equivalence tests rely on this).
-        record = json.loads(json.dumps(_params_to_record(report.params)))
+        # Serve the decode of the record being stored, as a disk hit
+        # would: one decode path makes every hit bit-identical to this.
+        record = _params_to_record(report.params)
         params = _params_from_record(record)
         self._memory[key] = params
         if self._store is not None:

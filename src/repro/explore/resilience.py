@@ -39,12 +39,14 @@ a value is computed, never *what* is computed.
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import hashlib
 import heapq
 import json
 import multiprocessing
 import os
+import shutil
 import tempfile
 import time
 from collections.abc import Callable, Mapping, Sequence
@@ -346,20 +348,39 @@ class FaultPlan:
 class _State:
     plan: FaultPlan | None = None
     env_checked = False
+    # The ledger directory activate() made, and the pid that made it:
+    # only that process removes it, so forked workers never delete the
+    # ledger they share.
+    owned_dir: str | None = None
+    owner_pid: int | None = None
 
 
 _STATE = _State()
 
 
+def _release_owned_dir() -> None:
+    if _STATE.owned_dir is not None and _STATE.owner_pid == os.getpid():
+        shutil.rmtree(_STATE.owned_dir, ignore_errors=True)
+    _STATE.owned_dir = _STATE.owner_pid = None
+
+
+atexit.register(_release_owned_dir)
+
+
 def activate(plan: FaultPlan) -> FaultPlan:
     """Activate a fault plan process-wide; returns the completed plan.
 
-    Creates the firing-ledger directory when the plan has none.
+    Creates the firing-ledger directory when the plan has none; that
+    directory is removed by :func:`deactivate`, by the next activation
+    of another plan, or at exit, whichever comes first.
     """
+    if plan.state_dir != _STATE.owned_dir:
+        _release_owned_dir()
     if plan.state_dir is None:
         plan = replace(
             plan, state_dir=tempfile.mkdtemp(prefix="repro-faults-")
         )
+        _STATE.owned_dir, _STATE.owner_pid = plan.state_dir, os.getpid()
     else:
         os.makedirs(plan.state_dir, exist_ok=True)
     _STATE.plan = plan
@@ -368,7 +389,9 @@ def activate(plan: FaultPlan) -> FaultPlan:
 
 
 def deactivate() -> None:
-    """Drop the active plan (idempotent)."""
+    """Drop the active plan (idempotent), removing the ledger directory
+    :func:`activate` created for it; a caller's ``state_dir`` stays."""
+    _release_owned_dir()
     _STATE.plan = None
     _STATE.env_checked = True
 

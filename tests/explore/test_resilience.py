@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
@@ -127,7 +130,61 @@ def test_activation_fills_state_dir_and_leaves_env_untouched(tmp_path):
     deactivate()
     assert current_plan() is None
     assert dict(os.environ) == env
-    os.rmdir(plan.state_dir)
+    assert not os.path.exists(plan.state_dir)  # the ledger it made is gone
+
+
+def _ledgers():
+    return sorted(
+        name for name in os.listdir(tempfile.gettempdir())
+        if name.startswith("repro-faults-")
+    )
+
+
+def test_deactivate_removes_only_the_ledger_activate_made(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert _ledgers() == []
+    activate(FaultPlan(faults=(FaultSpec(kind="exception"),)))
+    activate(FaultPlan(faults=(FaultSpec(kind="exception", times=2),)))
+    assert len(_ledgers()) == 1  # a replaced plan's ledger goes with it
+    deactivate()
+    assert _ledgers() == []
+    mine = tmp_path / "mine"
+    activate(FaultPlan(faults=(FaultSpec(kind="exception"),),
+                       state_dir=str(mine)))
+    deactivate()
+    assert mine.is_dir()  # a caller's state_dir is never removed
+
+
+LEDGER_SCRIPT = """
+import os, sys
+from repro.explore.resilience import current_plan
+ledger = current_plan().state_dir
+assert os.path.isdir(ledger)
+pid = os.fork()
+if pid == 0:
+    sys.exit(0)  # runs the child's exit hooks
+os.waitpid(pid, 0)
+assert os.path.isdir(ledger), "a forked child removed the shared ledger"
+print(ledger)
+"""
+
+
+def test_env_plan_ledger_is_removed_at_exit_by_its_creator(tmp_path):
+    env = dict(os.environ)
+    env["TMPDIR"] = str(tmp_path)
+    env[ENV_VAR] = FaultPlan(faults=(FaultSpec(kind="exception"),)).to_json()
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    done = subprocess.run(
+        [sys.executable, "-c", LEDGER_SCRIPT], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    ledger = done.stdout.strip()
+    assert os.path.dirname(ledger) == str(tmp_path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_env_var_is_honoured_lazily(tmp_path, monkeypatch):
