@@ -9,4 +9,4 @@ the spec.
 
 
 def test_figs_8_10_to_8_15(regenerate):
-    regenerate("fig-8-10-to-8-15")
+    regenerate("fig-8-10-to-8-15", golden=True)

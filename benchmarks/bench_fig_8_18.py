@@ -10,4 +10,4 @@ on the spec.
 
 
 def test_fig_8_18_c1(regenerate):
-    regenerate("fig-8-18")
+    regenerate("fig-8-18", golden=True)

@@ -10,4 +10,4 @@ saturates earlier) live on the spec.
 
 
 def test_figs_8_4_to_8_7(regenerate):
-    regenerate("fig-8-4-to-8-7")
+    regenerate("fig-8-4-to-8-7", golden=True)

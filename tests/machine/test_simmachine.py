@@ -1,5 +1,7 @@
 """Unit tests for the SimMachine facade."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,27 @@ class TestKernelTimeRuns:
         direct = machine.noise.sample_matrix(machine.rng("km"), clean, 6)
         via = machine.kernel_time_runs(0, DAXPY, 4096, 6, rng=machine.rng("km"))
         np.testing.assert_array_equal(via, direct)
+
+
+#: sha256 of a noisy ``kernel_time`` stream on the seed-42 machine: three
+#: draws for every (core, n, reps, footprint) below, from one generator.
+KERNEL_TIME_PIN = (
+    "f92e2f85ec02b2a1d679f7859fe0b2e4"
+    "5c05298dc6c5ff412efe514d72904e93"
+)
+
+
+def test_noisy_kernel_time_stream_pinned(machine):
+    """The draw order of sampled kernel times is pinned bit for bit."""
+    rng = machine.rng("kernel-time-pin")
+    times = [
+        machine.kernel_time(core, DAXPY, n, reps=reps, rng=rng,
+                            footprint_bytes=footprint)
+        for core, n in ((0, 64), (9, 1024))
+        for reps in (1, 16, 64)
+        for footprint in (None, 4.0e3, 6.4e7)
+        for _ in range(3)
+    ]
+    assert all(isinstance(t, float) for t in times)
+    digest = hashlib.sha256(np.asarray(times, dtype="<f8").tobytes())
+    assert digest.hexdigest() == KERNEL_TIME_PIN
