@@ -69,7 +69,8 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
         },
         "profile_cache": {
           "nprocs": int,          # P of the profiled placement
-          "benchmark_s": float,   # one uncached comm-bench profile
+          "benchmark_s": float,   # best-of-3 misses, each in a fresh cache
+                                  # and store, after one untimed warm-up
           "memo_hit_s": float,    # in-process memo hit
           "disk_load_s": float,   # fresh process: configure + disk hit
           "put_s": float,         # best-of-3: encode + append one profile
@@ -492,17 +493,32 @@ def bench_profile_cache(quick: bool) -> dict:
     samples = 5
     machine = make_preset_machine("xeon-8x2x4")
     placement = machine.placement(nprocs)
-    with tempfile.TemporaryDirectory() as store:
+    with tempfile.TemporaryDirectory() as root:
+        paths = [
+            store_path_for(os.path.join(root, f"store-{k}")) for k in range(4)
+        ]
+
+        def miss(path):
+            """Benchmark the profile in a fresh cache and store."""
+            cache = ProfileCache()
+            cache.configure(path)
+            cache.get_or_benchmark(
+                machine, placement, samples, FAST_COMM_SIZES
+            )
+            assert cache.misses == 1
+
+        miss(paths[0])  # untimed warm-up: imports and first-call set-up
+        unused = iter(paths[1:])
+        benchmark_s = _best_of(3, lambda: miss(next(unused)))
+        path = paths[-1]
+        record_bytes = os.path.getsize(path)
         cache = ProfileCache()
-        cache.configure(store_path_for(store))
-        start = time.perf_counter()
+        cache.configure(path)
         params = cache.get_or_benchmark(
             machine, placement, samples, FAST_COMM_SIZES
         )
-        benchmark_s = time.perf_counter() - start
-        record_bytes = os.path.getsize(store_path_for(store))
 
-        log = ResultCache(os.path.join(store, "put-probe.jsonl"))
+        log = ResultCache(os.path.join(root, "put-probe.jsonl"))
         put_s = _best_of(3, lambda: log.put("probe", _params_to_record(params)))
 
         memo_hit_s = _best_of(3, lambda: cache.get_or_benchmark(
@@ -511,7 +527,7 @@ def bench_profile_cache(quick: bool) -> dict:
 
         def disk_load():
             fresh = ProfileCache()  # simulates a new campaign process
-            fresh.configure(store_path_for(store))
+            fresh.configure(path)
             fresh.get_or_benchmark(
                 machine, placement, samples, FAST_COMM_SIZES
             )

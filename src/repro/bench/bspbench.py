@@ -26,7 +26,7 @@ from repro.bench.stats import linear_regression, median
 from repro.core.bsp_classic import ClassicBSPParams
 from repro.kernels.numeric import DAXPY
 from repro.machine.simmachine import SimMachine
-from repro.simmpi.engine import simulate_stages
+from repro.simmpi.engine import simulate_stages_batch
 from repro.util.validation import require_int
 
 WORD_BYTES = 8  # double-precision machine words
@@ -111,11 +111,14 @@ def measure_h_relations(
     hs, times = [], []
     for h in sorted(set(int(v) for v in h_values)):
         stages, payloads = _h_relation_stages(nprocs, h)
+        # One replication per sample, in turn: a single runs=samples call
+        # would draw the same values in another order.
         runs = []
         for _ in range(samples):
-            exits = simulate_stages(
-                truth, stages, payload_bytes=payloads, rng=rng, noise=machine.noise
-            )
+            exits = simulate_stages_batch(
+                truth, stages, payload_bytes=payloads, rng=rng,
+                noise=machine.noise,
+            )[0]
             runs.append(float(exits.max()) if exits.size else 0.0)
         hs.append(h)
         times.append(median(runs))

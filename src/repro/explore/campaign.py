@@ -297,16 +297,6 @@ class CampaignStats:
     quarantined: int = 0
 
     @property
-    def served_from_cache(self) -> int:
-        """Alias for ``cached``, named for what it means."""
-        return self.cached
-
-    @property
-    def computed(self) -> int:
-        """Alias for ``evaluated``: fresh work done this run."""
-        return self.evaluated
-
-    @property
     def cache_hit_rate(self) -> float:
         """Fraction of this run's points served from cache."""
         return self.cached / self.total if self.total else 0.0

@@ -132,7 +132,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(
         f"campaign {outcome.name!r}: {stats.total} points "
-        f"({stats.computed} computed, {stats.served_from_cache} served "
+        f"({stats.evaluated} computed, {stats.cached} served "
         f"from cache, {stats.failed} failed{quarantined}; cache hit rate "
         f"{stats.cache_hit_rate:.0%})"
     )

@@ -165,58 +165,16 @@ class SimMachine:
         rng: np.random.Generator | None = None,
         footprint_bytes: float | None = None,
     ) -> float:
-        """Sampled (noisy) execution time, as a timer would observe it.
-
-        Delegates to :meth:`kernel_time_batch` on a length-1 vector so the
-        scalar and batch noise paths cannot drift apart: a shape-``(1,)``
-        draw consumes the RNG stream exactly as the old per-scalar draw
-        did, so existing noisy streams are bit-identical.
-        """
+        """Sampled (noisy) execution time, as a timer would observe it:
+        replication 0 of :meth:`kernel_time_runs` at ``runs=1``, whose
+        shape-``(1,)`` draw consumes the generator exactly as a scalar
+        draw does."""
         return float(
-            self.kernel_time_batch(
-                core, kernel, [n], reps=reps, rng=rng,
+            self.kernel_time_runs(
+                core, kernel, n, 1, reps=reps, rng=rng,
                 footprint_bytes=footprint_bytes,
             )[0]
         )
-
-    def kernel_time_batch(
-        self,
-        cores,
-        kernel: Kernel,
-        sizes,
-        reps: int = 1,
-        rng: np.random.Generator | None = None,
-        footprint_bytes=None,
-    ) -> np.ndarray:
-        """Noisy kernel times for a vector of (core, size[, footprint]).
-
-        The clean times are assembled per entry and the noise applied in
-        one :meth:`NoiseModel.sample` call on the whole vector — one bulk
-        draw instead of ``len(sizes)`` scalar draws, which both removes
-        the per-rank Python/RNG overhead and defines a stable draw order
-        for charge models that price many ranks per step.  ``cores`` may
-        be a scalar (applied to every entry); ``footprint_bytes`` may be
-        ``None``, a scalar, or a per-entry sequence.
-        """
-        sizes = np.asarray(sizes)
-        count = sizes.shape[0]
-        cores_arr = np.broadcast_to(np.asarray(cores), (count,))
-        if footprint_bytes is None or np.isscalar(footprint_bytes):
-            footprints = [footprint_bytes] * count
-        else:
-            footprints = list(footprint_bytes)
-            if len(footprints) != count:
-                raise ValueError("footprint_bytes length must match sizes")
-        base = np.array([
-            self.kernel_time_clean(
-                int(cores_arr[k]), kernel, int(sizes[k]), reps=reps,
-                footprint_bytes=footprints[k],
-            )
-            for k in range(count)
-        ])
-        if rng is None:
-            return base
-        return self.noise.sample(rng, base)
 
     def kernel_time_runs(
         self,

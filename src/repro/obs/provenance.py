@@ -86,9 +86,9 @@ class EngineProvenance:
     """One :func:`repro.simmpi.engine.simulate_stages_batch` call's record.
 
     Pass a fresh instance as ``provenance=`` to the engine; it fills the
-    fields in place (mirroring the ``trace=[]`` idiom).  ``runs`` is the
-    *requested* replication count — stage arrays may still carry a single
-    broadcast row on the clean path (see :func:`rep_row`).
+    fields in place.  ``runs`` is the *requested* replication count —
+    stage arrays may still carry a single broadcast row on the clean path
+    (see :func:`rep_row`).
     """
 
     runs: int = 0

@@ -72,21 +72,6 @@ from repro.obs import current as _telemetry
 from repro.obs.provenance import EngineProvenance, StageProvenance
 
 
-@dataclass
-class StageEventTrace:
-    """Per-stage record kept when tracing is requested.
-
-    ``entry`` holds the clocks *before* the stage ran and ``exit`` the
-    clocks after it; both are ``(P,)`` from :func:`simulate_stages` and
-    ``(R, P)`` from :func:`simulate_stages_batch`.
-    """
-
-    stage: int
-    entry: np.ndarray
-    exit: np.ndarray
-    messages: int
-
-
 def stage_payload_matrix(payload_bytes, stage_idx: int, p: int) -> np.ndarray:
     """Normalise a payload specification to a P x P byte matrix.
 
@@ -353,25 +338,25 @@ def simulate_stages_batch(
     rng: np.random.Generator | None = None,
     noise: NoiseModel | None = None,
     entry_times: np.ndarray | None = None,
-    trace: list[StageEventTrace] | None = None,
     provenance: EngineProvenance | None = None,
 ) -> np.ndarray:
     """Execute ``runs`` noisy replications of the stage pattern in one pass.
 
     Returns the ``(runs, P)`` matrix of per-replication exit times.
-    ``entry_times`` may be ``(P,)`` (shared by every replication) or
-    ``(runs, P)``.  With ``rng=None`` (or ``noise=None``) every replication
-    is the identical clean execution, computed once and broadcast.
+    ``payload_bytes`` may be ``None`` (pure signals), a scalar, or a
+    per-stage sequence of scalars/matrices.  ``entry_times`` may be
+    ``(P,)`` (shared by every replication) or ``(runs, P)``, to model
+    skewed arrival at the synchronisation point.  With ``rng=None`` (or
+    ``noise=None``) every replication is the identical clean execution,
+    computed once and broadcast.  A single execution is row 0 of a
+    ``runs=1`` call.
 
-    Stage traces are **opt-in**: pass ``trace=[]`` to collect
-    :class:`StageEventTrace` records, or enable telemetry
-    (:mod:`repro.obs`), under which the engine collects them internally
-    and emits one host span per call plus one *simulated-time* span
-    summary per stage.  With both off, the stage loop allocates no
-    per-stage trace state.  Telemetry draws no randomness and never
-    changes the returned exits.
+    Under telemetry (:mod:`repro.obs`) the engine emits one host span per
+    call plus one *simulated-time* span per stage, read as scalars off the
+    stage's clocks, so no per-stage state is kept for it.  Telemetry draws
+    no randomness and never changes the returned exits.
 
-    Event provenance is likewise opt-in: pass a fresh
+    Event provenance is opt-in: pass a fresh
     :class:`repro.obs.provenance.EngineProvenance` as ``provenance=`` to
     record every event time plus NIC/receiver FIFO predecessor links,
     enough for :mod:`repro.obs.critpath` to rebuild the full event graph.
@@ -381,11 +366,9 @@ def simulate_stages_batch(
     if tele is None:
         return _simulate_stages_batch(
             truth, stages, runs, payload_bytes, rng, noise, entry_times,
-            trace, provenance,
+            provenance, None,
         )
     stages = list(stages)
-    eng_trace: list[StageEventTrace] = trace if trace is not None else []
-    first = len(eng_trace)
     with tele.span(
         "engine.simulate_stages_batch",
         runs=int(runs),
@@ -395,23 +378,8 @@ def simulate_stages_batch(
     ) as span:
         exits = _simulate_stages_batch(
             truth, stages, runs, payload_bytes, rng, noise, entry_times,
-            eng_trace, provenance,
+            provenance, tele,
         )
-        for rec in eng_trace[first:]:
-            entry_min = float(rec.entry.min()) if rec.entry.size else 0.0
-            exit_max = float(rec.exit.max()) if rec.exit.size else 0.0
-            tele.emit_span(
-                "engine.stage",
-                entry_min,
-                exit_max - entry_min,
-                time_base="sim",
-                stage=int(rec.stage),
-                messages=int(rec.messages),
-                runs=int(runs),
-                sim_exit_mean_s=float(
-                    np.atleast_2d(rec.exit).max(axis=-1).mean()
-                ),
-            )
         span.set(
             "sim_makespan_s", float(exits.max()) if exits.size else 0.0
         )
@@ -426,43 +394,20 @@ def _simulate_stages_batch(
     rng: np.random.Generator | None,
     noise: NoiseModel | None,
     entry_times: np.ndarray | None,
-    trace: list[StageEventTrace] | None,
-    provenance: EngineProvenance | None = None,
+    provenance: EngineProvenance | None,
+    tele,
 ) -> np.ndarray:
     if runs < 1:
         raise ValueError("runs must be >= 1")
     p = truth.nprocs
-    clean = rng is None or noise is None
-
-    if clean and runs > 1 and (
+    # Clean replications are identical: simulate one and broadcast it to
+    # the ``requested`` rows.  Provenance then keeps single-row arrays
+    # (``rep_row`` clamps), tagged with the requested replication count.
+    requested = runs
+    if (rng is None or noise is None) and (
         entry_times is None or np.asarray(entry_times).ndim == 1
     ):
-        # Clean replications are identical: compute one, broadcast all.
-        # Provenance rides through the runs=1 sub-call with its arrays
-        # left single-row (rep_row clamps), only the requested replication
-        # count re-tagged.
-        sub_trace: list[StageEventTrace] | None = (
-            [] if trace is not None else None
-        )
-        one = _simulate_stages_batch(
-            truth, stages, runs=1, payload_bytes=payload_bytes,
-            rng=None, noise=None, entry_times=entry_times, trace=sub_trace,
-            provenance=provenance,
-        )
-        if provenance is not None:
-            provenance.runs = int(runs)
-        if trace is not None:
-            trace.extend(
-                StageEventTrace(
-                    stage=rec.stage,
-                    entry=np.broadcast_to(rec.entry[0], (runs, p)).copy(),
-                    exit=np.broadcast_to(rec.exit[0], (runs, p)).copy(),
-                    messages=rec.messages,
-                )
-                for rec in sub_trace  # type: ignore[union-attr]
-            )
-        return np.broadcast_to(one[0], (runs, p)).copy()
-
+        runs = 1
     node_key = truth.placement.nodes.tobytes()
     rows = np.arange(runs)
 
@@ -470,7 +415,7 @@ def _simulate_stages_batch(
 
     capture = provenance is not None
     if capture:
-        provenance.runs = int(runs)
+        provenance.runs = int(requested)
         provenance.nprocs = int(p)
         provenance.nic_gap = float(truth.nic_gap)
         provenance.initial_entry = t.copy()
@@ -495,9 +440,10 @@ def _simulate_stages_batch(
             transit = (
                 latency + payload[src, dst] * truth.inv_bandwidth[src, dst]
             )
-        # Entry snapshot only when a trace/provenance was requested: the
-        # untraced hot path must not allocate per-stage (R, P) copies.
-        stage_entry = t.copy() if (trace is not None or capture) else None
+        # Entry snapshot only when provenance is recorded: the hot path
+        # must not allocate per-stage (R, P) copies.
+        stage_entry = t.copy() if capture else None
+        entry_min = float(t.min()) if tele is not None else 0.0
 
         # --- bulk noise (documented draw order; see module docstring) ----
         shape = (runs, n_msg)
@@ -595,66 +541,21 @@ def _simulate_stages_batch(
                     exit=t,
                 )
             )
-        if trace is not None:
-            trace.append(
-                StageEventTrace(
-                    stage=s_idx,
-                    entry=stage_entry,
-                    exit=t.copy(),
-                    messages=n_msg,
-                )
+        if tele is not None:
+            exit_max = t.max(axis=1)
+            tele.emit_span(
+                "engine.stage",
+                entry_min,
+                float(exit_max.max()) - entry_min,
+                time_base="sim",
+                stage=s_idx,
+                messages=int(n_msg),
+                runs=int(requested),
+                sim_exit_mean_s=float(exit_max.mean()),
             )
     if capture:
         provenance.final_exit = t
+    if requested > runs:
+        return np.broadcast_to(t[0], (requested, p)).copy()
     return t
 
-
-def simulate_stages(
-    truth: CommTruth,
-    stages,
-    payload_bytes=None,
-    rng: np.random.Generator | None = None,
-    noise: NoiseModel | None = None,
-    entry_times: np.ndarray | None = None,
-    trace: list[StageEventTrace] | None = None,
-    provenance: EngineProvenance | None = None,
-) -> np.ndarray:
-    """Execute stage matrices over the ground truth; return exit times.
-
-    ``payload_bytes`` may be ``None`` (pure signals), a scalar, or a
-    per-stage sequence of scalars/matrices.  ``entry_times`` lets callers
-    model skewed arrival at the synchronisation point.
-
-    This is the single-replication view of :func:`simulate_stages_batch`;
-    callers measuring many noisy runs should pass ``runs=R`` there instead
-    of looping here.  A ``provenance`` record is filled with
-    single-replication rows.
-    """
-    p = truth.nprocs
-    if entry_times is not None and np.shape(entry_times) != (p,):
-        raise ValueError(f"entry_times must have shape ({p},)")
-    batch_trace: list[StageEventTrace] | None = (
-        [] if trace is not None else None
-    )
-    exits = simulate_stages_batch(
-        truth,
-        stages,
-        runs=1,
-        payload_bytes=payload_bytes,
-        rng=rng,
-        noise=noise,
-        entry_times=entry_times,
-        trace=batch_trace,
-        provenance=provenance,
-    )
-    if trace is not None:
-        trace.extend(
-            StageEventTrace(
-                stage=rec.stage,
-                entry=rec.entry[0],
-                exit=rec.exit[0],
-                messages=rec.messages,
-            )
-            for rec in batch_trace  # type: ignore[union-attr]
-        )
-    return exits[0]

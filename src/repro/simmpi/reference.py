@@ -1,9 +1,9 @@
 """Reference (scalar) discrete-event engine — the pre-batching implementation.
 
 This module preserves the original per-message Python implementation of
-:func:`repro.simmpi.engine.simulate_stages` verbatim, as the behavioural
-oracle for the vectorized replication-batched engine that replaced it on
-the hot path.  The contract between the two:
+the event engine, as the behavioural oracle for the vectorized
+replication-batched :func:`repro.simmpi.engine.simulate_stages_batch`
+that replaced it.  The contract between the two:
 
 * **Clean path** (``rng=None`` or ``noise=None``): the batched engine is
   *bit-identical* to this reference for every registered pattern family —
@@ -14,10 +14,7 @@ the hot path.  The contract between the two:
   individual runs differ while statistics agree distributionally.
 
 Keep this implementation dumb and obvious: its value is that it is easy to
-audit against the §5.6.1 event semantics, not that it is fast.  The one
-deliberate divergence from the historical code is the
-:class:`StageEventTrace` fix — entry times are recorded *before* the stage
-advances the clocks (the old code recorded ``entry == exit``).
+audit against the §5.6.1 event semantics, not that it is fast.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import numpy as np
 
 from repro.cluster.noise import NoiseModel
 from repro.machine.simmachine import CommTruth
-from repro.simmpi.engine import StageEventTrace, stage_payload_matrix
+from repro.simmpi.engine import stage_payload_matrix
 
 
 def _noisy(noise: NoiseModel | None, rng, values: np.ndarray) -> np.ndarray:
@@ -42,7 +39,6 @@ def simulate_stages(
     rng: np.random.Generator | None = None,
     noise: NoiseModel | None = None,
     entry_times: np.ndarray | None = None,
-    trace: list[StageEventTrace] | None = None,
 ) -> np.ndarray:
     """Execute stage matrices over the ground truth; return exit times.
 
@@ -65,7 +61,6 @@ def simulate_stages(
         if stage.shape != (p, p):
             raise ValueError(f"stage {s_idx} has wrong shape {stage.shape}")
         payload = stage_payload_matrix(payload_bytes, s_idx, p)
-        stage_entry = t.copy()
 
         sends_of = [np.flatnonzero(stage[i]) for i in range(p)]
         participants = stage.any(axis=1) | stage.any(axis=0)
@@ -138,13 +133,4 @@ def simulate_stages(
                 exit_time = max(exit_time, max(consumed_of[i]))
             new_t[i] = exit_time
         t = new_t
-        if trace is not None:
-            trace.append(
-                StageEventTrace(
-                    stage=s_idx,
-                    entry=stage_entry,
-                    exit=t.copy(),
-                    messages=len(msg_list),
-                )
-            )
     return t

@@ -18,8 +18,11 @@ thesis's experimental subjects:
   inter-node exchanges only (§8.3.3).
 
 MPI-family implementations are cost models over the event engine (the
-numerics are identical to BSP's by construction, so only time differs);
-the BSP implementation supports both real numerics and charge-only mode.
+numerics are identical to BSP's by construction, so only time differs):
+each rank's clean compute times are computed once per run, and every
+iteration draws one bulk noise sample over the ranks around them, then
+runs the exchange as one ``runs=1`` engine execution.  The BSP
+implementation supports both real numerics and charge-only mode.
 It always runs on the BSP runtime's replication axis (``runs=1`` by
 default), so its timings carry a leading ``(R, ...)`` axis; charge-only
 runs build no grid data at all.
@@ -35,7 +38,7 @@ from repro.bsplib.runtime import bsp_run
 from repro.cluster.topology import Placement
 from repro.kernels.numeric import STENCIL5
 from repro.machine.simmachine import SimMachine
-from repro.simmpi.engine import simulate_stages
+from repro.simmpi.engine import simulate_stages_batch
 from repro.stencil.grid import LocalBlock, decompose
 from repro.stencil.regions import border_cell_count, interior_cell_count
 from repro.util.validation import require_int
@@ -259,19 +262,6 @@ def _exchange_stages(blocks: list[LocalBlock]) -> tuple[list, list]:
     return [horizontal, vertical], [pay_h, pay_v]
 
 
-def _charge_compute(machine, placement, cells, footprints, rng):
-    """Per-rank noisy compute time for a cell-count vector.
-
-    All ranks are priced with one bulk noise draw (replication of the
-    batched engine's draw-order discipline) instead of one scalar draw
-    per rank.
-    """
-    cores = [placement.core_of(rank) for rank in range(placement.nprocs)]
-    return machine.kernel_time_batch(
-        cores, STENCIL5, cells, rng=rng, footprint_bytes=footprints
-    )
-
-
 def _run_mpi_family(
     machine: SimMachine,
     nprocs: int,
@@ -301,33 +291,43 @@ def _run_mpi_family(
         _footprint(b) / compute_scale if compute_scale != 1.0 else _footprint(b)
         for b in blocks
     ]
+    cores = [placement.core_of(rank) for rank in range(nprocs)]
+
+    def clean(cells) -> np.ndarray:
+        """Each rank's noise-free compute time, fixed for the whole run."""
+        return np.array([
+            machine.kernel_time_clean(
+                core, STENCIL5, int(c), footprint_bytes=fp
+            )
+            for core, c, fp in zip(cores, cells, footprints)
+        ])
+
+    def charge(base: np.ndarray) -> np.ndarray:
+        """One iteration's compute: one bulk noise draw over the ranks."""
+        t = base if rng is None else noise.sample(rng, base)
+        return t / compute_scale
+
+    if overlap:
+        clean_border, clean_interior = clean(border), clean(interior)
+    else:
+        clean_total = clean(border + interior)
 
     clock = np.zeros(nprocs)
     iteration_seconds = np.empty(iterations)
     for it in range(iterations):
         start = clock.max()
         if overlap:
-            t_border = _charge_compute(machine, placement, border, footprints, rng)
-            t_border /= compute_scale
-            comm_entry = clock + t_border
-            exits_comm = simulate_stages(
+            comm_entry = clock + charge(clean_border)
+            exits_comm = simulate_stages_batch(
                 truth, stages, payload_bytes=payloads,
                 rng=rng, noise=noise, entry_times=comm_entry,
-            )
-            t_interior = _charge_compute(
-                machine, placement, interior, footprints, rng
-            )
-            t_interior /= compute_scale
-            clock = np.maximum(comm_entry + t_interior, exits_comm)
+            )[0]
+            clock = np.maximum(comm_entry + charge(clean_interior), exits_comm)
         else:
-            t_comp = _charge_compute(
-                machine, placement, border + interior, footprints, rng
-            )
-            t_comp /= compute_scale
-            clock = simulate_stages(
+            clock = simulate_stages_batch(
                 truth, stages, payload_bytes=payloads,
-                rng=rng, noise=noise, entry_times=clock + t_comp,
-            )
+                rng=rng, noise=noise, entry_times=clock + charge(clean_total),
+            )[0]
         clock = clock + extra_per_iter
         # Neighbour dependencies couple the ranks; a global fence is not
         # required by MPI, but iteration duration is still bounded by the

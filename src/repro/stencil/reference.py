@@ -6,8 +6,8 @@ path, kept as the behavioural oracle — the role
 :mod:`repro.simmpi.reference` plays for the event engine.  It runs one
 replication on ``(nprocs,)`` clocks: one :meth:`NoiseModel.sample` draw
 over the cycle's ``(nprocs, depth)`` sweeps, then the exchange stages and
-the dissemination sync through the scalar engine view
-:func:`repro.simmpi.engine.simulate_stages`.
+the dissemination sync as single ``runs=1`` executions of
+:func:`repro.simmpi.engine.simulate_stages_batch`.
 
 A ``(1, ...)`` replication-major draw consumes the generator exactly as
 the ``(...)`` draw does, so the batched path at ``runs=1`` is
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine.simmachine import SimMachine
-from repro.simmpi.engine import simulate_stages
+from repro.simmpi.engine import simulate_stages_batch
 from repro.stencil.optimizer import _halo_schedule
 from repro.util.validation import require_int
 
@@ -51,16 +51,16 @@ def reference_halo_iteration(
         first = sweeps[:, 0]
         rest = sweeps[:, 1:].sum(axis=1)
         comm_entry = clock + first
-        exits_comm = simulate_stages(
+        exits_comm = simulate_stages_batch(
             truth, stages, payload_bytes=payloads,
             rng=rng, noise=noise, entry_times=comm_entry,
-        )
+        )[0]
         body_end = np.maximum(comm_entry + rest, exits_comm)
         if nprocs > 1:
-            clock = simulate_stages(
+            clock = simulate_stages_batch(
                 truth, sync_stages, payload_bytes=sync_payloads,
                 rng=rng, noise=noise, entry_times=body_end,
-            )
+            )[0]
         else:
             clock = body_end
     return float(clock.max()) / (cycles * depth)

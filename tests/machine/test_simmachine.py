@@ -151,47 +151,23 @@ class TestPlacementPolicies:
         assert pl.cores.tolist() == list(range(10))
 
 
-class TestKernelTimeBatch:
-    def test_clean_matches_scalar_path(self, machine):
-        sizes = [256, 1024, 4096]
-        cores = [0, 1, 2]
-        batch = machine.kernel_time_batch(cores, DAXPY, sizes)
-        for k, (core, n) in enumerate(zip(cores, sizes)):
-            assert batch[k] == machine.kernel_time_clean(core, DAXPY, n)
-
-    def test_scalar_core_broadcast(self, machine):
-        batch = machine.kernel_time_batch(0, DAXPY, [128, 256])
-        assert batch.shape == (2,)
-        assert batch[1] > batch[0]
-
-    def test_noisy_reproducible_and_varies(self, machine):
-        a = machine.kernel_time_batch(
-            0, DAXPY, [1024] * 8, rng=machine.rng("ktb")
-        )
-        b = machine.kernel_time_batch(
-            0, DAXPY, [1024] * 8, rng=machine.rng("ktb")
-        )
-        np.testing.assert_array_equal(a, b)
-        assert np.unique(a).size > 1
-
-    def test_footprint_vector_validated(self, machine):
-        with pytest.raises(ValueError, match="footprint"):
-            machine.kernel_time_batch(
-                0, DAXPY, [128, 256], footprint_bytes=[1024.0]
-            )
-
-
 class TestKernelTimeScalarBatchEquivalence:
-    """kernel_time delegates to kernel_time_batch on a length-1 vector, so
-    the scalar and batch noise paths cannot drift apart."""
+    """kernel_time is replication 0 of kernel_time_runs at runs=1, so the
+    scalar and replicated noise paths cannot drift apart."""
 
     def test_scalar_equals_length_one_batch(self, machine):
-        scalar = machine.kernel_time(0, DAXPY, 1024, rng=machine.rng("eq"))
-        batch = machine.kernel_time_batch(
-            0, DAXPY, [1024], rng=machine.rng("eq")
-        )
-        assert scalar == batch[0]
-        assert isinstance(scalar, float)
+        for footprint in (None, 6.4e7):
+            scalar = machine.kernel_time(
+                9, DAXPY, 1024, reps=4, rng=machine.rng("eq"),
+                footprint_bytes=footprint,
+            )
+            runs = machine.kernel_time_runs(
+                9, DAXPY, 1024, 1, reps=4, rng=machine.rng("eq"),
+                footprint_bytes=footprint,
+            )
+            assert runs.shape == (1,)
+            assert scalar == runs[0]
+            assert isinstance(scalar, float)
 
     def test_scalar_matches_historical_stream(self, machine):
         """A shape-(1,) draw consumes the RNG exactly as the retired

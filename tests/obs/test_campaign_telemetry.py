@@ -20,6 +20,7 @@ from repro.explore.cli import main
 from repro.explore.experiments import register_experiment
 from repro.explore.space import DesignSpace
 from repro.machine.simmachine import SimMachine
+from repro.obs.provenance import EngineProvenance
 from repro.simmpi.engine import simulate_stages_batch
 from tests.obs.test_telemetry import assert_well_formed
 
@@ -308,16 +309,18 @@ class TestNoEnvironmentHandOff:
         assert file_tree(tmp_path) == before
 
 
-# ------------------------------------------------- engine trace opt-in
+# ------------------------------------------------- engine stage records
 
 class TestEngineTraceGating:
     def test_untraced_path_skips_per_stage_entry_copies(self):
-        """The untraced hot path must not allocate per-stage ``(R, P)``
-        snapshots.  Measured as allocation peaks: with single-message
-        stages the working set is a handful of ``(R, P)`` clocks arrays,
-        while each traced stage *retains* two more — so the traced peak
-        must sit well above the untraced one, and the untraced peak below
-        what an unconditional entry copy would need."""
+        """The engine must not allocate per-stage ``(R, P)`` snapshots
+        unless a provenance record asks for them; telemetry reads each
+        stage's span as scalars.  Measured as allocation peaks: with
+        single-message stages the working set is a handful of ``(R, P)``
+        clocks arrays, while each recorded stage *retains* three more
+        (entry, initiation end, exit) — so the recorded peak must sit
+        well above the plain one, and the plain and telemetry-on peaks
+        below what an unconditional entry copy would need."""
         p, runs, n_stages = 64, 512, 4
         stage = np.zeros((p, p), dtype=bool)
         stage[0, 1] = True  # one message: temporaries stay tiny
@@ -326,23 +329,27 @@ class TestEngineTraceGating:
         truth = m.comm_truth(m.placement(p))
         rng = np.random.default_rng(0)
 
-        def peak(trace):
+        def peak(provenance=None):
             tracemalloc.start()
             simulate_stages_batch(
                 truth, stages, runs=runs, rng=rng, noise=m.noise,
-                trace=trace,
+                provenance=provenance,
             )
             _, peak_bytes = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return peak_bytes
 
-        peak(None)  # warm-up: import-time and first-call allocations
+        peak()  # warm-up: import-time and first-call allocations
         clocks = runs * p * 8  # one (R, P) float64 array
-        untraced = peak(None)
-        traced = peak([])
-        # Traced retains entry+exit per stage on top of the working set.
-        assert traced - untraced >= (2 * n_stages - 2) * clocks
-        # The untraced peak measures ~5 clocks arrays (t, busy_end,
-        # recv_cursor, new_t plus one rebinding overlap); an unconditional
-        # entry snapshot would push it to ~6.  Split the difference.
-        assert untraced < 5.5 * clocks
+        untraced = peak()
+        recorded = peak(EngineProvenance())
+        # Provenance retains entry+exit per stage on top of the working set.
+        assert recorded - untraced >= (2 * n_stages - 2) * clocks
+        # The untraced peak measures ~3.5 clocks arrays (t, busy_end,
+        # new_t plus the draws and scan temporaries); an unconditional
+        # entry snapshot pushes it to ~4.5.  Split the difference.
+        assert untraced < 4.0 * clocks
+        obs.enable()
+        peak()  # warm-up: the first span's allocations
+        assert peak() < 4.0 * clocks
+        assert any(e["name"] == "engine.stage" for e in obs.current().events())

@@ -11,7 +11,12 @@ from repro.barriers.patterns import (
 from repro.cluster import presets
 from repro.cluster.noise import QUIET
 from repro.machine.simmachine import SimMachine
-from repro.simmpi.engine import simulate_stages, stage_payload_matrix
+from repro.simmpi.engine import simulate_stages_batch, stage_payload_matrix
+
+
+def simulate_once(truth, stages, **kwargs):
+    """One execution: row 0 of a ``runs=1`` engine call."""
+    return simulate_stages_batch(truth, stages, runs=1, **kwargs)[0]
 
 
 @pytest.fixture
@@ -27,7 +32,7 @@ def machine():
 def run_clean(machine, pattern, nprocs, payload=None, entry=None):
     placement = machine.placement(nprocs)
     truth = machine.comm_truth(placement)
-    return simulate_stages(
+    return simulate_once(
         truth, pattern.stages, payload_bytes=payload, entry_times=entry
     )
 
@@ -48,7 +53,7 @@ class TestEngineBasics:
     def test_empty_stage_costs_nothing(self, machine):
         placement = machine.placement(4)
         truth = machine.comm_truth(placement)
-        exits = simulate_stages(truth, [np.zeros((4, 4), dtype=bool)])
+        exits = simulate_once(truth, [np.zeros((4, 4), dtype=bool)])
         np.testing.assert_array_equal(exits, np.zeros(4))
 
     def test_entry_times_respected(self, machine):
@@ -83,8 +88,8 @@ class TestLocalityCosts:
         local[0, 2] = True  # same node
         remote = np.zeros((p, p), dtype=bool)
         remote[0, 1] = True  # other node by parity
-        t_local = simulate_stages(truth, [local]).max()
-        t_remote = simulate_stages(truth, [remote]).max()
+        t_local = simulate_once(truth, [local]).max()
+        t_remote = simulate_once(truth, [remote]).max()
         assert t_remote > 2 * t_local
 
     def test_nic_serialises_fanout(self, machine):
@@ -97,8 +102,8 @@ class TestLocalityCosts:
         one[0, 1] = True
         many = np.zeros((p, p), dtype=bool)
         many[0, [1, 3, 5, 7, 9]] = True
-        t_one = simulate_stages(truth, [one]).max()
-        t_many = simulate_stages(truth, [many]).max()
+        t_one = simulate_once(truth, [one]).max()
+        t_many = simulate_once(truth, [many]).max()
         assert t_many > t_one + 3 * truth.nic_gap
 
     def test_payload_adds_transfer_time(self, machine):
@@ -118,8 +123,8 @@ class TestNoiseIntegration:
         truth = machine.comm_truth(placement)
         rng = machine.rng("engine-noise")
         pattern = dissemination_barrier(8)
-        a = simulate_stages(truth, pattern.stages, rng=rng, noise=machine.noise).max()
-        b = simulate_stages(truth, pattern.stages, rng=rng, noise=machine.noise).max()
+        a = simulate_once(truth, pattern.stages, rng=rng, noise=machine.noise).max()
+        b = simulate_once(truth, pattern.stages, rng=rng, noise=machine.noise).max()
         assert a != b
 
     def test_noise_reproducible_across_streams(self):
@@ -129,10 +134,10 @@ class TestNoiseIntegration:
         placement = machine.placement(8)
         truth = machine.comm_truth(placement)
         pattern = dissemination_barrier(8)
-        a = simulate_stages(
+        a = simulate_once(
             truth, pattern.stages, rng=machine.rng("x"), noise=machine.noise
         )
-        b = simulate_stages(
+        b = simulate_once(
             truth, pattern.stages, rng=machine.rng("x"), noise=machine.noise
         )
         np.testing.assert_array_equal(a, b)
@@ -194,7 +199,7 @@ class TestBadPayloadRejected:
             if noisy else {}
         )
         with pytest.raises(ValueError, match="non-negative"):
-            simulate_stages(truth, [stage], payload_bytes=bad, **kwargs)
+            simulate_once(truth, [stage], payload_bytes=bad, **kwargs)
 
 
 class TestValidationErrors:
@@ -202,13 +207,13 @@ class TestValidationErrors:
         placement = machine.placement(4)
         truth = machine.comm_truth(placement)
         with pytest.raises(ValueError, match="wrong shape"):
-            simulate_stages(truth, [np.zeros((3, 3), dtype=bool)])
+            simulate_once(truth, [np.zeros((3, 3), dtype=bool)])
 
     def test_wrong_entry_shape(self, machine):
         placement = machine.placement(4)
         truth = machine.comm_truth(placement)
         with pytest.raises(ValueError, match="entry_times"):
-            simulate_stages(
+            simulate_once(
                 truth,
                 [np.zeros((4, 4), dtype=bool)],
                 entry_times=np.zeros(3),

@@ -16,6 +16,7 @@ from repro.barriers.patterns import (
 from repro.cluster import presets
 from repro.cluster.noise import QUIET
 from repro.machine import SimMachine
+from repro.simmpi.engine import simulate_stages_batch
 
 #: Every barrier family sampled by the pattern/size property tests.
 FAMILIES = (
@@ -47,13 +48,12 @@ def machine():
 
 
 def run(machine, stages, p, entry=None, payload=None):
-    from repro.simmpi.engine import simulate_stages
-
+    """One clean execution: row 0 of a ``runs=1`` engine call."""
     placement = machine.placement(p)
     truth = machine.comm_truth(placement)
-    return simulate_stages(
-        truth, stages, entry_times=entry, payload_bytes=payload
-    )
+    return simulate_stages_batch(
+        truth, stages, runs=1, entry_times=entry, payload_bytes=payload
+    )[0]
 
 
 @given(
