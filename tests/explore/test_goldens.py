@@ -3,6 +3,7 @@
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -16,8 +17,18 @@ from repro.explore.golden import (
 )
 from repro.explore.suites import DEFAULT_GOLDENS_DIR as GOLDENS_DIR, get_suite
 
+#: Every checked-in fixture: the golden suites plus the Chapter 8 suites,
+#: whose regeneration CI checks in a step of its own.
+CHECKED_IN = GOLDEN_SUITES + ("fig-8-4-to-8-7", "fig-8-10-to-8-15", "fig-8-18")
 
-@pytest.mark.parametrize("suite", GOLDEN_SUITES)
+
+def test_every_fixture_is_listed():
+    assert sorted(os.listdir(GOLDENS_DIR)) == sorted(
+        f"{suite}.json" for suite in CHECKED_IN
+    )
+
+
+@pytest.mark.parametrize("suite", CHECKED_IN)
 def test_golden_fixture_checked_in_and_well_formed(suite):
     artifact = load_golden(golden_path(GOLDENS_DIR, suite))
     assert artifact["format_version"] == ARTIFACT_FORMAT_VERSION
@@ -32,7 +43,7 @@ def test_golden_fixture_checked_in_and_well_formed(suite):
     assert set(artifact["series"]) == {s.name for s in spec.series}
 
 
-@pytest.mark.parametrize("suite", GOLDEN_SUITES)
+@pytest.mark.parametrize("suite", CHECKED_IN)
 def test_golden_self_check_passes(suite):
     """A fixture compared against itself is a clean pass — the comparison
     machinery cannot reject the checked-in artifact."""
@@ -42,7 +53,7 @@ def test_golden_self_check_passes(suite):
     assert report.ok, report.summary()
 
 
-@pytest.mark.parametrize("suite", GOLDEN_SUITES)
+@pytest.mark.parametrize("suite", CHECKED_IN)
 def test_perturbed_copy_fails_the_check(tmp_path, suite):
     """Drifted numbers and structural edits must both be caught."""
     artifact = load_golden(golden_path(GOLDENS_DIR, suite))
