@@ -88,7 +88,19 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
           "disabled_s": float,    # measure_barrier, no provenance
           "enabled_s": float,     # same call, provenance recording on
           "overhead_pct": float   # 100 * (enabled - disabled)/disabled
-        }                         # untraced path asserted bit-identical
+        },                        # untraced path asserted bit-identical
+        "cost_model_fig_5_6": {   # and "cost_model_sweep" (two shape sets)
+          "patterns": [str], "nprocs": [int],
+          "calls": int,           # predict_barrier_cost calls per pass
+          "repeats": int,
+          "reference_ms": float,  # best pass, per call: the loop oracle
+          "cold_ms": float,       # best pass, per call: plan built cold
+          "warm_ms": float,       # best pass, per call: plan from cache
+                                  # (each shape's second call in a row)
+          "plans": int,           # distinct plans of the set
+          "plan_bytes": int,      # their array bytes in total
+          "speedup": float        # reference_ms / warm_ms
+        }                         # every call asserted bit-identical
       }
     }
 
@@ -649,6 +661,108 @@ def bench_critpath_overhead(quick: bool) -> dict:
     }
 
 
+#: The cost-model shape sets: families and process counts.
+COST_MODEL_SHAPES = {
+    "fig_5_6": (["dissemination", "tree", "linear"], range(2, 65)),
+    "sweep": (
+        ["linear", "tree", "dissemination", "sequential", "kary-dissemination"],
+        [4, 6, 8, 10, 12, 16, 20, 24],
+    ),
+}
+
+
+def bench_cost_model(quick: bool, shapes_name: str) -> dict:
+    """Eq. 5.4 per call: the reference loop vs a cold and a warm plan.
+
+    ``fig_5_6`` is the golden ``fig-5-6-to-5-9`` suite's shapes:
+    dissemination, tree and linear at P = 2..64 (every sixth P with
+    ``--quick``), each called once, so a campaign never reuses a plan.
+    ``sweep`` is the ``barrier-cost`` campaigns': the five sweep families
+    at P = 4..24, which a campaign calls again and again.  Parameters are
+    seeded random matrices with negative off-diagonal overheads.  Before
+    timing, every shape's stage costs and timeline, from a cold and a warm
+    plan, are asserted to be the bytes of the reference loop.
+    """
+    import numpy as np
+
+    from repro.barriers import cost_model, reference
+    from repro.barriers.cost_model import (
+        CommParameters,
+        predict_barrier_cost,
+        predict_barrier_timeline,
+        stage_costs,
+    )
+    from repro.explore.experiments import PATTERN_FAMILIES
+
+    families, sizes = COST_MODEL_SHAPES[shapes_name]
+    if quick and shapes_name == "fig_5_6":
+        sizes = sizes[::6]
+    repeats = 3 if quick else 7
+    rng = np.random.default_rng(2012)
+    shapes = []
+    for name in families:
+        for p in sizes:
+            overhead = rng.uniform(-0.2, 1.0, (p, p)) * 1e-6
+            np.fill_diagonal(overhead, rng.uniform(0.1, 0.3, p) * 1e-6)
+            latency = rng.uniform(0.5, 3.0, (p, p)) * 1e-6
+            shapes.append(
+                (PATTERN_FAMILIES[name](p), CommParameters(overhead, latency))
+            )
+
+    for pattern, params in shapes:
+        want_costs = np.array(reference.stage_costs(pattern, params))
+        want = reference.predict_barrier_timeline(pattern, params)
+        cost_model._plans.clear()
+        for plan in ("cold", "warm"):
+            got = predict_barrier_timeline(pattern, params)
+            assert got.tobytes() == want.tobytes(), (pattern.name, plan)
+            got_costs = np.array(stage_costs(pattern, params))
+            assert got_costs.tobytes() == want_costs.tobytes()
+
+    def run_reference():
+        for pattern, params in shapes:
+            reference.predict_barrier_timeline(pattern, params).max()
+
+    def run_cold():
+        for pattern, params in shapes:
+            cost_model._plans.clear()
+            predict_barrier_cost(pattern, params)
+
+    def run_warm() -> float:
+        """Seconds of each shape's second call in a row: more shapes than
+        the cache holds would otherwise evict every plan before reuse."""
+        seconds = 0.0
+        for pattern, params in shapes:
+            predict_barrier_cost(pattern, params)
+            start = time.perf_counter()
+            predict_barrier_cost(pattern, params)
+            seconds += time.perf_counter() - start
+        return seconds
+
+    cost_model._plans.clear()
+    plans = [cost_model._plan(pattern) for pattern, _ in shapes]
+    plan_bytes = sum(
+        value.nbytes for plan in plans for value in vars(plan).values()
+        if isinstance(value, np.ndarray)
+    )
+    per_call = 1e3 / len(shapes)
+    reference_ms = _best_of(repeats, run_reference) * per_call
+    cold_ms = _best_of(repeats, run_cold) * per_call
+    warm_ms = min(run_warm() for _ in range(repeats)) * per_call
+    return {
+        "patterns": families,
+        "nprocs": list(sizes),
+        "calls": len(shapes),
+        "repeats": repeats,
+        "reference_ms": reference_ms,
+        "cold_ms": cold_ms,
+        "warm_ms": warm_ms,
+        "plans": len(plans),
+        "plan_bytes": plan_bytes,
+        "speedup": reference_ms / warm_ms,
+    }
+
+
 def run_all(quick: bool) -> dict:
     return {
         "schema": "repro-bench-engine/v2",
@@ -666,6 +780,8 @@ def run_all(quick: bool) -> dict:
             "profile_cache": bench_profile_cache(quick),
             "telemetry_overhead": bench_telemetry_overhead(quick),
             "critpath_overhead": bench_critpath_overhead(quick),
+            "cost_model_fig_5_6": bench_cost_model(quick, "fig_5_6"),
+            "cost_model_sweep": bench_cost_model(quick, "sweep"),
         },
     }
 
@@ -771,6 +887,15 @@ def test_perf_engine_quick(emit, tmp_path):
     # Capture stores references to arrays the engine computes anyway, so
     # even the quick sizing should stay well under 2x.
     assert crit["overhead_pct"] < 100.0
+    for label in ("fig_5_6", "sweep"):
+        case = artifact["cases"][f"cost_model_{label}"]
+        emit(
+            f"cost model {label} (quick): warm {case['warm_ms']:.3f} ms, "
+            f"cold {case['cold_ms']:.3f} ms, loop {case['reference_ms']:.3f} "
+            f"ms per call ({case['speedup']:.1f}x warm)"
+        )
+        # A warm call is numeric work only: 5-15x on a 2-vCPU VM.
+        assert case["speedup"] >= 2.0
 
 
 if __name__ == "__main__":

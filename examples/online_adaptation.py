@@ -26,8 +26,8 @@ def main() -> None:
     profile = benchmark_comm(machine, placement, samples=9).params
 
     adapter = OnlineBarrierAdapter(profile, switch_factor=1.15, smoothing=1.0)
-    print(f"initial pattern: {adapter.pattern.name} "
-          f"({adapter.pattern.num_stages} stages)")
+    initial = adapter.pattern
+    print(f"initial pattern: {initial.name} ({initial.num_stages} stages)")
 
     rows = []
     # Phase 1: stable platform — the adapter must hold its choice.
@@ -53,9 +53,7 @@ def main() -> None:
     print(f"\nswitches: {adapter.switches}; final pattern: "
           f"{adapter.pattern.name}")
 
-    stale_cost = predict_barrier_cost(adapter.events[0].pattern_name and
-                                      OnlineBarrierAdapter(profile).pattern,
-                                      drifted)
+    stale_cost = predict_barrier_cost(initial, drifted)
     fresh_cost = predict_barrier_cost(adapter.pattern, adapter.profile)
     print(f"stale pattern under drifted conditions: {stale_cost * 1e6:.1f} us; "
           f"re-adapted: {fresh_cost * 1e6:.1f} us")

@@ -21,8 +21,9 @@ from repro.barriers.correctness import (
 )
 from repro.barriers.cost_model import (
     CommParameters,
+    StageTerms,
+    stage_terms,
     stage_costs,
-    posted_receive_pairs,
     predict_barrier_timeline,
     predict_barrier_cost,
     critical_path_recursive,
@@ -52,8 +53,9 @@ __all__ = [
     "stages_to_completion",
     "assert_correct",
     "CommParameters",
+    "StageTerms",
+    "stage_terms",
     "stage_costs",
-    "posted_receive_pairs",
     "predict_barrier_timeline",
     "predict_barrier_cost",
     "critical_path_recursive",

@@ -6,7 +6,6 @@ import pytest
 from repro.barriers.cost_model import (
     CommParameters,
     critical_path_recursive,
-    posted_receive_pairs,
     predict_barrier_cost,
     predict_barrier_timeline,
     stage_costs,
@@ -16,6 +15,7 @@ from repro.barriers.patterns import (
     linear_barrier,
     tree_barrier,
 )
+from repro.barriers.reference import posted_receive_pairs
 
 
 def uniform_params(p, latency=1.0, overhead=0.1, self_overhead=0.01, beta=None):
@@ -151,3 +151,47 @@ class TestCriticalPath:
         assert predict_barrier_cost(pattern, params_far) > predict_barrier_cost(
             pattern, params_near
         )
+
+
+class TestCommParameters:
+    def test_nested_lists_are_converted(self):
+        params = CommParameters(
+            overhead=[[0.01, 0.1], [0.1, 0.01]],
+            latency=[[0.0, 1.0], [1.0, 0.0]],
+            inv_bandwidth=[[0.0, 0.5], [0.5, 0.0]],
+        )
+        assert params.nprocs == 2
+        assert isinstance(params.overhead, np.ndarray)
+        assert params.overhead.dtype == float
+        assert params.inv_bandwidth.shape == (2, 2)
+
+    def test_non_square_overhead_rejected(self):
+        with pytest.raises(ValueError, match="overhead"):
+            CommParameters(np.zeros((3, 4)), np.zeros((3, 3)))
+
+    def test_overhead_must_be_2d(self):
+        with pytest.raises(ValueError, match="overhead"):
+            CommParameters([0.1, 0.2], np.zeros((2, 2)))
+
+    def test_latency_and_bandwidth_must_match(self):
+        with pytest.raises(ValueError, match="latency"):
+            CommParameters(np.zeros((3, 3)), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="inv_bandwidth"):
+            CommParameters(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((2, 2)))
+
+
+class TestPayloadPricing:
+    def test_payload_without_bandwidth_rejected(self):
+        params = uniform_params(2)
+        assert predict_barrier_cost(linear_barrier(2), params) == pytest.approx(4.2)
+        with pytest.raises(ValueError, match="inv_bandwidth"):
+            predict_barrier_cost(linear_barrier(2), params, payload_bytes=1e6)
+        with pytest.raises(ValueError, match="inv_bandwidth"):
+            stage_costs(linear_barrier(3), uniform_params(3),
+                        payload_bytes=[0.0, 8.0])
+
+    def test_invalid_payload_rejected(self):
+        params = uniform_params(2, beta=0.5)
+        for bad in (-1.0, float("nan"), [np.full((2, 2), np.inf)] * 2):
+            with pytest.raises(ValueError, match="payload"):
+                predict_barrier_cost(linear_barrier(2), params, payload_bytes=bad)
