@@ -28,7 +28,6 @@ from repro.stencil import (
     serial_reference,
     stencil_sec_per_cell,
 )
-from repro.stencil.impls import WORD
 from repro.util.tables import format_table
 
 
@@ -71,11 +70,7 @@ def main() -> None:
     blocks = decompose(n, nprocs)
     placement = machine.placement(nprocs)
     report = benchmark_comm(machine, placement, samples=7)
-    block = blocks[0]
-    spc = stencil_sec_per_cell(
-        machine, placement.core_of(0), block.interior_cells,
-        2.0 * (block.height + 2) * (block.width + 2) * WORD,
-    )
+    spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
     prediction = predict_bsp_iteration(blocks, spc, report.params)
     measured = run_bsp_stencil(
         machine, nprocs, n, iters, execute_numerics=False, label="pred"

@@ -1,8 +1,7 @@
 """``python -m repro.analysis`` — the detlint command line.
 
-Exit codes: 0 clean (or every finding baselined/suppressed), 1 findings
-(or unused baseline entries under ``--baseline``), 2 usage / IO /
-baseline-schema errors.
+Exit codes: 0 clean (every finding, if any, suppressed inline),
+1 findings, 2 usage / IO errors.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import json
 import os
 import sys
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.core import LintResult, all_rules, lint_paths
 
 FORMATS = ("text", "github", "json")
@@ -33,25 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=FORMATS, default="text",
         help="finding output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", nargs="?", const=baseline_mod.DEFAULT_PATH,
-        metavar="PATH", default=None,
-        help=(
-            "subtract grandfathered findings recorded in PATH "
-            f"(default path: {baseline_mod.DEFAULT_PATH}); unused "
-            "entries are reported and fail the run so the baseline "
-            "only ever shrinks"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", nargs="?", const=baseline_mod.DEFAULT_PATH,
-        metavar="PATH", default=None,
-        help="write the current findings to PATH as a baseline and exit",
-    )
-    parser.add_argument(
-        "--justification", default="",
-        help="justification stamped on every --write-baseline entry",
     )
     parser.add_argument(
         "--rules", default=None, metavar="IDS",
@@ -87,17 +66,17 @@ def _select_rules(spec: str | None):
     return [index[rule_id] for rule_id in sorted(wanted)]
 
 
-def _emit(findings, fmt: str, result: LintResult) -> None:
+def _emit(result: LintResult, fmt: str) -> None:
     if fmt == "json":
         payload = {
-            "findings": [f.to_json() for f in findings],
+            "findings": [f.to_json() for f in result.findings],
             "files": result.files,
             "suppressed": result.suppressed,
             "errors": result.errors,
         }
         print(json.dumps(payload, indent=2))
         return
-    for finding in findings:
+    for finding in result.findings:
         if fmt == "github":
             print(finding.github())
         else:
@@ -141,66 +120,20 @@ def main(argv: list[str] | None = None) -> int:
     for error in result.errors:
         print(f"error: {error}", file=sys.stderr)
 
-    if args.write_baseline is not None:
-        try:
-            baseline_mod.save(
-                args.write_baseline, result.findings, args.justification
-            )
-        except baseline_mod.BaselineError as exc:
-            print(f"baseline error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"wrote {len(result.findings)} entr"
-            f"{'y' if len(result.findings) == 1 else 'ies'} to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    findings = result.findings
-    unused: list = []
-    baselined: list = []
-    if args.baseline is not None:
-        try:
-            baseline = baseline_mod.load(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"baseline error: {args.baseline} does not exist",
-                file=sys.stderr,
-            )
-            return 2
-        except baseline_mod.BaselineError as exc:
-            print(f"baseline error: {exc}", file=sys.stderr)
-            return 2
-        findings, baselined, unused = baseline.split(findings)
-
-    _emit(findings, args.format, result)
-    for entry in unused:
-        message = (
-            f"unused baseline entry: {entry.rule} {entry.path} "
-            f"{entry.fingerprint} — the finding is gone; remove the entry"
-        )
-        if args.format == "github":
-            print(f"::warning file={entry.path},title=detlint::{message}")
-        else:
-            print(message, file=sys.stderr)
+    _emit(result, args.format)
 
     if not args.quiet:
         bits = [
             f"detlint: {result.files} file(s)",
-            f"{len(findings)} finding(s)",
+            f"{len(result.findings)} finding(s)",
         ]
-        if baselined:
-            bits.append(f"{len(baselined)} baselined")
         if result.suppressed:
             bits.append(f"{result.suppressed} suppressed inline")
-        if unused:
-            bits.append(f"{len(unused)} unused baseline entr(y/ies)")
         print(", ".join(bits), file=sys.stderr)
 
     if result.errors:
         return 2
-    return 1 if (findings or unused) else 0
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -6,22 +6,17 @@ Each rule is a :class:`Rule` subclass registered with :func:`register`;
 :func:`lint_source` runs every registered rule over one parsed module
 and :func:`lint_paths` maps that over a file tree.
 
-Suppression model (see ``docs/analysis.md``):
-
-* inline — a ``# repro: allow[DET003]`` comment on the finding's line
-  (or the line directly above it) suppresses that rule there.  Multiple
-  rules separate with commas: ``allow[DET002,DET004]``.  Suppressions
-  are collected from real comment tokens (:mod:`tokenize`), so the
-  marker never matches inside a string literal.
-* baseline — grandfathered findings live in a JSON file keyed by a
-  line-number-independent fingerprint (:mod:`repro.analysis.baseline`),
-  each entry carrying a mandatory justification string.
+Suppression (see ``docs/analysis.md``): a ``# repro: allow[DET003]``
+comment on the finding's line (or the line directly above it)
+suppresses that rule there, and is the only way to exempt a finding.
+Multiple rules separate with commas: ``allow[DET002,DET004]``.
+Suppressions are collected from real comment tokens (:mod:`tokenize`),
+so the marker never matches inside a string literal.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import os
 import re
@@ -46,7 +41,6 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-    fingerprint: str = ""
 
     def text(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -65,7 +59,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -89,15 +82,13 @@ class Rule:
     ) -> Finding:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
-        snippet = module.line(line)
         return Finding(
             rule=self.id,
             path=module.path,
             line=line,
             col=col,
             message=message,
-            snippet=snippet,
-            fingerprint=fingerprint(self.id, module, line),
+            snippet=module.line(line),
         )
 
 
@@ -258,25 +249,6 @@ def derive_module_name(path: str) -> str:
             break
         parts.append(pkg)
     return ".".join(reversed(parts))
-
-
-def fingerprint(rule: str, module: Module, lineno: int) -> str:
-    """Line-number-independent identity for a finding.
-
-    Hash of (rule, normalized path, the stripped source line, the
-    occurrence index among identical lines in the file) — stable across
-    unrelated edits that only shift line numbers, which is what lets a
-    baseline survive rebases.
-    """
-    text = module.line(lineno)
-    occurrence = sum(
-        1 for prior in module.lines[: lineno - 1] if prior.strip() == text
-    )
-    path = module.path.replace(os.sep, "/")
-    digest = hashlib.sha256(
-        f"{rule}\x00{path}\x00{text}\x00{occurrence}".encode()
-    ).hexdigest()
-    return digest[:16]
 
 
 # --------------------------------------------------------------- drivers

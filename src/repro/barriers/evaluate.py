@@ -48,23 +48,15 @@ def profile_placement(
     placement: Placement,
     comm_samples: int = 5,
     comm_sizes: tuple[int, ...] = FAST_COMM_SIZES,
-    cache: bool = True,
 ) -> CommParameters:
     """Benchmark-extracted model parameters for one placement (§5.6.3).
 
     Profiles are served through :mod:`repro.bench.profile_cache`: the
     benchmark is deterministic in (machine, placement, arguments), so a
     campaign evaluating many patterns on one placement pays for it once.
-    Pass ``cache=False`` to force a fresh benchmark (the result is
-    bit-identical either way; the escape hatch exists for benchmarking
-    the benchmark).
+    A served profile is bit-identical to a fresh
+    :func:`repro.bench.comm_bench.benchmark_comm` of the same arguments.
     """
-    if not cache:
-        from repro.bench.comm_bench import benchmark_comm
-
-        return benchmark_comm(
-            machine, placement, samples=comm_samples, sizes=comm_sizes
-        ).params
     from repro.bench.profile_cache import PROFILE_CACHE
 
     return PROFILE_CACHE.get_or_benchmark(

@@ -20,12 +20,12 @@ The stats still split fresh evaluations from cache reads.
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.explore.adaptive.samplers import Observation, make_sampler
-from repro.explore.campaign import Campaign, CampaignStats
+from repro.explore.campaign import Campaign
 from repro.explore.resilience import RetryPolicy
 from repro.explore.results import ResultRecord, ResultSet
 from repro.explore.space import DesignSpace
@@ -63,6 +63,14 @@ class AdaptivePlan:
         if not isinstance(self.maximize, bool):
             object.__setattr__(self, "maximize", tuple(self.maximize))
         object.__setattr__(self, "options", dict(self.options))
+
+    @property
+    def ascending(self) -> bool:
+        """Whether the single objective is minimised: ``maximize`` is
+        ``False``, or names other metrics only."""
+        if isinstance(self.maximize, bool):
+            return not self.maximize
+        return self.objective not in self.maximize
 
     def build_sampler(self, space: DesignSpace):
         return make_sampler(
@@ -121,14 +129,9 @@ class AdaptiveOutcome:
                 "best() needs a single-objective plan; use front() for "
                 "Pareto plans"
             )
-        ascending = not (
-            self.plan.maximize is True
-            or (
-                not isinstance(self.plan.maximize, bool)
-                and self.plan.objective in self.plan.maximize
-            )
+        return self.results.best(
+            self.plan.objective, ascending=self.plan.ascending
         )
-        return self.results.best(self.plan.objective, ascending=ascending)
 
     def front(self) -> ResultSet:
         """The observed Pareto front under the plan's objectives."""
@@ -153,13 +156,7 @@ class AdaptiveOutcome:
         """
         if self.plan.objective is None:
             raise ValueError("regret() needs a single-objective plan")
-        ascending = not (
-            self.plan.maximize is True
-            or (
-                not isinstance(self.plan.maximize, bool)
-                and self.plan.objective in self.plan.maximize
-            )
-        )
+        ascending = self.plan.ascending
         found = float(self.best().value(self.plan.objective))
         true = float(
             exhaustive.best(

@@ -224,11 +224,9 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             ) from None
         print(f"best {plan.objective}: {best.value(plan.objective)!r} "
               f"at {dict(best.point)!r}")
-        ascending = not (
-            maximize is True
-            or (not isinstance(maximize, bool) and plan.objective in maximize)
+        shown = outcome.results.rank_by(
+            plan.objective, ascending=plan.ascending
         )
-        shown = outcome.results.rank_by(plan.objective, ascending=ascending)
     else:
         shown = outcome.front()
         print(f"observed Pareto front: {len(shown)} points")

@@ -653,7 +653,6 @@ def stencil_accuracy(point: Mapping[str, Any]) -> dict:
         run_mpi_stencil,
         stencil_sec_per_cell,
     )
-    from repro.stencil.impls import WORD
 
     machine = _machine_from_point(point)
     impl = str(point["impl"])
@@ -663,13 +662,7 @@ def stencil_accuracy(point: Mapping[str, Any]) -> dict:
     blocks = decompose(n, nprocs)
     placement = machine.placement(nprocs)
     params = _profile_from_point(machine, placement, point)
-    block = blocks[0]
-    spc = stencil_sec_per_cell(
-        machine,
-        placement.core_of(0),
-        block.interior_cells,
-        2.0 * (block.height + 2) * (block.width + 2) * WORD,
-    )
+    spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
     runs = int(point.get("runs", 1))
     if "runs" in point and impl != "BSP":
         raise ValueError(
@@ -726,7 +719,6 @@ def halo_depth(point: Mapping[str, Any]) -> dict:
         measure_halo_iteration,
         stencil_sec_per_cell,
     )
-    from repro.stencil.impls import WORD
     from repro.stencil.optimizer import predict_halo_iteration
 
     machine = _machine_from_point(point)
@@ -735,12 +727,8 @@ def halo_depth(point: Mapping[str, Any]) -> dict:
     depth = int(point["depth"])
     placement = machine.placement(nprocs)
     params = _profile_from_point(machine, placement, point)
-    block = decompose(n, nprocs)[0]
     spc = stencil_sec_per_cell(
-        machine,
-        placement.core_of(0),
-        block.interior_cells,
-        2.0 * (block.height + 2) * (block.width + 2) * WORD,
+        machine, placement.core_of(0), decompose(n, nprocs)[0]
     )
     metrics = {
         "predicted_s": predict_halo_iteration(
@@ -854,7 +842,6 @@ def stencil_mode_accuracy(point: Mapping[str, Any]) -> dict:
         run_bsp_stencil,
         stencil_sec_per_cell,
     )
-    from repro.stencil.impls import WORD
 
     machine = _machine_from_point(point)
     nprocs = int(point["nprocs"])
@@ -869,11 +856,7 @@ def stencil_mode_accuracy(point: Mapping[str, Any]) -> dict:
     blocks = decompose(n, nprocs)
     placement = machine.placement(nprocs)
     params = _profile_from_point(machine, placement, point)
-    block = blocks[0]
-    spc = stencil_sec_per_cell(
-        machine, placement.core_of(0), block.interior_cells,
-        2.0 * (block.height + 2) * (block.width + 2) * WORD,
-    )
+    spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
     predicted = predict_bsp_iteration(blocks, spc, params).per_iteration
     measured = run_bsp_stencil(
         machine, nprocs, n, 5, execute_numerics=False,
@@ -898,7 +881,6 @@ def hetero_compute(point: Mapping[str, Any]) -> dict:
     from repro.core.matrix_model import ComputationModel
     from repro.kernels import STENCIL5
     from repro.stencil import decompose
-    from repro.stencil.impls import WORD
 
     machine = _machine_from_point(point)
     nprocs = int(point["nprocs"])
@@ -912,11 +894,10 @@ def hetero_compute(point: Mapping[str, Any]) -> dict:
     costs = np.empty(nprocs)
     rng = machine.rng("hetero-profile")
     for rank, block in enumerate(blocks):
-        fp = 2.0 * (block.height + 2) * (block.width + 2) * WORD
         samples = [
             machine.kernel_time(
                 placement.core_of(rank), STENCIL5, block.interior_cells,
-                rng=rng, footprint_bytes=fp,
+                rng=rng, footprint_bytes=block.working_set_bytes,
             )
             for _ in range(9)
         ]
@@ -929,7 +910,7 @@ def hetero_compute(point: Mapping[str, Any]) -> dict:
     measured = np.array([
         machine.kernel_time_clean(
             placement.core_of(rank), STENCIL5, b.interior_cells,
-            footprint_bytes=2.0 * (b.height + 2) * (b.width + 2) * WORD,
+            footprint_bytes=b.working_set_bytes,
         )
         for rank, b in enumerate(blocks)
     ])

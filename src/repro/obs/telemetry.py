@@ -39,7 +39,6 @@ import threading
 import time
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry
 from repro.util import jsonl
 
 #: Environment variable a user sets to the sink directory (or "1" for a
@@ -105,7 +104,6 @@ class Telemetry:
         # the (cross-process comparable) epoch axis.
         self._anchor_epoch = time.time()
         self._anchor_pc = time.perf_counter()
-        self.metrics = MetricsRegistry()
         self.sink_dir: str | None = None
         if sink_dir is not None:
             self.attach_sink(sink_dir)
@@ -227,21 +225,18 @@ class Telemetry:
     # ------------------------------------------------------------ metrics
 
     def count(self, name: str, value: float = 1.0) -> None:
-        self.metrics.count(name, value)
         self._append({
             "type": "metric", "kind": "counter",
             "name": name, "value": float(value), "pid": self._pid,
         })
 
     def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name, value)
         self._append({
             "type": "metric", "kind": "gauge",
             "name": name, "value": float(value), "pid": self._pid,
         })
 
     def observe(self, name: str, value: float, edges=None) -> None:
-        self.metrics.observe(name, value, edges=edges)
         event = {
             "type": "metric", "kind": "hist",
             "name": name, "value": float(value), "pid": self._pid,

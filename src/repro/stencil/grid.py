@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from repro.util.validation import require_int
 
+WORD = 8  # double-precision grid cells
+
 
 def process_grid(nprocs: int) -> tuple[int, int]:
     """Most-square factorisation ``rows x cols == nprocs`` with
@@ -56,6 +58,11 @@ class LocalBlock:
     @property
     def deep_interior_cells(self) -> int:
         return self.interior_cells - self.border_cells
+
+    @property
+    def working_set_bytes(self) -> float:
+        """Working set of one Jacobi sweep: two padded grids (§8.5)."""
+        return 2.0 * (self.height + 2) * (self.width + 2) * WORD
 
     def neighbours(self) -> list[int]:
         return [n for n in (self.north, self.south, self.east, self.west)

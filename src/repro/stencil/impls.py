@@ -39,11 +39,10 @@ from repro.cluster.topology import Placement
 from repro.kernels.numeric import STENCIL5
 from repro.machine.simmachine import SimMachine
 from repro.simmpi.engine import simulate_stages_batch
-from repro.stencil.grid import LocalBlock, decompose
+from repro.stencil.grid import WORD, LocalBlock, decompose
 from repro.stencil.regions import border_cell_count, interior_cell_count
 from repro.util.validation import require_int
 
-WORD = 8  # double-precision grid cells
 THREAD_BARRIER_BASE = 2.0e-6  # per-iteration node-internal thread fence [s]
 
 
@@ -77,11 +76,6 @@ class StencilRunResult:
     @property
     def mean_iteration(self) -> float:
         return float(self.iteration_seconds.mean())
-
-
-def _footprint(block: LocalBlock) -> float:
-    """Working set of one rank's Jacobi sweep: two padded grids."""
-    return 2.0 * (block.height + 2) * (block.width + 2) * WORD
 
 
 # --------------------------------------------------------------------- BSP
@@ -168,7 +162,7 @@ def run_bsp_stencil(
 
         border_cells = border_cell_count(h, w)
         interior_cells = interior_cell_count(h, w)
-        fp = _footprint(block)
+        fp = block.working_set_bytes
 
         for _ in range(iterations):
             if execute_numerics:
@@ -287,10 +281,7 @@ def _run_mpi_family(
 
     border = np.array([border_cell_count(b.height, b.width) for b in blocks])
     interior = np.array([interior_cell_count(b.height, b.width) for b in blocks])
-    footprints = [
-        _footprint(b) / compute_scale if compute_scale != 1.0 else _footprint(b)
-        for b in blocks
-    ]
+    footprints = [b.working_set_bytes / compute_scale for b in blocks]
     cores = [placement.core_of(rank) for rank in range(nprocs)]
 
     def clean(cells) -> np.ndarray:

@@ -32,8 +32,8 @@ from repro.bsplib.sync_model import (
 from repro.kernels.numeric import STENCIL5
 from repro.machine.simmachine import SimMachine
 from repro.simmpi.engine import simulate_stages_batch
-from repro.stencil.grid import decompose
-from repro.stencil.impls import WORD, _exchange_stages
+from repro.stencil.grid import WORD, decompose
+from repro.stencil.impls import _exchange_stages
 from repro.util.validation import require_int, require_positive
 
 

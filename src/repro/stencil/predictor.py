@@ -27,10 +27,10 @@ from repro.bsplib.sync_model import predict_sync_cost
 from repro.core.matrix_model import CommunicationModel
 from repro.kernels.numeric import STENCIL5
 from repro.machine.simmachine import SimMachine
-from repro.stencil.grid import LocalBlock, decompose
-from repro.stencil.impls import WORD, _exchange_stages
+from repro.stencil.grid import WORD, LocalBlock, decompose
+from repro.stencil.impls import _exchange_stages
 from repro.stencil.regions import border_cell_count, interior_cell_count
-from repro.util.validation import require_int, require_positive
+from repro.util.validation import require_positive
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,19 @@ class StencilPrediction:
 def stencil_sec_per_cell(
     machine: SimMachine,
     core: int,
-    cells: int,
-    footprint_bytes: float,
+    block: LocalBlock,
     samples: int = 12,
 ) -> float:
-    """Benchmark the stencil kernel at the experiment's working-set size
-    (Ch. 4 discipline: rates are only valid near the profiled footprint)."""
-    cells = require_int(cells, "cells")
-    require_positive(footprint_bytes, "footprint_bytes")
-
+    """Benchmark the stencil kernel on ``block``'s cells at its working-set
+    size (Ch. 4 discipline: rates are only valid near the profiled
+    footprint)."""
+    cells = block.interior_cells
     rng = machine.rng("stencil-rate", core, cells)
     reps = 8
     times = [
         machine.kernel_time(
             core, STENCIL5, cells, reps=reps, rng=rng,
-            footprint_bytes=footprint_bytes,
+            footprint_bytes=block.working_set_bytes,
         )
         for _ in range(samples)
     ]
@@ -210,13 +208,7 @@ def predict_iteration(
     params = PROFILE_CACHE.get_or_benchmark(
         machine, placement, samples=comm_samples, sizes=comm_sizes
     )
-    block = blocks[0]
-    spc = stencil_sec_per_cell(
-        machine,
-        placement.core_of(0),
-        block.interior_cells,
-        2.0 * (block.height + 2) * (block.width + 2) * WORD,
-    )
+    spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
     if kind == "bsp":
         return predict_bsp_iteration(blocks, spc, params)
     if kind == "mpi":

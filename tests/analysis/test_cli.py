@@ -1,4 +1,4 @@
-"""CLI behaviour: formats, exit codes, baseline flags, self-cleanliness.
+"""CLI behaviour: formats, exit codes, flags, self-cleanliness.
 
 The CLI is exercised in-process through ``repro.analysis.cli.main`` —
 same code path as ``python -m repro.analysis``, without per-test
@@ -11,7 +11,6 @@ import textwrap
 
 import pytest
 
-from repro.analysis import load_baseline
 from repro.analysis.cli import main
 
 REPO_ROOT = os.path.dirname(
@@ -58,41 +57,21 @@ def test_json_format(dirty_tree, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["files"] == 2
     assert [f["rule"] for f in payload["findings"]] == ["DET002"]
-    assert payload["findings"][0]["fingerprint"]
+    assert set(payload["findings"][0]) == {
+        "rule", "path", "line", "col", "message", "snippet",
+    }
 
 
-def test_write_then_check_baseline(dirty_tree, capsys):
-    baseline = dirty_tree / "baseline.json"
-    assert main([
-        str(dirty_tree), "--write-baseline", str(baseline),
-        "--justification", "grandfathered for the migration",
-    ]) == 0
-    entries = load_baseline(str(baseline)).entries
-    assert len(entries) == 1
-    assert entries[0].justification == "grandfathered for the migration"
-
-    capsys.readouterr()
-    assert main([str(dirty_tree), "--baseline", str(baseline)]) == 0
-    assert capsys.readouterr().out == ""  # the finding is baselined
-
-
-def test_unused_baseline_entry_fails_the_run(dirty_tree, capsys):
-    baseline = dirty_tree / "baseline.json"
-    main([
-        str(dirty_tree), "--write-baseline", str(baseline),
-        "--justification", "temporary",
-    ])
-    (dirty_tree / "pkg" / "mod.py").write_text("def f():\n    return 1\n")
-    assert main([str(dirty_tree), "--baseline", str(baseline)]) == 1
-    err = capsys.readouterr().err
-    assert "unused baseline entry" in err
-
-
-def test_write_baseline_requires_justification(dirty_tree, capsys):
-    code = main([str(dirty_tree), "--write-baseline",
-                 str(dirty_tree / "b.json")])
-    assert code == 2
-    assert "justification" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag", ["--baseline", "--write-baseline", "--justification"]
+)
+def test_baseline_flags_are_unrecognised(dirty_tree, flag, capsys):
+    """An inline ``allow[...]`` comment is the only way to exempt a
+    finding; the JSON baseline workflow is gone."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(dirty_tree), flag, "x.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_path_exits_two(tmp_path, capsys):
@@ -121,9 +100,6 @@ def test_list_rules_and_explain(capsys):
 
 def test_repository_tree_is_clean():
     """The acceptance criterion: ``python -m repro.analysis src/repro``
-    exits 0 on the PR head with an empty baseline."""
+    exits 0 on the checked-in tree."""
     src = os.path.join(REPO_ROOT, "src", "repro")
-    baseline = os.path.join(REPO_ROOT, "detlint-baseline.json")
     assert main([src]) == 0
-    assert main([src, "--baseline", baseline]) == 0
-    assert load_baseline(baseline).entries == []

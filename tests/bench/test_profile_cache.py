@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from repro.barriers.cost_model import CommParameters
 from repro.barriers.evaluate import FAST_COMM_SIZES, profile_placement
 from repro.bench import profile_cache as pc
-from repro.bench.comm_bench import DEFAULT_REQUEST_COUNTS
+from repro.bench.comm_bench import DEFAULT_REQUEST_COUNTS, benchmark_comm
 from repro.bench.profile_cache import (
     ProfileCache,
     machine_fingerprint,
@@ -32,6 +32,13 @@ def machine():
     return SimMachine(
         presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=21
     )
+
+
+def fresh_params(machine, placement):
+    """A fresh benchmark, bypassing the cache: what a miss computes."""
+    return benchmark_comm(
+        machine, placement, samples=3, sizes=FAST_COMM_SIZES
+    ).params
 
 
 def key_for(machine, placement, samples=3):
@@ -90,9 +97,7 @@ class TestServing:
     def test_cached_equals_fresh_bitwise(self, machine):
         placement = machine.placement(8)
         cached = profile_placement(machine, placement, comm_samples=3)
-        fresh = profile_placement(
-            machine, placement, comm_samples=3, cache=False
-        )
+        fresh = fresh_params(machine, placement)
         np.testing.assert_array_equal(cached.overhead, fresh.overhead)
         np.testing.assert_array_equal(cached.latency, fresh.latency)
         np.testing.assert_array_equal(cached.inv_bandwidth, fresh.inv_bandwidth)
@@ -203,7 +208,7 @@ class TestRecordFormat:
 
 
 def _good_record(machine, placement):
-    params = profile_placement(machine, placement, comm_samples=3, cache=False)
+    params = fresh_params(machine, placement)
     return pc._params_to_record(params)
 
 
@@ -241,8 +246,7 @@ class TestBadRecords:
         cache.configure(path)
         served = cache.get_or_benchmark(machine, placement, 3, FAST_COMM_SIZES)
         assert cache.misses == 1 and cache.hits == 0
-        fresh = profile_placement(machine, placement, comm_samples=3,
-                                  cache=False)
+        fresh = fresh_params(machine, placement)
         assert_bit_identical(served, fresh)
 
         assert list(ResultCache(path).keys()) == [key_for(machine, placement)]
@@ -256,8 +260,7 @@ class TestBadRecords:
         self, machine, tmp_path, monkeypatch
     ):
         placement = machine.placement(8)
-        fresh = profile_placement(machine, placement, comm_samples=3,
-                                  cache=False)
+        fresh = fresh_params(machine, placement)
         with monkeypatch.context() as patch:
             patch.setattr(pc, "PROFILE_PROTOCOL", "comm-bench/v2-batched-draws")
             old_key = key_for(machine, placement)

@@ -6,7 +6,6 @@ import pytest
 from repro.explore.adaptive import AdaptivePlan, run_adaptive
 from repro.explore.campaign import CampaignPointError, run_campaign
 from repro.explore.experiments import register_experiment
-from repro.explore.space import DesignSpace
 from repro.explore.suites import SuiteSpec, run_suite
 
 from tests.explore.adaptive.conftest import bowl_space
@@ -119,6 +118,14 @@ def test_plan_validation():
     )
     assert plan.objectives == ("a", "b")
     assert plan.maximize == ("b",)
+
+
+@pytest.mark.parametrize("maximize, ascending", [
+    (False, True), (True, False), (("cost",), False), (("other",), True),
+    ((), True),
+])
+def test_plan_ascending_is_the_minimise_rule(maximize, ascending):
+    assert _plan(maximize=maximize).ascending is ascending
 
 
 def test_outcome_best_requires_single_objective(small_space):

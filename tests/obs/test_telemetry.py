@@ -145,7 +145,7 @@ class TestMetrics:
         t.gauge("queued", 2)
         t.observe("latency", 0.5)
         t.observe("latency", 2.0)
-        snap = t.metrics.snapshot()
+        snap = obs.merged_metrics(t.events())
         assert snap["counters"]["points"]["total"] == 4.0
         assert snap["gauges"]["queued"]["value"] == 2.0
         assert snap["gauges"]["queued"]["max"] == 7.0
@@ -167,19 +167,37 @@ class TestMetrics:
         assert h.counts == [1, 1, 1]
 
     def test_event_replay_reproduces_snapshot(self):
-        """The wire form is lossless: replaying a context's metric events
-        into a fresh registry yields the identical snapshot — the basis of
-        deterministic cross-process merges."""
+        """The wire form is lossless: replaying a context's metric events,
+        after a JSON round trip, into a fresh registry yields the exact
+        snapshot of the updates — the basis of deterministic
+        cross-process merges."""
         t = Telemetry()
         t.count("c", 2)
         t.gauge("g", 9)
         t.observe("h", 0.01)
         t.observe("h", 3.3)
         replayed = MetricsRegistry()
-        for event in t.events():
+        for event in json.loads(json.dumps(t.events())):
             if event["type"] == "metric":
                 replayed.apply_event(event)
-        assert replayed.snapshot() == t.metrics.snapshot()
+        counts = [0] * 10
+        counts[4] = counts[7] = 1  # 0.01 <= 1e-2, 3.3 <= 10.0
+        assert replayed.snapshot() == {
+            "counters": {"c": {"total": 2.0, "updates": 1}},
+            "gauges": {
+                "g": {"value": 9.0, "min": 9.0, "max": 9.0, "updates": 1},
+            },
+            "histograms": {"h": {
+                "edges": [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
+                          100.0],
+                "counts": counts,
+                "count": 2,
+                "total": 3.3099999999999996,
+                "mean": 1.6549999999999998,
+                "min": 0.01,
+                "max": 3.3,
+            }},
+        }
 
 
 # ---------------------------------------------------------- sinks + merge

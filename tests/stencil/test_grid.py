@@ -68,6 +68,10 @@ class TestDecompose:
         corner = blocks[0]
         assert corner.exchange_bytes() == (16 + 16) * 8  # south + east only
 
+    def test_working_set_is_two_padded_grids(self):
+        block = decompose(30, 4)[0]  # 15x15 interior
+        assert block.working_set_bytes == 2 * 17 * 17 * 8
+
     def test_border_and_interior_cells(self):
         b = decompose(32, 4)[0]
         assert b.border_cells == 2 * 16 + 2 * 16 - 4

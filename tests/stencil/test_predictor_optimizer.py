@@ -1,6 +1,5 @@
 """Tests for the application predictor (§8.5) and halo optimizer (§8.6)."""
 
-import numpy as np
 import pytest
 
 from repro.bench import benchmark_comm
@@ -31,13 +30,7 @@ def profiled():
         machine, placement, samples=7, sizes=tuple(2**k for k in range(0, 17, 4))
     )
     blocks = decompose(n, nprocs)
-    block = blocks[0]
-    spc = stencil_sec_per_cell(
-        machine,
-        placement.core_of(0),
-        block.interior_cells,
-        2.0 * (block.height + 2) * (block.width + 2) * WORD,
-    )
+    spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
     return machine, nprocs, n, blocks, report.params, spc
 
 

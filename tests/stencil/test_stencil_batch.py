@@ -241,17 +241,14 @@ class TestExperimentHarness:
         from repro.bench.comm_bench import benchmark_comm
         from repro.stencil import stencil_sec_per_cell
         from repro.stencil.grid import decompose
-        from repro.stencil.impls import WORD
         from repro.stencil.optimizer import optimize_halo_depth
 
         placement = machine.placement(4)
         params = benchmark_comm(
             machine, placement, samples=3, sizes=(8, 4096)
         ).params
-        block = decompose(32, 4)[0]
         spc = stencil_sec_per_cell(
-            machine, placement.core_of(0), block.interior_cells,
-            2.0 * (block.height + 2) * (block.width + 2) * WORD,
+            machine, placement.core_of(0), decompose(32, 4)[0]
         )
         chosen, points = optimize_halo_depth(
             machine, 4, 32, (1, 2), spc, params, cycles=3, runs=4
