@@ -77,6 +77,17 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
           "record_bytes": int,    # encoded record (one JSONL line)
           "speedup": float        # benchmark_s / disk_load_s
         },
+        "profile_sweep": {        # round-robin P = 2..nprocs_max, samples 5
+          "nprocs_max": int,      # 64 (16 with --quick)
+          "placements": int,      # placements swept
+          "per_placement_pairs": int,  # sum of P^2: one benchmark per P
+          "block_pairs": int,     # sum of block P^2: one per node block
+          "records": int,         # profiles.jsonl lines the cache appended
+          "blocks": int,          # distinct node blocks (== records)
+          "per_placement_s": float,  # best-of-3: benchmark_comm per P
+          "cached_s": float,      # best-of-3: a cold cache and store
+          "speedup": float        # per_placement_s / cached_s
+        },
         "telemetry_overhead": {
           "pattern": str, "nprocs": int, "runs": int, "repeats": int,
           "disabled_s": float,    # measure_barrier, telemetry off
@@ -489,6 +500,82 @@ def bench_campaign(quick: bool) -> dict:
     }
 
 
+def _profile_lookups(call) -> tuple[int, int]:
+    """Run ``call`` with telemetry on and fold the profile-cache hits and
+    misses it recorded, as ``explore stats`` folds a store's sink."""
+    from repro import obs
+
+    tele = obs.enable()
+    before = len(tele.events())
+    try:
+        call()
+        counters = obs.merged_metrics(tele.events()[before:])["counters"]
+    finally:
+        obs.disable()
+    return tuple(
+        int(counters.get(f"profile_cache.{name}", {}).get("total", 0))
+        for name in ("hits", "misses")
+    )
+
+
+def bench_profile_sweep(quick: bool) -> dict:
+    """A round-robin sweep over P = 2..64 (2..16 with ``--quick``): each
+    placement benchmarked on its own, the path before node blocks,
+    against a cold cache that benchmarks each node block once and serves
+    every placement as a slice of it."""
+    from repro.barriers.evaluate import FAST_COMM_SIZES
+    from repro.bench.comm_bench import benchmark_comm
+    from repro.bench.profile_cache import (
+        ProfileCache,
+        node_block,
+        store_path_for,
+    )
+    from repro.cluster.presets import make_preset_machine
+    from repro.util import jsonl
+
+    top = 16 if quick else 64
+    samples, repeats = 5, 3
+    machine = make_preset_machine("xeon-8x2x4")
+    placements = [machine.placement(p) for p in range(2, top + 1)]
+    blocks = {tuple(node_block(pl).cores) for pl in placements}
+
+    def per_placement():
+        for placement in placements:
+            benchmark_comm(
+                machine, placement, samples=samples, sizes=FAST_COMM_SIZES
+            )
+
+    with tempfile.TemporaryDirectory() as root:
+        paths = [
+            store_path_for(os.path.join(root, f"store-{k}"))
+            for k in range(repeats)
+        ]
+        unused = iter(paths)
+
+        def cached():
+            cache = ProfileCache()
+            cache.configure(next(unused))
+            for placement in placements:
+                cache.get_or_benchmark(
+                    machine, placement, samples, FAST_COMM_SIZES
+                )
+
+        per_placement_s = _best_of(repeats, per_placement)
+        cached_s = _best_of(repeats, cached)
+        records = len(jsonl.read(paths[-1]))
+    return {
+        "nprocs_max": top,
+        "placements": len(placements),
+        "per_placement_pairs": sum(pl.nprocs ** 2 for pl in placements),
+        "block_pairs": sum(len(cores) ** 2 for cores in blocks),
+        "records": records,
+        "blocks": len(blocks),
+        "per_placement_s": per_placement_s,
+        "cached_s": cached_s,
+        "speedup": per_placement_s / cached_s,
+    }
+
+
 def bench_profile_cache(quick: bool) -> dict:
     """Uncached profile vs memo hit vs fresh-process disk load, plus the
     cost and size of storing one profile record."""
@@ -514,10 +601,9 @@ def bench_profile_cache(quick: bool) -> dict:
             """Benchmark the profile in a fresh cache and store."""
             cache = ProfileCache()
             cache.configure(path)
-            cache.get_or_benchmark(
+            assert _profile_lookups(lambda: cache.get_or_benchmark(
                 machine, placement, samples, FAST_COMM_SIZES
-            )
-            assert cache.misses == 1
+            )) == (0, 1)
 
         miss(paths[0])  # untimed warm-up: imports and first-call set-up
         unused = iter(paths[1:])
@@ -540,10 +626,9 @@ def bench_profile_cache(quick: bool) -> dict:
         def disk_load():
             fresh = ProfileCache()  # simulates a new campaign process
             fresh.configure(path)
-            fresh.get_or_benchmark(
+            assert _profile_lookups(lambda: fresh.get_or_benchmark(
                 machine, placement, samples, FAST_COMM_SIZES
-            )
-            assert fresh.misses == 0
+            )) == (1, 0)
 
         disk_load_s = _best_of(3, disk_load)
     return {
@@ -778,6 +863,7 @@ def run_all(quick: bool) -> dict:
             "spinlock_batch_vs_loop": bench_spinlock(quick),
             "campaign_end_to_end": bench_campaign(quick),
             "profile_cache": bench_profile_cache(quick),
+            "profile_sweep": bench_profile_sweep(quick),
             "telemetry_overhead": bench_telemetry_overhead(quick),
             "critpath_overhead": bench_critpath_overhead(quick),
             "cost_model_fig_5_6": bench_cost_model(quick, "fig_5_6"),
@@ -869,6 +955,14 @@ def test_perf_engine_quick(emit, tmp_path):
     # Binary records: about 32 bytes per matrix element over three
     # matrices, against about 66 per element as JSON float lists.
     assert cache["record_bytes"] < 40 * cache["nprocs"] ** 2
+    sweep = artifact["cases"]["profile_sweep"]
+    emit(
+        f"profile sweep P=2..{sweep['nprocs_max']} (quick): "
+        f"{sweep['records']} records, {sweep['block_pairs']} pairs "
+        f"against {sweep['per_placement_pairs']} per placement"
+    )
+    # One record per node block: P <= 8 on node 0, P = 9..16 on nodes 0-1.
+    assert sweep["records"] == sweep["blocks"] == 2
     tele = artifact["cases"]["telemetry_overhead"]
     emit(
         f"telemetry overhead (quick): {tele['overhead_pct']:.1f}% "

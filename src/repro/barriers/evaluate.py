@@ -52,10 +52,12 @@ def profile_placement(
     """Benchmark-extracted model parameters for one placement (§5.6.3).
 
     Profiles are served through :mod:`repro.bench.profile_cache`: the
-    benchmark is deterministic in (machine, placement, arguments), so a
-    campaign evaluating many patterns on one placement pays for it once.
-    A served profile is bit-identical to a fresh
-    :func:`repro.bench.comm_bench.benchmark_comm` of the same arguments.
+    benchmark is deterministic in (machine, cores, arguments), so a
+    campaign pays for it once per node block, however many patterns and
+    placements it evaluates on those nodes.  A served profile is
+    bit-identical to a fresh :func:`repro.bench.comm_bench.benchmark_comm`
+    of the same arguments over the placement's node block (every core on
+    the nodes it touches), sliced to the placement's cores.
     """
     from repro.bench.profile_cache import PROFILE_CACHE
 
@@ -77,8 +79,8 @@ def evaluate_barrier(
     """Measure and predict one barrier pattern on one machine.
 
     ``placement`` defaults to the round-robin placement for the pattern's
-    process count; ``params`` defaults to a fresh benchmark profile of that
-    placement (pass a profile to amortise benchmarking across patterns).
+    process count; ``params`` defaults to that placement's
+    :func:`profile_placement` (pass a profile to reuse one you hold).
     """
     if placement is None:
         placement = machine.placement(pattern.nprocs)

@@ -7,29 +7,46 @@ parameters, noise model, seed), the placement, and the benchmark
 arguments.  Campaigns nonetheless used to re-run it for *every* design
 point, even though a barrier sweep shares one placement across all its
 pattern axes.  This module provides the keyed cache that amortises the
-benchmark:
+benchmark.
 
-* an **in-process memo** keyed by a content hash of everything the
-  benchmark's output depends on (machine fingerprint + placement +
-  benchmark arguments + a protocol version), always on;
-* optional **JSONL persistence** alongside a campaign's result store
-  (``<store_dir>/.profile-cache/profiles.jsonl``), so sequential
-  campaigns, suite regenerations, and adaptive runs share profiles
-  across processes.
+Profiles are benchmarked per **node block**, not per placement.  The
+benchmark measures every process pair on its own, and a pair's truth
+depends only on its two cores, so a placement's profile is a slice of
+the profile of any superset of its cores.  A placement is served from
+the block of every core on the nodes it touches (:func:`node_block`):
+the block is benchmarked once with :func:`repro.bench.comm_bench.
+benchmark_comm`, and each placement on those nodes is served as
+``m[np.ix_(idx, idx)]`` of the block's matrices, ``idx`` being its
+cores' positions in the block (the per-core ``O_ii`` diagonal comes
+along).  A served profile is therefore bit-identical to a fresh
+``benchmark_comm`` of the placement's node block, sliced to the
+placement — not to a ``benchmark_comm`` of the placement itself, whose
+noise stream is keyed by its own process count.
 
-A record stores each P × P matrix as ``{"shape": [P, P], "f64le": ...}``:
-base64 of its little-endian float64 bytes, exact by construction and
-about a third of the size of a JSON float list.  Every served profile —
-fresh, from disk, or from the memo — is the decode of such a record, so
-a memory hit, a disk hit, and a fresh benchmark are bit-identical and
-executor equivalence (serial ≡ process ≡ chunked) is preserved.  The
-decode wraps the record's bytes without a copy, so served matrices are
-read-only.  A record that parses as JSON but does not decode is a miss:
-the profile is benchmarked again and its new record supersedes it.
+* an **in-process memo** of block profiles keyed by a content hash of
+  everything the benchmark's output depends on (machine fingerprint +
+  block cores + benchmark arguments + a protocol version), and of
+  served slices keyed the same way by the placement's cores, so a
+  repeat call returns the same object; always on;
+* optional **JSONL persistence** of block profiles alongside a
+  campaign's result store (``<store_dir>/.profile-cache/profiles.jsonl``),
+  so sequential campaigns, suite regenerations, and adaptive runs share
+  profiles across processes.
+
+A record stores each block's P × P matrix as ``{"shape": [P, P],
+"f64le": ...}``: base64 of its little-endian float64 bytes, exact by
+construction and about a third of the size of a JSON float list.  Every
+block profile — fresh, from disk, or from the memo — is the decode of
+such a record, so a memory hit, a disk hit, and a fresh benchmark are
+bit-identical and executor equivalence (serial ≡ process ≡ chunked) is
+preserved.  The decode wraps the record's bytes without a copy, and
+slices are frozen, so served matrices are read-only.  A record that
+parses as JSON but does not decode is a miss: the block is benchmarked
+again and its new record supersedes it.
 
 ``PROFILE_PROTOCOL`` must be bumped whenever the benchmark's draw order,
-estimator or record format changes; it is part of every key, so stale
-persisted profiles from older code versions can never be served.
+estimator, record format or keying changes; it is part of every key, so
+stale persisted profiles from older code versions can never be served.
 
 Worker processes of the ``process``/``chunked`` executors are forked,
 so they inherit the configured cache; each worker appends fresh profiles
@@ -37,7 +54,8 @@ to the same crash-safe :mod:`repro.util.jsonl` log as the result cache,
 so concurrent writers cannot interleave records.  Hit/miss counts and
 benchmark time are recorded only as telemetry metrics
 (``profile_cache.hits``/``.misses``, ``profile_cache.benchmark_seconds``),
-which ``explore stats`` sums from the store's sink.
+which ``explore stats`` sums from the store's sink: a hit is a block
+served from the memo or the disk, a miss a block benchmarked.
 """
 
 from __future__ import annotations
@@ -60,8 +78,8 @@ from repro.obs import current as _telemetry
 
 #: Version token baked into every cache key.  Bump when the comm
 #: benchmark's RNG draw order, estimators, or defaults change meaning,
-#: or when the record format changes.
-PROFILE_PROTOCOL = "comm-bench/v3-binary-records"
+#: or when the record format or what a record covers changes.
+PROFILE_PROTOCOL = "comm-bench/v4-node-blocks"
 
 
 def _describe(value: Any) -> Any:
@@ -97,21 +115,26 @@ def machine_fingerprint(machine: SimMachine) -> dict:
     }
 
 
-def profile_key(
-    machine: SimMachine,
-    placement: Placement,
-    samples: int,
-    sizes,
-    request_counts,
-    stream: str,
-    intercept_max_size: int,
+def node_block(placement: Placement) -> Placement:
+    """Every core on the nodes ``placement`` touches, in ascending order."""
+    topology = placement.topology
+    per_node = topology.cores_per_node
+    nodes = np.unique(placement.nodes)
+    return Placement(
+        topology, (nodes[:, None] * per_node + np.arange(per_node)).ravel()
+    )
+
+
+def _key_prefix(
+    machine: SimMachine, samples, sizes, request_counts, stream,
+    intercept_max_size,
 ) -> str:
-    """Stable content hash for one (machine, placement, benchmark-args)."""
-    payload = json.dumps(
+    """Everything in a key but the cores, shared by a placement's key and
+    its block's."""
+    return json.dumps(
         {
             "protocol": PROFILE_PROTOCOL,
             "machine": machine_fingerprint(machine),
-            "placement": [int(c) for c in placement.cores],
             "samples": int(samples),
             "sizes": [int(s) for s in sizes],
             "request_counts": [int(c) for c in request_counts],
@@ -121,7 +144,12 @@ def profile_key(
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+
+
+def _key(prefix: str, placement: Placement) -> str:
+    """Stable content hash of one (machine, cores, benchmark-args)."""
+    cores = ",".join(str(int(c)) for c in placement.cores)
+    return hashlib.sha256(f"{prefix}[{cores}]".encode()).hexdigest()[:24]
 
 
 def _encode_matrix(matrix: np.ndarray) -> dict:
@@ -172,6 +200,24 @@ def _params_from_record(record: dict) -> CommParameters:
         raise ValueError(f"malformed profile record: {exc!r}") from exc
 
 
+def _sliced(params: CommParameters, idx: np.ndarray) -> CommParameters:
+    """The ``idx`` rows and columns of every matrix, read-only."""
+    rows_cols = np.ix_(idx, idx)
+
+    def take(matrix):
+        if matrix is None:
+            return None
+        part = matrix[rows_cols]
+        part.flags.writeable = False
+        return part
+
+    return CommParameters(
+        overhead=take(params.overhead),
+        latency=take(params.latency),
+        inv_bandwidth=take(params.inv_bandwidth),
+    )
+
+
 class ProfileCache:
     """In-process memo with optional shared JSONL persistence.
 
@@ -180,10 +226,14 @@ class ProfileCache:
     """
 
     def __init__(self):
-        self._memory: dict[str, CommParameters] = {}
+        self._blocks: dict[str, CommParameters] = {}
+        # placement key -> (served slice, its block's key)
+        self._served: dict[str, tuple[CommParameters, str]] = {}
         self._store = None  # lazily-built repro.explore.cache.ResultCache
         self._path: str | None = None
-        self.hits = 0
+        # Blocks benchmarked by this process.  Not a statistic (those are
+        # the telemetry counters): ``benchmarks/e2e/ledger.py`` reads it to
+        # tell a ``get_or_benchmark`` call that benchmarked apart.
         self.misses = 0
 
     # ------------------------------------------------------- configuration
@@ -209,12 +259,9 @@ class ProfileCache:
         return self._path
 
     def clear_memory(self) -> None:
-        self._memory.clear()
-        self.hits = 0
+        self._blocks.clear()
+        self._served.clear()
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._memory)
 
     # ------------------------------------------------------------- serving
 
@@ -228,7 +275,8 @@ class ProfileCache:
         stream: str | None = None,
         intercept_max_size: int | None = None,
     ) -> CommParameters:
-        """Serve one profile: memory, then disk, then a fresh benchmark.
+        """Serve one placement's profile as a slice of its node block's:
+        the block from memory, then disk, then a fresh benchmark.
 
         Unset arguments resolve to :mod:`repro.bench.comm_bench`'s own
         defaults, so a cached profile can never be benchmarked with
@@ -238,7 +286,6 @@ class ProfileCache:
             DEFAULT_INTERCEPT_MAX_SIZE,
             DEFAULT_REQUEST_COUNTS,
             DEFAULT_STREAM,
-            benchmark_comm,
         )
 
         if request_counts is None:
@@ -247,16 +294,39 @@ class ProfileCache:
             stream = DEFAULT_STREAM
         if intercept_max_size is None:
             intercept_max_size = DEFAULT_INTERCEPT_MAX_SIZE
-        key = profile_key(
-            machine, placement, samples, sizes, request_counts, stream,
-            intercept_max_size,
-        )
+        args = (samples, tuple(sizes), tuple(request_counts), stream,
+                intercept_max_size)
+        prefix = _key_prefix(machine, *args)
+        key = _key(prefix, placement)
+        served = self._served.get(key)
+        if served is not None:
+            params, block_key = served
+            # The block is memoised with its slices, so this counts a hit
+            # (and writes the block through to a newly-attached store).
+            self._block_profile(machine, None, block_key, args)
+            return params
+        block = node_block(placement)
+        block_key = _key(prefix, block)
+        full = self._block_profile(machine, block, block_key, args)
+        if block_key == key:
+            params = full
+        else:
+            params = _sliced(full, np.searchsorted(block.cores, placement.cores))
+        self._served[key] = (params, block_key)
+        return params
+
+    def _block_profile(
+        self, machine: SimMachine, block: Placement | None, key: str,
+        args: tuple,
+    ) -> CommParameters:
+        """One node block's profile: memory, then disk, then a fresh
+        benchmark of ``block`` (``None`` only when it is memoised);
+        counts one hit or one miss."""
+        from repro.bench.comm_bench import benchmark_comm
+
         tele = _telemetry()
-        params = self._memory.get(key)
+        params = self._blocks.get(key)
         if params is not None:
-            self.hits += 1
-            if tele is not None:
-                tele.count("profile_cache.hits")
             if self._store is not None and self._store.get(key) is None:
                 # Write a memory hit through to a newly-attached store, so
                 # switching store directories mid-process still leaves each
@@ -264,29 +334,29 @@ class ProfileCache:
                 # params ARE a decoded record, so this reproduces the
                 # on-disk form exactly.)
                 self._store.put(key, _params_to_record(params))
-            return params
-        if self._store is not None:
+        elif self._store is not None:
             record = self._store.get(key)
             try:
                 params = None if record is None else _params_from_record(record)
             except ValueError:
                 params = None  # undecodable: benchmarked and put afresh below
             if params is not None:
-                self._memory[key] = params
-                self.hits += 1
-                if tele is not None:
-                    tele.count("profile_cache.hits")
-                return params
+                self._blocks[key] = params
+        if params is not None:
+            if tele is not None:
+                tele.count("profile_cache.hits")
+            return params
         self.misses += 1
         if tele is not None:
             tele.count("profile_cache.misses")
+        samples, sizes, request_counts, stream, intercept_max_size = args
         bench_pc0 = time.perf_counter()
         report = benchmark_comm(
             machine,
-            placement,
+            block,
             samples=samples,
-            sizes=tuple(sizes),
-            request_counts=tuple(request_counts),
+            sizes=sizes,
+            request_counts=request_counts,
             stream=stream,
             intercept_max_size=intercept_max_size,
         )
@@ -304,7 +374,7 @@ class ProfileCache:
         # would: one decode path makes every hit bit-identical to this.
         record = _params_to_record(report.params)
         params = _params_from_record(record)
-        self._memory[key] = params
+        self._blocks[key] = params
         if self._store is not None:
             self._store.put(key, record)
         return params

@@ -65,12 +65,22 @@ class AdaptivePlan:
         object.__setattr__(self, "options", dict(self.options))
 
     @property
+    def named_objectives(self) -> tuple[str, ...]:
+        """``objectives``, or the single ``objective`` (if any)."""
+        return self.objectives or tuple(filter(None, [self.objective]))
+
+    @property
+    def maximized(self) -> tuple[str, ...]:
+        """The objectives maximised: ``maximize=True`` means every one the
+        plan names, ``False`` none, a tuple those it lists."""
+        if self.maximize is True:
+            return self.named_objectives
+        return self.maximize or ()
+
+    @property
     def ascending(self) -> bool:
-        """Whether the single objective is minimised: ``maximize`` is
-        ``False``, or names other metrics only."""
-        if isinstance(self.maximize, bool):
-            return not self.maximize
-        return self.objective not in self.maximize
+        """Whether the single objective is minimised."""
+        return self.objective not in self.maximized
 
     def build_sampler(self, space: DesignSpace):
         return make_sampler(
@@ -79,7 +89,7 @@ class AdaptivePlan:
             seed=self.seed,
             objective=self.objective,
             objectives=self.objectives,
-            maximize=self.maximize,
+            maximize=self.maximized,
             **self.options,
         )
 
@@ -135,16 +145,12 @@ class AdaptiveOutcome:
 
     def front(self) -> ResultSet:
         """The observed Pareto front under the plan's objectives."""
-        objectives = self.plan.objectives or (
-            (self.plan.objective,) if self.plan.objective else ()
-        )
+        objectives = self.plan.named_objectives
         if not objectives:
             raise ValueError("the plan names no objectives")
-        maximize = (
-            () if isinstance(self.plan.maximize, bool) and not self.plan.maximize
-            else (objectives if self.plan.maximize is True else self.plan.maximize)
+        return self.results.pareto_front(
+            objectives, maximize=self.plan.maximized
         )
-        return self.results.pareto_front(objectives, maximize=maximize)
 
     def regret(self, exhaustive: ResultSet) -> float:
         """Gap between the adaptive best and the true best of an

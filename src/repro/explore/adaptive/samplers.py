@@ -69,9 +69,9 @@ class Sampler:
     """Base class: candidate bookkeeping shared by every strategy.
 
     ``objective`` names the metric single-objective strategies optimise
-    (minimised unless ``maximize``); ``objectives`` switches the
-    strategies that support it into multi-metric mode, with ``maximize``
-    then naming the metrics to maximise.
+    and ``objectives`` switches the strategies that support it into
+    multi-metric mode; ``maximize`` names the metrics to maximise (the
+    rest are minimised).
     """
 
     name = "base"
@@ -82,7 +82,7 @@ class Sampler:
         seed: int = 0,
         objective: str | None = None,
         objectives: Sequence[str] = (),
-        maximize: bool | Sequence[str] = False,
+        maximize: Sequence[str] = (),
     ):
         if isinstance(space, DesignSpace):
             self.candidates: list[DesignPoint] = space.expand()
@@ -101,19 +101,14 @@ class Sampler:
         if objective is not None and self.objectives:
             raise ValueError("pass objective or objectives, not both")
         self.objective = objective
-        if isinstance(maximize, bool):
-            self._maximize = (
-                set(filter(None, [objective])) if maximize else set()
+        self._maximize = set(maximize)
+        unknown = self._maximize - set(self.objectives) - (
+            {objective} if objective else set()
+        )
+        if unknown:
+            raise ValueError(
+                f"maximize names unknown objectives: {sorted(unknown)}"
             )
-        else:
-            self._maximize = set(maximize)
-            unknown = self._maximize - set(self.objectives) - (
-                {objective} if objective else set()
-            )
-            if unknown:
-                raise ValueError(
-                    f"maximize names unknown objectives: {sorted(unknown)}"
-                )
         self._index = {p.key: i for i, p in enumerate(self.candidates)}
         self._proposed: set[str] = set()
         self.observations: list[Observation] = []

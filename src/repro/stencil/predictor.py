@@ -198,9 +198,9 @@ def predict_iteration(
     platform at P = ``nprocs``, benchmark the kernel rate at the block's
     working-set size, and evaluate the chosen implementation model.
 
-    The platform profile is served through the memoized profile cache, so
-    sweeping ``kind`` (or ``n``) at a fixed process count re-uses one
-    benchmark run per placement."""
+    The platform profile is served through the memoized profile cache as
+    a slice of its node block's benchmark, so sweeping ``kind``, ``n`` or
+    ``nprocs`` re-uses one benchmark run per node block."""
     from repro.bench.profile_cache import PROFILE_CACHE
 
     blocks = decompose(n, nprocs)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import obs
 from repro.barriers.cost_model import CommParameters
 from repro.barriers.evaluate import FAST_COMM_SIZES, profile_placement
 from repro.bench import profile_cache as pc
@@ -17,10 +18,11 @@ from repro.bench.comm_bench import DEFAULT_REQUEST_COUNTS, benchmark_comm
 from repro.bench.profile_cache import (
     ProfileCache,
     machine_fingerprint,
-    profile_key,
+    node_block,
     store_path_for,
 )
 from repro.cluster import presets
+from repro.cluster.topology import Placement
 from repro.explore.cache import CorruptStoreWarning, ResultCache
 from repro.explore.resilience import FaultPlan, FaultSpec, activate, deactivate
 from repro.machine.simmachine import SimMachine
@@ -35,16 +37,47 @@ def machine():
 
 
 def fresh_params(machine, placement):
-    """A fresh benchmark, bypassing the cache: what a miss computes."""
-    return benchmark_comm(
-        machine, placement, samples=3, sizes=FAST_COMM_SIZES
+    """What a served profile must equal, bypassing the cache: a fresh
+    benchmark of every core on the nodes the placement touches, sliced
+    to the placement's cores in rank order."""
+    topology = placement.topology
+    nodes = sorted({topology.node_of(int(c)) for c in placement.cores})
+    per_node = topology.cores_per_node
+    block_cores = [n * per_node + i for n in nodes for i in range(per_node)]
+    full = benchmark_comm(
+        machine, Placement(topology, block_cores), samples=3,
+        sizes=FAST_COMM_SIZES,
     ).params
+    idx = [block_cores.index(int(c)) for c in placement.cores]
+    return CommParameters(*(
+        m[np.ix_(idx, idx)]
+        for m in (full.overhead, full.latency, full.inv_bandwidth)
+    ))
+
+
+def counted(call):
+    """Run ``call`` with telemetry on; return its result with the
+    profile-cache hits and misses it recorded, folded from the events as
+    ``explore stats`` folds them."""
+    tele = obs.enable()
+    before = len(tele.events())
+    try:
+        result = call()
+        counters = obs.merged_metrics(tele.events()[before:])["counters"]
+    finally:
+        obs.disable()
+
+    def total(name):
+        return int(counters.get(name, {}).get("total", 0))
+
+    return result, total("profile_cache.hits"), total("profile_cache.misses")
 
 
 def key_for(machine, placement, samples=3):
-    return profile_key(
-        machine, placement, samples, FAST_COMM_SIZES,
-        DEFAULT_REQUEST_COUNTS, "comm-bench", 4096,
+    return pc._key(
+        pc._key_prefix(machine, samples, FAST_COMM_SIZES,
+                       DEFAULT_REQUEST_COUNTS, "comm-bench", 4096),
+        placement,
     )
 
 
@@ -87,20 +120,24 @@ class TestKeys:
 
 class TestServing:
     def test_memoizes_in_process(self, machine):
-        cache = ProfileCache()
-        placement = machine.placement(8)
-        a = cache.get_or_benchmark(machine, placement, 3, FAST_COMM_SIZES)
-        b = cache.get_or_benchmark(machine, placement, 3, FAST_COMM_SIZES)
-        assert a is b
-        assert cache.misses == 1 and cache.hits == 1
+        for nprocs in (8, 12):  # all of node 0; a slice of nodes 0-1
+            cache = ProfileCache()
+            placement = machine.placement(nprocs)
+            a, hits, misses = counted(lambda: cache.get_or_benchmark(
+                machine, placement, 3, FAST_COMM_SIZES
+            ))
+            assert (hits, misses) == (0, 1)
+            b, hits, misses = counted(lambda: cache.get_or_benchmark(
+                machine, placement, 3, FAST_COMM_SIZES
+            ))
+            assert a is b
+            assert (hits, misses) == (1, 0)
 
     def test_cached_equals_fresh_bitwise(self, machine):
-        placement = machine.placement(8)
-        cached = profile_placement(machine, placement, comm_samples=3)
-        fresh = fresh_params(machine, placement)
-        np.testing.assert_array_equal(cached.overhead, fresh.overhead)
-        np.testing.assert_array_equal(cached.latency, fresh.latency)
-        np.testing.assert_array_equal(cached.inv_bandwidth, fresh.inv_bandwidth)
+        for nprocs in (8, 12):
+            placement = machine.placement(nprocs)
+            cached = profile_placement(machine, placement, comm_samples=3)
+            assert_bit_identical(cached, fresh_params(machine, placement))
 
     def test_persistence_round_trip(self, machine, tmp_path):
         placement = machine.placement(8)
@@ -112,8 +149,10 @@ class TestServing:
 
         reader = ProfileCache()
         reader.configure(path)
-        second = reader.get_or_benchmark(machine, placement, 3, FAST_COMM_SIZES)
-        assert reader.misses == 0 and reader.hits == 1
+        second, hits, misses = counted(lambda: reader.get_or_benchmark(
+            machine, placement, 3, FAST_COMM_SIZES
+        ))
+        assert (hits, misses) == (1, 0)
         np.testing.assert_array_equal(first.overhead, second.overhead)
         np.testing.assert_array_equal(first.latency, second.latency)
         np.testing.assert_array_equal(
@@ -128,6 +167,53 @@ class TestServing:
             machine, machine.placement(4), 3, FAST_COMM_SIZES
         )
         assert not os.path.exists(store_path_for(tmp_path))
+
+
+class TestNodeBlocks:
+    """A placement is served as a slice of its node block's profile."""
+
+    @pytest.mark.parametrize("policy", ["round_robin", "block"])
+    @pytest.mark.parametrize("nprocs", [1, 2, 8, 9, 16, 64])
+    def test_served_is_the_block_benchmark_sliced(
+        self, machine, policy, nprocs
+    ):
+        placement = machine.placement(nprocs, policy=policy)
+        served = ProfileCache().get_or_benchmark(
+            machine, placement, 3, FAST_COMM_SIZES
+        )
+        assert_bit_identical(served, fresh_params(machine, placement))
+
+    def test_115_processes_on_ten_nodes(self):
+        machine = presets.make_preset_machine("cluster-10x2x6", seed=5)
+        placement = machine.placement(115)
+        assert node_block(placement).nprocs == 120
+        served = ProfileCache().get_or_benchmark(
+            machine, placement, 3, FAST_COMM_SIZES
+        )
+        assert_bit_identical(served, fresh_params(machine, placement))
+
+    def test_non_prefix_nodes_in_shuffled_rank_order(self, machine):
+        # Cores of nodes 1 (8-15) and 3 (24-31), ranks in no core order.
+        placement = Placement(machine.topology, [27, 9, 30, 8, 14, 25, 24])
+        block = node_block(placement)
+        assert block.cores.tolist() == [*range(8, 16), *range(24, 32)]
+        served = ProfileCache().get_or_benchmark(
+            machine, placement, 3, FAST_COMM_SIZES
+        )
+        assert_bit_identical(served, fresh_params(machine, placement))
+        assert served.latency[0, 1] > served.latency[1, 3]  # remote > local
+
+    def test_sweep_appends_one_record_per_block(self, machine, tmp_path):
+        path = store_path_for(tmp_path)
+        cache = ProfileCache()
+        cache.configure(path)
+        for nprocs in range(2, 17):
+            cache.get_or_benchmark(
+                machine, machine.placement(nprocs), 3, FAST_COMM_SIZES
+            )
+        # P <= 8 sits on node 0, P = 9..16 on nodes 0-1: two blocks.
+        assert len(jsonl.read(path)) == 2
+        assert cache.misses == 2  # the probe the benchmark ledger reads
 
 
 class TestCampaignIntegration:
@@ -184,13 +270,16 @@ class TestRecordFormat:
         }
 
     def test_served_matrices_are_read_only(self, machine):
-        params = ProfileCache().get_or_benchmark(
-            machine, machine.placement(4), 3, FAST_COMM_SIZES
-        )
-        for matrix in (params.overhead, params.latency, params.inv_bandwidth):
-            assert not matrix.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            params.latency[0, 0] = 1.0
+        for nprocs in (4, 8):  # a slice of node 0's block; all of it
+            params = ProfileCache().get_or_benchmark(
+                machine, machine.placement(nprocs), 3, FAST_COMM_SIZES
+            )
+            for matrix in (
+                params.overhead, params.latency, params.inv_bandwidth
+            ):
+                assert not matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                params.latency[0, 0] = 1.0
 
     def test_record_is_much_smaller_than_a_float_list(self, machine):
         import json
@@ -230,6 +319,9 @@ def _spoiled(record, how):
 
 
 class TestBadRecords:
+    # placement(8) is all of node 0, so it is its own node block and its
+    # key is the key of the record the cache stores.
+
     @pytest.mark.parametrize("how", [
         "missing-key", "bad-base64", "byte-count", "not-square", "list-format",
     ])
@@ -244,16 +336,20 @@ class TestBadRecords:
         )
         cache = ProfileCache()
         cache.configure(path)
-        served = cache.get_or_benchmark(machine, placement, 3, FAST_COMM_SIZES)
-        assert cache.misses == 1 and cache.hits == 0
+        served, hits, misses = counted(lambda: cache.get_or_benchmark(
+            machine, placement, 3, FAST_COMM_SIZES
+        ))
+        assert (hits, misses) == (0, 1)
         fresh = fresh_params(machine, placement)
         assert_bit_identical(served, fresh)
 
         assert list(ResultCache(path).keys()) == [key_for(machine, placement)]
         reader = ProfileCache()  # a later session: the re-append wins
         reader.configure(path)
-        again = reader.get_or_benchmark(machine, placement, 3, FAST_COMM_SIZES)
-        assert reader.misses == 0 and reader.hits == 1
+        again, hits, misses = counted(lambda: reader.get_or_benchmark(
+            machine, placement, 3, FAST_COMM_SIZES
+        ))
+        assert (hits, misses) == (1, 0)
         assert_bit_identical(again, fresh)
 
     def test_pre_bump_list_record_is_never_served(
@@ -277,10 +373,10 @@ class TestBadRecords:
             warnings.simplefilter("error", CorruptStoreWarning)  # still reads
             cache = ProfileCache()
             cache.configure(path)
-            served = cache.get_or_benchmark(
+            served, _, misses = counted(lambda: cache.get_or_benchmark(
                 machine, placement, 3, FAST_COMM_SIZES
-            )
-            assert cache.misses == 1
+            ))
+            assert misses == 1
             assert_bit_identical(served, fresh)
             assert set(ResultCache(path).keys()) == {
                 old_key, key_for(machine, placement)
@@ -309,10 +405,10 @@ class TestBadRecords:
         reader = ProfileCache()
         with pytest.warns(CorruptStoreWarning):
             reader.configure(path)
-        second = reader.get_or_benchmark(
+        second, _, misses = counted(lambda: reader.get_or_benchmark(
             machine, placement, 3, FAST_COMM_SIZES
-        )
-        assert reader.misses == 1
+        ))
+        assert misses == 1
         assert_bit_identical(first, second)
         assert os.path.exists(f"{path}.corrupt")
 
@@ -320,10 +416,10 @@ class TestBadRecords:
             warnings.simplefilter("error")  # quarantined once, reported once
             third = ProfileCache()
             third.configure(path)
-            served = third.get_or_benchmark(
+            served, hits, misses = counted(lambda: third.get_or_benchmark(
                 machine, placement, 3, FAST_COMM_SIZES
-            )
-        assert third.hits == 1 and third.misses == 0
+            ))
+        assert (hits, misses) == (1, 0)
         assert_bit_identical(served, first)
 
 

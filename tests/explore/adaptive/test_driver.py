@@ -3,9 +3,10 @@ the suite integration."""
 
 import pytest
 
-from repro.explore.adaptive import AdaptivePlan, run_adaptive
+from repro.explore.adaptive import AdaptiveOutcome, AdaptivePlan, run_adaptive
 from repro.explore.campaign import CampaignPointError, run_campaign
 from repro.explore.experiments import register_experiment
+from repro.explore.results import ResultRecord, ResultSet
 from repro.explore.suites import SuiteSpec, run_suite
 
 from tests.explore.adaptive.conftest import bowl_space
@@ -126,6 +127,31 @@ def test_plan_validation():
 ])
 def test_plan_ascending_is_the_minimise_rule(maximize, ascending):
     assert _plan(maximize=maximize).ascending is ascending
+
+
+@pytest.mark.parametrize("overrides, maximized", [
+    (dict(maximize=False), ()),
+    (dict(maximize=True), ("cost",)),
+    (dict(objective=None, objectives=("a", "b"), maximize=True), ("a", "b")),
+    (dict(objective=None, objectives=("a", "b"), maximize=("b",)), ("b",)),
+])
+def test_plan_maximized_names_the_maximised_objectives(overrides, maximized):
+    assert _plan(**overrides).maximized == maximized
+
+
+def test_multi_objective_maximize_true_maximises_every_objective(small_space):
+    plan = _plan(objective=None, objectives=("a", "b"), maximize=True)
+    sampler = plan.build_sampler(small_space)
+    assert sampler._sign("a") == sampler._sign("b") == -1.0
+    single = _plan(maximize=True).build_sampler(small_space)
+    assert single._sign("cost") == -1.0
+    assert _plan().build_sampler(small_space)._sign("cost") == 1.0
+    records = ResultSet(tuple(
+        ResultRecord(key=k, experiment="t", point={}, metrics=m)
+        for k, m in (("lo", {"a": 1.0, "b": 1.0}), ("hi", {"a": 2.0, "b": 2.0}))
+    ))
+    outcome = AdaptiveOutcome("max", plan, records, stats=None)
+    assert [r.key for r in outcome.front()] == ["hi"]
 
 
 def test_outcome_best_requires_single_objective(small_space):

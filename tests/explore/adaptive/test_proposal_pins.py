@@ -136,7 +136,8 @@ CASES = {
     ),
     "surrogate-maximize": lambda: _drive(
         make_sampler(
-            "surrogate", _bowl(), seed=4, objective="score", maximize=True,
+            "surrogate", _bowl(), seed=4, objective="score",
+            maximize=("score",),
         ),
         _bowl_metrics, rounds=20, batch=12,
     ),

@@ -185,7 +185,7 @@ def test_make_sampler_resolves_names_and_aliases(small_space):
 def test_maximize_flips_the_search_direction():
     space = bowl_space(na=18, nb=20, modes=5)
     sampler = SurrogateSampler(
-        space, seed=1, objective="cost", maximize=True, warmup=12,
+        space, seed=1, objective="cost", maximize=("cost",), warmup=12,
         explore=0.25,
     )
     seen = _drain(sampler, _cost, batch=12, budget=96)
