@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.bench import benchmark_comm
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.machine import SimMachine
 from repro.stencil import (
     decompose,
@@ -45,19 +46,23 @@ def main() -> None:
     print("BSP stencil max deviation from serial reference: "
           f"{np.abs(result.field - reference).max():.2e}")
 
-    # 2. Strong scaling comparison (charge-only, noise-free for clarity).
+    # 2. Strong scaling comparison (charge-only, noise-free for clarity:
+    #    the same cluster with QUIET noise).
+    quiet = SimMachine(
+        machine.topology, machine.params, noise=QUIET, seed=machine.seed
+    )
     n, iters = 1024, 5
     rows = []
     for nprocs in (4, 8, 16, 32, 64):
         row = [nprocs]
         for runner, kwargs in (
-            (run_bsp_stencil, dict(execute_numerics=False, noisy=False,
+            (run_bsp_stencil, dict(execute_numerics=False,
                                    label=f"s{nprocs}")),
-            (run_mpi_stencil, dict(noisy=False)),
-            (run_mpi_r_stencil, dict(noisy=False)),
-            (run_hybrid_stencil, dict(noisy=False)),
+            (run_mpi_stencil, {}),
+            (run_mpi_r_stencil, {}),
+            (run_hybrid_stencil, {}),
         ):
-            row.append(runner(machine, nprocs, n, iters, **kwargs)
+            row.append(runner(quiet, nprocs, n, iters, **kwargs)
                        .mean_iteration * 1e3)
         rows.append(row)
     print(f"\nstrong scaling, {n}^2 grid, per-iteration time [ms]:")

@@ -314,9 +314,8 @@ class BSPContext:
         per call)."""
         runtime = self._runtime
         core = runtime.placement.core_of(self._pid)
-        rng = self._state.rng if runtime.noisy else None
         dt = runtime.machine.kernel_time_runs(
-            core, kernel, n, runtime.runs, reps=reps, rng=rng,
+            core, kernel, n, runtime.runs, reps=reps, rng=self._state.rng,
             footprint_bytes=footprint_bytes,
         )
         self._state.clock.advance(dt)

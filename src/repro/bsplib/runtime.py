@@ -51,12 +51,16 @@ Noise is drawn in bulk under the engine's replication-major contract
 4. the payload-carrying sync's stage draws, per the event-engine
    contract.
 
+Noise is a property of the machine: every draw comes from
+``machine.rng(...)`` through ``machine.noise``, and a noise-free run is a
+run on a machine built with ``noise=QUIET``
+(:data:`repro.cluster.noise.QUIET`).
+
 The scalar per-message scheduler survives only as the test oracle
-:func:`repro.bsplib.reference.reference_transfers`: on the clean path
-(``noisy=False``) every replication's arrivals are bit-identical to it
-(hypothesis-tested); noisy ensembles agree distributionally (KS-checked),
-since the oracle draws transits in processing rather than canonical
-order.
+:func:`repro.bsplib.reference.reference_transfers`: on a QUIET machine
+every replication's arrivals are bit-identical to it (hypothesis-tested);
+noisy ensembles agree distributionally (KS-checked), since the oracle
+draws transits in processing rather than canonical order.
 """
 
 from __future__ import annotations
@@ -258,7 +262,6 @@ class BSPRuntime:
         placement_policy: str = "round_robin",
         op_overhead: float = 1.5e-6,
         label: str = "bsp-run",
-        noisy: bool = True,
         runs: int = 1,
         provenance: bool = False,
     ):
@@ -273,8 +276,6 @@ class BSPRuntime:
         self.truth: CommTruth = machine.comm_truth(self.placement)
         self.op_overhead = require_nonnegative(op_overhead, "op_overhead")
         self.label = label
-        self.noisy = noisy
-        self._noise = machine.noise if noisy else None
         self._sync_rng = machine.rng("bsplib-sync", label, nprocs)
         self.states = [
             _ProcessState(
@@ -325,7 +326,6 @@ class BSPRuntime:
             label=self.label,
             nprocs=int(self.nprocs),
             runs=self.runs,
-            noisy=bool(self.noisy),
         ) as span:
             result = self._run(program, *args, **kwargs)
             for rec in result.supersteps:
@@ -413,8 +413,8 @@ class BSPRuntime:
                 self._sync_stages,
                 runs=self.runs,
                 payload_bytes=self._sync_payloads,
-                rng=self._sync_rng if self.noisy else None,
-                noise=self._noise,
+                rng=self._sync_rng,
+                noise=self.machine.noise,
                 entry_times=entries,
                 provenance=sync_prov,
             )
@@ -497,8 +497,8 @@ class BSPRuntime:
         its replication's messages in commit-time order via a stable
         argsort — ties fall back to the canonical order, which is the
         ``(commit_time, pid, sequence)`` processing order of the scalar
-        oracle :func:`repro.bsplib.reference.reference_transfers`.  On the
-        clean path every replication is bit-identical to that oracle.
+        oracle :func:`repro.bsplib.reference.reference_transfers`.  On a
+        QUIET machine every replication is bit-identical to that oracle.
 
         ``prov`` (a :class:`SuperstepProvenance`) optionally captures the
         per-transfer event times and NIC predecessor links; capture reads
@@ -536,10 +536,9 @@ class BSPRuntime:
             remote_mask = node_src != nodes[dst]
             # One (R, M) bulk transit draw in canonical order.
             base = truth.latency[src, dst] + wire_all
-            if self._noise is None:
-                transits = np.broadcast_to(base, (runs, base.size))
-            else:
-                transits = self._noise.sample_matrix(self._sync_rng, base, runs)
+            transits = self.machine.noise.sample_matrix(
+                self._sync_rng, base, runs
+            )
             wire_entries = ready.copy()
             txp = np.full(ready.shape, -1, dtype=np.intp) if capture else None
             remote = np.flatnonzero(remote_mask)
@@ -697,7 +696,6 @@ def bsp_run(
     placement_policy: str = "round_robin",
     op_overhead: float = 1.5e-6,
     label: str = "bsp-run",
-    noisy: bool = True,
     runs: int = 1,
     provenance: bool = False,
     **kwargs,
@@ -718,7 +716,6 @@ def bsp_run(
         placement_policy=placement_policy,
         op_overhead=op_overhead,
         label=label,
-        noisy=noisy,
         runs=runs,
         provenance=provenance,
     )

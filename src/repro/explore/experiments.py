@@ -94,6 +94,20 @@ def _machine_from_point(point: Mapping[str, Any]):
     )
 
 
+def _quiet_machine_from_point(point: Mapping[str, Any]):
+    """The point's machine with QUIET noise: how a run asks to be
+    noise-free."""
+    from repro.cluster.noise import QUIET
+    from repro.cluster.presets import make_preset_machine
+
+    return make_preset_machine(
+        point["preset"],
+        nodes=point.get("nodes"),
+        seed=int(point.get("seed", 2012)),
+        noise=QUIET,
+    )
+
+
 def _pattern_from_point(point: Mapping[str, Any]):
     name = point["pattern"]
     try:
@@ -575,12 +589,15 @@ def stencil_run(point: Mapping[str, Any]) -> dict:
 
     from repro.stencil.experiments import run_strong_scaling
 
-    machine = _machine_from_point(point)
+    # A ``noisy: false`` point runs on the same preset with QUIET noise.
+    machine = (
+        _machine_from_point(point) if point.get("noisy", True)
+        else _quiet_machine_from_point(point)
+    )
     impl = str(point["impl"])
     n = int(point["n"])
     nprocs = int(point["nprocs"])
     iterations = int(point.get("iterations", 6))
-    noisy = bool(point.get("noisy", True))
     runs = int(point.get("runs", 1))
     critpath = bool(point.get("critpath", False))
     # Replications and provenance exist only on the BSP runtime; an
@@ -601,7 +618,6 @@ def stencil_run(point: Mapping[str, Any]) -> dict:
         n,
         (nprocs,),
         iterations=iterations,
-        noisy=noisy,
         runs=runs,
     )[impl][nprocs]
     metrics = {
@@ -623,7 +639,7 @@ def stencil_run(point: Mapping[str, Any]) -> dict:
         # with provenance recording enabled.
         replay = run_bsp_stencil(
             machine, nprocs, n, iterations,
-            execute_numerics=False, noisy=noisy,
+            execute_numerics=False,
             label=f"a-series-{nprocs}-{n}",
             runs=runs,
             provenance=True,
@@ -760,7 +776,7 @@ def overlap_commit(point: Mapping[str, Any]) -> dict:
     from repro.bsplib import bsp_run
     from repro.kernels import DAXPY
 
-    machine = _machine_from_point(point)
+    machine = _quiet_machine_from_point(point)
     nprocs = int(point["nprocs"])
     commit = str(point["commit"])
     if commit not in ("early", "late"):
@@ -785,7 +801,7 @@ def overlap_commit(point: Mapping[str, Any]) -> dict:
 
     result = bsp_run(
         machine, nprocs, program,
-        label=f"ov-{commit}-{nprocs}", noisy=False,
+        label=f"ov-{commit}-{nprocs}",
     )
     return {"total_s": result.total_seconds}
 

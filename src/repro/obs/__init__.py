@@ -57,14 +57,8 @@ from repro.obs.provenance import (
     TransferPassProvenance,
     rep_row,
 )
-from repro.obs.metrics import (
-    DEFAULT_SECONDS_EDGES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.summary import (
+    DEFAULT_SECONDS_EDGES,
     TELEMETRY_DIRNAME,
     TelemetrySummary,
     describe_empty_sink,
@@ -96,15 +90,11 @@ __all__ = [
     "TELEMETRY_DIRNAME",
     "DEFAULT_SECONDS_EDGES",
     "BSPProvenance",
-    "Counter",
     "CriticalPath",
     "EngineProvenance",
     "EventGraph",
     "ExplainReport",
-    "Gauge",
-    "Histogram",
     "Hop",
-    "MetricsRegistry",
     "Span",
     "StageProvenance",
     "SuperstepProvenance",

@@ -24,7 +24,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry
 from repro.util import jsonl
 
 #: Telemetry artifacts live here, next to a campaign's result store.
@@ -86,13 +85,85 @@ def describe_empty_sink(sink_dir: str | os.PathLike) -> str:
     )
 
 
+#: Default histogram bucket edges, in seconds: geometric decades from a
+#: microsecond to 100 s.  Fixed (not adaptive) so merges across processes
+#: and runs are deterministic.
+DEFAULT_SECONDS_EDGES: tuple[float, ...] = (
+    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0
+)
+
+_SECTIONS = {"counter": "counters", "gauge": "gauges", "hist": "histograms"}
+
+
 def merged_metrics(events: Iterable[Mapping[str, Any]]) -> dict:
-    """Fold the metric events of a merged stream into one snapshot."""
-    registry = MetricsRegistry()
+    """Fold the metric events of a merged stream into one snapshot.
+
+    The snapshot groups metrics by kind, names sorted: a ``counter``
+    accumulates a total and an update count; a ``gauge`` keeps the last
+    value plus its min/max; a ``hist`` counts values into the bucket
+    edges its name's first event declares (``DEFAULT_SECONDS_EDGES``
+    unless given; strictly increasing), with one overflow bucket above
+    the last edge, plus count/total/mean/min/max.  Counters and
+    histograms merge commutatively; gauges resolve last-write-wins in
+    stream order, deterministic because worker files merge in sorted
+    filename order.  A name reused across kinds is a ``TypeError``.
+    """
+    kinds: dict[str, str] = {}
+    metrics: dict[str, dict] = {}
     for event in events:
-        if event.get("type") == "metric":
-            registry.apply_event(event)
-    return registry.snapshot()
+        if event.get("type") != "metric":
+            continue
+        kind = event.get("kind")
+        name = event["name"]
+        value = float(event["value"])
+        if kind not in _SECTIONS:
+            raise ValueError(f"unknown metric kind {kind!r}")
+        first = kinds.setdefault(name, kind)
+        if first != kind:
+            raise TypeError(f"metric {name!r} is a {first}, not a {kind}")
+        m = metrics.get(name)
+        if m is None:
+            m = metrics[name] = _new_metric(kind, event.get("edges"))
+        if kind == "counter":
+            m["total"] += value
+            m["updates"] += 1
+            continue
+        if kind == "gauge":
+            m["value"] = value
+            m["updates"] += 1
+        else:
+            edges = m["edges"]
+            bucket = next(
+                (i for i, edge in enumerate(edges) if value <= edge),
+                len(edges),
+            )
+            m["counts"][bucket] += 1
+            m["count"] += 1
+            m["total"] += value
+            m["mean"] = m["total"] / m["count"]
+        m["min"] = value if m["min"] is None else min(m["min"], value)
+        m["max"] = value if m["max"] is None else max(m["max"], value)
+    out: dict[str, dict] = {section: {} for section in _SECTIONS.values()}
+    for name in sorted(metrics):
+        out[_SECTIONS[kinds[name]]][name] = metrics[name]
+    return out
+
+
+def _new_metric(kind: str, edges) -> dict:
+    """The empty state of a metric, keys in snapshot order; a histogram
+    takes the ``edges`` of the event that first names it."""
+    if kind == "counter":
+        return {"total": 0.0, "updates": 0}
+    if kind == "gauge":
+        return {"value": None, "min": None, "max": None, "updates": 0}
+    edges = [float(e) for e in (DEFAULT_SECONDS_EDGES if edges is None
+                                else edges)]
+    if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError("histogram edges must be strictly increasing")
+    return {
+        "edges": edges, "counts": [0] * (len(edges) + 1), "count": 0,
+        "total": 0.0, "mean": None, "min": None, "max": None,
+    }
 
 
 def spans(

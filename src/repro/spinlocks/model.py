@@ -99,9 +99,9 @@ def _handoff_schedule(
     sequence and each handoff's clean (noise-free) line-transfer cost.
 
     The winner arbitration draws from its own ``"arbiter"`` stream and
-    never touches the noise stream, so the schedule is identical whether
-    the run is clean, noisy, or a replication batch — which is what lets
-    the noise be drawn in bulk afterwards.
+    never touches the noise stream, so the schedule is identical whatever
+    the machine's noise model and however many replications run — which is
+    what lets the noise be drawn in bulk afterwards.
     """
     nthreads = placement.nprocs
     remaining = np.full(nthreads, acquisitions_per_thread)
@@ -159,7 +159,6 @@ def simulate_spinlock(
     acquisitions_per_thread: int = 16,
     critical_section: float = 0.2e-6,
     stream: str = "spinlock",
-    noisy: bool = True,
     runs: int = 1,
 ) -> SpinlockResult:
     """Simulate ``nthreads`` contending for one lock until every thread has
@@ -169,7 +168,7 @@ def simulate_spinlock(
     replications with one bulk :meth:`NoiseModel.sample_matrix` call,
     draws filling replication-major — the scalar reference loop survives
     as :func:`repro.spinlocks.reference.reference_spinlock`, bit-identical
-    on the clean path and KS-equivalent on the noisy one.
+    on a QUIET machine and KS-equivalent on a noisy one.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; know {ALGORITHMS}")
@@ -184,11 +183,8 @@ def simulate_spinlock(
         machine, algorithm, placement, acquisitions_per_thread, stream
     )
     total = int(clean.shape[0])
-    if noisy:
-        rng = machine.rng(stream, algorithm, nthreads)
-        handoffs = machine.noise.sample_matrix(rng, clean, runs)
-    else:
-        handoffs = np.broadcast_to(clean, (runs, total)).copy()
+    rng = machine.rng(stream, algorithm, nthreads)
+    handoffs = machine.noise.sample_matrix(rng, clean, runs)
     spans = handoffs.sum(axis=1) + total * critical_section
     return SpinlockResult(
         algorithm=algorithm,

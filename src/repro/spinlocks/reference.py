@@ -5,11 +5,12 @@ verbatim as the behavioural oracle for :mod:`repro.spinlocks.model` — the
 same role :mod:`repro.simmpi.reference` plays for the batched event
 engine.  The contract, enforced by ``tests/spinlocks/test_model_batch.py``:
 
-* **clean path** (``noisy=False``): the vectorized simulation is
-  *bit-identical* to this loop — the handoff schedule (winner sequence,
-  line-transfer costs, storm/broadcast terms) never touched the noise
-  stream, so separating it from the draws changes no clean value;
-* **noisy path**: the vectorized bulk draw consumes the stream in a
+* **clean run** (a machine built with ``noise=QUIET``): the vectorized
+  simulation is *bit-identical* to this loop — the handoff schedule
+  (winner sequence, line-transfer costs, storm/broadcast terms) never
+  touched the noise stream, and a QUIET draw returns its base duration,
+  so separating the schedule from the draws changes no clean value;
+* **noisy run**: the vectorized bulk draw consumes the stream in a
   different order (one :meth:`NoiseModel.sample` call over the whole
   handoff vector instead of one boxed scalar draw per acquisition), so
   individual samples differ while the ensembles agree distributionally.
@@ -37,7 +38,6 @@ def reference_spinlock(
     acquisitions_per_thread: int = 16,
     critical_section: float = 0.2e-6,
     stream: str = "spinlock",
-    noisy: bool = True,
     rng: np.random.Generator | None = None,
 ):
     """The original scalar handoff loop; returns a ``SpinlockResult``.
@@ -54,10 +54,8 @@ def reference_spinlock(
     if acquisitions_per_thread < 1:
         raise ValueError("acquisitions_per_thread must be >= 1")
     nthreads = placement.nprocs
-    if noisy and rng is None:
+    if rng is None:
         rng = machine.rng(stream, algorithm, nthreads)
-    elif not noisy:
-        rng = None
 
     remaining = np.full(nthreads, acquisitions_per_thread)
     holder = 0
@@ -94,12 +92,11 @@ def reference_spinlock(
                 * machine.params.links[Relation.SAME_SOCKET].latency
                 for _ in sockets
             )
-        if rng is not None:
-            # One boxed 0-d draw per acquisition — the historical scalar
-            # pattern this module exists to pin.
-            handoff = float(
-                machine.noise.sample(rng, np.asarray(handoff, dtype=float))
-            )
+        # One boxed 0-d draw per acquisition — the historical scalar
+        # pattern this module exists to pin.
+        handoff = float(
+            machine.noise.sample(rng, np.asarray(handoff, dtype=float))
+        )
         now += handoff + critical_section
         costs.append(handoff)
         remaining[winner] -= 1

@@ -74,7 +74,6 @@ def run_strong_scaling(
     n: int,
     process_counts,
     iterations: int = 6,
-    noisy: bool = True,
     runs: int = 1,
 ) -> dict[str, dict[int, StencilRunResult]]:
     """A-series harness: per-implementation strong-scaling sweeps.
@@ -99,12 +98,11 @@ def run_strong_scaling(
             if name == "BSP":
                 per_count[nprocs] = runner(
                     machine, nprocs, n, iterations,
-                    execute_numerics=False, noisy=noisy,
+                    execute_numerics=False,
                     label=f"a-series-{nprocs}-{n}",
                     runs=runs,
                 )
             else:
-                per_count[nprocs] = runner(machine, nprocs, n, iterations,
-                                           noisy=noisy)
+                per_count[nprocs] = runner(machine, nprocs, n, iterations)
         out[name] = per_count
     return out

@@ -87,7 +87,6 @@ def run_bsp_stencil(
     n: int,
     iterations: int,
     execute_numerics: bool = True,
-    noisy: bool = True,
     initial=None,
     label: str = "bsp-stencil",
     runs: int = 1,
@@ -183,7 +182,7 @@ def run_bsp_stencil(
         return u[1 : h + 1, 1 : w + 1].copy() if execute_numerics else None
 
     result = bsp_run(
-        machine, nprocs, program, label=label, noisy=noisy, runs=runs,
+        machine, nprocs, program, label=label, runs=runs,
         provenance=provenance,
     )
     # Supersteps: registration, initial border exchange, then iterations.
@@ -267,7 +266,6 @@ def _run_mpi_family(
     blocks: list[LocalBlock] | None = None,
     compute_scale: float = 1.0,
     extra_per_iter: float = 0.0,
-    noisy: bool = True,
 ) -> StencilRunResult:
     require_int(iterations, "iterations")
     if blocks is None:
@@ -276,8 +274,8 @@ def _run_mpi_family(
         placement = machine.placement(nprocs)
     truth = machine.comm_truth(placement)
     stages, payloads = _exchange_stages(blocks)
-    rng = machine.rng("stencil", name, nprocs, n) if noisy else None
-    noise = machine.noise if noisy else None
+    rng = machine.rng("stencil", name, nprocs, n)
+    noise = machine.noise
 
     border = np.array([border_cell_count(b.height, b.width) for b in blocks])
     interior = np.array([interior_cell_count(b.height, b.width) for b in blocks])
@@ -295,8 +293,7 @@ def _run_mpi_family(
 
     def charge(base: np.ndarray) -> np.ndarray:
         """One iteration's compute: one bulk noise draw over the ranks."""
-        t = base if rng is None else noise.sample(rng, base)
-        return t / compute_scale
+        return noise.sample(rng, base) / compute_scale
 
     if overlap:
         clean_border, clean_interior = clean(border), clean(interior)
@@ -334,22 +331,22 @@ def _run_mpi_family(
     )
 
 
-def run_mpi_stencil(machine, nprocs, n, iterations, noisy=True) -> StencilRunResult:
+def run_mpi_stencil(machine, nprocs, n, iterations) -> StencilRunResult:
     """Plain MPI (§8.3.2): postponed, non-overlapped two-stage exchange."""
     return _run_mpi_family(
-        machine, nprocs, n, iterations, overlap=False, name="MPI", noisy=noisy
+        machine, nprocs, n, iterations, overlap=False, name="MPI"
     )
 
 
-def run_mpi_r_stencil(machine, nprocs, n, iterations, noisy=True) -> StencilRunResult:
+def run_mpi_r_stencil(machine, nprocs, n, iterations) -> StencilRunResult:
     """MPI+R: restructured for overlap (Table 8.2's comparison point)."""
     return _run_mpi_family(
-        machine, nprocs, n, iterations, overlap=True, name="MPI+R", noisy=noisy
+        machine, nprocs, n, iterations, overlap=True, name="MPI+R"
     )
 
 
 def run_hybrid_stencil(
-    machine: SimMachine, nprocs: int, n: int, iterations: int, noisy=True
+    machine: SimMachine, nprocs: int, n: int, iterations: int
 ) -> StencilRunResult:
     """Hybrid (§8.3.3): one MPI rank per node, threads across the node's
     cores, exchanges between nodes only."""
@@ -379,7 +376,6 @@ def run_hybrid_stencil(
         blocks=blocks,
         compute_scale=float(threads),
         extra_per_iter=barrier_cost,
-        noisy=noisy,
     )
     return StencilRunResult(
         name="Hybrid",

@@ -111,7 +111,6 @@ def measure_halo_iteration(
     n: int,
     depth: int,
     cycles: int = 6,
-    noisy: bool = True,
     runs: int = 1,
 ) -> np.ndarray:
     """Charge-model execution of the deep-halo scheme: per cycle, sweep the
@@ -126,7 +125,7 @@ def measure_halo_iteration(
     :func:`simulate_stages_batch`, then the dissemination sync.  The
     scalar loop survives as the oracle
     :func:`repro.stencil.reference.reference_halo_iteration`, to which
-    ``runs=1`` is bit-identical, clean and noisy
+    ``runs=1`` is bit-identical on a QUIET machine and on a noisy one
     (``tests/stencil/test_stencil_batch.py``).
     """
     depth = require_int(depth, "depth")
@@ -139,17 +138,14 @@ def measure_halo_iteration(
     stages, payloads, sync_stages, sync_payloads, sweep_clean = (
         _halo_schedule(machine, placement, n, depth)
     )
-    rng = machine.rng("halo", nprocs, n, depth) if noisy else None
-    noise = machine.noise if noisy else None
+    rng = machine.rng("halo", nprocs, n, depth)
+    noise = machine.noise
     clock = np.zeros((runs, nprocs))
     for _ in range(cycles):
         # One replication-major bulk draw covers every (run, rank, sweep)
         # of the cycle; the first (widest) sweep happens before the
         # exchange commits.
-        if rng is not None:
-            sweeps = noise.sample_matrix(rng, sweep_clean, runs=runs)
-        else:
-            sweeps = np.broadcast_to(sweep_clean, (runs, *sweep_clean.shape))
+        sweeps = noise.sample_matrix(rng, sweep_clean, runs=runs)
         first = sweeps[..., 0]
         rest = sweeps[..., 1:].sum(axis=-1)
         comm_entry = clock + first
@@ -211,7 +207,6 @@ def optimize_halo_depth(
     sec_per_cell: float,
     params: CommParameters,
     cycles: int = 6,
-    noisy: bool = True,
     runs: int = 1,
 ) -> tuple[int, list[HaloSweepPoint]]:
     """Sweep halo depths, returning the model's chosen depth and the
@@ -225,8 +220,7 @@ def optimize_halo_depth(
             nprocs, n, depth, sec_per_cell, params
         ).per_iteration
         measured = float(measure_halo_iteration(
-            machine, nprocs, n, depth, cycles=cycles, noisy=noisy,
-            runs=runs,
+            machine, nprocs, n, depth, cycles=cycles, runs=runs,
         ).mean())
         points.append(HaloSweepPoint(depth=depth, predicted=predicted,
                                      measured=measured))

@@ -11,7 +11,8 @@ the dissemination sync as single ``runs=1`` executions of
 
 A ``(1, ...)`` replication-major draw consumes the generator exactly as
 the ``(...)`` draw does, so the batched path at ``runs=1`` is
-*bit-identical* to this loop on the clean *and* the noisy path
+*bit-identical* to this loop on a noisy machine and on a clean one, a
+machine built with ``noise=QUIET``
 (``tests/stencil/test_stencil_batch.py``).  Only tests and benchmarks
 import this module.
 """
@@ -32,7 +33,6 @@ def reference_halo_iteration(
     n: int,
     depth: int,
     cycles: int = 6,
-    noisy: bool = True,
 ) -> float:
     """Mean seconds per iteration of one deep-halo replication."""
     depth = require_int(depth, "depth")
@@ -42,12 +42,12 @@ def reference_halo_iteration(
     stages, payloads, sync_stages, sync_payloads, sweep_clean = (
         _halo_schedule(machine, placement, n, depth)
     )
-    rng = machine.rng("halo", nprocs, n, depth) if noisy else None
-    noise = machine.noise if noisy else None
+    rng = machine.rng("halo", nprocs, n, depth)
+    noise = machine.noise
     clock = np.zeros(nprocs)
     for _ in range(cycles):
         # First sweep (widest band) happens before communication commits.
-        sweeps = sweep_clean if rng is None else noise.sample(rng, sweep_clean)
+        sweeps = noise.sample(rng, sweep_clean)
         first = sweeps[:, 0]
         rest = sweeps[:, 1:].sum(axis=1)
         comm_entry = clock + first

@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.bsplib import bsp_run
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.kernels import DAXPY, DOT_PRODUCT
 from repro.machine import SimMachine
 from repro.obs.critpath import CATEGORIES
@@ -66,7 +67,7 @@ class TestBSPCriticalPath:
     def test_batched_paths_valid_and_exact(self, machine, p, use_gets):
         program = make_program(8, 2, use_gets, use_sends=True)
         result = bsp_run(
-            machine, p, program, label="critpath-batch", noisy=True,
+            machine, p, program, label="critpath-batch",
             runs=4, provenance=True,
         )
         prov = result.provenance
@@ -85,7 +86,7 @@ class TestBSPCriticalPath:
     def test_scalar_path_valid_and_exact(self, machine, use_sends):
         program = make_program(6, 2, use_gets=True, use_sends=use_sends)
         result = bsp_run(
-            machine, 5, program, label="critpath-scalar", noisy=True,
+            machine, 5, program, label="critpath-scalar",
             provenance=True,
         )
         (path,) = obs.extract_paths(result.provenance)
@@ -100,7 +101,7 @@ class TestBSPCriticalPath:
         # barrier, and that wait must surface as the sync_wait category.
         program = make_program(4, 3, use_gets=False, use_sends=False)
         result = bsp_run(
-            machine, 6, program, label="critpath-sync", noisy=True,
+            machine, 6, program, label="critpath-sync",
             runs=2, provenance=True,
         )
         totals = {}
@@ -110,11 +111,15 @@ class TestBSPCriticalPath:
         assert "sync_wait" in totals and totals["sync_wait"] > 0
         assert "compute" in totals and totals["compute"] > 0
 
-    def test_clean_run_paths_identical_across_replications(self, machine):
+    def test_clean_run_paths_identical_across_replications(self):
+        quiet = SimMachine(
+            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
+            noise=QUIET, seed=77,
+        )
         program = make_program(8, 2, use_gets=True, use_sends=True)
         result = bsp_run(
-            machine, 4, program, label="critpath-clean", noisy=False,
-            runs=3, provenance=True,
+            quiet, 4, program, label="critpath-clean", runs=3,
+            provenance=True,
         )
         paths = obs.extract_paths(result.provenance)
         assert len(paths) == 3
@@ -127,7 +132,7 @@ class TestBSPCriticalPath:
             return 1.0
 
         result = bsp_run(
-            machine, 1, solo, label="critpath-solo", noisy=True,
+            machine, 1, solo, label="critpath-solo",
             provenance=True,
         )
         (path,) = obs.extract_paths(result.provenance)
@@ -137,10 +142,10 @@ class TestBSPCriticalPath:
     def test_recording_is_bit_identical_off_and_on(self, machine):
         program = make_program(8, 2, use_gets=True, use_sends=True)
         base = bsp_run(
-            machine, 6, program, label="critpath-id", noisy=True, runs=6
+            machine, 6, program, label="critpath-id", runs=6
         )
         traced = bsp_run(
-            machine, 6, program, label="critpath-id", noisy=True, runs=6,
+            machine, 6, program, label="critpath-id", runs=6,
             provenance=True,
         )
         assert base.provenance is None
@@ -156,7 +161,7 @@ class TestBSPCriticalPath:
     def test_explain_on_bsp_detects_kind(self, machine):
         program = make_program(6, 1, use_gets=False, use_sends=False)
         result = bsp_run(
-            machine, 4, program, label="critpath-explain", noisy=True,
+            machine, 4, program, label="critpath-explain",
             runs=2, provenance=True,
         )
         report = obs.explain(result.provenance, label="bsp-smoke")

@@ -7,6 +7,7 @@ from repro.bsplib import BSPAbort, BSPError, bsp_run
 from repro.bsplib.errors import CommunicationError
 from repro.bsplib.messages import HEADER_BYTES
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.kernels import DAXPY, DOT_PRODUCT
 from repro.machine import SimMachine
 
@@ -15,6 +16,15 @@ from repro.machine import SimMachine
 def machine():
     return SimMachine(
         presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=9
+    )
+
+
+@pytest.fixture
+def quiet():
+    """The same cluster with QUIET noise: noise-free runs."""
+    return SimMachine(
+        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
+        noise=QUIET, seed=9,
     )
 
 
@@ -313,7 +323,7 @@ class TestCollectiveDiscipline:
 
 
 class TestOverlapAccounting:
-    def test_early_commit_overlaps_compute(self, machine):
+    def test_early_commit_overlaps_compute(self, quiet):
         """Fig. 1.2's point: committing communication before computing masks
         the transfer; committing after exposes it."""
 
@@ -335,8 +345,8 @@ class TestOverlapAccounting:
             ctx.sync()
             return ctx.time()
 
-        t_early = bsp_run(machine, 4, early, label="early", noisy=False).total_seconds
-        t_late = bsp_run(machine, 4, late, label="late", noisy=False).total_seconds
+        t_early = bsp_run(quiet, 4, early, label="early").total_seconds
+        t_late = bsp_run(quiet, 4, late, label="late").total_seconds
         assert t_early < t_late
 
     def test_superstep_records_shape(self, machine):

@@ -3,12 +3,12 @@
 The contract under test (docs/engine.md, "BSP runtime, stencil and halo
 draws"):
 
-* clean path (``noisy=False``): every replication of
+* clean run (a QUIET machine): every replication of
   ``bsp_run(..., runs=R)`` schedules its transfers *bit-identically* to
   the scalar oracle :func:`repro.bsplib.reference.reference_transfers`
   fed that replication's recorded commit and entry times — across payload
   shapes, process counts, and communication mixes (puts, gets, sends);
-* noisy path: the replication-major bulk draws land in a different
+* noisy run: the replication-major bulk draws land in a different
   stream order than the oracle's processing-order draws, so the
   ensembles are compared distributionally (KS);
 * data movement is noise-independent: a batched run returns exactly the
@@ -26,6 +26,7 @@ from repro.bsplib import bsp_run
 from repro.bsplib.reference import reference_transfers
 from repro.bsplib.runtime import BSPRuntime
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.kernels import DAXPY, DOT_PRODUCT
 from repro.machine import SimMachine
 from repro.obs.provenance import rep_row
@@ -88,11 +89,21 @@ def assert_matches_oracle(runtime, result, pre_drawn=False):
             assert ref.payload_bytes == rec.payload_bytes
 
 
+def make_machine(seed=77, noise=None):
+    return SimMachine(
+        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
+        noise=noise, seed=seed,
+    )
+
+
 @pytest.fixture(scope="module")
 def machine():
-    return SimMachine(
-        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=77
-    )
+    return make_machine()
+
+
+@pytest.fixture(scope="module")
+def quiet():
+    return make_machine(noise=QUIET)
 
 
 def make_program(payload_elems: int, supersteps: int, use_gets: bool,
@@ -152,20 +163,18 @@ class TestCleanBitIdentity:
     ):
         """``block`` placement packs processes onto shared nodes, so the
         transmit-NIC FIFOs see real contention."""
-        machine = SimMachine(
-            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=7
-        )
+        machine = make_machine(seed=7, noise=QUIET)
         program = make_program(payload_elems, supersteps, use_gets,
                                use_sends, reps=2, skew=skew)
         runtime, bat = run_recorded(
-            machine, p, program, label="clean", noisy=False, runs=runs,
+            machine, p, program, label="clean", runs=runs,
             placement_policy=policy,
         )
         assert bat.final_times.shape == (runs, p)
         assert_matches_oracle(runtime, bat)
         # Clean replications are identical, and each equals the default
         # single run.
-        one = bsp_run(machine, p, program, label="clean", noisy=False,
+        one = bsp_run(machine, p, program, label="clean",
                       placement_policy=policy)
         assert bat.return_values == one.return_values
         assert bat.superstep_count == one.superstep_count
@@ -179,54 +188,56 @@ class TestCleanBitIdentity:
                 for r in range(runs):
                     assert batch[r].tolist() == single[0].tolist(), name
 
-    def test_single_process_run(self, machine):
+    def test_single_process_run(self, quiet):
         def program(ctx):
             ctx.charge_kernel(DAXPY, 1024)
             ctx.sync()
             return ctx.pid
 
-        res = bsp_run(machine, 1, program, label="solo", noisy=False, runs=3)
+        res = bsp_run(quiet, 1, program, label="solo", runs=3)
         assert res.final_times.shape == (3, 1)
         assert res.return_values == [0]
 
-    def test_scalar_total_seconds_unchanged_semantics(self, machine):
+    def test_scalar_total_seconds_unchanged_semantics(self, quiet):
         """The default run is one replication whose scalar total is its
         wall time."""
         program = make_program(4, 1, False, False, reps=1)
-        res = bsp_run(machine, 4, program, label="scal", noisy=False)
+        res = bsp_run(quiet, 4, program, label="scal")
         assert res.runs == 1
         assert res.final_times.shape == (1, 4)
         assert res.total_seconds == float(res.final_times.max())
         assert res.run_seconds.shape == (1,)
 
 
-def assert_both_placements_match_oracle(machine, nprocs, program, noisy,
+def assert_both_placements_match_oracle(machine, nprocs, program, pre_drawn,
                                        runs=1):
     """Under both placements: ``block`` packs processes onto shared nodes,
     so the transmit-NIC FIFOs see real contention.  Noisy runs are checked
-    against the oracle fed the transits they drew."""
+    against the oracle fed the transits they drew (``pre_drawn``)."""
     for policy in ("round_robin", "block"):
         runtime, result = run_recorded(
-            machine, nprocs, program, label="pc", noisy=noisy, runs=runs,
+            machine, nprocs, program, label="pc", runs=runs,
             placement_policy=policy,
         )
-        assert_matches_oracle(runtime, result, pre_drawn=noisy)
+        assert_matches_oracle(runtime, result, pre_drawn=pre_drawn)
 
 
 class TestOracleBothPlacements:
-    """Skewed compute over repeated supersteps, on the clean path and on
-    the noisy path with pre-drawn transits."""
+    """Skewed compute over repeated supersteps, on a QUIET machine and
+    on a noisy one with pre-drawn transits."""
 
     @pytest.mark.parametrize("noisy", [True, False])
-    def test_scalar_bit_identity(self, machine, noisy):
-        program = make_program(8, 4, True, True, reps=2, skew=True)
-        assert_both_placements_match_oracle(machine, 6, program, noisy)
-
-    @pytest.mark.parametrize("noisy", [True, False])
-    def test_batch_bit_identity(self, machine, noisy):
+    def test_scalar_bit_identity(self, machine, quiet, noisy):
         program = make_program(8, 4, True, True, reps=2, skew=True)
         assert_both_placements_match_oracle(
-            machine, 6, program, noisy, runs=5
+            machine if noisy else quiet, 6, program, pre_drawn=noisy
+        )
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_batch_bit_identity(self, machine, quiet, noisy):
+        program = make_program(8, 4, True, True, reps=2, skew=True)
+        assert_both_placements_match_oracle(
+            machine if noisy else quiet, 6, program, pre_drawn=noisy, runs=5
         )
 
     def test_mixed_shape_program(self, machine):
@@ -247,7 +258,9 @@ class TestOracleBothPlacements:
                     ctx.get((pid + 2) % p, window, 0, scratch, nelems=8)
                 ctx.sync()
 
-        assert_both_placements_match_oracle(machine, 4, program, noisy=True)
+        assert_both_placements_match_oracle(
+            machine, 4, program, pre_drawn=True
+        )
 
 
 class TestNoisyDistribution:
@@ -325,7 +338,7 @@ class TestEdgeCases:
         for rec in res.supersteps:
             assert rec.exit_times.shape == (1, 3)
 
-    def test_reply_fifo_serves_request_arrival_order(self, machine):
+    def test_reply_fifo_serves_request_arrival_order(self, quiet):
         """Large get replies from one node contend for its transmit NIC.
         The owners finish computing in the reverse of the order their
         requests arrive, so replies become ready in one order while the
@@ -348,8 +361,7 @@ class TestEdgeCases:
             ctx.sync()
 
         runtime, res = run_recorded(
-            machine, 16, program, label="replies", noisy=False,
-            placement_policy="block",
+            quiet, 16, program, label="replies", placement_policy="block",
         )
         assert_matches_oracle(runtime, res)
         replies = res.provenance.supersteps[1]
@@ -358,7 +370,7 @@ class TestEdgeCases:
         ready = np.argsort(replies.pass2.ready[0], kind="stable")
         assert requested.tolist() != ready.tolist()
 
-    def test_comm_free_superstep(self, machine):
+    def test_comm_free_superstep(self, quiet):
         """A superstep with no outbound records exercises the batched
         scheduler's empty path."""
 
@@ -366,10 +378,8 @@ class TestEdgeCases:
             ctx.charge_kernel(DAXPY, 256)
             ctx.sync()
 
-        single = bsp_run(machine, 4, program, label="quiet", noisy=False)
-        batch = bsp_run(
-            machine, 4, program, label="quiet", noisy=False, runs=2
-        )
+        single = bsp_run(quiet, 4, program, label="quiet")
+        batch = bsp_run(quiet, 4, program, label="quiet", runs=2)
         for r in range(2):
             assert batch.final_times[r].tolist() == \
                 single.final_times[0].tolist()

@@ -22,6 +22,7 @@ from repro.barriers.patterns import (
 )
 from repro.bsplib import bsp_run
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.kernels import DAXPY
 from repro.machine import SimMachine
 
@@ -33,10 +34,10 @@ FAMILIES = {
 }
 
 
-def _machine(seed: int) -> SimMachine:
+def _machine(seed: int, noise=None) -> SimMachine:
     return SimMachine(
         presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
-        seed=seed,
+        noise=noise, seed=seed,
     )
 
 
@@ -112,8 +113,8 @@ def test_bsp_attribution_sums_exactly_to_makespan(
         return 0.0
 
     result = bsp_run(
-        _machine(7), p, program, label="prop-bsp", noisy=noisy,
-        runs=runs, provenance=True,
+        _machine(7, noise=None if noisy else QUIET), p, program,
+        label="prop-bsp", runs=runs, provenance=True,
     )
     makespans = np.atleast_2d(result.provenance.final_times).max(axis=1)
     paths = obs.extract_paths(result.provenance)

@@ -13,11 +13,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs.metrics import DEFAULT_SECONDS_EDGES, MetricsRegistry
 
 # Each name has one fixed kind, as in real instrumented code (a name
 # reused across kinds is a TypeError at merge time by design).
@@ -40,11 +40,7 @@ worker_files = st.lists(metric_events, min_size=1, max_size=5)
 
 
 def fold(files) -> dict:
-    registry = MetricsRegistry()
-    for events in files:
-        for event in events:
-            registry.apply_event(event)
-    return registry.snapshot()
+    return obs.merged_metrics(event for events in files for event in events)
 
 
 @given(files=worker_files, data=st.data())
@@ -83,9 +79,28 @@ def test_on_disk_merge_is_worker_order_independent(files, data):
 
 
 def test_histogram_merge_uses_fixed_edges():
-    registry = MetricsRegistry()
-    registry.apply_event(
-        {"kind": "hist", "name": "wall.s", "value": 0.5}
-    )
-    snap = registry.snapshot()["histograms"]["wall.s"]
-    assert tuple(snap["edges"]) == DEFAULT_SECONDS_EDGES
+    snap = obs.merged_metrics([
+        {"type": "metric", "kind": "hist", "name": "wall.s", "value": 0.5}
+    ])["histograms"]["wall.s"]
+    assert tuple(snap["edges"]) == obs.DEFAULT_SECONDS_EDGES
+
+
+def test_first_event_fixes_histogram_edges():
+    """Edges are declared at a name's first use; later events' edges do
+    not re-bin it."""
+    snap = obs.merged_metrics([
+        {"type": "metric", "kind": "hist", "name": "h", "value": 0.5,
+         "edges": [1.0, 10.0]},
+        {"type": "metric", "kind": "hist", "name": "h", "value": 5.0,
+         "edges": [0.1, 0.2, 0.3]},
+    ])["histograms"]["h"]
+    assert snap["edges"] == [1.0, 10.0]
+    assert snap["counts"] == [1, 1, 0]
+
+
+def test_name_reused_across_kinds_is_a_type_error():
+    with pytest.raises(TypeError, match="counter"):
+        obs.merged_metrics([
+            {"type": "metric", "kind": "counter", "name": "x", "value": 1.0},
+            {"type": "metric", "kind": "hist", "name": "x", "value": 1.0},
+        ])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs.chrome import SIM_LANE_PID
-from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.telemetry import Telemetry
 
 
@@ -155,34 +154,33 @@ class TestMetrics:
         assert sum(hist["counts"]) == 2
 
     def test_histogram_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
-            Histogram(edges=[1.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            Histogram(edges=[])
+        for edges in ([1.0, 1.0, 2.0], []):
+            t = Telemetry()
+            t.observe("h", 0.5, edges=edges)
+            with pytest.raises(ValueError):
+                obs.merged_metrics(t.events())
 
     def test_histogram_overflow_bucket(self):
-        h = Histogram(edges=[1.0, 10.0])
+        t = Telemetry()
         for v in (0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.counts == [1, 1, 1]
+            t.observe("h", v, edges=[1.0, 10.0])
+        snap = obs.merged_metrics(t.events())["histograms"]["h"]
+        assert snap["counts"] == [1, 1, 1]
 
     def test_event_replay_reproduces_snapshot(self):
-        """The wire form is lossless: replaying a context's metric events,
-        after a JSON round trip, into a fresh registry yields the exact
-        snapshot of the updates — the basis of deterministic
-        cross-process merges."""
+        """The wire form is lossless: folding a context's metric events,
+        after a JSON round trip, yields the exact snapshot of the updates
+        — the basis of deterministic cross-process merges.  Key order is
+        checked too, since the snapshot is persisted as JSON."""
         t = Telemetry()
         t.count("c", 2)
         t.gauge("g", 9)
         t.observe("h", 0.01)
         t.observe("h", 3.3)
-        replayed = MetricsRegistry()
-        for event in json.loads(json.dumps(t.events())):
-            if event["type"] == "metric":
-                replayed.apply_event(event)
+        replayed = obs.merged_metrics(json.loads(json.dumps(t.events())))
         counts = [0] * 10
         counts[4] = counts[7] = 1  # 0.01 <= 1e-2, 3.3 <= 10.0
-        assert replayed.snapshot() == {
+        expected = {
             "counters": {"c": {"total": 2.0, "updates": 1}},
             "gauges": {
                 "g": {"value": 9.0, "min": 9.0, "max": 9.0, "updates": 1},
@@ -198,6 +196,8 @@ class TestMetrics:
                 "max": 3.3,
             }},
         }
+        assert replayed == expected
+        assert json.dumps(replayed) == json.dumps(expected)
 
 
 # ---------------------------------------------------------- sinks + merge

@@ -4,9 +4,10 @@ The §5.1 handoff loop used to draw noise one deprecated ``sample_scalar``
 call per acquisition; it now separates the deterministic handoff schedule
 from one bulk draw (``sample`` / ``sample_matrix``).  Contract:
 
-* clean path: bit-identical to :func:`repro.spinlocks.reference_spinlock`
-  (the schedule never touched the noise stream);
-* noisy path: per-acquisition draws land in a different stream order, but
+* clean run (a QUIET machine): bit-identical to
+  :func:`repro.spinlocks.reference_spinlock` (the schedule never touched
+  the noise stream);
+* noisy run: per-acquisition draws land in a different stream order, but
   the ensembles are KS-equivalent;
 * ``runs=R`` re-rolls the same schedule under ``R`` independent noise
   replications, replication-major; the default ``runs=1`` row is the
@@ -19,16 +20,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.machine import SimMachine
 from repro.spinlocks import ALGORITHMS, simulate_spinlock
 from repro.spinlocks.reference import reference_spinlock
 
 
+def make_machine(seed=151, noise=None):
+    return SimMachine(
+        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
+        noise=noise, seed=seed,
+    )
+
+
 @pytest.fixture(scope="module")
 def machine():
-    return SimMachine(
-        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=151
-    )
+    return make_machine()
+
+
+@pytest.fixture(scope="module")
+def quiet():
+    return make_machine(noise=QUIET)
 
 
 class TestCleanBitIdentity:
@@ -42,17 +54,15 @@ class TestCleanBitIdentity:
     def test_matches_reference_bitwise(
         self, algorithm, nthreads, acquisitions, policy
     ):
-        machine = SimMachine(
-            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=3
-        )
+        machine = make_machine(seed=3, noise=QUIET)
         placement = machine.placement(nthreads, policy=policy)
         new = simulate_spinlock(
             machine, algorithm, placement,
-            acquisitions_per_thread=acquisitions, noisy=False,
+            acquisitions_per_thread=acquisitions,
         )
         ref = reference_spinlock(
             machine, algorithm, placement,
-            acquisitions_per_thread=acquisitions, noisy=False,
+            acquisitions_per_thread=acquisitions,
         )
         assert new.per_acquisition.tolist() == ref.per_acquisition.tolist()
         # total_seconds is a derived aggregate (bulk sum vs the reference's
@@ -60,12 +70,10 @@ class TestCleanBitIdentity:
         assert new.total_seconds == pytest.approx(ref.total_seconds, rel=1e-12)
         assert new.acquisitions == ref.acquisitions
 
-    def test_clean_batch_rows_equal_scalar(self, machine):
-        placement = machine.placement(6, policy="block")
-        ref = reference_spinlock(machine, "ticket", placement, noisy=False)
-        batch = simulate_spinlock(
-            machine, "ticket", placement, noisy=False, runs=3
-        )
+    def test_clean_batch_rows_equal_scalar(self, quiet):
+        placement = quiet.placement(6, policy="block")
+        ref = reference_spinlock(quiet, "ticket", placement)
+        batch = simulate_spinlock(quiet, "ticket", placement, runs=3)
         assert batch.per_acquisition.shape == (3, ref.acquisitions)
         for r in range(3):
             assert (
@@ -107,11 +115,13 @@ class TestNoisyDistribution:
         assert ks < 0.08, f"KS={ks:.3f} for {algorithm}"
         assert np.median(batch) == pytest.approx(np.median(loop), rel=0.05)
 
-    def test_scalar_noisy_path_is_runs_one_row(self, machine):
+    def test_scalar_noisy_path_is_runs_one_row(self, machine, quiet):
         """The default runs=1 row consumes the stream as one bulk draw over
         the (N,) handoff vector does (sample_matrix broadcasts to (1, N))."""
         placement = machine.placement(5, policy="block")
-        clean = simulate_spinlock(machine, "mcs", placement, noisy=False)
+        clean = simulate_spinlock(
+            quiet, "mcs", quiet.placement(5, policy="block")
+        )
         one = simulate_spinlock(machine, "mcs", placement)
         assert one.per_acquisition.shape == (1, clean.acquisitions)
         drawn = machine.noise.sample(
@@ -145,26 +155,26 @@ class TestRunsAxis:
             assert result.runs == 5
             assert result.per_acquisition.shape == (5, 4 * nthreads)
 
-    def test_clean_batch_shape(self, machine):
+    def test_clean_batch_shape(self, quiet):
         result = simulate_spinlock(
-            machine, "ticket", machine.placement(3, policy="block"),
-            acquisitions_per_thread=2, noisy=False, runs=4,
+            quiet, "ticket", quiet.placement(3, policy="block"),
+            acquisitions_per_thread=2, runs=4,
         )
         assert result.per_acquisition.shape == (4, 6)
         assert np.unique(result.per_acquisition, axis=0).shape[0] == 1
 
 
-def test_reference_threads_critical_section(machine):
+def test_reference_threads_critical_section(quiet):
     """reference_spinlock stores the caller's critical_section, so its
     run_seconds view agrees with its sequentially-accumulated total."""
-    placement = machine.placement(4, policy="block")
+    placement = quiet.placement(4, policy="block")
     ref = reference_spinlock(
-        machine, "mcs", placement, acquisitions_per_thread=4,
-        critical_section=1e-6, noisy=False,
+        quiet, "mcs", placement, acquisitions_per_thread=4,
+        critical_section=1e-6,
     )
     assert ref.run_seconds[0] == pytest.approx(ref.total_seconds, rel=1e-12)
     new = simulate_spinlock(
-        machine, "mcs", placement, acquisitions_per_thread=4,
-        critical_section=1e-6, noisy=False,
+        quiet, "mcs", placement, acquisitions_per_thread=4,
+        critical_section=1e-6,
     )
     assert new.total_seconds == pytest.approx(ref.total_seconds, rel=1e-12)

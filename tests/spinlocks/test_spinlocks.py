@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.cluster.topology import Placement
 from repro.machine import SimMachine
 from repro.spinlocks import (
@@ -17,6 +18,15 @@ from repro.spinlocks import (
 def machine():
     return SimMachine(
         presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=151
+    )
+
+
+@pytest.fixture(scope="module")
+def quiet():
+    """The same cluster with QUIET noise: noise-free runs."""
+    return SimMachine(
+        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
+        noise=QUIET, seed=151,
     )
 
 
@@ -41,30 +51,25 @@ class TestSimulation:
         b = simulate_spinlock(machine, "mcs", placement)
         np.testing.assert_array_equal(a.per_acquisition, b.per_acquisition)
 
-    def test_single_thread_cheap(self, machine):
-        placement = machine.placement(1)
+    def test_single_thread_cheap(self, quiet):
+        placement = quiet.placement(1)
         result = simulate_spinlock(
-            machine, "test_and_set", placement, acquisitions_per_thread=8,
-            noisy=False,
+            quiet, "test_and_set", placement, acquisitions_per_thread=8,
         )
         # Re-acquiring a line already in the own cache is the SELF cost.
         assert result.mean_handoff < 1e-7
 
 
 class TestLocalityDominates:
-    def test_cross_socket_contention_costlier(self, machine):
+    def test_cross_socket_contention_costlier(self, quiet):
         """§5.1 guideline 1: *which* cores contend matters.  The same
         thread count confined to one socket is cheaper than spread over
         two sockets."""
-        topo = machine.topology
+        topo = quiet.topology
         same_socket = Placement(topo, [0, 1, 2, 3])
         cross_socket = Placement(topo, [0, 1, 4, 5])
-        t_same = simulate_spinlock(
-            machine, "mcs", same_socket, noisy=False
-        ).mean_handoff
-        t_cross = simulate_spinlock(
-            machine, "mcs", cross_socket, noisy=False
-        ).mean_handoff
+        t_same = simulate_spinlock(quiet, "mcs", same_socket).mean_handoff
+        t_cross = simulate_spinlock(quiet, "mcs", cross_socket).mean_handoff
         assert t_cross > t_same
 
     def test_simple_lock_degrades_faster(self, machine):
@@ -82,15 +87,15 @@ class TestLocalityDominates:
         mcs_growth = handoff["mcs", 8] / handoff["mcs", 2]
         assert tas_growth > 2.0 * mcs_growth
 
-    def test_mcs_handoffs_are_single_transfers(self, machine):
+    def test_mcs_handoffs_are_single_transfers(self, quiet):
         """Queue-lock handoffs cost one line transfer: bounded by the most
         distant pair, regardless of contention."""
-        placement = machine.placement(8, policy="block")
-        result = simulate_spinlock(machine, "mcs", placement, noisy=False)
+        placement = quiet.placement(8, policy="block")
+        result = simulate_spinlock(quiet, "mcs", placement)
         from repro.spinlocks.model import _line_cost
 
         worst_pair = max(
-            _line_cost(machine, placement, a, b)
+            _line_cost(quiet, placement, a, b)
             for a in range(8)
             for b in range(8)
             if a != b

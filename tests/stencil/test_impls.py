@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.machine import SimMachine
 from repro.stencil import (
     run_bsp_stencil,
@@ -18,6 +19,15 @@ from repro.stencil import (
 def machine():
     return SimMachine(
         presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=33
+    )
+
+
+@pytest.fixture(scope="module")
+def quiet():
+    """The same cluster with QUIET noise: noise-free runs."""
+    return SimMachine(
+        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
+        noise=QUIET, seed=33,
     )
 
 
@@ -72,39 +82,38 @@ class TestTimingStructure:
             assert (result.iteration_seconds > 0).all()
             assert result.total_seconds > 0
 
-    def test_strong_scaling_reduces_iteration_time(self, machine):
+    def test_strong_scaling_reduces_iteration_time(self, quiet):
         """More processes must shorten the compute-dominated iteration."""
-        small = run_mpi_stencil(machine, 4, 1024, 3, noisy=False)
-        large = run_mpi_stencil(machine, 32, 1024, 3, noisy=False)
+        small = run_mpi_stencil(quiet, 4, 1024, 3)
+        large = run_mpi_stencil(quiet, 32, 1024, 3)
         assert large.mean_iteration < small.mean_iteration
 
-    def test_overlap_beats_postponed_at_scale(self, machine):
+    def test_overlap_beats_postponed_at_scale(self, quiet):
         """Table 8.2's direction: MPI+R <= MPI when communication is a
         visible fraction of the iteration."""
-        mpi = run_mpi_stencil(machine, 32, 1024, 4, noisy=False)
-        mpir = run_mpi_r_stencil(machine, 32, 1024, 4, noisy=False)
+        mpi = run_mpi_stencil(quiet, 32, 1024, 4)
+        mpir = run_mpi_r_stencil(quiet, 32, 1024, 4)
         assert mpir.mean_iteration < mpi.mean_iteration
 
-    def test_bsp_overhead_vs_mpi(self, machine):
+    def test_bsp_overhead_vs_mpi(self, quiet):
         """§8.4: the BSP implementation carries a visible overhead over raw
         MPI (global payload sync vs neighbour exchange)."""
         bsp = run_bsp_stencil(
-            machine, 32, 1024, 4, execute_numerics=False, noisy=False,
-            label="ovh",
+            quiet, 32, 1024, 4, execute_numerics=False, label="ovh"
         )
-        mpi = run_mpi_stencil(machine, 32, 1024, 4, noisy=False)
+        mpi = run_mpi_stencil(quiet, 32, 1024, 4)
         assert bsp.mean_iteration > mpi.mean_iteration
 
-    def test_hybrid_uses_node_ranks(self, machine):
-        result = run_hybrid_stencil(machine, 32, 512, 2, noisy=False)
+    def test_hybrid_uses_node_ranks(self, quiet):
+        result = run_hybrid_stencil(quiet, 32, 512, 2)
         assert result.nprocs == 32
         assert result.name == "Hybrid"
 
-    def test_hybrid_undersubscribed_node(self, machine):
-        result = run_hybrid_stencil(machine, 4, 256, 2, noisy=False)
+    def test_hybrid_undersubscribed_node(self, quiet):
+        result = run_hybrid_stencil(quiet, 4, 256, 2)
         assert result.iteration_seconds.shape == (2,)
 
-    def test_deterministic_noise_free(self, machine):
-        a = run_mpi_stencil(machine, 8, 256, 3, noisy=False)
-        b = run_mpi_stencil(machine, 8, 256, 3, noisy=False)
+    def test_deterministic_noise_free(self, quiet):
+        a = run_mpi_stencil(quiet, 8, 256, 3)
+        b = run_mpi_stencil(quiet, 8, 256, 3)
         np.testing.assert_array_equal(a.iteration_seconds, b.iteration_seconds)

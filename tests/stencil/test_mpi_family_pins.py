@@ -3,7 +3,8 @@
 ``run_mpi_stencil``, ``run_mpi_r_stencil`` and ``run_hybrid_stencil``
 draw each iteration's per-rank compute noise and then the exchange
 stages' engine noise from one generator, in a fixed order.  Each case
-pins the sha256 of one run's ``iteration_seconds``, noisy and clean, so
+pins the sha256 of one run's ``iteration_seconds``, noisy and clean (on
+a QUIET machine), so
 a change to how the models price compute or call the engine that moves
 any draw or any event time fails here with no tolerance.
 """
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.machine.simmachine import SimMachine
 from repro.stencil import impls
 
@@ -30,9 +32,10 @@ SIZES = ((8, 48), (32, 96))
 ITERATIONS = 5
 
 
-def _machine() -> SimMachine:
+def _machine(noisy: bool) -> SimMachine:
     return SimMachine(
-        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=41
+        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
+        noise=None if noisy else QUIET, seed=41,
     )
 
 
@@ -99,6 +102,6 @@ PINS = {
 @pytest.mark.parametrize("nprocs,n", SIZES)
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_iteration_seconds_pinned(model, nprocs, n, noisy):
-    result = MODELS[model](_machine(), nprocs, n, ITERATIONS, noisy=noisy)
+    result = MODELS[model](_machine(noisy), nprocs, n, ITERATIONS)
     assert result.iteration_seconds.shape == (ITERATIONS,)
     assert _digest(result.iteration_seconds) == PINS[(model, nprocs, n, noisy)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import benchmark_comm
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.machine import SimMachine
 from repro.stencil import (
     build_comm_model,
@@ -32,6 +33,13 @@ def profiled():
     blocks = decompose(n, nprocs)
     spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
     return machine, nprocs, n, blocks, report.params, spc
+
+
+def _quiet(machine):
+    """The same cluster with QUIET noise: noise-free measurement."""
+    return SimMachine(
+        machine.topology, machine.params, noise=QUIET, seed=machine.seed
+    )
 
 
 class TestCommModel:
@@ -113,8 +121,9 @@ class TestHaloOptimizer:
 
     def test_measured_halo_reduces_cost(self, profiled):
         machine, nprocs, n, _, _, _ = profiled
-        t1 = measure_halo_iteration(machine, nprocs, n, 1, cycles=3, noisy=False)
-        t4 = measure_halo_iteration(machine, nprocs, n, 4, cycles=3, noisy=False)
+        quiet = _quiet(machine)
+        t1 = measure_halo_iteration(quiet, nprocs, n, 1, cycles=3)
+        t4 = measure_halo_iteration(quiet, nprocs, n, 4, cycles=3)
         assert t4 < t1
 
     def test_optimizer_choice_near_measured_optimum(self, profiled):
@@ -123,7 +132,7 @@ class TestHaloOptimizer:
         machine, nprocs, n, _, params, spc = profiled
         depths = range(1, 8)
         chosen, points = optimize_halo_depth(
-            machine, nprocs, n, depths, spc, params, cycles=3, noisy=False
+            _quiet(machine), nprocs, n, depths, spc, params, cycles=3
         )
         measured_best = min(points, key=lambda p: p.measured).depth
         assert abs(chosen - measured_best) <= 2

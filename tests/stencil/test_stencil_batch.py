@@ -3,13 +3,13 @@
 The contract under test (docs/engine.md, "BSP runtime, stencil and halo
 draws"):
 
-* clean path (``noisy=False``): every replication of
+* clean run (a QUIET machine): every replication of
   ``run_bsp_stencil(..., runs=R)`` is *bit-identical* to the single run,
   and every replication of ``measure_halo_iteration(..., runs=R)`` to
   the scalar oracle :func:`repro.stencil.reference.
   reference_halo_iteration` — across grid sizes, process counts and halo
   depths;
-* noisy path: ``measure_halo_iteration(runs=1)`` is bit-identical to the
+* noisy run: ``measure_halo_iteration(runs=1)`` is bit-identical to the
   oracle too (a ``(1, ...)`` draw consumes the stream as the ``(...)``
   draw does); larger ensembles are compared distributionally;
 * the grid numerics are noise-independent: a batched ``run_bsp_stencil``
@@ -24,21 +24,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import presets
+from repro.cluster.noise import QUIET
 from repro.machine import SimMachine
 from repro.stencil import measure_halo_iteration, run_bsp_stencil
 from repro.stencil.experiments import run_strong_scaling
 from repro.stencil.reference import reference_halo_iteration
 
 
-def make_machine(seed=77):
+def make_machine(seed=77, noise=None):
     return SimMachine(
-        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=seed
+        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(),
+        noise=noise, seed=seed,
     )
 
 
 @pytest.fixture(scope="module")
 def machine():
     return make_machine()
+
+
+@pytest.fixture(scope="module")
+def quiet():
+    return make_machine(noise=QUIET)
 
 
 class TestStencilCleanBitIdentity:
@@ -50,14 +57,13 @@ class TestStencilCleanBitIdentity:
     )
     @settings(max_examples=25, deadline=None)
     def test_batch_matches_scalar_bitwise(self, nprocs, n, iterations, runs):
-        machine = make_machine(seed=7)
+        machine = make_machine(seed=7, noise=QUIET)
         ref = run_bsp_stencil(
             machine, nprocs, n, iterations, execute_numerics=False,
-            noisy=False,
         )
         bat = run_bsp_stencil(
             machine, nprocs, n, iterations, execute_numerics=False,
-            noisy=False, runs=runs,
+            runs=runs,
         )
         assert bat.iteration_seconds.shape == (runs, iterations)
         for r in range(runs):
@@ -69,21 +75,19 @@ class TestStencilCleanBitIdentity:
         # replications may differ from the single value by one ulp.
         assert bat.total_seconds == pytest.approx(ref.total_seconds, rel=1e-12)
 
-    def test_numerics_match_scalar(self, machine):
-        ref = run_bsp_stencil(machine, 4, 16, 2, noisy=False)
-        bat = run_bsp_stencil(machine, 4, 16, 2, noisy=False, runs=3)
+    def test_numerics_match_scalar(self, quiet):
+        ref = run_bsp_stencil(quiet, 4, 16, 2)
+        bat = run_bsp_stencil(quiet, 4, 16, 2, runs=3)
         assert bat.field is not None
         assert bat.field.tolist() == ref.field.tolist()
 
-    def test_result_properties(self, machine):
-        single = run_bsp_stencil(
-            machine, 4, 16, 3, execute_numerics=False, noisy=False
-        )
+    def test_result_properties(self, quiet):
+        single = run_bsp_stencil(quiet, 4, 16, 3, execute_numerics=False)
         assert single.iteration_seconds.shape == (1, 3)
         assert single.run_mean_iterations.shape == (1,)
         assert single.mean_iteration == single.run_mean_iterations[0]
         batch = run_bsp_stencil(
-            machine, 4, 16, 3, execute_numerics=False, noisy=False, runs=5
+            quiet, 4, 16, 3, execute_numerics=False, runs=5
         )
         assert batch.iteration_seconds.shape == (5, 3)
         assert batch.run_mean_iterations.shape == (5,)
@@ -101,12 +105,10 @@ class TestHaloCleanBitIdentity:
     )
     @settings(max_examples=25, deadline=None)
     def test_batch_matches_scalar_bitwise(self, nprocs, n, depth, runs):
-        machine = make_machine(seed=7)
-        ref = reference_halo_iteration(
-            machine, nprocs, n, depth, cycles=3, noisy=False
-        )
+        machine = make_machine(seed=7, noise=QUIET)
+        ref = reference_halo_iteration(machine, nprocs, n, depth, cycles=3)
         bat = measure_halo_iteration(
-            machine, nprocs, n, depth, cycles=3, noisy=False, runs=runs
+            machine, nprocs, n, depth, cycles=3, runs=runs
         )
         assert bat.shape == (runs,)
         for r in range(runs):
@@ -199,7 +201,7 @@ class TestNoisyDistribution:
 
 
 class TestSuperstepValidation:
-    def test_superstep_mismatch_raises(self, machine, monkeypatch):
+    def test_superstep_mismatch_raises(self, quiet, monkeypatch):
         """If the program's superstep structure drifts from the
         registration + initial exchange + iterations shape, extraction
         must fail loudly instead of silently mis-slicing."""
@@ -218,15 +220,13 @@ class TestSuperstepValidation:
 
         monkeypatch.setattr(impls, "bsp_run", drop_one_superstep)
         with pytest.raises(RuntimeError, match="supersteps"):
-            run_bsp_stencil(
-                machine, 4, 16, 2, execute_numerics=False, noisy=False
-            )
+            run_bsp_stencil(quiet, 4, 16, 2, execute_numerics=False)
 
 
 class TestExperimentHarness:
     def test_strong_scaling_runs_axis(self, machine):
         out = run_strong_scaling(
-            machine, ["BSP"], 24, (2, 4), iterations=2, noisy=True, runs=3
+            machine, ["BSP"], 24, (2, 4), iterations=2, runs=3
         )
         for nprocs in (2, 4):
             assert out["BSP"][nprocs].iteration_seconds.shape == (3, 2)

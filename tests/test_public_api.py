@@ -13,7 +13,9 @@ reference.
 Every name a package exports in ``__all__`` is defined at module level
 somewhere under ``src/repro``, so the scan covers the exported surface.
 The only exceptions are paper equations, test oracles and a few
-deliberately kept APIs, each listed in ``KEPT`` with its reason.
+deliberately kept APIs, each listed in ``KEPT`` with its reason.  An
+entry goes stale, and fails the test, when its name no longer exists or
+when something now reaches it.
 
 A second test pins the import graph: importing any ``repro`` package
 loads no ``*.reference`` module, so a test oracle never runs in
@@ -64,9 +66,6 @@ KEPT = {
         "paper equation: the §4.3 piecewise-linear compute-rate model",
     ("core/matrix_model.py", "SuperstepModel"):
         "paper equations: Eqs. 3.15-3.16, one superstep's combined model",
-    ("cluster/noise.py", "QUIET"):
-        "the noise-free NoiseModel, the one shared spelling of a "
-        "deterministic machine",
     ("explore/resilience.py", "deactivate"):
         "the teardown half of activate: the only public way to drop a "
         "process-wide fault plan",
@@ -143,12 +142,13 @@ def _is_reexport(path: Path) -> bool:
     return path.name == "__init__.py" and path.is_relative_to(SRC)
 
 
-def unused_public_names() -> list[str]:
-    """``module: name`` for every public name nothing reaches."""
+def unreached_public_names() -> set[tuple[str, str]]:
+    """``(module, name)`` for every public name nothing reaches, ``KEPT``
+    entries included."""
     trees = _trees()
     uses = {path: _uses(tree) for path, tree in trees.items()
             if not _is_reexport(path)}
-    found = []
+    found = set()
     for path, tree in trees.items():
         if not path.is_relative_to(SRC) or path.name == "__init__.py":
             continue
@@ -156,9 +156,10 @@ def unused_public_names() -> list[str]:
         if path.name == "reference.py" or module in KEPT_MODULES:
             continue  # test oracles; kept modules
         external = set().union(*(ids for p, ids in uses.items() if p != path))
-        for name in sorted(_unreached(tree, external)):
-            if not name.startswith("_") and (module, name) not in KEPT:
-                found.append(f"{module}: {name}")
+        found |= {
+            (module, name) for name in _unreached(tree, external)
+            if not name.startswith("_")
+        }
     return found
 
 
@@ -170,7 +171,13 @@ def test_every_public_name_has_a_caller():
         assert any(name in _bound_names(s) for s in tree.body), (
             f"stale KEPT entry: {module}: {name}"
         )
-    unused = unused_public_names()
+    unreached = unreached_public_names()
+    reached = sorted(f"{m}: {n}" for m, n in KEPT.keys() - unreached)
+    assert not reached, (
+        "KEPT entries that now have a caller (drop them from KEPT):\n  "
+        + "\n  ".join(reached)
+    )
+    unused = sorted(f"{m}: {n}" for m, n in unreached - KEPT.keys())
     assert not unused, (
         "public names with no caller in src/repro, benchmarks/ or "
         "examples/ (delete them, or add them to KEPT with a reason):\n  "
