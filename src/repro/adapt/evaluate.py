@@ -58,7 +58,6 @@ def evaluate_adaptation(
     runs: int = 16,
     gap_ratio: float = 2.0,
     comm_samples: int = 5,
-    comm_sizes: tuple[int, ...] = FAST_COMM_SIZES,
     comm_runs: int | None = None,
 ) -> AdaptEvaluation:
     """Run the full adaptation pipeline and verify it with measured time.
@@ -71,9 +70,7 @@ def evaluate_adaptation(
     if comm_runs is not None and comm_runs < 1:
         raise ValueError("comm_runs must be >= 1")
     placement = machine.placement(nprocs)
-    params = profile_placement(
-        machine, placement, comm_samples=comm_samples, comm_sizes=comm_sizes
-    )
+    params = profile_placement(machine, placement, comm_samples=comm_samples)
     adapted = greedy_adapt(params, gap_ratio=gap_ratio)
     best_default = min(
         adapted.default_predictions, key=adapted.default_predictions.get
@@ -94,7 +91,7 @@ def evaluate_adaptation(
         from repro.bench.comm_bench import benchmark_comm_ensemble
 
         members = benchmark_comm_ensemble(
-            machine, placement, samples=comm_samples, sizes=comm_sizes,
+            machine, placement, samples=comm_samples, sizes=FAST_COMM_SIZES,
             runs=comm_runs,
         )
         predictions = [

@@ -58,10 +58,10 @@ def _useful_levels(levels: list[ClusterLevel]) -> list[ClusterLevel]:
 def greedy_adapt(
     params: CommParameters,
     gap_ratio: float = 2.0,
-    local_candidates: tuple[str, ...] = LOCAL_KINDS,
-    top_candidates: tuple[str, ...] = TOP_KINDS,
 ) -> AdaptedBarrier:
-    """Construct a customized barrier for the profiled platform."""
+    """Construct a customized barrier for the profiled platform, choosing
+    each gather level's pattern from ``LOCAL_KINDS`` and the top pattern
+    from ``TOP_KINDS``."""
     nprocs = params.nprocs
     levels = _useful_levels(sss_cluster(params.latency, gap_ratio=gap_ratio))
     if not levels:
@@ -87,14 +87,14 @@ def greedy_adapt(
     # Greedy sweep: finest level first (Fig. 7.3's growth order).
     for idx in range(len(gather_levels)):
         best_kind, best_cost = kinds[idx], None
-        for candidate in local_candidates:
+        for candidate in LOCAL_KINDS:
             kinds[idx] = candidate
             c = cost(kinds, top)
             if best_cost is None or c < best_cost:
                 best_kind, best_cost = candidate, c
         kinds[idx] = best_kind
     best_top, best_cost = top, None
-    for candidate in top_candidates:
+    for candidate in TOP_KINDS:
         c = cost(kinds, candidate)
         if best_cost is None or c < best_cost:
             best_top, best_cost = candidate, c

@@ -47,9 +47,9 @@ def profile_placement(
     machine: SimMachine,
     placement: Placement,
     comm_samples: int = 5,
-    comm_sizes: tuple[int, ...] = FAST_COMM_SIZES,
 ) -> CommParameters:
-    """Benchmark-extracted model parameters for one placement (§5.6.3).
+    """Benchmark-extracted model parameters for one placement (§5.6.3),
+    over the message sizes ``FAST_COMM_SIZES``.
 
     Profiles are served through :mod:`repro.bench.profile_cache`: the
     benchmark is deterministic in (machine, cores, arguments), so a
@@ -62,36 +62,23 @@ def profile_placement(
     from repro.bench.profile_cache import PROFILE_CACHE
 
     return PROFILE_CACHE.get_or_benchmark(
-        machine, placement, samples=comm_samples, sizes=comm_sizes
+        machine, placement, samples=comm_samples, sizes=FAST_COMM_SIZES
     )
 
 
 def evaluate_barrier(
     machine: SimMachine,
     pattern: BarrierPattern,
-    placement: Placement | None = None,
-    params: CommParameters | None = None,
     runs: int = 16,
     comm_samples: int = 5,
-    comm_sizes: tuple[int, ...] = FAST_COMM_SIZES,
-    payload_bytes=None,
 ) -> BarrierEvaluation:
-    """Measure and predict one barrier pattern on one machine.
-
-    ``placement`` defaults to the round-robin placement for the pattern's
-    process count; ``params`` defaults to that placement's
-    :func:`profile_placement` (pass a profile to reuse one you hold).
-    """
-    if placement is None:
-        placement = machine.placement(pattern.nprocs)
-    if params is None:
-        params = profile_placement(
-            machine, placement, comm_samples=comm_samples, comm_sizes=comm_sizes
-        )
-    timing = measure_barrier(
-        machine, pattern, placement, runs=runs, payload_bytes=payload_bytes
-    )
-    predicted = predict_barrier_cost(pattern, params, payload_bytes=payload_bytes)
+    """Measure and predict one barrier pattern on one machine, on the
+    round-robin placement of its process count and that placement's
+    :func:`profile_placement`."""
+    placement = machine.placement(pattern.nprocs)
+    params = profile_placement(machine, placement, comm_samples=comm_samples)
+    timing = measure_barrier(machine, pattern, placement, runs=runs)
+    predicted = predict_barrier_cost(pattern, params)
     return BarrierEvaluation(
         pattern_name=pattern.name,
         nprocs=pattern.nprocs,

@@ -58,13 +58,12 @@ def sweep_kernel(
     kernel: Kernel,
     sizes,
     batch: int = 64,
-    stream: str = "blas-sweep",
 ) -> KernelSweep:
     """Median-of-batch sweep of one kernel over element counts ``sizes``."""
     batch = require_int(batch, "batch")
     if batch < 3:
         raise ValueError("batch must be >= 3")
-    rng = machine.rng(stream, kernel.name, core)
+    rng = machine.rng("blas-sweep", kernel.name, core)
     points = []
     for n in sizes:
         n = require_int(n, "size")

@@ -57,13 +57,12 @@ def measure_rate_points(
     sizes=None,
     iterations: int = 64,
     samples: int = 8,
-    stream: str = "bspbench-rate",
 ) -> list[RatePoint]:
     """Time DAXPY at growing vector sizes; report mean time and rate."""
     if sizes is None:
         sizes = tuple(2**k for k in range(0, 11))  # 1 .. 1024
     iterations = require_int(iterations, "iterations")
-    rng = machine.rng(stream, core)
+    rng = machine.rng("bspbench-rate", core)
     points = []
     for n in sizes:
         times = [
@@ -98,16 +97,13 @@ def measure_h_relations(
     nprocs: int,
     h_values=None,
     samples: int = 9,
-    placement_policy: str = "round_robin",
-    stream: str = "bspbench-h",
 ) -> tuple[list[int], list[float]]:
     """Median superstep time for each h (words) — the g/l extraction data."""
     if h_values is None:
         h_values = tuple(range(0, 256, 17)) + (255,)
     nprocs = require_int(nprocs, "nprocs")
-    placement = machine.placement(nprocs, policy=placement_policy)
-    truth = machine.comm_truth(placement)
-    rng = machine.rng(stream, nprocs)
+    truth = machine.comm_truth(machine.placement(nprocs))
+    rng = machine.rng("bspbench-h", nprocs)
     hs, times = [], []
     for h in sorted(set(int(v) for v in h_values)):
         stages, payloads = _h_relation_stages(nprocs, h)
@@ -128,15 +124,13 @@ def measure_h_relations(
 def run_bspbench(
     machine: SimMachine,
     nprocs: int,
-    placement_policy: str = "round_robin",
     samples: int = 9,
 ) -> BSPBenchResult:
     """Produce the (p, r, g, l) row of Table 3.1 for one process count."""
     nprocs = require_int(nprocs, "nprocs")
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
-    placement = machine.placement(nprocs, policy=placement_policy)
-    core = placement.core_of(0)
+    core = machine.placement(nprocs).core_of(0)
     rate_points = measure_rate_points(machine, core, samples=samples)
     # r from the regression gradient over (elements, seconds-per-pass).
     ns = np.array([pt.n for pt in rate_points], dtype=float)
@@ -150,9 +144,7 @@ def run_bspbench(
         g_flops, l_flops = 0.0, 0.0
         hs, times = [0], [0.0]
     else:
-        hs, times = measure_h_relations(
-            machine, nprocs, samples=samples, placement_policy=placement_policy
-        )
+        hs, times = measure_h_relations(machine, nprocs, samples=samples)
         flop_times = np.asarray(times) * r_flops
         h_line = linear_regression(np.asarray(hs, dtype=float), flop_times)
         g_flops = max(h_line.gradient, 0.0)

@@ -73,8 +73,6 @@ def benchmark_kernel(
     n: int,
     iteration_counts: tuple[int, ...] = DEFAULT_ITERATION_COUNTS,
     samples: int = 30,
-    confidence: float = 0.95,
-    stream: str = "kernel-bench",
 ) -> KernelProfile:
     """Profile one kernel at a fixed problem size on one core."""
     n = require_int(n, "n")
@@ -82,7 +80,7 @@ def benchmark_kernel(
         raise ValueError("n must be >= 1")
     if len(iteration_counts) < 2:
         raise ValueError("need at least two iteration counts for regression")
-    rng = machine.rng(stream, kernel.name, core, n)
+    rng = machine.rng("kernel-bench", kernel.name, core, n)
     means: list[float] = []
     reruns = 0
     for count in iteration_counts:
@@ -92,7 +90,7 @@ def benchmark_kernel(
                  for _ in range(k)]
             )
 
-        batch = collect_filtered(draw, count=samples, confidence=confidence)
+        batch = collect_filtered(draw, count=samples)
         means.append(batch.mean)
         reruns += batch.reruns
     line = linear_regression(np.asarray(iteration_counts, dtype=float), means)
@@ -130,12 +128,11 @@ def validate_profile(
     kernel: Kernel,
     profile: KernelProfile,
     application_counts=None,
-    stream: str = "kernel-validate",
 ) -> list[ValidationPoint]:
     """Compare profile extrapolations against long measured runs."""
     if application_counts is None:
         application_counts = tuple(4**k for k in range(0, 13))  # 1 .. 2^24
-    rng = machine.rng(stream, kernel.name, core, profile.n)
+    rng = machine.rng("kernel-validate", kernel.name, core, profile.n)
     points = []
     for count in application_counts:
         measured = machine.kernel_time(core, kernel, profile.n, reps=count, rng=rng)

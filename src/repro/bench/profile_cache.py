@@ -72,6 +72,12 @@ from typing import Any
 import numpy as np
 
 from repro.barriers.cost_model import CommParameters
+from repro.bench.comm_bench import (
+    DEFAULT_INTERCEPT_MAX_SIZE,
+    DEFAULT_REQUEST_COUNTS,
+    DEFAULT_STREAM,
+    benchmark_comm,
+)
 from repro.cluster.topology import Placement
 from repro.machine.simmachine import SimMachine
 from repro.obs import current as _telemetry
@@ -125,21 +131,20 @@ def node_block(placement: Placement) -> Placement:
     )
 
 
-def _key_prefix(
-    machine: SimMachine, samples, sizes, request_counts, stream,
-    intercept_max_size,
-) -> str:
+def _key_prefix(machine: SimMachine, samples, sizes) -> str:
     """Everything in a key but the cores, shared by a placement's key and
-    its block's."""
+    its block's.  The key names the benchmark arguments a profile is
+    always benchmarked with (:mod:`repro.bench.comm_bench`'s defaults),
+    so persisted keys stay valid."""
     return json.dumps(
         {
             "protocol": PROFILE_PROTOCOL,
             "machine": machine_fingerprint(machine),
             "samples": int(samples),
             "sizes": [int(s) for s in sizes],
-            "request_counts": [int(c) for c in request_counts],
-            "stream": stream,
-            "intercept_max_size": int(intercept_max_size),
+            "request_counts": list(DEFAULT_REQUEST_COUNTS),
+            "stream": DEFAULT_STREAM,
+            "intercept_max_size": DEFAULT_INTERCEPT_MAX_SIZE,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -271,31 +276,13 @@ class ProfileCache:
         placement: Placement,
         samples: int,
         sizes,
-        request_counts=None,
-        stream: str | None = None,
-        intercept_max_size: int | None = None,
     ) -> CommParameters:
         """Serve one placement's profile as a slice of its node block's:
-        the block from memory, then disk, then a fresh benchmark.
-
-        Unset arguments resolve to :mod:`repro.bench.comm_bench`'s own
-        defaults, so a cached profile can never be benchmarked with
-        different arguments than an uncached call would use.
+        the block from memory, then disk, then a fresh benchmark with
+        ``samples`` and ``sizes`` (every other argument at
+        :func:`~repro.bench.comm_bench.benchmark_comm`'s default).
         """
-        from repro.bench.comm_bench import (
-            DEFAULT_INTERCEPT_MAX_SIZE,
-            DEFAULT_REQUEST_COUNTS,
-            DEFAULT_STREAM,
-        )
-
-        if request_counts is None:
-            request_counts = DEFAULT_REQUEST_COUNTS
-        if stream is None:
-            stream = DEFAULT_STREAM
-        if intercept_max_size is None:
-            intercept_max_size = DEFAULT_INTERCEPT_MAX_SIZE
-        args = (samples, tuple(sizes), tuple(request_counts), stream,
-                intercept_max_size)
+        args = (samples, tuple(sizes))
         prefix = _key_prefix(machine, *args)
         key = _key(prefix, placement)
         served = self._served.get(key)
@@ -322,8 +309,6 @@ class ProfileCache:
         """One node block's profile: memory, then disk, then a fresh
         benchmark of ``block`` (``None`` only when it is memoised);
         counts one hit or one miss."""
-        from repro.bench.comm_bench import benchmark_comm
-
         tele = _telemetry()
         params = self._blocks.get(key)
         if params is not None:
@@ -349,17 +334,9 @@ class ProfileCache:
         self.misses += 1
         if tele is not None:
             tele.count("profile_cache.misses")
-        samples, sizes, request_counts, stream, intercept_max_size = args
+        samples, sizes = args
         bench_pc0 = time.perf_counter()
-        report = benchmark_comm(
-            machine,
-            block,
-            samples=samples,
-            sizes=sizes,
-            request_counts=request_counts,
-            stream=stream,
-            intercept_max_size=intercept_max_size,
-        )
+        report = benchmark_comm(machine, block, samples=samples, sizes=sizes)
         bench_s = time.perf_counter() - bench_pc0
         if tele is not None:
             tele.observe("profile_cache.benchmark_seconds", bench_s)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.stats import resample_outliers
-from repro.util.validation import require_in_range, require_int
+from repro.bench.stats import CONFIDENCE, resample_outliers
+from repro.util.validation import require_int
 
 
 @dataclass(frozen=True)
@@ -31,23 +31,15 @@ class FilteredSample:
         return float(np.median(self.values))
 
 
-def collect_filtered(
-    draw,
-    count: int = 30,
-    confidence: float = 0.95,
-    max_rounds: int = 50,
-) -> FilteredSample:
+def collect_filtered(draw, count: int = 30) -> FilteredSample:
     """Draw ``count`` samples via ``draw(k)`` and re-run outliers until the
     batch sits inside the Student-t interval (the thesis's calibration
     loop; 30 samples and 95% confidence are its chosen balance)."""
     count = require_int(count, "count")
     if count < 3:
         raise ValueError("need at least 3 samples for outlier filtering")
-    confidence = require_in_range(confidence, "confidence", 0.5, 0.9999)
     initial = np.asarray(draw(count), dtype=float)
     if initial.shape != (count,):
         raise ValueError("draw(k) must return k samples")
-    values, reruns = resample_outliers(
-        initial, draw, confidence=confidence, max_rounds=max_rounds
-    )
-    return FilteredSample(values=values, reruns=reruns, confidence=confidence)
+    values, reruns = resample_outliers(initial, draw)
+    return FilteredSample(values=values, reruns=reruns, confidence=CONFIDENCE)

@@ -26,6 +26,12 @@ import numpy as np
 
 from repro.util.validation import require_in_range, require_int
 
+#: The outlier filter's confidence: the thesis's 95% (§4.1).
+CONFIDENCE = 0.95
+
+#: Cleaning rounds before the outlier filter gives up.
+MAX_ROUNDS = 50
+
 
 def _t_pdf(x: np.ndarray, dof: int) -> np.ndarray:
     """Student-t probability density with ``dof`` degrees of freedom."""
@@ -37,19 +43,20 @@ def _t_pdf(x: np.ndarray, dof: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def student_t_critical(confidence: float, dof: int, resolution: float = 1.0e-4) -> float:
+def student_t_critical(confidence: float, dof: int) -> float:
     """Two-sided critical value t* with P(|T| <= t*) = ``confidence``.
 
-    Trapezoid integration of the density from 0 outward (the thesis's
-    method), stopping when the accumulated half-tail mass reaches
-    ``confidence / 2`` and linearly interpolating the crossing point.
+    Trapezoid integration of the density from 0 outward in steps of the
+    thesis's 1e-4 resolution (its method), stopping when the accumulated
+    half-tail mass reaches ``confidence / 2`` and linearly interpolating
+    the crossing point.
     """
     confidence = require_in_range(confidence, "confidence", 0.5, 0.9999)
     dof = require_int(dof, "dof")
     if dof < 1:
         raise ValueError("dof must be >= 1")
     target = confidence / 2.0
-    step = max(resolution, 1.0e-5)
+    step = 1.0e-4
     # Integrate far enough into the tail for any reasonable confidence; the
     # t-distribution with dof >= 1 has well under 0.005% mass beyond 200.
     xs = np.arange(0.0, 200.0 + step, step)
@@ -67,8 +74,9 @@ def student_t_critical(confidence: float, dof: int, resolution: float = 1.0e-4) 
     return float(x0 + frac * (x1 - x0))
 
 
-def outlier_mask(samples, confidence: float = 0.95) -> np.ndarray:
-    """Boolean mask of samples outside the t-interval built from the rest.
+def outlier_mask(samples) -> np.ndarray:
+    """Boolean mask of samples outside the ``CONFIDENCE`` t-interval built
+    from the rest.
 
     Implements the Walpole-style definition the thesis cites: a point is an
     outlier if it falls outside the interval obtained from the *other*
@@ -80,7 +88,7 @@ def outlier_mask(samples, confidence: float = 0.95) -> np.ndarray:
     if n < 3:
         return np.zeros(n, dtype=bool)
     mask = np.zeros(n, dtype=bool)
-    t_star = student_t_critical(confidence, n - 2)
+    t_star = student_t_critical(CONFIDENCE, n - 2)
     total = samples.sum()
     total_sq = (samples ** 2).sum()
     for i in range(n):
@@ -98,31 +106,25 @@ def outlier_mask(samples, confidence: float = 0.95) -> np.ndarray:
     return mask
 
 
-def resample_outliers(
-    samples,
-    draw,
-    confidence: float = 0.95,
-    max_rounds: int = 50,
-) -> tuple[np.ndarray, int]:
+def resample_outliers(samples, draw) -> tuple[np.ndarray, int]:
     """Re-draw outliers until the batch is clean (§4.1's calibration loop).
 
     ``draw(k)`` must return ``k`` fresh samples.  Returns the cleaned sample
     vector and the number of individual re-runs performed.  Raises
-    ``RuntimeError`` if ``max_rounds`` cleaning rounds do not converge —
+    ``RuntimeError`` if ``MAX_ROUNDS`` cleaning rounds do not converge —
     the thesis's signal that the experiment needs recalibration.
     """
     samples = np.asarray(samples, dtype=float).copy()
-    require_int(max_rounds, "max_rounds")
     reruns = 0
-    for _ in range(max_rounds):
-        mask = outlier_mask(samples, confidence)
+    for _ in range(MAX_ROUNDS):
+        mask = outlier_mask(samples)
         bad = int(mask.sum())
         if bad == 0:
             return samples, reruns
         samples[mask] = np.asarray(draw(bad), dtype=float)
         reruns += bad
     raise RuntimeError(
-        f"outlier filtering did not converge after {max_rounds} rounds "
+        f"outlier filtering did not converge after {MAX_ROUNDS} rounds "
         f"({reruns} re-runs); inherent variability exceeds the confidence bound"
     )
 

@@ -322,10 +322,9 @@ class BSPContext:
         self._state.compute_accum = self._state.compute_accum + dt
         return dt
 
-    def run_kernel(self, kernel: Kernel, operands: tuple, n: int,
-                   footprint_bytes: float | None = None):
+    def run_kernel(self, kernel: Kernel, operands: tuple, n: int):
         """Execute one kernel application for real *and* charge its modelled
         cost; returns the kernel's result."""
         result = kernel.run(operands)
-        self.charge_kernel(kernel, n, reps=1, footprint_bytes=footprint_bytes)
+        self.charge_kernel(kernel, n)
         return result

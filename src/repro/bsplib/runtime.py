@@ -24,7 +24,7 @@ the superstep's computation.  At synchronisation the runtime:
 
 Thread scheduling (§6.3) is abstracted: the cooperative sched_yield dance
 of the real implementation appears here as a fixed per-operation software
-overhead (``op_overhead``), which is exactly the BSP-vs-MPI overhead the
+overhead (``OP_OVERHEAD``), which is exactly the BSP-vs-MPI overhead the
 Chapter 8 experiments observe.
 
 Replications (``runs=R``)
@@ -95,9 +95,14 @@ from repro.obs.provenance import (
     TransferPassProvenance,
 )
 from repro.simmpi.engine import simulate_stages_batch
-from repro.util.validation import require_int, require_nonnegative
+from repro.util.validation import require_int
 
 _COLLECTIVE_TIMEOUT = 120.0  # wall-clock guard against deadlocked programs
+
+#: Software cost of one BSPlib call [s]: §6.3's queue/yield overhead, the
+#: BSP-vs-MPI overhead the Chapter 8 experiments observe.  The stencil
+#: predictor charges the same constant per put.
+OP_OVERHEAD = 1.5e-6
 
 
 def _transfer_endpoints(kind: str, rec) -> tuple[int, int, int]:
@@ -260,7 +265,6 @@ class BSPRuntime:
         machine: SimMachine,
         nprocs: int,
         placement_policy: str = "round_robin",
-        op_overhead: float = 1.5e-6,
         label: str = "bsp-run",
         runs: int = 1,
         provenance: bool = False,
@@ -274,7 +278,6 @@ class BSPRuntime:
             raise ValueError("runs must be >= 1")
         self.placement = machine.placement(nprocs, policy=placement_policy)
         self.truth: CommTruth = machine.comm_truth(self.placement)
-        self.op_overhead = require_nonnegative(op_overhead, "op_overhead")
         self.label = label
         self._sync_rng = machine.rng("bsplib-sync", label, nprocs)
         self.states = [
@@ -682,7 +685,7 @@ class BSPRuntime:
     def charge_op(self, state: _ProcessState, dest_pid: int | None = None) -> float:
         """Advance a process clock by the software cost of one BSPlib call
         (§6.3's queue/yield overhead plus the request start cost)."""
-        cost = self.op_overhead + self.truth.invocation_overhead
+        cost = OP_OVERHEAD + self.truth.invocation_overhead
         if dest_pid is not None and dest_pid != state.pid:
             cost += float(self.truth.start_overhead[state.pid, dest_pid])
         return state.clock.advance(cost)
@@ -693,8 +696,6 @@ def bsp_run(
     nprocs: int,
     program,
     *args,
-    placement_policy: str = "round_robin",
-    op_overhead: float = 1.5e-6,
     label: str = "bsp-run",
     runs: int = 1,
     provenance: bool = False,
@@ -711,12 +712,6 @@ def bsp_run(
     bit-identical.
     """
     runtime = BSPRuntime(
-        machine,
-        nprocs,
-        placement_policy=placement_policy,
-        op_overhead=op_overhead,
-        label=label,
-        runs=runs,
-        provenance=provenance,
+        machine, nprocs, label=label, runs=runs, provenance=provenance
     )
     return runtime.run(program, *args, **kwargs)

@@ -27,12 +27,12 @@ from repro.util.validation import require_int
 COUNT_BYTES = 4  # one 32-bit counter per destination
 
 
-def dissemination_payloads(nprocs: int, count_bytes: int = COUNT_BYTES) -> list[float]:
-    """Per-stage payload bytes of the count-map total exchange (§6.5)."""
+def dissemination_payloads(nprocs: int) -> list[float]:
+    """Per-stage payload bytes of the count-map total exchange (§6.5),
+    ``COUNT_BYTES`` per count."""
     p = require_int(nprocs, "nprocs")
     if p < 1:
         raise ValueError("nprocs must be >= 1")
-    count_bytes = require_int(count_bytes, "count_bytes")
     if p == 1:
         return []
     stages = math.ceil(math.log2(p))
@@ -42,7 +42,7 @@ def dissemination_payloads(nprocs: int, count_bytes: int = COUNT_BYTES) -> list[
             vectors = p - 2 ** (stages - 1)
         else:
             vectors = 2**s
-        payloads.append(float(vectors * p * count_bytes))
+        payloads.append(float(vectors * p * COUNT_BYTES))
     return payloads
 
 

@@ -43,6 +43,9 @@ from repro.explore.space import DesignPoint, DesignSpace
 #: Axes at or below this length are swept exactly; longer ones bisected.
 _SWEEP_LIMIT = 6
 
+#: Seeded extra points the verification sweep probes inside the region.
+_VERIFY_PROBES = 4
+
 
 @dataclass(frozen=True)
 class DriftRegion:
@@ -146,7 +149,6 @@ def localize_drift(
     workers: int | None = None,
     seed: int = 0,
     probe_limit: int | None = None,
-    verify: int = 4,
 ) -> DriftReport:
     """Narrow a failed golden for ``suite`` to the offending axis region.
 
@@ -302,8 +304,8 @@ def localize_drift(
 
     # ---- 3. verification sweep -------------------------------------------
     verified = verified_drifting = 0
-    if verify > 0 and region_axes:
-        for _ in range(verify):
+    if region_axes:
+        for _ in range(_VERIFY_PROBES):
             candidate = dict(witness_point.as_dict())
             for name, offending in region_axes.items():
                 candidate[name] = offending[rng.randrange(len(offending))]

@@ -109,18 +109,13 @@ class AdaptiveStats:
 
     @property
     def total(self) -> int:
-        """Points served, the :class:`CampaignStats` -compatible name — a
-        suite over an adaptive plan renders through the same template."""
+        """Points served, under :class:`CampaignStats`'s name for it."""
         return self.proposed
 
     @property
     def coverage(self) -> float:
         """Fraction of the design space the run observed."""
         return self.proposed / self.space_size if self.space_size else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cached / self.proposed if self.proposed else 0.0
 
 
 @dataclass(frozen=True)

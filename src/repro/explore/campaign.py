@@ -44,6 +44,7 @@ from repro.explore.space import DesignPoint, DesignSpace, jsonable
 from repro.obs import current as _telemetry
 from repro.obs import summarize_run, telemetry_dir_for
 from repro.obs import wallclock as _wallclock
+from repro.obs.summary import POINT_SPAN
 
 
 def _jsonify_metrics(value: Any) -> dict:
@@ -88,7 +89,7 @@ def _evaluate(task: tuple[str, dict]) -> tuple[bool, dict]:
     if tele is None:
         return _evaluate_point(experiment, params)
     with tele.span(
-        "campaign.point",
+        POINT_SPAN,
         experiment=experiment,
         key=record_key(experiment, params),
         point=params,

@@ -312,12 +312,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         PROFILE_CACHE.clear_memory()
         PROFILE_CACHE.configure(None)
     try:
-        result = run_suite(
-            spec,
-            store_dir=args.store_dir,
-            executor=executor,
-            sampling=False if args.exhaustive else None,
-        )
+        result = run_suite(spec, store_dir=args.store_dir, executor=executor)
     except CampaignPointError as exc:
         raise SystemExit(str(exc)) from None
     print(result.render())
@@ -868,10 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument(
         "--store-dir", default=DEFAULT_SUITE_STORE,
         help=f"suite campaign store (default: {DEFAULT_SUITE_STORE})",
-    )
-    p_suite.add_argument(
-        "--exhaustive", action="store_true",
-        help="ignore the suite's sampling plan and expand the full space",
     )
     add_telemetry(p_suite)
     p_suite.set_defaults(fn=_cmd_suite)

@@ -28,11 +28,12 @@ class ResultRecord:
         object.__setattr__(self, "point", dict(self.point))
         object.__setattr__(self, "metrics", dict(self.metrics))
 
-    def value(self, name: str, default=None):
-        """Look up ``name`` as a metric first, then as a point parameter."""
+    def value(self, name: str):
+        """Look up ``name`` as a metric first, then as a point parameter
+        (``None`` when neither has it)."""
         if name in self.metrics:
             return self.metrics[name]
-        return self.point.get(name, default)
+        return self.point.get(name)
 
     @property
     def failed(self) -> bool:
@@ -229,24 +230,20 @@ class ResultSet:
 
     # -------------------------------------------------------- serialisation
 
-    def to_csv(
-        self, path_or_file, columns: Sequence[str] | None = None
-    ) -> list[str]:
+    def to_csv(self, path_or_file) -> list[str]:
         """Write the records as CSV; returns the column list written.
 
-        ``columns`` defaults to every point parameter followed by every
-        metric (minus the multiline ``traceback``); names resolve through
+        The columns are every point parameter followed by every metric
+        (minus the multiline ``traceback``); names resolve through
         :meth:`ResultRecord.value`.  Non-scalar cells (lists, dicts) are
         serialised as canonical JSON so the file stays one row per record.
         """
         import csv
 
-        if columns is None:
-            columns = [
-                c for c in self.point_names() + self.metric_names()
-                if c != "traceback"
-            ]
-        columns = list(columns)
+        columns = [
+            c for c in self.point_names() + self.metric_names()
+            if c != "traceback"
+        ]
 
         def cell(value):
             if value is None or isinstance(value, (str, int, float, bool)):

@@ -109,13 +109,6 @@ class SuiteSpec:
     metrics first, then point parameters (empty means every point
     parameter followed by every metric).  ``tolerance`` bounds the golden
     comparison for this artifact's floats.
-
-    ``sampling`` (an :class:`repro.explore.adaptive.AdaptivePlan`) makes
-    the suite *adaptive*: instead of exhaustively expanding the space,
-    :func:`run_suite` evaluates only the points the plan's strategy
-    proposes — for suites whose space is a large screening sweep rather
-    than a fixed thesis figure.  The plan is seeded, so an adaptive
-    suite's artifact is as deterministic as an exhaustive one's.
     """
 
     name: str
@@ -127,7 +120,6 @@ class SuiteSpec:
     claims: tuple[Claim, ...] = ()
     tolerance: Tolerance = field(default_factory=Tolerance)
     description: str = ""
-    sampling: Any | None = None
 
     def __post_init__(self):
         if not self.name:
@@ -142,15 +134,10 @@ class SuiteSpec:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """A regenerated suite: the campaign outcome plus artifact/claim views.
-
-    ``outcome`` is a :class:`CampaignOutcome` for exhaustive suites or an
-    :class:`~repro.explore.adaptive.AdaptiveOutcome` for sampled ones;
-    both expose ``results`` and render-compatible ``stats``.
-    """
+    """A regenerated suite: the campaign outcome plus artifact/claim views."""
 
     spec: SuiteSpec
-    outcome: CampaignOutcome | Any
+    outcome: CampaignOutcome
 
     @property
     def results(self) -> ResultSet:
@@ -278,49 +265,19 @@ def run_suite(
     suite: str | SuiteSpec,
     store_dir: str | os.PathLike | None = DEFAULT_SUITE_STORE,
     executor: str | Any | None = None,
-    workers: int | None = None,
-    check_claims: bool = False,
-    sampling: Any | None = None,
 ) -> SuiteResult:
     """Regenerate one suite through the campaign engine.
 
     ``store_dir=None`` disables caching; the default store makes any
-    re-run a near-pure cache read.  With ``check_claims`` the suite's
-    shape claims run before returning, raising :class:`ClaimFailure` on
-    the first violation.
-
-    ``sampling`` controls adaptive suites: ``None`` follows the spec
-    (exhaustive unless the spec declares a plan), ``False`` forces the
-    exhaustive expansion, and an :class:`~repro.explore.adaptive.
-    AdaptivePlan` overrides the spec's plan.  Adaptive and exhaustive
-    runs of one suite share the same store file, so forcing
-    ``sampling=False`` after an adaptive run only pays for the points the
-    strategy skipped.
+    re-run a near-pure cache read.  Claims are checked separately, by
+    :meth:`SuiteResult.check_claims`.
     """
     spec = suite if isinstance(suite, SuiteSpec) else get_suite(suite)
-    plan = spec.sampling if sampling is None else sampling
-    if plan:
-        from repro.explore.adaptive.driver import run_adaptive
-
-        outcome = run_adaptive(
-            spec.name,
-            spec.space,
-            spec.experiment,
-            plan,
-            store_dir=store_dir,
-            executor=executor,
-            workers=workers,
-        )
-    else:
-        outcome = run_campaign(
-            spec.name,
-            spec.space,
-            spec.experiment,
-            store_dir=store_dir,
-            executor=executor,
-            workers=workers,
-        )
-    result = SuiteResult(spec=spec, outcome=outcome)
-    if check_claims:
-        result.check_claims()
-    return result
+    outcome = run_campaign(
+        spec.name,
+        spec.space,
+        spec.experiment,
+        store_dir=store_dir,
+        executor=executor,
+    )
+    return SuiteResult(spec=spec, outcome=outcome)

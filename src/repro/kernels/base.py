@@ -59,14 +59,13 @@ class Kernel:
             raise ValueError("n must be >= 0")
         return n * self.operand_arrays * np.dtype(self.dtype).itemsize
 
-    def operands(self, n: int, rng: np.random.Generator | None = None) -> tuple:
-        """Build fresh operand arrays for an ``n``-element application."""
+    def operands(self, n: int) -> tuple:
+        """Build fresh operand arrays for an ``n``-element application,
+        drawn from a generator seeded with 0."""
         n = require_int(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        return self.make_operands(n, rng)
+        return self.make_operands(n, np.random.default_rng(0))
 
     def run(self, operands: tuple):
         """Execute one application of the kernel on prepared operands."""

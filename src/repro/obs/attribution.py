@@ -45,6 +45,9 @@ CRITPATH_EVENT = "critpath"
 
 REPORT_FORMAT_VERSION = 1
 
+#: How many of the most critical edges an :class:`ExplainReport` keeps.
+MAX_EDGES = 25
+
 
 def _stat_table(per_rep: list[dict], makespans: list[Fraction]) -> dict:
     """Fold per-replication {key -> Fraction seconds} dicts into
@@ -143,23 +146,16 @@ class ExplainReport:
         }
 
 
-def explain(
-    prov,
-    label: str = "",
-    kind: str | None = None,
-    max_edges: int = 25,
-    validate: bool = True,
-) -> ExplainReport:
+def explain(prov, label: str = "") -> ExplainReport:
     """Extract, validate, and aggregate every replication's critical
-    path of an engine or BSP provenance record."""
-    if kind is None:
-        kind = "bsp" if hasattr(prov, "supersteps") else "engine"
+    path of an engine or BSP provenance record; the report keeps the
+    ``MAX_EDGES`` most critical edges."""
     paths = extract_paths(prov)
-    problems: list[str] = []
-    if validate:
-        for path in paths:
-            for problem in validate_path(path):
-                problems.append(f"replication {path.replication}: {problem}")
+    problems = [
+        f"replication {path.replication}: {problem}"
+        for path in paths
+        for problem in validate_path(path)
+    ]
     makespans = [Fraction(p.makespan) for p in paths]
     rep0 = event_graph(prov, 0)
     slack = {
@@ -168,7 +164,7 @@ def explain(
     }
     problems.extend(f"inexact: {msg}" for msg in rep0.inexact)
     return ExplainReport(
-        kind=kind,
+        kind="bsp" if hasattr(prov, "supersteps") else "engine",
         label=label,
         runs=len(paths),
         nprocs=int(prov.nprocs),
@@ -180,7 +176,7 @@ def explain(
             [p.process_totals() for p in paths], makespans
         ),
         scopes=_stat_table([p.scope_totals() for p in paths], makespans),
-        edges=edge_criticality(paths)[:max_edges],
+        edges=edge_criticality(paths)[:MAX_EDGES],
         slack=slack,
         path=[
             {
@@ -199,13 +195,12 @@ def explain(
     )
 
 
-def emit_report(report: ExplainReport, telemetry=None) -> bool:
-    """Record ``report`` on the active telemetry context (or ``telemetry``)
-    as one ``critpath`` event; returns whether anything was recorded."""
-    if telemetry is None:
-        from repro.obs import current
+def emit_report(report: ExplainReport) -> bool:
+    """Record ``report`` on the active telemetry context as one
+    ``critpath`` event; returns whether anything was recorded."""
+    from repro.obs import current
 
-        telemetry = current()
+    telemetry = current()
     if telemetry is None:
         return False
     record = report.to_record()

@@ -223,14 +223,14 @@ class EventGraph:
         return node
 
     # -- extraction ---------------------------------------------------
-    def walk(self, end: tuple = END) -> list[Hop]:
-        """Backward walk from ``end`` to a source, forward-ordered hops.
+    def walk(self) -> list[Hop]:
+        """Backward walk from ``END`` to a source, forward-ordered hops.
 
         MAX nodes redirect through their binding predecessor and emit
         nothing; every ADD traversed emits one :class:`Hop`.
         """
         hops: list[Hop] = []
-        node = end
+        node = END
         guard = len(self.entries) + 1
         while guard:
             guard -= 1
@@ -259,13 +259,11 @@ class EventGraph:
         hops.reverse()
         return hops
 
-    def critical_path(
-        self, replication: int = 0, end: tuple = END
-    ) -> CriticalPath:
+    def critical_path(self, replication: int = 0) -> CriticalPath:
         return CriticalPath(
             replication=int(replication),
-            makespan=self.times[end],
-            hops=self.walk(end),
+            makespan=self.times[END],
+            hops=self.walk(),
         )
 
     # -- slack --------------------------------------------------------
@@ -303,16 +301,16 @@ class EventGraph:
         topo.reverse()
         return topo
 
-    def node_slacks(self, end: tuple = END) -> dict:
+    def node_slacks(self) -> dict:
         """Exact slack per node: how much later it could occur without
-        moving ``end``.  ``None`` marks nodes that do not constrain
-        ``end`` at all (e.g. the last event on an otherwise idle NIC);
+        moving ``END``.  ``None`` marks nodes that do not constrain
+        ``END`` at all (e.g. the last event on an otherwise idle NIC);
         critical nodes have slack exactly 0.
         """
         succ = self._successors()
-        latest: dict = {end: Fraction(self.times[end])}
+        latest: dict = {END: Fraction(self.times[END])}
         for node in self._reverse_topological(succ):
-            if node == end:
+            if node == END:
                 continue
             bound = None
             for v in succ[node]:
@@ -337,11 +335,11 @@ class EventGraph:
             for node in self.entries
         }
 
-    def resource_slacks(self, end: tuple = END) -> dict:
+    def resource_slacks(self) -> dict:
         """Exact slack per tagged resource: the largest uniform delay any
-        single event on that resource tolerates before ``end`` moves.
+        single event on that resource tolerates before ``END`` moves.
         """
-        slacks = self.node_slacks(end)
+        slacks = self.node_slacks()
         out: dict = {}
         for node, resource in self.resources.items():
             s = slacks.get(node)
@@ -353,7 +351,7 @@ class EventGraph:
         return out
 
 
-def validate_path(path: CriticalPath, graph: EventGraph | None = None):
+def validate_path(path: CriticalPath):
     """Structural + exactness checks; returns a list of problem strings.
 
     Empty list == the path is a connected, time-monotone event chain
@@ -387,8 +385,6 @@ def validate_path(path: CriticalPath, graph: EventGraph | None = None):
             f"hop durations sum to {float(total)!r}, makespan is"
             f" {path.makespan!r}"
         )
-    if graph is not None and graph.inexact:
-        problems.extend(f"inexact: {msg}" for msg in graph.inexact)
     return problems
 
 
@@ -792,11 +788,10 @@ def _graph_builder(prov):
     raise TypeError(f"unsupported provenance record {type(prov).__name__}")
 
 
-def extract_paths(prov, runs: int | None = None) -> list[CriticalPath]:
+def extract_paths(prov) -> list[CriticalPath]:
     """Critical paths of every replication of a provenance record."""
     build = _graph_builder(prov)
-    n = int(prov.runs if runs is None else runs)
-    return [build(prov, r).critical_path(r) for r in range(n)]
+    return [build(prov, r).critical_path(r) for r in range(int(prov.runs))]
 
 
 def event_graph(prov, r: int = 0) -> EventGraph:

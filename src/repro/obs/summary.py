@@ -31,6 +31,9 @@ TELEMETRY_DIRNAME = ".telemetry"
 
 SUMMARY_FORMAT_VERSION = 1
 
+#: The span each campaign point is evaluated under.
+POINT_SPAN = "campaign.point"
+
 
 def telemetry_dir_for(store_dir: str | os.PathLike) -> str:
     """Canonical sink directory alongside a campaign result store."""
@@ -166,36 +169,26 @@ def _new_metric(kind: str, edges) -> dict:
     }
 
 
-def spans(
-    events: Iterable[Mapping[str, Any]],
-    name: str | None = None,
-    time_base: str | None = "host",
-) -> list[dict]:
-    """The span events of a merged stream, optionally filtered."""
-    out = []
-    for event in events:
-        if event.get("type") != "span":
-            continue
-        if name is not None and event.get("name") != name:
-            continue
-        if time_base is not None and event.get("time") != time_base:
-            continue
-        out.append(event)
-    return out
+def spans(events: Iterable[Mapping[str, Any]], name: str) -> list[dict]:
+    """The host-time span events called ``name`` of a merged stream."""
+    return [
+        event for event in events
+        if event.get("type") == "span" and event.get("name") == name
+        and event.get("time") == "host"
+    ]
 
 
 def top_spans(
     events: Iterable[Mapping[str, Any]],
-    name: str = "campaign.point",
     k: int = 10,
     keys: Sequence[str] | None = None,
 ) -> list[dict]:
-    """The ``k`` slowest host spans called ``name``, longest first.
+    """The ``k`` slowest ``campaign.point`` host spans, longest first.
 
     ``keys`` restricts to spans whose ``attrs.key`` is in the set — how a
     campaign filters the merged stream down to the points *it* served.
     """
-    matched = spans(events, name=name)
+    matched = spans(events, POINT_SPAN)
     if keys is not None:
         wanted = set(keys)
         matched = [
@@ -205,13 +198,10 @@ def top_spans(
     return matched[:k]
 
 
-def worker_utilization(
-    events: Iterable[Mapping[str, Any]],
-    name: str = "campaign.point",
-) -> list[dict]:
-    """Per-(pid, tid) busy time under ``name`` spans over the shared
-    run window — the worker utilization timeline ``stats`` prints."""
-    matched = spans(events, name=name)
+def worker_utilization(events: Iterable[Mapping[str, Any]]) -> list[dict]:
+    """Per-(pid, tid) busy time under ``campaign.point`` spans over the
+    shared run window — the worker utilization timeline ``stats`` prints."""
+    matched = spans(events, POINT_SPAN)
     if not matched:
         return []
     window_start = min(s["ts"] for s in matched)
@@ -381,7 +371,6 @@ def summarize_run(
     wall_seconds: float,
     keys: Sequence[str] | None = None,
     started: float | None = None,
-    k: int = 10,
     failures: Sequence[Mapping[str, Any]] = (),
 ) -> TelemetrySummary:
     """Assemble and persist one run's :class:`TelemetrySummary`.
@@ -417,7 +406,7 @@ def summarize_run(
                 "dur_s": s.get("dur"),
                 "pid": s.get("pid"),
             }
-            for s in top_spans(window, keys=keys, k=k)
+            for s in top_spans(window, keys=keys)
         ],
         metrics=merged_metrics(events),
         workers=worker_utilization(window),

@@ -92,7 +92,7 @@ class _SpanContext:
 class Telemetry:
     """Process-wide span/metric recorder with an optional JSONL sink."""
 
-    def __init__(self, sink_dir: str | os.PathLike | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._local = threading.local()
         self._events: list[dict] = []
@@ -105,8 +105,6 @@ class Telemetry:
         self._anchor_epoch = time.time()
         self._anchor_pc = time.perf_counter()
         self.sink_dir: str | None = None
-        if sink_dir is not None:
-            self.attach_sink(sink_dir)
 
     # ----------------------------------------------------------- plumbing
 

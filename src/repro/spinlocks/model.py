@@ -47,6 +47,9 @@ LINE_TRANSFER_SCALE = {
 
 ALGORITHMS = ("test_and_set", "ticket", "mcs")
 
+#: Seconds each holder spends inside the critical section.
+CRITICAL_SECTION = 0.2e-6
+
 
 @dataclass(frozen=True)
 class SpinlockResult:
@@ -62,7 +65,7 @@ class SpinlockResult:
     acquisitions: int
     total_seconds: float  # mean span over the replications
     per_acquisition: np.ndarray  # cost of each critical-section handoff
-    critical_section: float = 0.2e-6
+    critical_section: float = CRITICAL_SECTION
 
     @property
     def runs(self) -> int:
@@ -93,7 +96,6 @@ def _handoff_schedule(
     algorithm: str,
     placement: Placement,
     acquisitions_per_thread: int,
-    stream: str,
 ) -> np.ndarray:
     """The deterministic part of the contention experiment: the winner
     sequence and each handoff's clean (noise-free) line-transfer cost.
@@ -112,7 +114,7 @@ def _handoff_schedule(
     # winner is drawn from the still-active threads, modelling the
     # arbitrary hardware arbitration of line ownership.
     fifo = list(range(nthreads))
-    arbiter = machine.rng(stream, algorithm, nthreads, "arbiter")
+    arbiter = machine.rng("spinlock", algorithm, nthreads, "arbiter")
     for _ in range(total):
         active = np.flatnonzero(remaining > 0)
         if algorithm == "mcs":
@@ -157,12 +159,11 @@ def simulate_spinlock(
     algorithm: str,
     placement: Placement,
     acquisitions_per_thread: int = 16,
-    critical_section: float = 0.2e-6,
-    stream: str = "spinlock",
     runs: int = 1,
 ) -> SpinlockResult:
     """Simulate ``nthreads`` contending for one lock until every thread has
-    completed its share of acquisitions.
+    completed its share of acquisitions, each holding it for
+    ``CRITICAL_SECTION`` seconds.
 
     Noise is applied to the whole handoff schedule of all ``runs``
     replications with one bulk :meth:`NoiseModel.sample_matrix` call,
@@ -180,19 +181,18 @@ def simulate_spinlock(
         raise ValueError("runs must be >= 1")
     nthreads = placement.nprocs
     clean = _handoff_schedule(
-        machine, algorithm, placement, acquisitions_per_thread, stream
+        machine, algorithm, placement, acquisitions_per_thread
     )
     total = int(clean.shape[0])
-    rng = machine.rng(stream, algorithm, nthreads)
+    rng = machine.rng("spinlock", algorithm, nthreads)
     handoffs = machine.noise.sample_matrix(rng, clean, runs)
-    spans = handoffs.sum(axis=1) + total * critical_section
+    spans = handoffs.sum(axis=1) + total * CRITICAL_SECTION
     return SpinlockResult(
         algorithm=algorithm,
         nthreads=nthreads,
         acquisitions=total,
         total_seconds=float(np.mean(spans)),
         per_acquisition=handoffs,
-        critical_section=critical_section,
     )
 
 

@@ -50,9 +50,9 @@ class ExperimentConfig:
         ]
 
 
-def default_configurations(max_procs: int = 64) -> list[ExperimentConfig]:
+def default_configurations() -> list[ExperimentConfig]:
     """The Table 8.1 configuration matrix on the simulated 8x2x4 cluster."""
-    counts = tuple(p for p in (4, 8, 16, 32, 64) if p <= max_procs)
+    counts = (4, 8, 16, 32, 64)
     configs = []
     for impl in IMPLEMENTATIONS:
         for n, tag in ((LARGE_PROBLEM, "large"), (SMALL_PROBLEM, "small")):

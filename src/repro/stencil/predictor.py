@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.barriers.cost_model import CommParameters, predict_barrier_cost
+from repro.barriers.evaluate import FAST_COMM_SIZES
 from repro.bsplib.messages import HEADER_BYTES
+from repro.bsplib.runtime import OP_OVERHEAD
 from repro.bsplib.sync_model import predict_sync_cost
 from repro.core.matrix_model import CommunicationModel
 from repro.kernels.numeric import STENCIL5
@@ -65,11 +67,10 @@ def stencil_sec_per_cell(
     machine: SimMachine,
     core: int,
     block: LocalBlock,
-    samples: int = 12,
 ) -> float:
     """Benchmark the stencil kernel on ``block``'s cells at its working-set
     size (Ch. 4 discipline: rates are only valid near the profiled
-    footprint)."""
+    footprint), as the median of 12 samples."""
     cells = block.interior_cells
     rng = machine.rng("stencil-rate", core, cells)
     reps = 8
@@ -78,7 +79,7 @@ def stencil_sec_per_cell(
             core, STENCIL5, cells, reps=reps, rng=rng,
             footprint_bytes=block.working_set_bytes,
         )
-        for _ in range(samples)
+        for _ in range(12)
     ]
     return float(np.median(times)) / (reps * cells)
 
@@ -118,9 +119,9 @@ def predict_bsp_iteration(
     blocks: list[LocalBlock],
     sec_per_cell: float,
     params: CommParameters,
-    op_overhead: float = 1.5e-6,
 ) -> StencilPrediction:
-    """One BSP superstep of the stencil under the revised model."""
+    """One BSP superstep of the stencil under the revised model; each put
+    costs the runtime's ``OP_OVERHEAD``."""
     require_positive(sec_per_cell, "sec_per_cell")
     p = len(blocks)
     border = np.array(
@@ -132,7 +133,7 @@ def predict_bsp_iteration(
     comm_model = build_comm_model(blocks, params)
     t_comm = comm_model.superstep_times()
     puts = comm_model.message_counts.sum(axis=1)
-    t_border = border * sec_per_cell + puts * op_overhead
+    t_border = border * sec_per_cell + puts * OP_OVERHEAD
     t_interior = interior * sec_per_cell
     return StencilPrediction(
         name="BSP",
@@ -192,7 +193,6 @@ def predict_iteration(
     nprocs: int,
     kind: str = "bsp",
     comm_samples: int = 7,
-    comm_sizes=tuple(2**k for k in range(0, 17, 4)),
 ) -> StencilPrediction:
     """One design point of the Chapter 8 prediction experiment: profile the
     platform at P = ``nprocs``, benchmark the kernel rate at the block's
@@ -206,7 +206,7 @@ def predict_iteration(
     blocks = decompose(n, nprocs)
     placement = machine.placement(nprocs)
     params = PROFILE_CACHE.get_or_benchmark(
-        machine, placement, samples=comm_samples, sizes=comm_sizes
+        machine, placement, samples=comm_samples, sizes=FAST_COMM_SIZES
     )
     spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
     if kind == "bsp":

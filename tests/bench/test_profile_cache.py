@@ -14,7 +14,7 @@ from repro import obs
 from repro.barriers.cost_model import CommParameters
 from repro.barriers.evaluate import FAST_COMM_SIZES, profile_placement
 from repro.bench import profile_cache as pc
-from repro.bench.comm_bench import DEFAULT_REQUEST_COUNTS, benchmark_comm
+from repro.bench.comm_bench import benchmark_comm
 from repro.bench.profile_cache import (
     ProfileCache,
     machine_fingerprint,
@@ -22,6 +22,7 @@ from repro.bench.profile_cache import (
     store_path_for,
 )
 from repro.cluster import presets
+from repro.cluster.presets import make_preset_machine
 from repro.cluster.topology import Placement
 from repro.explore.cache import CorruptStoreWarning, ResultCache
 from repro.explore.resilience import FaultPlan, FaultSpec, activate, deactivate
@@ -74,11 +75,7 @@ def counted(call):
 
 
 def key_for(machine, placement, samples=3):
-    return pc._key(
-        pc._key_prefix(machine, samples, FAST_COMM_SIZES,
-                       DEFAULT_REQUEST_COUNTS, "comm-bench", 4096),
-        placement,
-    )
+    return pc._key(pc._key_prefix(machine, samples, FAST_COMM_SIZES), placement)
 
 
 def assert_bit_identical(a, b):
@@ -109,6 +106,21 @@ class TestKeys:
             machine, machine.placement(10, policy="block")
         ) != key_for(machine, machine.placement(10))
         assert key_for(machine, machine.placement(8), samples=5) != base
+
+    def test_key_bytes_pinned(self):
+        """Persisted profiles stay findable: the keys (truncated sha256 of
+        the key JSON) of round-robin P = 8 and P = 12 on the preset at the
+        production sample count, and of each one's node block."""
+        machine = make_preset_machine("xeon-8x2x4")
+        keys = {
+            p: (key_for(machine, machine.placement(p), samples=5),
+                key_for(machine, node_block(machine.placement(p)), samples=5))
+            for p in (8, 12)
+        }
+        assert keys == {
+            8: ("1d856791d7ad1e343baf4a8e", "1d856791d7ad1e343baf4a8e"),
+            12: ("e04ae047125c0df691a4ad61", "3ba1922708c8979534934e3d"),
+        }
 
     def test_fingerprint_is_json_plain(self, machine):
         import json

@@ -55,7 +55,8 @@ class TestCollectFiltered:
                 0, 0.01, k
             )
 
-        batch = collect_filtered(bimodal, count=30, max_rounds=5)
+        batch = collect_filtered(bimodal, count=30)
+        assert batch.reruns == 0
         assert batch.std > 10.0
 
     def test_persistent_replacement_spike_raises(self):
@@ -73,4 +74,4 @@ class TestCollectFiltered:
 
         draw_calls: list[int] = []
         with pytest.raises(RuntimeError, match="did not converge"):
-            collect_filtered(draw, count=30, max_rounds=4)
+            collect_filtered(draw, count=30)

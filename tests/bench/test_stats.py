@@ -82,7 +82,7 @@ class TestResampleOutliers:
     def test_nonconvergence_raises(self):
         samples = np.concatenate([np.full(29, 1.0) + np.linspace(0, 0.01, 29), [50.0]])
         with pytest.raises(RuntimeError, match="did not converge"):
-            resample_outliers(samples, lambda k: np.full(k, 99.0), max_rounds=3)
+            resample_outliers(samples, lambda k: np.full(k, 99.0))
 
 
 class TestLinearRegression:

@@ -174,8 +174,9 @@ class TestCleanBitIdentity:
         assert_matches_oracle(runtime, bat)
         # Clean replications are identical, and each equals the default
         # single run.
-        one = bsp_run(machine, p, program, label="clean",
-                      placement_policy=policy)
+        one = BSPRuntime(
+            machine, p, label="clean", placement_policy=policy
+        ).run(program)
         assert bat.return_values == one.return_values
         assert bat.superstep_count == one.superstep_count
         for rec_1, rec_b in zip(one.supersteps, bat.supersteps):

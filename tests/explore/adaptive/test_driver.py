@@ -1,5 +1,4 @@
-"""AdaptiveCampaign: budgeting, store sharing, executor equivalence, and
-the suite integration."""
+"""AdaptiveCampaign: budgeting, store sharing and executor equivalence."""
 
 import pytest
 
@@ -7,9 +6,6 @@ from repro.explore.adaptive import AdaptiveOutcome, AdaptivePlan, run_adaptive
 from repro.explore.campaign import CampaignPointError, run_campaign
 from repro.explore.experiments import register_experiment
 from repro.explore.results import ResultRecord, ResultSet
-from repro.explore.suites import SuiteSpec, run_suite
-
-from tests.explore.adaptive.conftest import bowl_space
 
 
 def _plan(**overrides):
@@ -171,25 +167,3 @@ def test_outcome_best_requires_single_objective(small_space):
         assert not any(
             b[0] <= a[0] and b[1] <= a[1] and b != a for b in vectors
         )
-
-
-def test_suite_with_a_sampling_plan_runs_adaptively(tmp_path):
-    spec = SuiteSpec(
-        name="adaptive-suite-test",
-        title="sampled bowl screening",
-        experiment="test-bowl",
-        space=bowl_space(na=10, nb=10, modes=3),
-        columns=("a", "b", "mode", "cost"),
-        sampling=_plan(budget=36, batch=12),
-    )
-    result = run_suite(spec, store_dir=tmp_path)
-    assert result.stats.total == 36  # sampled, not the 300-point space
-    artifact = result.artifact()
-    assert artifact["points"] == 36
-    # Seeded plan: regeneration produces the identical artifact.
-    again = run_suite(spec, store_dir=None)
-    assert again.artifact() == artifact
-    # sampling=False forces the exhaustive expansion over the same store.
-    full = run_suite(spec, store_dir=tmp_path, sampling=False)
-    assert full.stats.total == len(spec.space)
-    assert full.stats.cached == 36

@@ -98,7 +98,9 @@ def test_executor_equivalence_on_representative_suite():
     bit-identical artifact under all three executors."""
     spec = get_suite("fig-4-2")
     artifacts = [
-        run_suite(spec, store_dir=None, executor=name, workers=2).artifact()
+        run_suite(
+            spec, store_dir=None, executor=make_executor(name, workers=2)
+        ).artifact()
         for name in ("serial", "process", "chunked")
     ]
     assert artifacts[0] == artifacts[1] == artifacts[2]

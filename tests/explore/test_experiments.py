@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.barriers import dissemination_barrier, evaluate_barrier, profile_placement
+from repro.barriers import dissemination_barrier, evaluate_barrier
 from repro.cluster.presets import make_preset_machine
 from repro.explore.experiments import run_point
 
@@ -33,21 +33,6 @@ def test_barrier_cost_rejects_unknown_pattern():
         run_point("barrier-cost", {
             "preset": "xeon-8x2x4", "pattern": "quantum", "nprocs": 8,
         })
-
-
-def test_evaluate_barrier_reuses_supplied_profile():
-    machine = make_preset_machine("xeon-8x2x4")
-    placement = machine.placement(8)
-    params = profile_placement(machine, placement, comm_samples=3)
-    with_profile = evaluate_barrier(
-        machine, dissemination_barrier(8), placement=placement,
-        params=params, runs=3,
-    )
-    fresh = evaluate_barrier(
-        machine, dissemination_barrier(8), runs=3, comm_samples=3
-    )
-    assert with_profile.predicted == pytest.approx(fresh.predicted)
-    assert with_profile.measured == pytest.approx(fresh.measured)
 
 
 def test_barrier_adapt_adapter_reports_speedup():

@@ -129,14 +129,14 @@ def test_to_csv_default_columns(rs, tmp_path):
     assert rows[5][columns.index("error")] == "boom"
 
 
-def test_to_csv_explicit_columns_and_file_objects(rs):
+def test_to_csv_writes_file_objects(rs):
     import io
 
     buffer = io.StringIO()
-    rs.to_csv(buffer, columns=["preset", "cost"])
+    rs.to_csv(buffer)
     lines = buffer.getvalue().splitlines()
-    assert lines[0] == "preset,cost"
-    assert lines[1] == "x,3.0"
+    assert lines[0] == "preset,p,cost,msgs,error"
+    assert lines[1] == "x,8,3.0,14,"
 
 
 def test_to_csv_serialises_compound_cells(tmp_path):

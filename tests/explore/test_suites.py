@@ -94,15 +94,6 @@ def test_claims_pass_and_fail():
     assert issubclass(ClaimFailure, AssertionError)
 
 
-def test_run_suite_check_claims_flag():
-    def never(result):
-        raise AssertionError()
-
-    bad = Claim("never", never)
-    with pytest.raises(ClaimFailure):
-        run_suite(_toy_spec(claims=(bad,)), store_dir=None, check_claims=True)
-
-
 def test_rerun_is_pure_cache_read(tmp_path):
     spec = _toy_spec()
     first = run_suite(spec, store_dir=tmp_path)

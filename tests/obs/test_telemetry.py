@@ -204,7 +204,8 @@ class TestMetrics:
 
 class TestSink:
     def test_flush_appends_jsonl_and_read_events_merges(self, tmp_path):
-        t = Telemetry(sink_dir=tmp_path)
+        t = Telemetry()
+        t.attach_sink(tmp_path)
         with t.span("a"):
             pass
         t.count("n", 1)

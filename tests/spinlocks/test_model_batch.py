@@ -166,15 +166,14 @@ class TestRunsAxis:
 
 def test_reference_threads_critical_section(quiet):
     """reference_spinlock stores the caller's critical_section, so its
-    run_seconds view agrees with its sequentially-accumulated total."""
+    run_seconds view agrees with its sequentially-accumulated total; at
+    the default it agrees with the model's."""
     placement = quiet.placement(4, policy="block")
     ref = reference_spinlock(
         quiet, "mcs", placement, acquisitions_per_thread=4,
         critical_section=1e-6,
     )
     assert ref.run_seconds[0] == pytest.approx(ref.total_seconds, rel=1e-12)
-    new = simulate_spinlock(
-        quiet, "mcs", placement, acquisitions_per_thread=4,
-        critical_section=1e-6,
-    )
+    ref = reference_spinlock(quiet, "mcs", placement, acquisitions_per_thread=4)
+    new = simulate_spinlock(quiet, "mcs", placement, acquisitions_per_thread=4)
     assert new.total_seconds == pytest.approx(ref.total_seconds, rel=1e-12)

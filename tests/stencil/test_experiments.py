@@ -24,11 +24,8 @@ class TestConfigurations:
         assert len(configs) == 8  # 4 implementations x 2 problem sizes
         labels = [cfg.label for cfg in configs]
         assert len(set(labels)) == len(labels)
-
-    def test_max_procs_respected(self):
-        configs = default_configurations(max_procs=16)
         for cfg in configs:
-            assert max(cfg.process_counts) <= 16
+            assert cfg.process_counts == (4, 8, 16, 32, 64)
 
     def test_describe_row(self):
         cfg = default_configurations()[0]

@@ -17,7 +17,19 @@ deliberately kept APIs, each listed in ``KEPT`` with its reason.  An
 entry goes stale, and fails the test, when its name no longer exists or
 when something now reaches it.
 
-A second test pins the import graph: importing any ``repro`` package
+A second test holds parameters to the same rule: every defaulted
+parameter of a public function or method (``__init__`` is called by its
+class's name) must be set by some call in those directories, by
+keyword, by position, through ``*``/``**`` unpacking or through
+``functools.partial``; calls are matched by name.  A default that
+nothing sets is a constant, not an option.  Test oracles and
+``KEPT_MODULES`` are skipped, and the few options kept without a caller
+(BSPlib primitives, paper equations, CLI ``argv``, registry-built
+classes, the ``durable`` fsync switch) are listed in ``KEPT_OPTIONS``
+with their reason.  An entry goes stale, and fails the test, when its
+parameter is gone or something now sets it.
+
+A third test pins the import graph: importing any ``repro`` package
 loads no ``*.reference`` module, so a test oracle never runs in
 production.
 """
@@ -70,6 +82,73 @@ KEPT = {
         "the teardown half of activate: the only public way to drop a "
         "process-wide fault plan",
 }
+
+_TABLE_6_1 = "optional argument of a BSPlib Table 6.1 primitive"
+_EQUATION = "paper equation kept in KEPT; its parameters are the equation's"
+_CLI = "command-line entry point: argv is None when run as a program"
+_REGISTRY = ("constructed by name through a registry variable, so calls "
+             "pass it as cls(...)")
+_DURABLE = "fsync safety switch, kept off by default and never a target"
+
+#: Defaulted parameters kept although no call in the caller directories
+#: sets them, keyed by (module, function or Class.method, parameters).
+KEPT_OPTIONS = {
+    ("bsplib/api.py", "BSPContext.init", ("program",)): _TABLE_6_1,
+    ("bsplib/api.py", "BSPContext.begin", ("maxprocs",)): _TABLE_6_1,
+    ("bsplib/api.py", "BSPContext.abort", ("message",)): _TABLE_6_1,
+    ("bsplib/api.py", "BSPContext.hpput", ("offset",)): _TABLE_6_1,
+    ("bsplib/api.py", "BSPContext.get", ("nelems", "dst_offset")): _TABLE_6_1,
+    ("bsplib/api.py", "BSPContext.hpget", ("nelems", "dst_offset")):
+        _TABLE_6_1,
+    ("bsplib/api.py", "BSPContext.move", ("max_bytes",)): _TABLE_6_1,
+    ("barriers/cost_model.py", "critical_path_recursive", ("payload_bytes",)):
+        _EQUATION,
+    ("core/matrix_model.py", "SuperstepModel.predict_total",
+     ("comm_maskable_fraction",)): _EQUATION,
+    ("machine/compute.py", "steady_rate_flops", ("rate_scale",)): _EQUATION,
+    ("machine/compute.py", "piecewise_linear_segments", ("rate_scale",)):
+        _EQUATION,
+    ("analysis/core.py", "lint_source", ("path", "module", "rules")):
+        "detlint library API documented in docs/analysis.md",
+    ("analysis/cli.py", "main", ("argv",)): _CLI,
+    ("explore/cli.py", "main", ("argv",)): _CLI,
+    ("explore/campaign.py", "PoolExecutor.__init__",
+     ("workers", "policy", "degrade")): _REGISTRY + " in make_executor",
+    ("explore/adaptive/samplers.py", "Sampler.__init__",
+     ("objective", "objectives", "maximize", "seed")):
+        "the samplers' shared constructor, reached through super().__init__",
+    ("explore/adaptive/samplers.py", "RandomSampler.__init__", ("seed",)):
+        _REGISTRY + " in make_sampler",
+    ("explore/adaptive/samplers.py", "StratifiedSampler.__init__", ("seed",)):
+        _REGISTRY + " in make_sampler",
+    ("explore/adaptive/samplers.py", "SurrogateSampler.__init__",
+     ("seed", "warmup", "k", "explore", "ridge")):
+        _REGISTRY + " in make_sampler",
+    ("explore/adaptive/samplers.py", "SuccessiveHalvingSampler.__init__",
+     ("seed", "eta", "fidelity")): _REGISTRY + " in make_sampler",
+    ("explore/campaign.py", "run_campaign", ("durable",)): _DURABLE,
+    ("explore/adaptive/driver.py", "run_adaptive", ("durable",)): _DURABLE,
+    ("obs/critpath.py", "engine_event_graph", ("r",)):
+        "set through _graph_builder's returned builder in extract_paths",
+    ("obs/critpath.py", "bsp_event_graph", ("r",)):
+        "set through _graph_builder's returned builder in extract_paths",
+    ("barriers/patterns.py", "linear_barrier", ("root",)):
+        "the pattern's master rank; the pattern tests move it",
+    ("barriers/patterns.py", "sequential_linear_barrier", ("root",)):
+        "the pattern's master rank; the pattern tests move it",
+    ("barriers/patterns.py", "kary_dissemination_barrier", ("radix",)):
+        "the family's radix; the tests check radix 2 against plain "
+        "dissemination and the stage count per radix",
+    ("bsplib/runtime.py", "BSPRuntime.__init__", ("placement_policy",)):
+        "the oracle tests run block placements, where processes share "
+        "nodes and the transmit-NIC FIFOs contend",
+    ("bench/bspbench.py", "measure_h_relations", ("h_values",)):
+        "the h-relation sha256 pins and the g/l test sample a short h range",
+    ("stencil/optimizer.py", "optimize_halo_depth", ("runs",)):
+        "measure_halo_iteration's replication axis, which the batched-halo "
+        "tests drive through the optimizer",
+}
+
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -202,3 +281,104 @@ def test_importing_every_package_loads_no_oracle():
         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     ).stdout.split()
     assert out == [], f"importing repro packages loads test oracles: {out}"
+
+
+def _callee(call: ast.Call) -> tuple[str | None, list, list]:
+    """The name ``call`` invokes, with its positional and keyword
+    arguments; ``functools.partial(f, ...)`` invokes ``f``."""
+    func = call.func
+    name = (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+    if name == "partial" and call.args:
+        return _callee(ast.Call(call.args[0], call.args[1:], call.keywords))
+    return name, call.args, call.keywords
+
+
+def _set_options(trees) -> dict[str, tuple[int, set[str]]]:
+    """Per callee name, how many leading positional parameters some call
+    sets (``*args`` sets them all) and which keywords it sets (``"**"``
+    for a ``**kwargs`` unpacking)."""
+    out: dict[str, tuple[int, set[str]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args, keywords = _callee(node)
+            if name is None:
+                continue
+            npos, kws = out.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            npos = max(npos, sys.maxsize if starred else len(args))
+            kws |= {k.arg or "**" for k in keywords}
+            out[name] = (npos, kws)
+    return out
+
+
+def _options(tree: ast.Module):
+    """``(qualname, callee name, parameter, positional index or None)``
+    for every defaulted parameter of a public function or method; a
+    method's index skips ``self``, and ``__init__`` is called by its
+    class's name."""
+    defs = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append((stmt.name, stmt.name, stmt, 0))
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for fn in stmt.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(_uses(d) == {"staticmethod"}
+                             for d in fn.decorator_list)
+                callee = stmt.name if fn.name == "__init__" else fn.name
+                defs.append((f"{stmt.name}.{fn.name}", callee, fn,
+                             0 if static else 1))
+    for qualname, callee, fn, skip in defs:
+        if callee.startswith("_"):
+            continue
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args]
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield qualname, callee, arg.arg, i - skip
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield qualname, callee, arg.arg, None
+
+
+def unset_options() -> set[tuple[str, str, str]]:
+    """``(module, qualname, parameter)`` for every defaulted parameter of
+    a public function or method that no call in the caller directories
+    sets, ``KEPT_OPTIONS`` entries included."""
+    trees = _trees()
+    calls = _set_options(trees.values())
+    found = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        module = path.relative_to(SRC).as_posix()
+        if path.name == "reference.py" or module in KEPT_MODULES:
+            continue  # test oracles; kept modules
+        for qualname, callee, param, index in _options(tree):
+            npos, kws = calls.get(callee, (0, set()))
+            if param in kws or "**" in kws or (
+                    index is not None and index < npos):
+                continue
+            found.add((module, qualname, param))
+    return found
+
+
+def test_every_option_is_set_somewhere():
+    kept = {(m, q, p) for m, q, params in KEPT_OPTIONS for p in params}
+    unset = unset_options()
+    never = sorted(f"{m}: {q}({p})" for m, q, p in unset - kept)
+    assert not never, (
+        "defaulted parameters that no call in src/repro, benchmarks/ or "
+        "examples/ sets (delete them and keep the default as a constant, "
+        "or add them to KEPT_OPTIONS with a reason):\n  "
+        + "\n  ".join(never)
+    )
+    stale = sorted(f"{m}: {q}({p})" for m, q, p in kept - unset)
+    assert not stale, (
+        "KEPT_OPTIONS parameters that are gone or now set by a caller "
+        "(drop them from KEPT_OPTIONS):\n  " + "\n  ".join(stale)
+    )

@@ -52,7 +52,8 @@ def _quarantine_sidecar(tmp_path):
 
 def _event_stream(tmp_path):
     sink = tmp_path / "sink"
-    tele = Telemetry(sink)
+    tele = Telemetry()
+    tele.attach_sink(sink)
 
     def write(i):
         tele.emit_event("probe", i=i)
