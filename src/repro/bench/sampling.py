@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.stats import CONFIDENCE, resample_outliers
+from repro.bench.stats import resample_outliers
 from repro.util.validation import require_int
 
 
@@ -16,7 +16,6 @@ class FilteredSample:
 
     values: np.ndarray
     reruns: int
-    confidence: float
 
     @property
     def mean(self) -> float:
@@ -42,4 +41,4 @@ def collect_filtered(draw, count: int = 30) -> FilteredSample:
     if initial.shape != (count,):
         raise ValueError("draw(k) must return k samples")
     values, reruns = resample_outliers(initial, draw)
-    return FilteredSample(values=values, reruns=reruns, confidence=CONFIDENCE)
+    return FilteredSample(values=values, reruns=reruns)

@@ -30,8 +30,7 @@ from repro.explore.resilience import RetryPolicy
 from repro.explore.results import ResultRecord, ResultSet
 from repro.explore.space import DesignSpace
 from repro.obs import current as _telemetry
-from repro.obs import summarize_run
-from repro.obs import wallclock as _wallclock
+from repro.obs.summary import RUN_COUNTS, RUN_SPAN
 
 
 @dataclass(frozen=True)
@@ -212,17 +211,32 @@ class AdaptiveCampaign:
         """Loop propose → serve → observe until the budget is spent.
 
         With telemetry on, each round records an ``adaptive.round`` span
-        (serving nests ``campaign.serve`` inside it) and the finished run
-        persists a :class:`repro.obs.TelemetrySummary` next to the store,
-        exactly like an exhaustive :meth:`Campaign.run`.
+        (serving nests ``campaign.serve`` inside it), and the whole run
+        one ``campaign.run`` span with its final counts, rounds and
+        budget, exactly like an exhaustive :meth:`Campaign.run`.
         """
         tele = _telemetry()
-        started = _wallclock()
+        if tele is None:
+            return self._run(None)
+        try:
+            with tele.span(
+                RUN_SPAN,
+                campaign=self.name,
+                experiment=self._campaign.experiment,
+                budget=self.plan.budget,
+            ) as span:
+                outcome = self._run(tele)
+                for key in (*RUN_COUNTS, "rounds"):
+                    span.set(key, getattr(outcome.stats, key))
+        finally:
+            tele.flush()  # error-stamped spans reach the sink too
+        return outcome
+
+    def _run(self, tele) -> AdaptiveOutcome:
         plan = self.plan
         sampler = plan.build_sampler(self.space)
         records: list[ResultRecord] = []
         evaluated = cached = failed = quarantined = rounds = 0
-        failures: list[dict] = []
         while len(records) < plan.budget:
             batch = min(plan.batch, plan.budget - len(records))
             proposals = sampler.propose(batch)
@@ -250,28 +264,7 @@ class AdaptiveCampaign:
             cached += stats.cached
             failed += stats.failed
             quarantined += stats.quarantined
-            failures.extend(self._campaign._last_failures)
             rounds += 1
-        if tele is not None and self._campaign.store_dir is not None:
-            tele.flush()
-            summarize_run(
-                self._campaign.store_dir,
-                campaign=self.name,
-                experiment=self._campaign.experiment,
-                stats={
-                    "total": len(records),
-                    "evaluated": evaluated,
-                    "cached": cached,
-                    "failed": failed,
-                    "quarantined": quarantined,
-                    "rounds": rounds,
-                    "budget": plan.budget,
-                },
-                wall_seconds=_wallclock() - started,
-                keys=[record.key for record in records],
-                started=started,
-                failures=failures,
-            )
         return AdaptiveOutcome(
             name=self.name,
             plan=plan,

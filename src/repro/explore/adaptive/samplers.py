@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -145,6 +145,9 @@ class Sampler:
     def _sign(self, objective: str) -> float:
         return -1.0 if objective in self._maximize else 1.0
 
+    def _is_proposed(self, idx: int) -> bool:
+        return self.candidates[idx].key in self._proposed
+
     def _unproposed(self) -> list[int]:
         return [
             i for i, p in enumerate(self.candidates)
@@ -178,24 +181,46 @@ class RandomSampler(Sampler):
 
 
 class _MaximinState:
-    """Greedy farthest-point bookkeeping over encoded candidates: tracks
-    every candidate's distance to the nearest already-selected point."""
+    """Greedy farthest-point selection over encoded candidates.
 
-    def __init__(self, encoded: np.ndarray):
+    The first pick is the seeded candidate ``first``; every later pick is
+    the candidate farthest (in encoded Euclidean distance) from everything
+    already selected.  ``min_dist`` holds each candidate's distance to the
+    nearest selected point, ``-inf`` once it can no longer be picked.
+    """
+
+    def __init__(self, encoded: np.ndarray, first: int):
         self.encoded = encoded
         self.min_dist = np.full(len(encoded), np.inf)
+        self._first: int | None = first
 
     def select(self, idx: int) -> None:
+        """Mark candidate ``idx`` selected (picked or observed elsewhere);
+        once anything is selected the seeded first pick no longer applies."""
         d = np.sqrt(((self.encoded - self.encoded[idx]) ** 2).sum(axis=1))
         self.min_dist = np.minimum(self.min_dist, d)
-
-    def exclude(self, idx: int) -> None:
         self.min_dist[idx] = -np.inf
+        self._first = None
 
-    def farthest(self) -> int:
-        # argmax returns the first maximum: deterministic tie-breaking on
-        # candidate (= expansion) order.
-        return int(np.argmax(self.min_dist))
+    def pick(self, batch: int, taken: Callable[[int], bool]) -> list[int]:
+        """Up to ``batch`` picks, selecting each; candidates for which
+        ``taken`` holds are skipped for good."""
+        picks: list[int] = []
+        while len(picks) < batch:
+            if self._first is not None:
+                idx, self._first = self._first, None
+            else:
+                # argmax returns the first maximum: deterministic
+                # tie-breaking on candidate (= expansion) order.
+                idx = int(np.argmax(self.min_dist))
+                if self.min_dist[idx] == -np.inf:
+                    break  # every candidate selected or skipped
+            if taken(idx):
+                self.min_dist[idx] = -np.inf
+                continue
+            self.select(idx)
+            picks.append(idx)
+        return picks
 
 
 class StratifiedSampler(Sampler):
@@ -214,37 +239,21 @@ class StratifiedSampler(Sampler):
     def __init__(self, space, seed: int = 0, **kwargs):
         super().__init__(space, seed, **kwargs)
         self._encoder = SpaceEncoder(self.candidates)
-        self._state = _MaximinState(self._encoder.encode_many(self.candidates))
-        self._first = self.rng.randrange(len(self.candidates))
-        self._started = False
+        self._state = _MaximinState(
+            self._encoder.encode_many(self.candidates),
+            self.rng.randrange(len(self.candidates)),
+        )
 
     def _note(self, observation: Observation) -> None:
         idx = self._index.get(observation.point.key)
         if idx is not None:
             self._state.select(idx)
-            self._state.exclude(idx)
-            self._started = True
 
     def _pick(self, batch: int) -> list[DesignPoint]:
-        picks: list[DesignPoint] = []
-        while len(picks) < batch:
-            if not self._started:
-                idx = self._first
-                if self.candidates[idx].key in self._proposed:
-                    self._started = True
-                    continue
-                self._started = True
-            else:
-                idx = self._state.farthest()
-                if self._state.min_dist[idx] == -np.inf:
-                    break  # every candidate excluded
-            if self.candidates[idx].key in self._proposed:
-                self._state.exclude(idx)
-                continue
-            self._state.select(idx)
-            self._state.exclude(idx)
-            picks.append(self.candidates[idx])
-        return picks
+        return [
+            self.candidates[idx]
+            for idx in self._state.pick(batch, self._is_proposed)
+        ]
 
 
 class SuccessiveHalvingSampler(Sampler):
@@ -440,9 +449,9 @@ class SurrogateSampler(Sampler):
         if warmup is None:
             warmup = max(2 * self._encoder.dimensions + 2, 4)
         self.warmup = int(warmup)
-        self._filler = _MaximinState(self._encoded.copy())
-        self._filler_first = self.rng.randrange(len(self.candidates))
-        self._filler_started = False
+        self._filler = _MaximinState(
+            self._encoded.copy(), self.rng.randrange(len(self.candidates))
+        )
         self._neighbours = NearestNeighbours(self._encoded, k)
         self._linear = LinearSurrogate(ridge)
         # Usable observations only ever append (observations are never
@@ -460,8 +469,6 @@ class SurrogateSampler(Sampler):
         idx = self._index.get(observation.point.key)
         if idx is not None:
             self._filler.select(idx)
-            self._filler.exclude(idx)
-            self._filler_started = True
 
     def _absorb(self) -> list[tuple[int, tuple[float, ...]]]:
         """Observations that are in-space and carry every objective, as
@@ -483,34 +490,13 @@ class SurrogateSampler(Sampler):
 
     # ------------------------------------------------------------ proposing
 
-    def _fill_pick(self) -> int | None:
-        """One space-filling pick (warmup path)."""
-        if not self._filler_started:
-            self._filler_started = True
-            idx = self._filler_first
-            if self.candidates[idx].key not in self._proposed:
-                return idx
-        while True:
-            idx = self._filler.farthest()
-            if self._filler.min_dist[idx] == -np.inf:
-                return None
-            if self.candidates[idx].key in self._proposed:
-                self._filler.exclude(idx)
-                continue
-            return idx
-
     def _pick(self, batch: int) -> list[DesignPoint]:
-        picks: list[int] = []
         usable = self._absorb()
         if len(usable) < self.warmup:
-            while len(picks) < batch:
-                idx = self._fill_pick()
-                if idx is None:
-                    break
-                self._filler.select(idx)
-                self._filler.exclude(idx)
-                picks.append(idx)
-            return [self.candidates[i] for i in picks]
+            return [
+                self.candidates[idx]
+                for idx in self._filler.pick(batch, self._is_proposed)
+            ]
 
         unproposed = self._unproposed()
         if not unproposed:
@@ -600,7 +586,6 @@ class SurrogateSampler(Sampler):
 
         for idx in chosen:
             self._filler.select(idx)
-            self._filler.exclude(idx)
         return [self.candidates[i] for i in chosen]
 
 

@@ -42,9 +42,9 @@ from repro.explore.resilience import (
 from repro.explore.results import ResultRecord, ResultSet
 from repro.explore.space import DesignPoint, DesignSpace, jsonable
 from repro.obs import current as _telemetry
-from repro.obs import summarize_run, telemetry_dir_for
+from repro.obs import telemetry_dir_for
 from repro.obs import wallclock as _wallclock
-from repro.obs.summary import POINT_SPAN
+from repro.obs.summary import POINT_SPAN, RUN_COUNTS, RUN_SPAN
 
 
 def _jsonify_metrics(value: Any) -> dict:
@@ -337,7 +337,6 @@ class Campaign:
         self.executor = make_executor(executor, workers, policy, degrade)
         self.on_error = on_error
         self._cache: ResultCache | None = None
-        self._last_failures: list[dict] = []
         if self.store_dir is not None:
             self._cache = ResultCache(
                 self.results_path(self.store_dir, name), durable=durable
@@ -447,7 +446,6 @@ class Campaign:
         fresh: dict[int, dict] = {}
         failed = 0
         quarantined = 0
-        self._last_failures = []
         # strict: a custom executor returning a short/long mapping is a
         # bug that must surface, not silently drop points.
         for (idx, point), (ok, metrics) in zip(pending, outputs, strict=True):
@@ -456,14 +454,6 @@ class Campaign:
                 if metrics.get("quarantined"):
                     quarantined += 1
                     self._persist_quarantine(keys[idx], point, metrics)
-                self._last_failures.append({
-                    "key": keys[idx],
-                    "error": metrics.get("error", "unknown error"),
-                    "error_type": metrics.get("error_type"),
-                    "attempts": metrics.get("attempts", 1),
-                    "reason": metrics.get("reason", "exception"),
-                    "quarantined": bool(metrics.get("quarantined")),
-                })
                 if self.on_error == "raise":
                     # Chain the worker-side failure so the original error
                     # and its remote traceback survive the pool boundary.
@@ -474,7 +464,7 @@ class Campaign:
             # Failures are never cached, so a fixed experiment re-runs them.
             if ok and self._cache is not None:
                 # Self-describing store entries: point and experiment ride
-                # along so `repro.explore ls/show` can render a store
+                # along so `repro.explore ls/results` can render a store
                 # without the spec that produced it.
                 self._cache.put(keys[idx], {
                     "experiment": self.experiment,
@@ -531,38 +521,28 @@ class Campaign:
     def run(self) -> CampaignOutcome:
         """Evaluate all uncached points and return the full result set.
 
-        With telemetry on and a store attached, a
-        :class:`repro.obs.TelemetrySummary` is persisted under the
-        store's ``.telemetry`` directory — embedding the prior run's
-        digest so re-runs can report what changed.
+        With telemetry on, the run records one ``campaign.run`` span
+        carrying its final counts; ``stats`` and ``results`` report runs
+        from these spans.
         """
         tele = _telemetry()
-        started = _wallclock()
-        records, stats = self.serve(self.space.expand())
-        outcome = CampaignOutcome(
+        if tele is None:
+            records, stats = self.serve(self.space.expand())
+        else:
+            try:
+                with tele.span(
+                    RUN_SPAN, campaign=self.name, experiment=self.experiment
+                ) as span:
+                    records, stats = self.serve(self.space.expand())
+                    for key in RUN_COUNTS:
+                        span.set(key, getattr(stats, key))
+            finally:
+                tele.flush()  # an error-stamped span reaches the sink too
+        return CampaignOutcome(
             name=self.name,
             results=ResultSet(tuple(records)),
             stats=stats,
         )
-        if tele is not None and self.store_dir is not None:
-            tele.flush()
-            summarize_run(
-                self.store_dir,
-                campaign=self.name,
-                experiment=self.experiment,
-                stats={
-                    "total": stats.total,
-                    "evaluated": stats.evaluated,
-                    "cached": stats.cached,
-                    "failed": stats.failed,
-                    "quarantined": stats.quarantined,
-                },
-                wall_seconds=_wallclock() - started,
-                keys=[record.key for record in records],
-                started=started,
-                failures=self._last_failures,
-            )
-        return outcome
 
 
 class PointFailure(RuntimeError):

@@ -13,9 +13,10 @@ Subcommands:
 * ``drift NAME``     — localise a failed golden to the smallest
   offending axis region by bisection probing,
 * ``ls``             — list the campaigns in a store directory,
-* ``show NAME``      — print a campaign's stored results as a table,
 * ``results STORE``  — summarise a campaign store (counts, metric
-  ranges) and optionally export it as CSV,
+  ranges, the last telemetry-enabled run and what changed since the one
+  before), print its records as a table (``--table --sort M --limit
+  N``), and optionally export them as CSV,
 * ``trace [STORE_DIR]`` — export a store's recorded telemetry as a
   Chrome ``trace_event`` file (``--chrome out.json``, loadable in
   Perfetto) or a merged metrics snapshot (``--metrics out.json``);
@@ -23,9 +24,9 @@ Subcommands:
   flow-arrow lane to the Chrome export,
 * ``explain [STORE_DIR]`` — render the critical-path/attribution
   reports recorded in a store's telemetry sink,
-* ``stats [STORE_DIR]`` — report persisted run summaries, profile-cache
-  hit rates, and (``--telemetry``) top-k slowest points and per-worker
-  utilization from the recorded spans,
+* ``stats [STORE_DIR]`` — report each campaign's last recorded run,
+  profile-cache hit rates, and (``--telemetry``) top-k slowest points
+  and per-worker utilization from the recorded spans,
 * ``presets``        — list the registered cluster presets,
 * ``experiments``    — list the registered experiments.
 
@@ -370,15 +371,6 @@ def _cmd_ls(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_show(args: argparse.Namespace) -> int:
-    path = Campaign.results_path(args.store_dir, args.name)
-    if not os.path.exists(path):
-        raise SystemExit(f"no stored campaign {args.name!r} under "
-                         f"{args.store_dir!r} (expected {path})")
-    _print_results(_load_store(path), sort=args.sort, limit=args.limit)
-    return 0
-
-
 def _load_store(path: str) -> ResultSet:
     """A store's live records as a ResultSet, rebuilt from its cache
     entries through ResultCache (which skips unreadable lines)."""
@@ -486,33 +478,34 @@ def _print_quarantine(store_path: str) -> int:
 def _print_last_run(store_path: str) -> None:
     """Report the last telemetry-enabled run against one store file:
     served-from-cache vs computed split, and what changed vs the run
-    before.  Silent when no summary was ever persisted."""
+    before.  Silent when the store's sink records no run of it."""
     from repro import obs
+    from repro.obs.summary import RUN_COUNTS
 
     store_dir = os.path.dirname(store_path) or "."
     name = os.path.basename(store_path)
     if name.endswith(".jsonl"):
         name = name[: -len(".jsonl")]
-    summary = obs.load_summary(store_dir, name)
-    if summary is None:
+    events = obs.read_events(obs.telemetry_dir_for(store_dir))
+    runs = obs.campaign_runs(events)
+    if name not in runs:
         return
-    st = summary.stats
-    total = int(st.get("total", 0))
-    cached = int(st.get("cached", 0))
-    rate = cached / total if total else 0.0
-    quarantined = int(st.get("quarantined", 0))
-    qpart = f" ({quarantined} quarantined)" if quarantined else ""
+    *earlier, last = runs[name]
+    st = last["attrs"]
+    rate = st["cached"] / st["total"] if st["total"] else 0.0
+    qpart = f" ({st['quarantined']} quarantined)" if st["quarantined"] else ""
     print(
-        f"last run: {int(st.get('evaluated', 0))} computed, "
-        f"{cached} served from cache (hit rate {rate:.0%}), "
-        f"{int(st.get('failed', 0))} failed{qpart} "
-        f"in {summary.wall_seconds:.2f}s"
+        f"last run: {st['evaluated']} computed, "
+        f"{st['cached']} served from cache (hit rate {rate:.0%}), "
+        f"{st['failed']} failed{qpart} in {last['dur']:.2f}s"
     )
-    changes = summary.changes_since_previous()
-    if changes is not None:
-        parts = [f"{key} {value:+d}" for key, value in changes.items()
-                 if key != "wall_seconds" and value]
-        parts.append(f"wall {changes['wall_seconds']:+.2f}s")
+    if earlier:
+        before = earlier[-1]["attrs"]
+        parts = [
+            f"{key} {st[key] - before[key]:+d}"
+            for key in RUN_COUNTS if st[key] != before[key]
+        ]
+        parts.append(f"wall {last['dur'] - earlier[-1]['dur']:+.2f}s")
         print(f"vs previous run: {', '.join(parts)}")
 
 
@@ -610,21 +603,22 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     store = _telemetry_store(args)
     sink = obs.telemetry_dir_for(store)
     events = obs.read_events(sink)
-    summaries = obs.list_summaries(store)
-    if summaries:
+    runs = obs.campaign_runs(events)
+    if runs:
         rows = []
-        for s in summaries:
-            st = s.stats
+        for name, (*_, last) in sorted(runs.items()):
+            st = last["attrs"]
             rows.append([
-                s.campaign,
+                name,
                 _time.strftime(
-                    "%Y-%m-%d %H:%M:%S", _time.localtime(s.unix_time)
+                    "%Y-%m-%d %H:%M:%S",
+                    _time.localtime(last["ts"] + last["dur"]),
                 ),
-                f"{s.wall_seconds:.2f}",
-                int(st.get("total", 0)),
-                int(st.get("evaluated", 0)),
-                int(st.get("cached", 0)),
-                int(st.get("failed", 0)),
+                f"{last['dur']:.2f}",
+                st["total"],
+                st["evaluated"],
+                st["cached"],
+                st["failed"],
             ])
         print(format_table(
             ["campaign", "last run", "wall [s]", "points", "computed",
@@ -898,12 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_store(p_ls)
     p_ls.set_defaults(fn=_cmd_ls)
 
-    p_show = sub.add_parser("show", help="print a stored campaign")
-    p_show.add_argument("name")
-    add_store(p_show)
-    add_display(p_show)
-    p_show.set_defaults(fn=_cmd_show)
-
     p_results = sub.add_parser(
         "results",
         help="summarise a campaign store and optionally export CSV",
@@ -970,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser(
         "stats",
-        help="report run summaries, cache rates, and span-derived stats",
+        help="report recorded runs, cache rates, and span-derived stats",
     )
     p_stats.add_argument(
         "store", nargs="?", default=None,

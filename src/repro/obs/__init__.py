@@ -60,19 +60,14 @@ from repro.obs.provenance import (
 from repro.obs.summary import (
     DEFAULT_SECONDS_EDGES,
     TELEMETRY_DIRNAME,
-    TelemetrySummary,
+    campaign_runs,
     describe_empty_sink,
-    list_summaries,
-    load_summary,
     merged_metrics,
     read_events,
     spans,
-    summarize_run,
-    summary_path,
     telemetry_dir_for,
     top_spans,
     worker_utilization,
-    write_summary,
 )
 from repro.obs.telemetry import (
     ENV_VAR,
@@ -99,9 +94,9 @@ __all__ = [
     "StageProvenance",
     "SuperstepProvenance",
     "Telemetry",
-    "TelemetrySummary",
     "TransferPassProvenance",
     "bsp_event_graph",
+    "campaign_runs",
     "chrome_trace",
     "critpath_records",
     "current",
@@ -114,20 +109,15 @@ __all__ = [
     "event_graph",
     "explain",
     "extract_paths",
-    "list_summaries",
-    "load_summary",
     "merged_metrics",
     "read_events",
     "render_record",
     "rep_row",
     "spans",
-    "summarize_run",
-    "summary_path",
     "telemetry_dir_for",
     "top_spans",
     "validate_chrome_trace",
     "validate_path",
     "wallclock",
     "worker_utilization",
-    "write_summary",
 ]

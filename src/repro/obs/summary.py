@@ -1,27 +1,19 @@
-"""Merging telemetry sinks and the persisted per-campaign summary.
+"""Merging telemetry sinks and folding them into run reports.
 
 A telemetry sink directory holds one ``events-<pid>.jsonl`` stream per
 process that recorded anything — the campaign parent plus every executor
 worker.  This module merges those streams (sorted by filename; torn
 lines are quarantined by the :mod:`repro.util.jsonl` reader), folds the
 metric events into one deterministic snapshot, and derives the run
-reports the CLI prints: top-k slowest points, cache rates, per-worker
-utilization.
-
-:class:`TelemetrySummary` is the artifact persisted next to each
-campaign store (``<store>/.telemetry/summary-<campaign>.json``): a small
-JSON digest of one run.  Because the previous run's digest is embedded
-on rewrite, a re-run can always report *what changed* — wall seconds,
-cache hit rate, evaluated counts — without any external tooling.
+reports the CLI prints: each campaign's runs and what changed between
+them, top-k slowest points, cache rates, per-worker utilization.  The
+spans are the only record: no report is persisted beside them.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 from repro.util import jsonl
@@ -29,10 +21,14 @@ from repro.util import jsonl
 #: Telemetry artifacts live here, next to a campaign's result store.
 TELEMETRY_DIRNAME = ".telemetry"
 
-SUMMARY_FORMAT_VERSION = 1
-
 #: The span each campaign point is evaluated under.
 POINT_SPAN = "campaign.point"
+
+#: The span each ``Campaign.run`` and ``AdaptiveCampaign.run`` records.
+RUN_SPAN = "campaign.run"
+
+#: The final counts a ``campaign.run`` span carries, in report order.
+RUN_COUNTS = ("total", "evaluated", "cached", "failed", "quarantined")
 
 
 def telemetry_dir_for(store_dir: str | os.PathLike) -> str:
@@ -178,22 +174,28 @@ def spans(events: Iterable[Mapping[str, Any]], name: str) -> list[dict]:
     ]
 
 
-def top_spans(
-    events: Iterable[Mapping[str, Any]],
-    k: int = 10,
-    keys: Sequence[str] | None = None,
-) -> list[dict]:
-    """The ``k`` slowest ``campaign.point`` host spans, longest first.
+def campaign_runs(
+    events: Iterable[Mapping[str, Any]]
+) -> dict[str, list[dict]]:
+    """The finished ``campaign.run`` spans of a merged stream, grouped by
+    campaign name, each group oldest first.
 
-    ``keys`` restricts to spans whose ``attrs.key`` is in the set — how a
-    campaign filters the merged stream down to the points *it* served.
+    Streams merge by file name, not by time, so runs recorded by
+    different processes are ordered by their start ``ts``.  A run that
+    raised carries an ``error`` attr instead of final counts and is left
+    out.
     """
+    runs: dict[str, list[dict]] = {}
+    for span in sorted(spans(events, RUN_SPAN), key=lambda s: s["ts"]):
+        attrs = span.get("attrs", {})
+        if "error" not in attrs:
+            runs.setdefault(str(attrs.get("campaign")), []).append(span)
+    return runs
+
+
+def top_spans(events: Iterable[Mapping[str, Any]], k: int = 10) -> list[dict]:
+    """The ``k`` slowest ``campaign.point`` host spans, longest first."""
     matched = spans(events, POINT_SPAN)
-    if keys is not None:
-        wanted = set(keys)
-        matched = [
-            s for s in matched if s.get("attrs", {}).get("key") in wanted
-        ]
     matched.sort(key=lambda s: (-s.get("dur", 0.0), s.get("ts", 0.0)))
     return matched[:k]
 
@@ -230,187 +232,3 @@ def worker_utilization(events: Iterable[Mapping[str, Any]]) -> list[dict]:
         }
         for (pid, tid), lane in sorted(lanes.items())
     ]
-
-
-# ----------------------------------------------------------------- summary
-
-@dataclass(frozen=True)
-class TelemetrySummary:
-    """One campaign run's digest, persisted next to its store."""
-
-    campaign: str
-    experiment: str
-    unix_time: float
-    wall_seconds: float
-    stats: Mapping[str, Any]  # total/evaluated/cached/failed/quarantined
-    top_slowest: Sequence[Mapping[str, Any]] = ()
-    metrics: Mapping[str, Any] = field(default_factory=dict)
-    workers: Sequence[Mapping[str, Any]] = ()
-    failures: Sequence[Mapping[str, Any]] = ()
-    previous: Mapping[str, Any] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": SUMMARY_FORMAT_VERSION,
-            "campaign": self.campaign,
-            "experiment": self.experiment,
-            "unix_time": self.unix_time,
-            "wall_seconds": self.wall_seconds,
-            "stats": dict(self.stats),
-            "top_slowest": [dict(s) for s in self.top_slowest],
-            "metrics": dict(self.metrics),
-            "workers": [dict(w) for w in self.workers],
-            "failures": [dict(f) for f in self.failures],
-            "previous": None if self.previous is None else dict(self.previous),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TelemetrySummary":
-        return cls(
-            campaign=data["campaign"],
-            experiment=data.get("experiment", ""),
-            unix_time=data.get("unix_time", 0.0),
-            wall_seconds=data.get("wall_seconds", 0.0),
-            stats=dict(data.get("stats", {})),
-            top_slowest=tuple(data.get("top_slowest", ())),
-            metrics=dict(data.get("metrics", {})),
-            workers=tuple(data.get("workers", ())),
-            failures=tuple(data.get("failures", ())),
-            previous=data.get("previous"),
-        )
-
-    def changes_since_previous(self) -> dict | None:
-        """Deltas vs the embedded previous run, or ``None`` on a first
-        run — the "what changed" report."""
-        if not self.previous:
-            return None
-        prev = self.previous
-        deltas: dict[str, Any] = {
-            "wall_seconds": self.wall_seconds
-            - float(prev.get("wall_seconds", 0.0)),
-        }
-        for key in ("total", "evaluated", "cached", "failed", "quarantined"):
-            now = int(self.stats.get(key, 0))
-            before = int(prev.get("stats", {}).get(key, 0))
-            deltas[key] = now - before
-        return deltas
-
-
-def summary_path(store_dir: str | os.PathLike, campaign: str) -> str:
-    return os.path.join(
-        telemetry_dir_for(store_dir), f"summary-{campaign}.json"
-    )
-
-
-def load_summary(
-    store_dir: str | os.PathLike, campaign: str
-) -> TelemetrySummary | None:
-    path = summary_path(store_dir, campaign)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return TelemetrySummary.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError):
-        return None
-
-
-def list_summaries(store_dir: str | os.PathLike) -> list[TelemetrySummary]:
-    """Every persisted campaign summary under a store directory."""
-    tdir = telemetry_dir_for(store_dir)
-    if not os.path.isdir(tdir):
-        return []
-    out = []
-    for fname in sorted(os.listdir(tdir)):
-        if fname.startswith("summary-") and fname.endswith(".json"):
-            name = fname[len("summary-"):-len(".json")]
-            summary = load_summary(store_dir, name)
-            if summary is not None:
-                out.append(summary)
-    return out
-
-
-def write_summary(
-    store_dir: str | os.PathLike, summary: TelemetrySummary
-) -> str:
-    """Persist ``summary``, embedding the prior run's digest (sans its own
-    ``previous``, so the file stays one-deep rather than a full chain)."""
-    prior = load_summary(store_dir, summary.campaign)
-    if prior is not None:
-        embedded = prior.to_dict()
-        embedded.pop("previous", None)
-        embedded.pop("top_slowest", None)
-        embedded.pop("metrics", None)
-        embedded.pop("workers", None)
-        embedded.pop("failures", None)
-        summary = TelemetrySummary(
-            campaign=summary.campaign,
-            experiment=summary.experiment,
-            unix_time=summary.unix_time,
-            wall_seconds=summary.wall_seconds,
-            stats=summary.stats,
-            top_slowest=summary.top_slowest,
-            metrics=summary.metrics,
-            workers=summary.workers,
-            failures=summary.failures,
-            previous=embedded,
-        )
-    path = summary_path(store_dir, summary.campaign)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
-
-
-def summarize_run(
-    store_dir: str | os.PathLike,
-    campaign: str,
-    experiment: str,
-    stats: Mapping[str, Any],
-    wall_seconds: float,
-    keys: Sequence[str] | None = None,
-    started: float | None = None,
-    failures: Sequence[Mapping[str, Any]] = (),
-) -> TelemetrySummary:
-    """Assemble and persist one run's :class:`TelemetrySummary`.
-
-    Reads the store's merged event stream; ``started`` (epoch seconds)
-    windows the span-derived reports (top-k, worker lanes) to this run,
-    since the sink directory accumulates across runs.  The metrics
-    snapshot is the store-lifetime fold — counters in it are cumulative
-    over every telemetry-enabled run against this store.  ``failures``
-    is the campaign's structured failure digest for this run (error,
-    attempts, quarantine flag per failed point).
-    """
-    events = read_events(telemetry_dir_for(store_dir))
-    if started is not None:
-        # Small slack: worker processes anchor their own clocks.
-        cutoff = started - 0.5
-        window = [
-            e for e in events
-            if e.get("type") != "span" or float(e.get("ts", 0.0)) >= cutoff
-        ]
-    else:
-        window = events
-    summary = TelemetrySummary(
-        campaign=campaign,
-        experiment=experiment,
-        unix_time=time.time(),
-        wall_seconds=wall_seconds,
-        stats=dict(stats),
-        top_slowest=[
-            {
-                "key": s.get("attrs", {}).get("key"),
-                "point": s.get("attrs", {}).get("point"),
-                "dur_s": s.get("dur"),
-                "pid": s.get("pid"),
-            }
-            for s in top_spans(window, keys=keys)
-        ],
-        metrics=merged_metrics(events),
-        workers=worker_utilization(window),
-        failures=[dict(f) for f in failures],
-    )
-    write_summary(store_dir, summary)
-    return summary

@@ -12,7 +12,6 @@ class TestCollectFiltered:
         batch = collect_filtered(lambda k: rng.normal(1.0, 0.01, k), count=30)
         assert batch.values.shape == (30,)
         assert batch.mean == pytest.approx(1.0, abs=0.02)
-        assert batch.confidence == 0.95
 
     def test_spiky_source_cleaned(self):
         """A source with occasional large outliers converges to a clean

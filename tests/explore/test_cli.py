@@ -1,4 +1,4 @@
-"""CLI surface: spec run, ls/show round trip, registry listings."""
+"""CLI surface: spec run, ls/results round trip, registry listings."""
 
 import json
 
@@ -26,7 +26,7 @@ def spec_path(tmp_path):
     return str(path)
 
 
-def test_run_then_show_round_trip(spec_path, tmp_path, capsys):
+def test_run_then_results_round_trip(spec_path, tmp_path, capsys):
     store = str(tmp_path / "campaigns")
     assert main(["run", spec_path, "--store-dir", store]) == 0
     out = capsys.readouterr().out
@@ -42,15 +42,10 @@ def test_run_then_show_round_trip(spec_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cli-demo" in out and "2" in out
 
-    assert main(["show", "cli-demo", "--store-dir", store,
+    assert main(["results", "cli-demo", "--store-dir", store, "--table",
                  "--sort", "measured_s", "--limit", "1"]) == 0
     out = capsys.readouterr().out
     assert "measured_s" in out and "pattern" in out
-
-
-def test_show_unknown_campaign_exits(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["show", "nope", "--store-dir", str(tmp_path)])
 
 
 def test_spec_validation(tmp_path):
@@ -151,6 +146,7 @@ def test_results_summary_and_csv(spec_path, tmp_path, capsys):
 
 
 def test_results_unknown_store_exits(tmp_path):
+    """An unknown campaign name under --store-dir is a clean exit."""
     with pytest.raises(SystemExit, match="no store file"):
         main(["results", "nope", "--store-dir", str(tmp_path)])
 

@@ -15,17 +15,22 @@ from repro import obs
 from repro.barriers.patterns import dissemination_barrier
 from repro.bsplib.runtime import bsp_run
 from repro.cluster import presets
-from repro.explore.campaign import run_campaign
+from repro.explore.adaptive import run_adaptive
+from repro.explore.campaign import CampaignPointError, run_campaign
 from repro.explore.cli import main
 from repro.explore.experiments import register_experiment
 from repro.explore.space import DesignSpace
 from repro.machine.simmachine import SimMachine
 from repro.obs.provenance import EngineProvenance
+from repro.obs.summary import RUN_COUNTS, RUN_SPAN
 from repro.simmpi.engine import simulate_stages_batch
 from tests.obs.test_telemetry import assert_well_formed
 
 register_experiment("test-obs-cube", "cube the n parameter (test only)")(
     lambda point: {"cube": point["n"] ** 3}
+)
+register_experiment("test-obs-fail", "always raises (test only)")(
+    lambda point: {"never": 1 / 0}
 )
 
 #: A small real-engine campaign: exercises the comm benchmark, the
@@ -183,24 +188,126 @@ class TestRecordedCampaignTelemetry:
         json.dumps(doc)  # serialisable as-is
 
     def test_summary_persisted_with_cache_split_and_deltas(self, tmp_path):
-        self.run_with_sink(tmp_path, "serial")
-        first = obs.load_summary(tmp_path, "obs")
-        assert first.stats["evaluated"] == 4
-        assert first.stats["cached"] == 0
-        assert len(first.top_slowest) == 4
-        assert first.changes_since_previous() is None
-        self.run_with_sink(tmp_path, "serial")  # all cached now
-        second = obs.load_summary(tmp_path, "obs")
-        assert second.stats["cached"] == 4
-        deltas = second.changes_since_previous()
+        """Each run is reported from its ``campaign.run`` span: the cache
+        split, and the change against the run before."""
+        _, events = self.run_with_sink(tmp_path, "serial")
+        (first,) = obs.campaign_runs(events)["obs"]
+        assert first["attrs"]["evaluated"] == 4
+        assert first["attrs"]["cached"] == 0
+        assert len(obs.top_spans(events)) == 4
+        _, events = self.run_with_sink(tmp_path, "serial")  # all cached now
+        before, second = obs.campaign_runs(events)["obs"]
+        assert before == first
+        assert second["attrs"]["cached"] == 4
+        deltas = {
+            key: second["attrs"][key] - first["attrs"][key]
+            for key in RUN_COUNTS
+        }
         assert deltas["evaluated"] == -4
         assert deltas["cached"] == 4
+
+    def test_run_span_encloses_the_serve(self, tmp_path):
+        _, events = self.run_with_sink(tmp_path, "serial")
+        (run,) = obs.spans(events, RUN_SPAN)
+        (serve,) = obs.spans(events, "campaign.serve")
+        assert serve["parent"] == run["id"]
+        assert run["attrs"] == {
+            "campaign": "obs", "experiment": "test-obs-cube", "total": 4,
+            "evaluated": 4, "cached": 0, "failed": 0, "quarantined": 0,
+        }
+
+    def test_results_reports_last_run_and_changes(self, tmp_path, capsys):
+        self.run_with_sink(tmp_path, "serial")
+        capsys.readouterr()
+        assert main(["results", "obs", "--store-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "last run: 4 computed, 0 served from cache (hit rate 0%)" \
+            ", 0 failed in " in out
+        assert "vs previous run" not in out
+        self.run_with_sink(tmp_path, "serial")
+        assert main(["results", "obs", "--store-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "last run: 0 computed, 4 served from cache (hit rate 100%)" \
+            ", 0 failed in " in out
+        assert "vs previous run: evaluated -4, cached +4, wall " in out
+
+    def test_stats_reports_each_campaigns_last_run(self, tmp_path, capsys):
+        self.run_with_sink(tmp_path, "serial")
+        self.run_with_sink(tmp_path, "serial")
+        self.run_with_sink(tmp_path, "serial", name="other")
+        capsys.readouterr()
+        assert main(["stats", str(tmp_path)]) == 0
+        rows = {
+            fields[0]: fields[-4:]
+            for fields in map(str.split, capsys.readouterr().out.splitlines())
+            if fields[:1] in (["obs"], ["other"])
+        }
+        assert rows == {
+            "obs": ["4", "0", "4", "0"], "other": ["4", "4", "0", "0"],
+        }
+
+    def test_failed_run_is_recorded_but_not_reported(self, tmp_path):
+        """A run that raises still leaves its error-stamped span in the
+        sink; the run reports skip it."""
+        obs.enable()
+        with pytest.raises(CampaignPointError):
+            run_campaign(
+                "bad", space_of([1]), "test-obs-fail",
+                store_dir=tmp_path, executor="serial",
+            )
+        events = obs.read_events(obs.telemetry_dir_for(tmp_path))
+        (run,) = obs.spans(events, RUN_SPAN)
+        assert run["attrs"]["error"] == "CampaignPointError"
+        assert obs.campaign_runs(events) == {}
+
+    def test_sink_holds_only_event_streams(self, tmp_path):
+        self.run_with_sink(tmp_path, "process")
+        self.run_with_sink(tmp_path, "serial")
+        sink = obs.telemetry_dir_for(tmp_path)
+        names = os.listdir(sink)
+        assert names
+        assert all(
+            n.startswith("events-") and n.endswith(".jsonl") for n in names
+        )
 
     def test_worker_utilization_reports_lanes(self, tmp_path):
         _, events = self.run_with_sink(tmp_path, "serial")
         (lane,) = obs.worker_utilization(events)
         assert lane["spans"] == 4
         assert 0.0 < lane["utilization"] <= 1.0
+
+
+# ------------------------------------------------------- adaptive runs
+
+class TestAdaptiveRunTelemetry:
+    def test_adaptive_run_is_one_run_with_its_rounds(self, tmp_path, capsys):
+        obs.enable()
+        outcome = run_adaptive(
+            "ad", space_of(range(12)), "test-obs-cube",
+            {"budget": 6, "batch": 2, "strategy": "random"},
+            store_dir=tmp_path, executor="serial",
+        )
+        assert outcome.stats.rounds == 3
+        events = obs.read_events(obs.telemetry_dir_for(tmp_path))
+        (run,) = obs.campaign_runs(events)["ad"]
+        assert run["attrs"] == {
+            "campaign": "ad", "experiment": "test-obs-cube", "budget": 6,
+            "total": 6, "evaluated": 6, "cached": 0, "failed": 0,
+            "quarantined": 0, "rounds": 3,
+        }
+        rounds = obs.spans(events, "adaptive.round")
+        assert [r["parent"] for r in rounds] == [run["id"]] * 3
+        capsys.readouterr()
+        assert main(["stats", str(tmp_path)]) == 0
+        (row,) = [
+            fields
+            for fields in map(str.split, capsys.readouterr().out.splitlines())
+            if fields[:1] == ["ad"]
+        ]
+        assert row[-4:] == ["6", "6", "0", "0"]
+        assert main(["results", "ad", "--store-dir", str(tmp_path)]) == 0
+        assert "last run: 6 computed, 0 served from cache" \
+            in capsys.readouterr().out
 
 
 # --------------------------------------------------------- profile cache

@@ -1,4 +1,4 @@
-"""``repro.obs`` core: spans, metrics, sinks, Chrome export, summaries."""
+"""``repro.obs`` core: spans, metrics, sinks, Chrome export, run reports."""
 
 import json
 import os
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs.chrome import SIM_LANE_PID
+from repro.obs.summary import RUN_SPAN
 from repro.obs.telemetry import Telemetry
 
 
@@ -296,46 +297,36 @@ class TestChromeTrace:
         json.dumps(doc)  # must not raise
 
 
-# --------------------------------------------------------------- summary
+# ------------------------------------------------------------ run reports
 
-class TestSummary:
-    def _summary(self, **over):
-        base = dict(
-            campaign="c", experiment="e", unix_time=100.0, wall_seconds=2.0,
-            stats={"total": 4, "evaluated": 4, "cached": 0, "failed": 0},
-        )
-        base.update(over)
-        return obs.TelemetrySummary(**base)
+class TestCampaignRuns:
+    @staticmethod
+    def _run(ts, campaign, **attrs):
+        return {
+            "type": "span", "time": "host", "name": RUN_SPAN, "ts": ts,
+            "dur": 1.0, "pid": 1, "tid": 0, "id": 0, "parent": None,
+            "attrs": {"campaign": campaign, **attrs},
+        }
 
-    def test_round_trip(self, tmp_path):
-        obs.write_summary(tmp_path, self._summary())
-        loaded = obs.load_summary(tmp_path, "c")
-        assert loaded.stats["total"] == 4
-        assert loaded.previous is None
-        assert obs.load_summary(tmp_path, "missing") is None
+    def test_runs_grouped_by_campaign_in_start_order(self):
+        """Streams merge by file name, so a later process's run can come
+        first in the merged stream; runs order by their start time."""
+        events = [
+            self._run(20.0, "a", total=2),
+            self._run(15.0, "b", total=3),
+            self._run(10.0, "a", total=1),
+        ]
+        runs = obs.campaign_runs(events)
+        assert sorted(runs) == ["a", "b"]
+        assert [s["attrs"]["total"] for s in runs["a"]] == [1, 2]
+        assert [s["attrs"]["total"] for s in runs["b"]] == [3]
 
-    def test_rewrite_embeds_previous_one_deep(self, tmp_path):
-        obs.write_summary(tmp_path, self._summary())
-        obs.write_summary(tmp_path, self._summary(
-            unix_time=200.0, wall_seconds=0.5,
-            stats={"total": 4, "evaluated": 0, "cached": 4, "failed": 0},
-        ))
-        obs.write_summary(tmp_path, self._summary(
-            unix_time=300.0, wall_seconds=0.4,
-            stats={"total": 4, "evaluated": 0, "cached": 4, "failed": 0},
-        ))
-        loaded = obs.load_summary(tmp_path, "c")
-        assert loaded.previous["unix_time"] == 200.0
-        assert "previous" not in loaded.previous  # one-deep, not a chain
-        deltas = loaded.changes_since_previous()
-        assert deltas["cached"] == 0
-        assert deltas["wall_seconds"] == pytest.approx(-0.1)
-
-    def test_first_run_reports_no_changes(self, tmp_path):
-        obs.write_summary(tmp_path, self._summary())
-        assert obs.load_summary(tmp_path, "c").changes_since_previous() is None
-
-    def test_list_summaries(self, tmp_path):
-        obs.write_summary(tmp_path, self._summary(campaign="a"))
-        obs.write_summary(tmp_path, self._summary(campaign="b"))
-        assert [s.campaign for s in obs.list_summaries(tmp_path)] == ["a", "b"]
+    def test_runs_that_raised_are_left_out(self):
+        events = [
+            self._run(10.0, "a", total=1),
+            self._run(20.0, "a", error="CampaignPointError"),
+            self._run(30.0, "b", error="KeyboardInterrupt"),
+        ]
+        runs = obs.campaign_runs(events)
+        assert list(runs) == ["a"]
+        assert [s["ts"] for s in runs["a"]] == [10.0]
