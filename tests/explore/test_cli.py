@@ -151,6 +151,15 @@ def test_results_unknown_store_exits(tmp_path):
         main(["results", "nope", "--store-dir", str(tmp_path)])
 
 
+def test_show_unknown_campaign_exits(tmp_path, capsys):
+    """``show`` is gone (``results NAME`` replaces it); asking for it is a
+    clean usage error, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["show", "nope", "--store-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'show'" in capsys.readouterr().err
+
+
 def test_adapt_misspelled_objective_is_a_clean_error(spec_path, tmp_path):
     with pytest.raises(SystemExit, match="no successful records carry"):
         main(["adapt", spec_path, "--budget", "1",
