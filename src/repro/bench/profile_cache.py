@@ -67,6 +67,7 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Mapping
 from typing import Any
 
 import numpy as np
@@ -97,7 +98,7 @@ def _describe(value: Any) -> Any:
             f.name: _describe(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {
             str(_describe(k)): _describe(v)
             for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
@@ -135,19 +136,24 @@ def _key_prefix(machine: SimMachine, samples, sizes) -> str:
     """Everything in a key but the cores, shared by a placement's key and
     its block's.  The key names the benchmark arguments a profile is
     always benchmarked with (:mod:`repro.bench.comm_bench`'s defaults),
-    so persisted keys stay valid."""
-    return json.dumps(
-        {
-            "protocol": PROFILE_PROTOCOL,
-            "machine": machine_fingerprint(machine),
-            "samples": int(samples),
-            "sizes": [int(s) for s in sizes],
-            "request_counts": list(DEFAULT_REQUEST_COUNTS),
-            "stream": DEFAULT_STREAM,
-            "intercept_max_size": DEFAULT_INTERCEPT_MAX_SIZE,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    so persisted keys stay valid.  A machine is immutable, so the prefix
+    is encoded once per machine and arguments and served from it."""
+    samples, sizes = int(samples), tuple(int(s) for s in sizes)
+    return machine.derived(
+        (PROFILE_PROTOCOL, samples, sizes),
+        lambda: json.dumps(
+            {
+                "protocol": PROFILE_PROTOCOL,
+                "machine": machine_fingerprint(machine),
+                "samples": samples,
+                "sizes": list(sizes),
+                "request_counts": list(DEFAULT_REQUEST_COUNTS),
+                "stream": DEFAULT_STREAM,
+                "intercept_max_size": DEFAULT_INTERCEPT_MAX_SIZE,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ),
     )
 
 

@@ -17,7 +17,9 @@ prediction error, as in the thesis.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.cluster.topology import Relation
 from repro.util.validation import require_nonnegative, require_positive
@@ -91,18 +93,29 @@ class CoreParams:
 
 @dataclass(frozen=True)
 class ClusterParams:
-    """Full ground-truth parameter set for a simulated cluster."""
+    """Full ground-truth parameter set for a simulated cluster.
 
-    links: dict[Relation, LinkParams]
+    Immutable all the way down: ``links`` and ``socket_rate_scale`` are
+    stored as read-only copies of the mappings passed in, so a machine
+    shared by every campaign in a process (see
+    :func:`repro.cluster.presets.make_preset_machine`) cannot be changed
+    under them.
+    """
+
+    links: Mapping[Relation, LinkParams]
     core: CoreParams
     nic_gap: float = 2.5e-6  # NIC occupancy per remote message [s]
     recv_overhead: float = 4.0e-7  # per-message receive handling cost [s]
     invocation_overhead: float = 2.5e-7  # O_ii: cost of an empty start call [s]
     # Optional per-core flop-rate multipliers keyed by global socket index,
     # modelling mixed processor configurations (§3.3).
-    socket_rate_scale: dict[int, float] = field(default_factory=dict)
+    socket_rate_scale: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("links", "socket_rate_scale"):
+            object.__setattr__(
+                self, name, MappingProxyType(dict(getattr(self, name)))
+            )
         require_nonnegative(self.nic_gap, "nic_gap")
         require_nonnegative(self.recv_overhead, "recv_overhead")
         require_nonnegative(self.invocation_overhead, "invocation_overhead")

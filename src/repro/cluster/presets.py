@@ -15,11 +15,14 @@ magnitude windows:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.cluster.noise import NoiseModel
 from repro.cluster.params import CacheLevel, ClusterParams, CoreParams, LinkParams
 from repro.cluster.topology import Relation, Topology
+from repro.util.validation import require_int
 
 _GIG_ETH_INV_BW = 8.5e-9  # ~118 MB/s sustained payload bandwidth
 
@@ -163,9 +166,12 @@ def athlon_x2_topology() -> Topology:
 class ClusterPreset:
     """A named, calibrated platform: parameter and topology factories.
 
-    Factories (rather than instances) keep presets immutable-by-use: every
-    lookup builds fresh objects, so campaigns and tests can never corrupt
-    each other through a shared topology.
+    Every lookup builds fresh parameters and topology, but
+    :func:`make_preset_machine` shares one machine per argument set
+    across the process.  Campaigns and tests can never corrupt each other
+    through it because it is immutable all the way down: the machine
+    refuses attribute assignment, and its topology, parameters (with
+    read-only mappings) and noise model are frozen values.
     """
 
     name: str
@@ -218,13 +224,40 @@ def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
+#: Most preset machines :func:`make_preset_machine` keeps.  The
+#: end-to-end benchmark's `barrier-cost` campaigns use up to 25 (one per
+#: seed); a machine holds its placements and at most
+#: ``COMM_TRUTH_CACHE_SIZE`` comm truths.
+MACHINE_CACHE_SIZE = 32
+
+_DEFAULT_NOISE = NoiseModel()  # built once: its checks cost a lookup 7 us
+
+
 def make_preset_machine(name: str, *, nodes: int | None = None, seed: int = 2012,
                         noise=None):
-    """Build a :class:`~repro.machine.simmachine.SimMachine` from a preset
-    name — the string-referenceable entry point design-space specs use."""
+    """The :class:`~repro.machine.simmachine.SimMachine` of a preset name —
+    the string-referenceable entry point design-space specs use.
+
+    Equal arguments return one shared, immutable machine (from an LRU of
+    :data:`MACHINE_CACHE_SIZE`, keyed by the registered preset, ``nodes``,
+    ``seed`` and ``noise``, with ``None`` meaning the default
+    :class:`NoiseModel`), so the machine and what it memoises (its
+    placements, comm truths and profile-cache keys) are built once per
+    process rather than once per design point.
+    """
+    return _shared_machine(
+        get_preset(name),
+        None if nodes is None else require_int(nodes, "nodes"),
+        require_int(seed, "seed"),
+        _DEFAULT_NOISE if noise is None else noise,
+    )
+
+
+@functools.lru_cache(maxsize=MACHINE_CACHE_SIZE)
+def _shared_machine(preset: ClusterPreset, nodes: int | None, seed: int,
+                    noise: NoiseModel):
     from repro.machine.simmachine import SimMachine
 
-    preset = get_preset(name)
     topology = preset.topology() if nodes is None else preset.scaled_topology(nodes)
     return SimMachine(topology, preset.params(), noise=noise, seed=seed)
 

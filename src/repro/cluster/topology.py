@@ -114,11 +114,12 @@ class Placement:
     ``sockets[r]`` are rank ``r``'s node and global socket index, computed
     once here, so hot paths index them instead of calling :meth:`node_of`
     per rank.  All three arrays are read-only, so they cannot fall out of
-    step.
+    step, and assigning an attribute raises ``AttributeError``: a machine
+    serves one placement to every caller (:meth:`SimMachine.placement
+    <repro.machine.simmachine.SimMachine.placement>`).
     """
 
     def __init__(self, topology: Topology, cores):
-        self.topology = topology
         cores = np.array(cores, dtype=np.int64)  # a copy we may freeze
         if cores.ndim != 1 or cores.size == 0:
             raise ValueError("placement needs a non-empty 1-D core list")
@@ -126,9 +127,19 @@ class Placement:
             raise ValueError("placement maps two ranks to one core")
         if cores.min() < 0 or cores.max() >= topology.total_cores:
             raise ValueError("placement references cores outside the topology")
-        self.cores = _frozen(cores)
-        self.nodes = _frozen(topology._node_index(cores).astype(np.intp))
-        self.sockets = _frozen(topology._socket_index(cores))
+        for name, value in (
+            ("topology", topology),
+            ("cores", _frozen(cores)),
+            ("nodes", _frozen(topology._node_index(cores).astype(np.intp))),
+            ("sockets", _frozen(topology._socket_index(cores))),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Placement is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Placement is immutable: cannot delete {name!r}")
 
     @property
     def nprocs(self) -> int:

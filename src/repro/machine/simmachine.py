@@ -5,12 +5,21 @@ benchmarks sample noisy durations from it, the event engine schedules
 messages over it, and the BSPlib runtime charges virtual time against it.
 All randomness flows through :meth:`SimMachine.rng` so that every experiment
 is reproducible from one machine seed plus a stream label.
+
+A machine is an immutable value: everything derived from it alone (its
+placements, their ground-truth matrices, a profile cache's key) is built
+once and served from the machine, so campaigns that share a machine
+(:func:`repro.cluster.presets.make_preset_machine`) share that work too.
 """
 
 from __future__ import annotations
 
+import threading
 import zlib
+from collections import OrderedDict
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -64,8 +73,50 @@ class CommTruth:
         return self.placement.nprocs
 
 
+#: Most :class:`CommTruth` objects one machine keeps.  A truth is three
+#: P x P float64 matrices (0.5 MB at P = 144); the `barrier-cost`
+#: campaigns of the end-to-end benchmark use at most 8 placements per
+#: machine, and a sweep over more only pays the rebuild it paid before.
+COMM_TRUTH_CACHE_SIZE = 16
+
+
+class _Memo:
+    """A thread-safe memo, least-recently-used once ``maxsize`` is set.
+
+    ``build`` runs outside the lock; when two threads race to build one
+    key, the first result stored is the one both return."""
+
+    def __init__(self, maxsize: int | None = None):
+        self._maxsize = maxsize
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        value = build()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while self._maxsize is not None and len(self._entries) > self._maxsize:
+                self._entries.popitem(last=False)
+        return value
+
+
 class SimMachine:
-    """A simulated SMP cluster with a stable noise stream."""
+    """A simulated SMP cluster with a stable noise stream.
+
+    Immutable: assigning or deleting an attribute raises
+    ``AttributeError``, and the topology, parameters and noise model are
+    frozen values, so one machine can be shared by every campaign,
+    thread and test in a process.  :meth:`placement` and
+    :meth:`comm_truth` are memoised on the machine (the truths in an
+    LRU of :data:`COMM_TRUTH_CACHE_SIZE`), and :meth:`derived` memoises
+    any other value computed from the machine alone; served objects are
+    shared, with read-only arrays.
+    """
 
     def __init__(
         self,
@@ -74,10 +125,28 @@ class SimMachine:
         noise: NoiseModel | None = None,
         seed: int = 2012,
     ):
-        self.topology = topology
-        self.params = params
-        self.noise = noise if noise is not None else NoiseModel()
-        self.seed = require_int(seed, "seed")
+        fields = {
+            "topology": topology,
+            "params": params,
+            "noise": noise if noise is not None else NoiseModel(),
+            "seed": require_int(seed, "seed"),
+            "_derived": _Memo(),
+            "_truths": _Memo(COMM_TRUTH_CACHE_SIZE),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SimMachine is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SimMachine is immutable: cannot delete {name!r}")
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, run once per ``key`` on this machine and then
+        served.  For values that depend on the machine and ``key`` alone;
+        ``key`` must name its owner, as the memo is shared."""
+        return self._derived.get(key, build)
 
     # ------------------------------------------------------------------ rng
 
@@ -94,20 +163,33 @@ class SimMachine:
     # ------------------------------------------------------------ placement
 
     def placement(self, nprocs: int, policy: str = "round_robin") -> Placement:
+        """The ``policy`` placement of ``nprocs`` ranks, built once."""
         if policy == "round_robin":
-            return Placement.round_robin(self.topology, nprocs)
-        if policy == "block":
-            return Placement.block(self.topology, nprocs)
-        raise ValueError(f"unknown placement policy {policy!r}")
+            build = Placement.round_robin
+        elif policy == "block":
+            build = Placement.block
+        else:
+            raise ValueError(f"unknown placement policy {policy!r}")
+        nprocs = require_int(nprocs, "nprocs")
+        return self.derived(
+            ("placement", nprocs, policy), lambda: build(self.topology, nprocs)
+        )
 
     # -------------------------------------------------------- communication
 
     def comm_truth(self, placement: Placement) -> CommTruth:
-        """Build the ground-truth pairwise matrices for a placement."""
+        """The ground-truth pairwise matrices for a placement, built once
+        per set of cores: a placement equal to an earlier one (same cores
+        in the same rank order) is served that one's truth."""
         if placement.topology is not self.topology:
             # Accept structurally equal topologies (e.g. rebuilt presets).
             if placement.topology != self.topology:
                 raise ValueError("placement belongs to a different topology")
+        return self._truths.get(
+            placement.cores.tobytes(), lambda: self._build_truth(placement)
+        )
+
+    def _build_truth(self, placement: Placement) -> CommTruth:
         rel = placement.relation_matrix()
         p = placement.nprocs
         latency = np.zeros((p, p))

@@ -118,13 +118,17 @@ def run_bsp_stencil(
     def program(ctx):
         block = blocks[ctx.pid]
         h, w = block.height, block.width
-        u = np.zeros((h + 2, w + 2))
         if execute_numerics:
+            u = np.zeros((h + 2, w + 2))
             u[1 : h + 1, 1 : w + 1] = initial[
                 block.global_row0 : block.global_row0 + h,
                 block.global_col0 : block.global_col0 + w,
             ]
-        u_new = np.zeros_like(u)
+            u_new = np.zeros_like(u)
+        else:
+            # Charge-only: no grids, only the zero borders they would send.
+            u = u_new = None
+            zero_row, zero_col = np.zeros(w), np.zeros(h)
         ghost_n = np.zeros(w)
         ghost_s = np.zeros(w)
         ghost_e = np.zeros(h)
@@ -134,19 +138,22 @@ def run_bsp_stencil(
         ctx.sync()
 
         def put_borders(grid):
-            """Commit the owned border ring to the neighbours' ghosts."""
+            """Commit the owned border ring to the neighbours' ghosts (a
+            charge-only run, whose ``grid`` is ``None``, sends zeros)."""
+            if grid is None:
+                north = south = zero_row
+                east = west = zero_col
+            else:
+                north, south = grid[1, 1 : w + 1], grid[h, 1 : w + 1]
+                east, west = grid[1 : h + 1, w], grid[1 : h + 1, 1]
             if block.north is not None:
-                ctx.put(block.north, np.ascontiguousarray(grid[1, 1 : w + 1]),
-                        ghost_s)
+                ctx.put(block.north, np.ascontiguousarray(north), ghost_s)
             if block.south is not None:
-                ctx.put(block.south, np.ascontiguousarray(grid[h, 1 : w + 1]),
-                        ghost_n)
+                ctx.put(block.south, np.ascontiguousarray(south), ghost_n)
             if block.east is not None:
-                ctx.put(block.east, np.ascontiguousarray(grid[1 : h + 1, w]),
-                        ghost_w)
+                ctx.put(block.east, np.ascontiguousarray(east), ghost_w)
             if block.west is not None:
-                ctx.put(block.west, np.ascontiguousarray(grid[1 : h + 1, 1]),
-                        ghost_e)
+                ctx.put(block.west, np.ascontiguousarray(west), ghost_e)
 
         def load_ghosts(grid):
             grid[0, 1 : w + 1] = ghost_n

@@ -122,6 +122,29 @@ class TestKeys:
             12: ("e04ae047125c0df691a4ad61", "3ba1922708c8979534934e3d"),
         }
 
+    def test_fingerprint_runs_once_per_machine(self, machine, monkeypatch):
+        """The key prefix is encoded once per machine and served from it,
+        however many placements and repeats ask for it."""
+        calls = []
+
+        def counted_fingerprint(m):
+            calls.append(m)
+            return machine_fingerprint(m)
+
+        monkeypatch.setattr(pc, "machine_fingerprint", counted_fingerprint)
+        cache = ProfileCache()
+        for _ in range(3):
+            for nprocs in (8, 12, 16):
+                cache.get_or_benchmark(
+                    machine, machine.placement(nprocs), 3, FAST_COMM_SIZES
+                )
+        assert calls == [machine]
+        other = SimMachine(
+            presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=22
+        )
+        cache.get_or_benchmark(other, other.placement(8), 3, FAST_COMM_SIZES)
+        assert calls == [machine, other]
+
     def test_fingerprint_is_json_plain(self, machine):
         import json
 

@@ -70,6 +70,23 @@ class TestBSPNumerics:
         assert result.field is None
         assert result.iteration_seconds.shape == (1, 2)
 
+    def test_charge_only_mode_builds_no_grid(self, machine):
+        """A charge-only run allocates only the border vectors it sends:
+        at n = 2048 on 4 processes its traced peak stays below one
+        block's (h + 2) x (w + 2) grid."""
+        import tracemalloc
+
+        n, nprocs = 2048, 4
+        run_bsp_stencil(machine, nprocs, 64, 1, execute_numerics=False)
+        block_grid_bytes = (n // 2 + 2) ** 2 * 8
+        tracemalloc.start()
+        try:
+            run_bsp_stencil(machine, nprocs, n, 2, execute_numerics=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_grid_bytes
+
     def test_blocks_too_small_rejected(self, machine):
         with pytest.raises(ValueError, match="3x3"):
             run_bsp_stencil(machine, 16, 8, 1, label="small")
