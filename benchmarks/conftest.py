@@ -1,11 +1,10 @@
-"""Shared fixtures for the figure/table regeneration harness.
+"""Shared fixtures of the benchmark harness.
 
-Every bench module is a thin wrapper around one (or two) suite specs from
-:mod:`repro.explore.figures`: it regenerates the artifact through
-``run_campaign`` via :func:`repro.explore.suites.run_suite`, prints the
-rendered table past pytest's capture, asserts the spec's shape claims, and
-— for the goldened suites — compares the artifact against the checked-in
-fixture under ``benchmarks/goldens/``.
+``bench_suites.py`` regenerates every figure/table suite spec of
+:mod:`repro.explore.figures` through :func:`repro.explore.suites.run_suite`,
+one test per suite: it prints the rendered table past pytest's capture,
+asserts the spec's shape claims and, for the goldened suites, compares
+the artifact against the checked-in fixture under ``benchmarks/goldens/``.
 
 Sampling depth (``COMM_SIZES`` / ``COMM_SAMPLES`` / ``BARRIER_RUNS``) is
 owned by the suite specs, not by fixtures here; see
@@ -21,14 +20,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-
-from repro.explore.golden import check_golden
-from repro.explore.suites import (
-    DEFAULT_GOLDENS_DIR as GOLDENS_DIR,
-    DEFAULT_SUITE_STORE as SUITE_STORE,
-    get_suite,
-    run_suite,
-)
 
 
 _BENCH_DIR = Path(__file__).resolve().parent
@@ -56,23 +47,3 @@ def emit(capsys):
             print(text)
 
     return _emit
-
-
-@pytest.fixture
-def regenerate(emit):
-    """Regenerate one suite: run, render, assert claims, check golden."""
-
-    def _regenerate(name: str, golden: bool = False):
-        result = run_suite(
-            get_suite(name), store_dir=SUITE_STORE, executor="chunked"
-        )
-        emit("\n" + result.render())
-        result.check_claims()
-        if golden:
-            report = check_golden(
-                GOLDENS_DIR, name, result.artifact(), result.spec.tolerance
-            )
-            assert report.ok, report.summary()
-        return result
-
-    return _regenerate

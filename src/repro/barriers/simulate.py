@@ -35,10 +35,6 @@ class BarrierTiming:
         """Thesis statistic: arithmetic mean of per-run worst cases."""
         return float(self.per_run_worst.mean())
 
-    @property
-    def median_worst(self) -> float:
-        return float(np.median(self.per_run_worst))
-
 
 def measure_barrier(
     machine: SimMachine,

@@ -44,7 +44,6 @@ class CommBenchReport:
     samples: int
     sizes: tuple[int, ...]
     request_counts: tuple[int, ...]
-    invocation_overheads: np.ndarray  # per-process O_i medians
 
 
 def _ensemble_medians(
@@ -161,7 +160,6 @@ def benchmark_comm_ensemble(
             samples=samples,
             sizes=tuple(int(s) for s in sizes),
             request_counts=tuple(int(c) for c in request_counts),
-            invocation_overheads=o_self[r],
         )
         for r in range(runs)
     ]

@@ -39,11 +39,8 @@ class KernelProfile:
     n: int  # elements per application
     flops_per_application: float
     seconds_per_application: float  # regression gradient
-    startup_seconds: float  # regression intercept
     line: RegressionLine
     iteration_counts: tuple[int, ...]
-    mean_times: tuple[float, ...]
-    total_reruns: int
 
     def predict_seconds(self, applications) -> np.ndarray:
         """Predicted total time for a run of ``applications`` kernel calls."""
@@ -82,7 +79,6 @@ def benchmark_kernel(
         raise ValueError("need at least two iteration counts for regression")
     rng = machine.rng("kernel-bench", kernel.name, core, n)
     means: list[float] = []
-    reruns = 0
     for count in iteration_counts:
         def draw(k: int, _count=count) -> np.ndarray:
             return np.array(
@@ -92,18 +88,14 @@ def benchmark_kernel(
 
         batch = collect_filtered(draw, count=samples)
         means.append(batch.mean)
-        reruns += batch.reruns
     line = linear_regression(np.asarray(iteration_counts, dtype=float), means)
     return KernelProfile(
         kernel_name=kernel.name,
         n=n,
         flops_per_application=kernel.flops(n),
         seconds_per_application=line.gradient,
-        startup_seconds=line.intercept,
         line=line,
         iteration_counts=tuple(int(c) for c in iteration_counts),
-        mean_times=tuple(means),
-        total_reruns=reruns,
     )
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.explore.cache import ResultCache, record_key
-from repro.explore.experiments import run_point
+from repro.explore.experiments import EXPERIMENTS, run_point
 from repro.explore.resilience import (
     RetryPolicy,
     append_quarantine,
@@ -313,7 +313,11 @@ class CampaignOutcome:
 
 
 class Campaign:
-    """A named (design space, experiment) pair bound to a result store."""
+    """A named (design space, experiment) pair bound to a result store.
+
+    Construction checks the space's parameter names against the
+    experiment's table, so a misspelled key raises before any point runs
+    or any store file is opened."""
 
     def __init__(
         self,
@@ -330,6 +334,8 @@ class Campaign:
     ):
         if on_error not in ("raise", "store"):
             raise ValueError("on_error must be 'raise' or 'store'")
+        if experiment in EXPERIMENTS:
+            EXPERIMENTS[experiment].check(space.parameter_names())
         self.name = name
         self.space = space
         self.experiment = experiment

@@ -28,7 +28,10 @@ Subcommands:
   profile-cache hit rates, and (``--telemetry``) top-k slowest points
   and per-worker utilization from the recorded spans,
 * ``presets``        — list the registered cluster presets,
-* ``experiments``    — list the registered experiments.
+* ``experiments``    — list the registered experiments, each with its
+  point parameters, their types and defaults.  A spec whose space names
+  a parameter its experiment does not declare fails before any point
+  runs.
 
 ``run``, ``adapt``, and ``suite`` accept ``--telemetry`` to record
 spans and metrics under ``<store>/.telemetry`` while they work (the
@@ -695,13 +698,16 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.explore.experiments import EXPERIMENTS
+    from repro.explore.experiments import EXPERIMENTS, REQUIRED
 
-    rows = [
-        [name, exp.description]
-        for name, exp in sorted(EXPERIMENTS.items())
-    ]
-    print(format_table(["experiment", "point parameters"], rows))
+    for i, (name, exp) in enumerate(sorted(EXPERIMENTS.items())):
+        rows = [
+            [key, cast.__name__.lstrip("_"),
+             "(required)" if default is REQUIRED else json.dumps(default)]
+            for key, (cast, default) in exp.params.items()
+        ]
+        print(("\n" if i else "") + f"{name}: {exp.description}")
+        print(format_table(["parameter", "type", "default"], rows))
     return 0
 
 
@@ -980,7 +986,8 @@ def build_parser() -> argparse.ArgumentParser:
         "presets", help="list cluster presets"
     ).set_defaults(fn=_cmd_presets)
     sub.add_parser(
-        "experiments", help="list registered experiments"
+        "experiments",
+        help="list registered experiments and their point parameters",
     ).set_defaults(fn=_cmd_experiments)
     return parser
 

@@ -3,14 +3,15 @@
 An *experiment* maps one design point (a plain parameter dict) to a flat
 metrics dict.  Experiments are registered by name so design-space specs —
 and worker processes of the parallel executor — can reference them as
-strings.  The built-ins wrap the repository's evaluate APIs:
+strings.  The built-ins wrap the repository's evaluate APIs, one thesis
+figure or table each.
 
-* ``barrier-cost``     — measured vs predicted cost of one barrier pattern
-                         (§5.6.6; the Figs. 5.6-5.13 points),
-* ``barrier-adapt``    — the greedy adaptation pipeline vs the best system
-                         default (Figs. 7.6-7.7),
-* ``stencil-predict``  — predicted per-iteration stencil cost for one
-                         implementation model (§8.5, Figs. 8.8-8.9).
+Each registration declares its point parameters once (name, cast,
+default).  :func:`run_point` binds a point against that table, raising
+on an unknown key, and hands the adapter every declared parameter, cast,
+with defaults filled in; the stored point and its record key stay the
+point as given.  ``python -m repro.explore experiments`` lists the
+experiments with their tables.
 
 Every adapter builds its platform from the named preset registry
 (:mod:`repro.cluster.presets`), so a campaign spec is pure data.
@@ -18,9 +19,12 @@ Every adapter builds its platform from the named preset registry
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
+
+import numpy as np
 
 from repro.barriers.patterns import (
     all_to_all_barrier,
@@ -31,6 +35,7 @@ from repro.barriers.patterns import (
     sequential_linear_barrier,
     tree_barrier,
 )
+from repro.util.validation import require_int
 
 #: Barrier families referenceable by name from design points.
 PATTERN_FAMILIES: dict[str, Callable[[int], Any]] = {
@@ -43,27 +48,70 @@ PATTERN_FAMILIES: dict[str, Callable[[int], Any]] = {
     "kary-dissemination": kary_dissemination_barrier,
 }
 
+#: The default of a parameter every point must give.
+REQUIRED = object()
+
+
+class BoundPoint(dict):
+    """Every declared parameter, cast, with defaults filled in; ``given``
+    names the keys the point itself set, for output that depends on
+    whether a key was given rather than on its value."""
+
+    def __init__(self, given: Iterable[str]):
+        super().__init__()
+        self.given = frozenset(given)
+
 
 @dataclass(frozen=True)
 class Experiment:
-    """A named design-point evaluator."""
+    """A named design-point evaluator and its parameter table: for each
+    parameter, the cast applied to a given value and the default for a
+    point that leaves it out."""
 
     name: str
-    fn: Callable[[Mapping[str, Any]], dict]
-    description: str = ""
+    fn: Callable[[BoundPoint], dict]
+    description: str
+    params: Mapping[str, tuple[Callable[[Any], Any], Any]]
 
-    def __call__(self, point: Mapping[str, Any]) -> dict:
-        return self.fn(point)
+    def check(self, names: Iterable[str]) -> None:
+        """Raise ``ValueError`` on any name the table does not declare."""
+        unknown = sorted(set(names) - self.params.keys())
+        if unknown:
+            raise ValueError(
+                f"experiment {self.name!r} has no parameter "
+                f"{', '.join(map(repr, unknown))} "
+                f"(known: {', '.join(self.params)})"
+            )
+
+    def bind(self, point: Mapping[str, Any]) -> BoundPoint:
+        self.check(point)
+        bound = BoundPoint(point)
+        for name, (cast, default) in self.params.items():
+            if name in point:
+                bound[name] = cast(point[name])
+            elif default is REQUIRED:
+                raise KeyError(
+                    f"experiment {self.name!r} needs the parameter {name!r}"
+                )
+            else:
+                bound[name] = default
+        return bound
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def register_experiment(name: str, description: str = ""):
-    """Decorator registering ``fn`` as the experiment called ``name``."""
+def register_experiment(name: str, description: str, /, **params):
+    """Decorator registering ``fn`` as the experiment called ``name``;
+    ``description`` says what it measures, and each keyword declares a
+    point parameter as a cast (required) or a ``(cast, default)`` pair."""
+    table = MappingProxyType({
+        key: spec if isinstance(spec, tuple) else (spec, REQUIRED)
+        for key, spec in params.items()
+    })
 
-    def deco(fn: Callable[[Mapping[str, Any]], dict]):
-        EXPERIMENTS[name] = Experiment(name=name, fn=fn, description=description)
+    def deco(fn: Callable[[BoundPoint], dict]):
+        EXPERIMENTS[name] = Experiment(name, fn, description, table)
         return fn
 
     return deco
@@ -78,33 +126,32 @@ def get_experiment(name: str) -> Experiment:
 
 
 def run_point(experiment: str, point: Mapping[str, Any]) -> dict:
-    """Evaluate one design point — the unit of work both executors run."""
-    return get_experiment(experiment)(point)
+    """Evaluate one design point — the unit of work both executors run —
+    after binding it, so an unknown key raises before anything runs."""
+    exp = get_experiment(experiment)
+    return exp.fn(exp.bind(point))
 
 
 # ----------------------------------------------------------------- adapters
 
-def _machine_from_point(point: Mapping[str, Any]):
+def _int_or_none(value):
+    return None if value is None else require_int(value, "an optional count")
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+#: The parameters every adapter's machine is built from.
+_MACHINE = {"preset": str, "nodes": (_int_or_none, None), "seed": (int, 2012)}
+
+
+def _machine_from_point(point: BoundPoint, noise=None):
+    """The point's preset machine; ``noise=QUIET`` runs it noise-free."""
     from repro.cluster.presets import make_preset_machine
 
     return make_preset_machine(
-        point["preset"],
-        nodes=point.get("nodes"),
-        seed=int(point.get("seed", 2012)),
-    )
-
-
-def _quiet_machine_from_point(point: Mapping[str, Any]):
-    """The point's machine with QUIET noise: how a run asks to be
-    noise-free."""
-    from repro.cluster.noise import QUIET
-    from repro.cluster.presets import make_preset_machine
-
-    return make_preset_machine(
-        point["preset"],
-        nodes=point.get("nodes"),
-        seed=int(point.get("seed", 2012)),
-        noise=QUIET,
+        point["preset"], nodes=point["nodes"], seed=point["seed"], noise=noise,
     )
 
 
@@ -117,7 +164,7 @@ def _pattern_from_point(point: Mapping[str, Any]):
         raise KeyError(
             f"unknown barrier pattern {name!r} (known: {known})"
         ) from None
-    return factory(int(point["nprocs"]))
+    return factory(point["nprocs"])
 
 
 def _critpath_metrics(report) -> dict:
@@ -136,20 +183,18 @@ def _critpath_metrics(report) -> dict:
 
 @register_experiment(
     "barrier-cost",
-    "measured vs predicted barrier cost: preset, pattern, nprocs "
-    "[runs, comm_samples, nodes, seed, critpath]",
+    "measured vs predicted cost of one barrier (§5.6.6, Figs. 5.6-5.13)",
+    **_MACHINE, pattern=str, nprocs=int, runs=(int, 16),
+    comm_samples=(int, 5), critpath=(bool, False),
 )
-def barrier_cost(point: Mapping[str, Any]) -> dict:
+def barrier_cost(point: BoundPoint) -> dict:
     from repro.barriers.evaluate import evaluate_barrier
 
     machine = _machine_from_point(point)
     pattern = _pattern_from_point(point)
-    runs = int(point.get("runs", 16))
+    runs = point["runs"]
     ev = evaluate_barrier(
-        machine,
-        pattern,
-        runs=runs,
-        comm_samples=int(point.get("comm_samples", 5)),
+        machine, pattern, runs=runs, comm_samples=point["comm_samples"],
     )
     metrics = {
         "measured_s": ev.measured,
@@ -163,7 +208,7 @@ def barrier_cost(point: Mapping[str, Any]) -> dict:
     # campaigns/goldens without the key stay byte-identical.  The rng
     # stream is deterministic, so the provenance-enabled re-measure
     # replays exactly the noise of the measurement above.
-    if point.get("critpath"):
+    if point["critpath"]:
         from repro.barriers.simulate import measure_barrier
         from repro.obs import EngineProvenance, emit_report, explain
 
@@ -182,21 +227,20 @@ def barrier_cost(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "barrier-adapt",
-    "greedy adaptation vs best flat default: preset, nprocs "
-    "[runs, gap_ratio, comm_samples, comm_runs, nodes, seed]",
+    "greedy adaptation vs the best flat default (Figs. 7.6-7.7)",
+    **_MACHINE, nprocs=int, runs=(int, 16), gap_ratio=(float, 2.0),
+    comm_samples=(int, 5), comm_runs=(_int_or_none, None),
 )
-def barrier_adapt(point: Mapping[str, Any]) -> dict:
+def barrier_adapt(point: BoundPoint) -> dict:
     from repro.adapt.evaluate import evaluate_adaptation
 
-    machine = _machine_from_point(point)
-    comm_runs = point.get("comm_runs")
     ev = evaluate_adaptation(
-        machine,
-        int(point["nprocs"]),
-        runs=int(point.get("runs", 16)),
-        gap_ratio=float(point.get("gap_ratio", 2.0)),
-        comm_samples=int(point.get("comm_samples", 5)),
-        comm_runs=None if comm_runs is None else int(comm_runs),
+        _machine_from_point(point),
+        point["nprocs"],
+        runs=point["runs"],
+        gap_ratio=point["gap_ratio"],
+        comm_samples=point["comm_samples"],
+        comm_runs=point["comm_runs"],
     )
     metrics = {
         "adapted_pattern": ev.pattern_name,
@@ -218,19 +262,18 @@ def barrier_adapt(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "stencil-predict",
-    "predicted stencil iteration cost: preset, n, nprocs "
-    "[kind=bsp|mpi|mpi+r, comm_samples, nodes, seed]",
+    "predicted stencil iteration cost of one implementation model (§8.5)",
+    **_MACHINE, n=int, nprocs=int, kind=(str, "bsp"), comm_samples=(int, 5),
 )
-def stencil_predict(point: Mapping[str, Any]) -> dict:
+def stencil_predict(point: BoundPoint) -> dict:
     from repro.stencil.predictor import predict_iteration
 
-    machine = _machine_from_point(point)
     prediction = predict_iteration(
-        machine,
-        int(point["n"]),
-        int(point["nprocs"]),
-        kind=str(point.get("kind", "bsp")),
-        comm_samples=int(point.get("comm_samples", 5)),
+        _machine_from_point(point),
+        point["n"],
+        point["nprocs"],
+        kind=point["kind"],
+        comm_samples=point["comm_samples"],
     )
     return {
         "model": prediction.name,
@@ -249,24 +292,28 @@ def stencil_predict(point: Mapping[str, Any]) -> dict:
 # sweeps run through the campaign cache instead of bespoke loops.
 
 
-def _profile_from_point(machine, placement, point: Mapping[str, Any]):
+def _profiled(point: BoundPoint):
+    """The point's machine, the placement of its ``nprocs`` ranks, and
+    that placement's comm profile."""
     from repro.barriers.evaluate import profile_placement
 
-    return profile_placement(
-        machine, placement, comm_samples=int(point.get("comm_samples", 5))
+    machine = _machine_from_point(point)
+    placement = machine.placement(point["nprocs"])
+    return machine, placement, profile_placement(
+        machine, placement, comm_samples=point["comm_samples"]
     )
 
 
 @register_experiment(
     "bspbench-params",
-    "classic bspbench (P, r, g, l) row: preset, nprocs [samples, seed]",
+    "classic bspbench (P, r, g, l) row",
+    **_MACHINE, nprocs=int, samples=(int, 9),
 )
-def bspbench_params(point: Mapping[str, Any]) -> dict:
+def bspbench_params(point: BoundPoint) -> dict:
     from repro.bench.bspbench import run_bspbench
 
-    machine = _machine_from_point(point)
     result = run_bspbench(
-        machine, int(point["nprocs"]), samples=int(point.get("samples", 9))
+        _machine_from_point(point), point["nprocs"], samples=point["samples"]
     )
     return {
         "r_flops": result.params.r,
@@ -277,40 +324,36 @@ def bspbench_params(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "bspbench-rate",
-    "DAXPY rate at one vector size (Fig. 4.2): preset, n "
-    "[core, samples, iterations, seed]",
+    "DAXPY rate at one vector size (Fig. 4.2)",
+    **_MACHINE, n=int, core=(int, 0), samples=(int, 8),
+    iterations=(int, 64),
 )
-def bspbench_rate(point: Mapping[str, Any]) -> dict:
+def bspbench_rate(point: BoundPoint) -> dict:
     from repro.bench.bspbench import measure_rate_points
 
-    machine = _machine_from_point(point)
     pt = measure_rate_points(
-        machine,
-        int(point.get("core", 0)),
-        sizes=(int(point["n"]),),
-        iterations=int(point.get("iterations", 64)),
-        samples=int(point.get("samples", 8)),
+        _machine_from_point(point),
+        point["core"],
+        sizes=(point["n"],),
+        iterations=point["iterations"],
+        samples=point["samples"],
     )[0]
     return {"rate_flops": pt.rate_flops, "mean_s": pt.mean_seconds}
 
 
 @register_experiment(
     "inner-product",
-    "measured BSP inner product vs classic Eq. 3.7 estimate: preset, "
-    "nprocs, n_total [samples, runs, seed]; runs=R measures a batched "
-    "R-replication ensemble in one bsp_run",
+    "measured BSP inner product vs the classic Eq. 3.7 estimate (Fig. 3.2)",
+    **_MACHINE, nprocs=int, n_total=int, samples=(int, 5), runs=(int, 1),
 )
-def inner_product(point: Mapping[str, Any]) -> dict:
-    import numpy as np
-
+def inner_product(point: BoundPoint) -> dict:
     from repro.bsplib import bsp_run
     from repro.bench.bspbench import run_bspbench
     from repro.core.bsp_classic import inner_product_cost_seconds
     from repro.kernels import DOT_PRODUCT
 
     machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    n_total = int(point["n_total"])
+    nprocs, n_total = point["nprocs"], point["n_total"]
 
     def program(ctx):
         p, pid = ctx.nprocs, ctx.pid
@@ -327,12 +370,9 @@ def inner_product(point: Mapping[str, Any]) -> dict:
         ctx.sync()
 
     measured = bsp_run(
-        machine, nprocs, program, label=f"fig32-{nprocs}",
-        runs=int(point.get("runs", 1)),
+        machine, nprocs, program, label=f"fig32-{nprocs}", runs=point["runs"],
     ).total_seconds
-    params = run_bspbench(
-        machine, nprocs, samples=int(point.get("samples", 5))
-    ).params
+    params = run_bspbench(machine, nprocs, samples=point["samples"]).params
     estimate = inner_product_cost_seconds(params, n_total)
     return {
         "measured_s": measured,
@@ -343,11 +383,12 @@ def inner_product(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "kernel-extrapolation",
-    "kernel profile extrapolated to one application count vs measurement "
-    "and the naive Mflops line: preset, kernel, applications "
-    "[profile_n, samples, seed]",
+    "one routine's benchmarked profile extrapolated vs measurement and "
+    "the naive Mflops line (Figs. 4.3-4.4)",
+    **_MACHINE, kernel=str, applications=int, profile_n=(int, 1024),
+    samples=(int, 15),
 )
-def kernel_extrapolation(point: Mapping[str, Any]) -> dict:
+def kernel_extrapolation(point: BoundPoint) -> dict:
     from repro.bench.kernel_bench import (
         benchmark_kernel,
         extrapolate_with_rate,
@@ -356,9 +397,8 @@ def kernel_extrapolation(point: Mapping[str, Any]) -> dict:
     from repro.kernels import DAXPY, get_kernel
 
     machine = _machine_from_point(point)
-    kernel = get_kernel(str(point["kernel"]))
-    profile_n = int(point.get("profile_n", 1024))
-    samples = int(point.get("samples", 15))
+    kernel = get_kernel(point["kernel"])
+    profile_n, samples = point["profile_n"], point["samples"]
     iteration_counts = tuple(2**k for k in range(1, 11))
     profile = benchmark_kernel(
         machine, 0, kernel, profile_n,
@@ -375,7 +415,7 @@ def kernel_extrapolation(point: Mapping[str, Any]) -> dict:
         ).rate_flops
     pt = validate_profile(
         machine, 0, kernel, profile,
-        application_counts=(int(point["applications"]),),
+        application_counts=(point["applications"],),
     )[0]
     naive = float(
         extrapolate_with_rate(mflops_rate, kernel, profile_n, pt.applications)
@@ -390,18 +430,17 @@ def kernel_extrapolation(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "blas-sweep",
-    "median batch time of one BLAS L1 kernel at one problem size: preset, "
-    "kernel, n [batch, seed]",
+    "median batched time of one BLAS L1 routine at one problem size "
+    "(Figs. 4.5-4.6)",
+    **_MACHINE, kernel=str, n=int, batch=(int, 24),
 )
-def blas_sweep(point: Mapping[str, Any]) -> dict:
+def blas_sweep(point: BoundPoint) -> dict:
     from repro.bench.blas_profile import sweep_kernel
     from repro.kernels import get_kernel
 
-    machine = _machine_from_point(point)
-    kernel = get_kernel(str(point["kernel"]))
     sweep = sweep_kernel(
-        machine, 0, kernel, [int(point["n"])],
-        batch=int(point.get("batch", 24)),
+        _machine_from_point(point), 0, get_kernel(point["kernel"]),
+        [point["n"]], batch=point["batch"],
     )
     pt = sweep.points[0]
     return {
@@ -412,10 +451,11 @@ def blas_sweep(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "sync-cost",
-    "payload-carrying BSP sync vs bare barrier and the Ch. 6 estimate: "
-    "preset, nprocs [runs, comm_samples, seed]",
+    "payload-carrying BSP sync vs bare barrier and the Ch. 6 estimate "
+    "(Figs. 6.3-6.4)",
+    **_MACHINE, nprocs=int, runs=(int, 16), comm_samples=(int, 5),
 )
-def sync_cost(point: Mapping[str, Any]) -> dict:
+def sync_cost(point: BoundPoint) -> dict:
     from repro.barriers import measure_barrier
     from repro.barriers.cost_model import predict_barrier_cost
     from repro.bsplib.sync_model import (
@@ -424,11 +464,8 @@ def sync_cost(point: Mapping[str, Any]) -> dict:
         sync_pattern,
     )
 
-    machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    runs = int(point.get("runs", 16))
-    placement = machine.placement(nprocs)
-    params = _profile_from_point(machine, placement, point)
+    machine, placement, params = _profiled(point)
+    nprocs, runs = point["nprocs"], point["runs"]
     pattern = sync_pattern(nprocs)
     return {
         "bare_s": measure_barrier(
@@ -444,26 +481,24 @@ def sync_cost(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "sss-cluster",
-    "SSS latency clustering of one placement (Tables 7.1/7.2): preset, "
-    "nprocs [gap_ratio, samples, seed]",
+    "SSS latency clustering of one placement (Tables 7.1/7.2)",
+    **_MACHINE, nprocs=int, gap_ratio=(float, 2.0), samples=(int, 9),
+    comm_sizes=(_ints, None),
 )
-def sss_cluster_experiment(point: Mapping[str, Any]) -> dict:
+def sss_cluster_experiment(point: BoundPoint) -> dict:
     from repro.adapt import sss_cluster
     from repro.bench import benchmark_comm
 
     machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    placement = machine.placement(nprocs)
-    sizes = point.get("comm_sizes")
+    placement = machine.placement(point["nprocs"])
+    sizes = point["comm_sizes"]
     report = benchmark_comm(
         machine,
         placement,
-        samples=int(point.get("samples", 9)),
-        **({"sizes": tuple(int(s) for s in sizes)} if sizes else {}),
+        samples=point["samples"],
+        **({"sizes": sizes} if sizes else {}),
     )
-    levels = sss_cluster(
-        report.params.latency, gap_ratio=float(point.get("gap_ratio", 2.0))
-    )
+    levels = sss_cluster(report.params.latency, gap_ratio=point["gap_ratio"])
     node_level = levels[-2] if len(levels) >= 2 else levels[-1]
     nodes_pure = all(
         len({placement.node_of(r) for r in subset}) == 1
@@ -486,20 +521,17 @@ def sss_cluster_experiment(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "hybrid-barrier",
-    "SSS-hierarchy hybrid barrier vs the flat defaults (Figs. 7.4/7.5): "
-    "preset, nprocs [runs, comm_samples, seed]",
+    "SSS-hierarchy hybrid barrier vs the flat defaults (Figs. 7.4/7.5)",
+    **_MACHINE, nprocs=int, runs=(int, 16), comm_samples=(int, 5),
 )
-def hybrid_barrier(point: Mapping[str, Any]) -> dict:
+def hybrid_barrier(point: BoundPoint) -> dict:
     from repro.adapt import hierarchical_barrier, sss_cluster
     from repro.adapt.greedy import _useful_levels
     from repro.adapt.hybrid import flat_defaults
     from repro.barriers import measure_barrier
 
-    machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    runs = int(point.get("runs", 16))
-    placement = machine.placement(nprocs)
-    params = _profile_from_point(machine, placement, point)
+    machine, placement, params = _profiled(point)
+    nprocs, runs = point["nprocs"], point["runs"]
     levels = _useful_levels(sss_cluster(params.latency))
     gather = levels[:-1] if len(levels) > 1 else levels
     hybrid = hierarchical_barrier(
@@ -523,16 +555,16 @@ def hybrid_barrier(point: Mapping[str, Any]) -> dict:
 @register_experiment(
     "barrier-prediction-variants",
     "measured barrier vs Eq. 5.4 prediction and its ablated variants "
-    "(DESIGN.md §6): preset, pattern, nprocs [runs, comm_samples, seed]",
+    "(DESIGN.md §6)",
+    **_MACHINE, pattern=str, nprocs=int, runs=(int, 16),
+    comm_samples=(int, 5),
 )
-def barrier_prediction_variants(point: Mapping[str, Any]) -> dict:
+def barrier_prediction_variants(point: BoundPoint) -> dict:
     from repro.barriers import CommParameters, measure_barrier
     from repro.barriers.cost_model import predict_barrier_cost
 
-    machine = _machine_from_point(point)
+    machine, placement, params = _profiled(point)
     pattern = _pattern_from_point(point)
-    placement = machine.placement(pattern.nprocs)
-    params = _profile_from_point(machine, placement, point)
     halved = CommParameters(
         overhead=params.overhead,
         latency=params.latency * 0.5,  # turns 2L into 1L in Eq. 5.4
@@ -540,7 +572,7 @@ def barrier_prediction_variants(point: Mapping[str, Any]) -> dict:
     )
     return {
         "measured_s": measure_barrier(
-            machine, pattern, placement, runs=int(point.get("runs", 16))
+            machine, pattern, placement, runs=point["runs"]
         ).mean_worst,
         "predicted_s": predict_barrier_cost(pattern, params),
         "predicted_no_posted_s": predict_barrier_cost(
@@ -553,17 +585,15 @@ def barrier_prediction_variants(point: Mapping[str, Any]) -> dict:
 @register_experiment(
     "fabric-study",
     "default barriers, profiled latency, and greedy adaptation on one "
-    "fabric (§9.2.4): preset, nprocs [runs, comm_samples, seed]",
+    "fabric (§9.2.4)",
+    **_MACHINE, nprocs=int, runs=(int, 16), comm_samples=(int, 5),
 )
-def fabric_study(point: Mapping[str, Any]) -> dict:
+def fabric_study(point: BoundPoint) -> dict:
     from repro.adapt import flat_defaults, greedy_adapt
     from repro.barriers import measure_barrier
 
-    machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    runs = int(point.get("runs", 16))
-    placement = machine.placement(nprocs)
-    params = _profile_from_point(machine, placement, point)
+    machine, placement, params = _profiled(point)
+    nprocs, runs = point["nprocs"], point["runs"]
     metrics = {
         f"{name}_s": measure_barrier(
             machine, pattern, placement, runs=runs
@@ -579,66 +609,66 @@ def fabric_study(point: Mapping[str, Any]) -> dict:
     return metrics
 
 
-@register_experiment(
-    "stencil-run",
-    "one stencil implementation run (A-series): preset, impl, n, nprocs "
-    "[iterations, noisy, runs, seed, critpath]",
-)
-def stencil_run(point: Mapping[str, Any]) -> dict:
-    import numpy as np
-
-    from repro.stencil.experiments import run_strong_scaling
-
-    # A ``noisy: false`` point runs on the same preset with QUIET noise.
-    machine = (
-        _machine_from_point(point) if point.get("noisy", True)
-        else _quiet_machine_from_point(point)
-    )
-    impl = str(point["impl"])
-    n = int(point["n"])
-    nprocs = int(point["nprocs"])
-    iterations = int(point.get("iterations", 6))
-    runs = int(point.get("runs", 1))
-    critpath = bool(point.get("critpath", False))
-    # Replications and provenance exist only on the BSP runtime; an
-    # MPI-family request is an error rather than a silent single run.
-    if "runs" in point and impl != "BSP":
+def _require_bsp(point: BoundPoint) -> None:
+    """Replications and provenance exist only on the BSP runtime; an
+    MPI-family request is an error rather than a silent single run."""
+    impl = point["impl"]
+    if impl != "BSP" and "runs" in point.given:
         raise ValueError(
             f"runs is only supported for the BSP implementation; "
-            f"got runs={runs} with impl={impl!r}"
+            f"got runs={point['runs']} with impl={impl!r}"
         )
-    if critpath and impl != "BSP":
+    if impl != "BSP" and point.get("critpath"):
         raise ValueError(
             f"critpath is only supported for the BSP implementation; "
             f"got critpath with impl={impl!r}"
         )
+
+
+def _ensemble_fields(point: BoundPoint, result) -> dict:
+    """Ensemble fields only appear when runs is given, so existing
+    campaigns/goldens without the key stay byte-identical."""
+    if "runs" not in point.given:
+        return {}
+    per_run = result.run_mean_iterations
+    return {
+        "ensemble_runs": point["runs"],
+        "ensemble_mean_iteration_s": float(per_run.mean()),
+        "ensemble_spread_iteration_s": float(np.std(per_run)),
+    }
+
+
+@register_experiment(
+    "stencil-run",
+    "one stencil implementation run (A-series, Figs. 8.4-8.7)",
+    **_MACHINE, impl=str, n=int, nprocs=int, iterations=(int, 6),
+    noisy=(bool, True), runs=(int, 1), critpath=(bool, False),
+)
+def stencil_run(point: BoundPoint) -> dict:
+    from repro.cluster.noise import QUIET
+    from repro.stencil.experiments import run_strong_scaling
+
+    # A ``noisy: false`` point runs on the same preset with QUIET noise.
+    machine = _machine_from_point(point, None if point["noisy"] else QUIET)
+    impl, n, nprocs, runs = (point[k] for k in ("impl", "n", "nprocs", "runs"))
+    _require_bsp(point)
     result = run_strong_scaling(
-        machine,
-        [impl],
-        n,
-        (nprocs,),
-        iterations=iterations,
+        machine, [impl], n, (nprocs,), iterations=point["iterations"],
         runs=runs,
     )[impl][nprocs]
     metrics = {
         "mean_iteration_s": result.mean_iteration,
         "total_s": result.total_seconds,
+        **_ensemble_fields(point, result),
     }
-    # Ensemble fields only appear when runs is requested, so existing
-    # campaigns/goldens without the key stay byte-identical.
-    if "runs" in point:
-        per_run = result.run_mean_iterations
-        metrics["ensemble_runs"] = runs
-        metrics["ensemble_mean_iteration_s"] = float(per_run.mean())
-        metrics["ensemble_spread_iteration_s"] = float(np.std(per_run))
-    if critpath:
+    if point["critpath"]:
         from repro.obs import emit_report, explain
         from repro.stencil.impls import run_bsp_stencil
 
         # Replay the exact A-series run (same label → same noise draws)
         # with provenance recording enabled.
         replay = run_bsp_stencil(
-            machine, nprocs, n, iterations,
+            machine, nprocs, n, point["iterations"],
             execute_numerics=False,
             label=f"a-series-{nprocs}-{n}",
             runs=runs,
@@ -654,12 +684,12 @@ def stencil_run(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "stencil-accuracy",
-    "stencil per-iteration prediction vs measurement (B-series): preset, "
-    "impl, n, nprocs [iterations, comm_samples, runs, seed]",
+    "stencil per-iteration prediction vs measurement (B-series, "
+    "Figs. 8.10-8.15)",
+    **_MACHINE, impl=str, n=int, nprocs=int, iterations=(int, 5),
+    comm_samples=(int, 5), runs=(int, 1),
 )
-def stencil_accuracy(point: Mapping[str, Any]) -> dict:
-    import numpy as np
-
+def stencil_accuracy(point: BoundPoint) -> dict:
     from repro.stencil import (
         decompose,
         predict_bsp_iteration,
@@ -670,22 +700,13 @@ def stencil_accuracy(point: Mapping[str, Any]) -> dict:
         stencil_sec_per_cell,
     )
 
-    machine = _machine_from_point(point)
-    impl = str(point["impl"])
-    n = int(point["n"])
-    nprocs = int(point["nprocs"])
-    iterations = int(point.get("iterations", 5))
+    machine, placement, params = _profiled(point)
+    impl, n, nprocs, runs = (point[k] for k in ("impl", "n", "nprocs", "runs"))
+    iterations = point["iterations"]
     blocks = decompose(n, nprocs)
-    placement = machine.placement(nprocs)
-    params = _profile_from_point(machine, placement, point)
     spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
-    runs = int(point.get("runs", 1))
-    if "runs" in point and impl != "BSP":
-        raise ValueError(
-            f"runs is only supported for the BSP implementation; "
-            f"got runs={runs} with impl={impl!r}"
-        )
-    ensemble = None
+    _require_bsp(point)
+    ensemble = {}
     if impl == "BSP":
         predicted = predict_bsp_iteration(blocks, spc, params).per_iteration
         result = run_bsp_stencil(
@@ -693,8 +714,7 @@ def stencil_accuracy(point: Mapping[str, Any]) -> dict:
             label=f"b-{impl}-{n}-{nprocs}", runs=runs,
         )
         measured = result.mean_iteration
-        if "runs" in point:
-            ensemble = result.run_mean_iterations
+        ensemble = _ensemble_fields(point, result)
     elif impl == "MPI":
         predicted = predict_mpi_iteration(blocks, spc, params).per_iteration
         measured = run_mpi_stencil(
@@ -709,27 +729,22 @@ def stencil_accuracy(point: Mapping[str, Any]) -> dict:
         ).mean_iteration
     else:
         raise ValueError(f"unknown prediction implementation {impl!r}")
-    metrics = {
+    return {
         "predicted_s": predicted,
         "measured_s": measured,
         "ratio": predicted / measured,
+        **ensemble,
     }
-    if ensemble is not None:
-        metrics["ensemble_runs"] = runs
-        metrics["ensemble_mean_iteration_s"] = float(ensemble.mean())
-        metrics["ensemble_spread_iteration_s"] = float(np.std(ensemble))
-    return metrics
 
 
 @register_experiment(
     "halo-depth",
     "adapted-superstep prediction and charge-model measurement at one "
-    "shadow-cell depth (Fig. 8.18): preset, nprocs, n, depth "
-    "[cycles, comm_samples, runs, seed]",
+    "halo width (Fig. 8.18)",
+    **_MACHINE, nprocs=int, n=int, depth=int, cycles=(int, 6),
+    comm_samples=(int, 5), runs=(int, 1),
 )
-def halo_depth(point: Mapping[str, Any]) -> dict:
-    import numpy as np
-
+def halo_depth(point: BoundPoint) -> dict:
     from repro.stencil import (
         decompose,
         measure_halo_iteration,
@@ -737,12 +752,8 @@ def halo_depth(point: Mapping[str, Any]) -> dict:
     )
     from repro.stencil.optimizer import predict_halo_iteration
 
-    machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    n = int(point["n"])
-    depth = int(point["depth"])
-    placement = machine.placement(nprocs)
-    params = _profile_from_point(machine, placement, point)
+    machine, placement, params = _profiled(point)
+    nprocs, n, depth, runs = (point[k] for k in ("nprocs", "n", "depth", "runs"))
     spc = stencil_sec_per_cell(
         machine, placement.core_of(0), decompose(n, nprocs)[0]
     )
@@ -751,15 +762,13 @@ def halo_depth(point: Mapping[str, Any]) -> dict:
             nprocs, n, depth, spc, params
         ).per_iteration,
     }
-    runs = int(point.get("runs", 1))
     ensemble = measure_halo_iteration(
-        machine, nprocs, n, depth, cycles=int(point.get("cycles", 6)),
-        runs=runs,
+        machine, nprocs, n, depth, cycles=point["cycles"], runs=runs,
     )
     metrics["measured_s"] = float(ensemble.mean())
     # Ensemble fields only appear when runs is requested, so existing
     # campaigns/goldens without the key stay byte-identical.
-    if "runs" in point:
+    if "runs" in point.given:
         metrics["ensemble_runs"] = runs
         metrics["measured_spread_s"] = float(np.std(ensemble))
     return metrics
@@ -767,23 +776,22 @@ def halo_depth(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "overlap-commit",
-    "identical superstep workload with puts committed early vs late "
-    "(Fig. 1.2 ablation): preset, nprocs, commit=early|late [seed]",
+    "identical superstep workload with puts committed early vs late, on a "
+    "QUIET machine (Fig. 1.2 ablation)",
+    **_MACHINE, nprocs=int, commit=str,
 )
-def overlap_commit(point: Mapping[str, Any]) -> dict:
-    import numpy as np
-
+def overlap_commit(point: BoundPoint) -> dict:
     from repro.bsplib import bsp_run
+    from repro.cluster.noise import QUIET
     from repro.kernels import DAXPY
 
-    machine = _quiet_machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    commit = str(point["commit"])
+    machine = _machine_from_point(point, QUIET)
+    nprocs, commit = point["nprocs"], point["commit"]
     if commit not in ("early", "late"):
         raise ValueError("commit must be 'early' or 'late'")
-    payload_elems = int(point.get("payload_elems", 40_000))
-    compute_reps = int(point.get("compute_reps", 220))
-    supersteps = int(point.get("supersteps", 3))
+    # Elements each put carries, DAXPY repetitions of the bulk
+    # computation, and supersteps per run.
+    payload_elems, compute_reps, supersteps = 40_000, 220, 3
 
     def program(ctx):
         data = np.zeros(payload_elems)
@@ -808,19 +816,16 @@ def overlap_commit(point: Mapping[str, Any]) -> dict:
 
 @register_experiment(
     "spinlock",
-    "spinlock handoff under contention (§5.1): preset, lock, nprocs "
-    "[acquisitions, placement=block, runs, seed]; lock='bound' reports the "
-    "single-signal lower bound against a measured dissemination barrier "
-    "on the round-robin placement instead; runs=R re-rolls the handoff "
-    "noise over R batched replications",
+    "spinlock handoff under contention (§5.1), or the single-signal "
+    "barrier lower bound against a measured dissemination barrier",
+    **_MACHINE, lock=str, nprocs=int, acquisitions=(int, 12), runs=(int, 1),
 )
-def spinlock(point: Mapping[str, Any]) -> dict:
+def spinlock(point: BoundPoint) -> dict:
     from repro.barriers import dissemination_barrier, measure_barrier
     from repro.spinlocks import barrier_lower_bound, simulate_spinlock
 
     machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    lock = str(point["lock"])
+    nprocs, lock = point["nprocs"], point["lock"]
     if lock == "bound":
         placement = machine.placement(nprocs)
         return {
@@ -829,29 +834,29 @@ def spinlock(point: Mapping[str, Any]) -> dict:
                 machine,
                 dissemination_barrier(nprocs),
                 placement,
-                runs=int(point.get("runs", 16)),
+                # The bound's barrier keeps the 16 replications it was
+                # measured with when the point gives no runs.
+                runs=point["runs"] if "runs" in point.given else 16,
             ).mean_worst,
         }
     # Contending threads pack onto sockets/nodes ("block"), the locality
     # setup the §5.1 study is about — round-robin would interleave nodes
     # and measure a different experiment.
-    placement = machine.placement(
-        nprocs, policy=str(point.get("placement", "block"))
-    )
     result = simulate_spinlock(
-        machine, lock, placement,
-        acquisitions_per_thread=int(point.get("acquisitions", 12)),
-        runs=int(point.get("runs", 1)),
+        machine, lock, machine.placement(nprocs, policy="block"),
+        acquisitions_per_thread=point["acquisitions"],
+        runs=point["runs"],
     )
     return {"mean_handoff_s": result.mean_handoff}
 
 
 @register_experiment(
     "stencil-mode-accuracy",
-    "BSP stencil prediction error in weak vs strong mode (§4.3): preset, "
-    "nprocs, mode=weak|strong [local_side, strong_n, comm_samples, seed]",
+    "BSP stencil prediction error under weak vs strong scaling (§4.3)",
+    **_MACHINE, nprocs=int, mode=str, local_side=(int, 256),
+    strong_n=(int, 1024), comm_samples=(int, 5),
 )
-def stencil_mode_accuracy(point: Mapping[str, Any]) -> dict:
+def stencil_mode_accuracy(point: BoundPoint) -> dict:
     from repro.stencil import (
         decompose,
         predict_bsp_iteration,
@@ -859,19 +864,16 @@ def stencil_mode_accuracy(point: Mapping[str, Any]) -> dict:
         stencil_sec_per_cell,
     )
 
-    machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    mode = str(point["mode"])
+    nprocs, mode = point["nprocs"], point["mode"]
     if mode == "weak":
-        side = int(point.get("local_side", 256))
+        side = point["local_side"]
         n = int(round((side * side * nprocs) ** 0.5))
     elif mode == "strong":
-        n = int(point.get("strong_n", 1024))
+        n = point["strong_n"]
     else:
         raise ValueError("mode must be 'weak' or 'strong'")
+    machine, placement, params = _profiled(point)
     blocks = decompose(n, nprocs)
-    placement = machine.placement(nprocs)
-    params = _profile_from_point(machine, placement, point)
     spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
     predicted = predict_bsp_iteration(blocks, spc, params).per_iteration
     measured = run_bsp_stencil(
@@ -889,18 +891,16 @@ def stencil_mode_accuracy(point: Mapping[str, Any]) -> dict:
 @register_experiment(
     "hetero-compute",
     "per-rank compute prediction vs measurement on the FMA-heterogeneous "
-    "preset (§3.3): preset, nprocs, n [seed]",
+    "cluster (§3.3)",
+    **_MACHINE, nprocs=int, n=int,
 )
-def hetero_compute(point: Mapping[str, Any]) -> dict:
-    import numpy as np
-
+def hetero_compute(point: BoundPoint) -> dict:
     from repro.core.matrix_model import ComputationModel
     from repro.kernels import STENCIL5
     from repro.stencil import decompose
 
     machine = _machine_from_point(point)
-    nprocs = int(point["nprocs"])
-    n = int(point["n"])
+    nprocs, n = point["nprocs"], point["n"]
     placement = machine.placement(nprocs)
     blocks = decompose(n, nprocs)
 

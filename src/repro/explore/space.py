@@ -209,6 +209,11 @@ class DesignSpace:
     def axis_names(self) -> list[str]:
         return [a.name for a in self.axes]
 
+    def parameter_names(self) -> set[str]:
+        """Every parameter name a point of the space can carry: the axes,
+        the constants and the explicit points' keys."""
+        return {*self.axis_names(), *self.constants}.union(*self.points)
+
     def axis(self, name: str) -> ParamSpec:
         for spec in self.axes:
             if spec.name == name:
@@ -230,39 +235,34 @@ class DesignSpace:
         unknown = set(subsets) - set(self.axis_names())
         if unknown:
             raise KeyError(f"restrict names unknown axes: {sorted(unknown)}")
+
+        def marker(name: str, value: Any) -> str:
+            return canonical_json(jsonable(value, f"axis {name!r}"))
+
+        allowed = {
+            name: {marker(name, v) for v in values}
+            for name, values in subsets.items()
+        }
         axes = []
         for spec in self.axes:
-            if spec.name not in subsets:
+            if spec.name not in allowed:
                 axes.append(spec)
                 continue
-            allowed = {canonical_json(jsonable(v, f"axis {spec.name!r}"))
-                       for v in subsets[spec.name]}
             values = tuple(
-                v for v in spec.values if canonical_json(v) in allowed
+                v for v in spec.values
+                if marker(spec.name, v) in allowed[spec.name]
             )
             if not values:
-                raise ValueError(
-                    f"restriction empties axis {spec.name!r}"
-                )
+                raise ValueError(f"restriction empties axis {spec.name!r}")
             axes.append(ParamSpec(spec.name, values))
-        points = []
-        for explicit in self.points:
-            merged = {**self.constants, **dict(explicit)}
-            keep = True
-            for name in subsets:
-                if name in merged:
-                    marker = canonical_json(
-                        jsonable(merged[name], f"axis {name!r}")
-                    )
-                    allowed = {
-                        canonical_json(jsonable(v, f"axis {name!r}"))
-                        for v in subsets[name]
-                    }
-                    if marker not in allowed:
-                        keep = False
-                        break
-            if keep:
-                points.append(explicit)
+        points = [
+            explicit for explicit in self.points
+            if all(
+                marker(name, value) in allowed[name]
+                for name, value in {**self.constants, **explicit}.items()
+                if name in allowed
+            )
+        ]
         return DesignSpace(
             axes=tuple(axes),
             points=tuple(points),

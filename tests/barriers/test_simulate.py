@@ -24,7 +24,6 @@ class TestMeasureBarrier:
         )
         assert timing.per_run_worst.shape == (32,)
         assert timing.mean_worst > 0
-        assert timing.median_worst > 0
         assert timing.runs == 32
 
     def test_mean_of_worst_cases(self, machine):

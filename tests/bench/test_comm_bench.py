@@ -115,7 +115,6 @@ class TestHarness:
         report = benchmark_comm(machine, placement, samples=5, sizes=FAST_SIZES)
         assert report.samples == 5
         assert report.sizes == FAST_SIZES
-        assert report.invocation_overheads.shape == (4,)
 
     def test_multiple_counts(self, machine):
         for nprocs in (2, 4):

@@ -62,12 +62,6 @@ class TestProfileExtraction:
             stencil.seconds_per_element, rel=0.05
         )
 
-    def test_reruns_counted(self, machine):
-        profile = benchmark_kernel(
-            machine, 0, DAXPY, 256, iteration_counts=FAST_COUNTS, samples=12
-        )
-        assert profile.total_reruns >= 0
-
     def test_validation_errors(self, machine):
         with pytest.raises(ValueError):
             benchmark_kernel(machine, 0, DAXPY, 0)

@@ -14,7 +14,10 @@ BOWL_OPTIMUM = {"a": 13, "b": 4, "mode": "m3"}
 _MODE_PENALTY = {"m0": 1.5, "m1": 1.0, "m2": 0.5, "m3": 0.0, "m4": 2.0}
 
 
-@register_experiment("test-bowl", "separable bowl over a, b, mode (test only)")
+@register_experiment(
+    "test-bowl", "separable bowl (test only)",
+    a=int, b=int, mode=str, runs=(int, 1),
+)
 def _bowl(point):
     cost = (
         (point["a"] - 13) ** 2

@@ -24,8 +24,8 @@ _MODES = {"m0": 1.5, "m1": 0.0, "m2": 2.5, "m3": 0.75}
 
 @register_experiment(
     "test-rugged-bowl",
-    "bowl + deterministic measurement ripple over a, b, mode, rep "
-    "(test only)",
+    "bowl + deterministic measurement ripple (test only)",
+    a=int, b=int, mode=str, rep=int,
 )
 def _rugged(point):
     base = (

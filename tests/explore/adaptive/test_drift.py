@@ -13,7 +13,10 @@ from repro.explore.suites import SuiteSpec, register_suite, run_suite
 REGRESSION = {"scale": 1.0, "min_nprocs": None, "pattern": None}
 
 
-@register_experiment("test-driftable", "regression-injectable (test only)")
+@register_experiment(
+    "test-driftable", "regression-injectable (test only)",
+    pattern=str, nprocs=int,
+)
 def _driftable(point):
     cost = float(point["nprocs"]) * 1.5 + {
         "lin": 0.0, "tree": 1.0, "dis": 2.0

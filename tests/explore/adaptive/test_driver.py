@@ -85,7 +85,10 @@ def test_serial_process_chunked_bit_identity(tmp_path, small_space):
 
 
 def test_failed_points_respect_on_error(small_space):
-    @register_experiment("test-explosive", "fails on a==2 (test only)")
+    @register_experiment(
+        "test-explosive", "fails on a==2 (test only)",
+        a=int, b=int, mode=str, runs=(int, 1),
+    )
     def _explosive(point):
         if point["a"] == 2:
             raise RuntimeError("boom")

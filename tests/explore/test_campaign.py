@@ -14,7 +14,10 @@ from repro.explore.space import DesignSpace
 CALLS = []
 
 
-@register_experiment("test-square", "square the n parameter (test only)")
+@register_experiment(
+    "test-square", "square (test only)",
+    n=int, explode=(bool, False), scale=(float, 1.0),
+)
 def _square(point):
     CALLS.append(point["n"])
     if point.get("explode"):
@@ -121,7 +124,7 @@ def test_unknown_experiment_fails_cleanly():
 
 
 def test_experiment_returning_non_dict_is_a_point_failure():
-    register_experiment("test-none", "returns None (test only)")(
+    register_experiment("test-none", "returns None (test only)", n=int)(
         lambda point: None
     )
     # Must surface as a clean per-point failure even with no cache attached.

@@ -37,7 +37,7 @@ from repro.explore.resilience import (
 from repro.explore.space import DesignSpace
 
 
-@register_experiment("chaos-square", "square the n parameter (chaos tests)")
+@register_experiment("chaos-square", "square (chaos tests)", n=int)
 def _square(point):
     return {"square": point["n"] ** 2, "label": f"n={point['n']}"}
 
@@ -212,7 +212,7 @@ SIGKILL_SCRIPT = """
 import json, sys, time
 from repro.explore import DesignSpace, register_experiment, run_campaign
 
-@register_experiment("chaos-slow", "slow square (sigkill test)")
+@register_experiment("chaos-slow", "slow square (sigkill test)", n=int)
 def _slow(point):
     time.sleep(0.15)
     return {"square": point["n"] ** 2}

@@ -26,7 +26,7 @@ from repro.explore.resilience import (
 from repro.explore.space import DesignSpace
 
 
-@register_experiment("chaos-prop-square", "square (chaos property tests)")
+@register_experiment("chaos-prop-square", "square (chaos property tests)", n=int)
 def _square(point):
     return {"square": point["n"] ** 2, "cube": point["n"] ** 3}
 

@@ -26,7 +26,7 @@ def _monotone(result):
 
 @pytest.fixture(autouse=True)
 def _toy_suite():
-    register_experiment(EXPERIMENT, "x -> x^3")(
+    register_experiment(EXPERIMENT, "cubes (test only)", x=int)(
         lambda point: {"y": point["x"] ** 3}
     )
     register_suite(SuiteSpec(

@@ -37,7 +37,9 @@ from repro.explore.resilience import (
 from repro.explore.space import DesignSpace
 
 
-@register_experiment("resil-square", "square the n parameter (test only)")
+@register_experiment(
+    "resil-square", "square (test only)", n=int, explode=(bool, False),
+)
 def _square(point):
     if point.get("explode"):
         raise RuntimeError("requested failure")

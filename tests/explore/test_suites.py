@@ -22,7 +22,7 @@ EXPERIMENT = "suite-test-square"
 
 @pytest.fixture(autouse=True)
 def _toy_experiment():
-    register_experiment(EXPERIMENT, "x, tag -> x^2")(
+    register_experiment(EXPERIMENT, "squares (test only)", x=int, tag=str)(
         lambda point: {
             "y": point["x"] ** 2,
             "parity": "even" if point["x"] % 2 == 0 else "odd",

@@ -26,10 +26,10 @@ from repro.obs.summary import RUN_COUNTS, RUN_SPAN
 from repro.simmpi.engine import simulate_stages_batch
 from tests.obs.test_telemetry import assert_well_formed
 
-register_experiment("test-obs-cube", "cube the n parameter (test only)")(
+register_experiment("test-obs-cube", "cube (test only)", n=int)(
     lambda point: {"cube": point["n"] ** 3}
 )
-register_experiment("test-obs-fail", "always raises (test only)")(
+register_experiment("test-obs-fail", "always raises (test only)", n=int)(
     lambda point: {"never": 1 / 0}
 )
 
