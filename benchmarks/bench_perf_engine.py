@@ -71,6 +71,17 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
                                   # machine built for every call
           "speedup": float        # fresh_us / shared_us
         },                        # a fresh-machine call asserted equal
+        "barrier_group": {        # one sweep-chunked (pattern, P) group
+          "experiment": "barrier-cost", "pattern": str, "nprocs": int,
+          "points": int,          # 20 seeds x runs in {2, 3}
+          "comm_samples": int, "repeats": int,
+          "one_by_one_us": float, # best pass, per point: the adapter
+                                  # called once per point
+          "grouped_us": float,    # best pass, per point: the prefetch
+                                  # hook (one engine pass for the group),
+                                  # then the adapter once per point
+          "speedup": float        # one_by_one_us / grouped_us
+        },                        # outputs asserted equal
         "campaign_end_to_end": {
           "points": int, "cold_s": float, "warm_s": float,
           "points_per_s_cold": float,
@@ -521,6 +532,57 @@ def bench_barrier_point(quick: bool) -> dict:
     }
 
 
+def bench_barrier_group(quick: bool) -> dict:
+    """One ``sweep-chunked`` group of ``barrier-cost`` points, evaluated
+    one by one with and without the experiment's prefetch hook.
+
+    The 40 points share (pattern, P) and differ in ``seed`` and ``runs``,
+    as each run of 40 consecutive ``sweep-chunked`` points does.  Alone,
+    each point pays its own engine call; prefetched, their replications
+    are row groups of one engine pass, and each point's adapter call is
+    served its measurement.  Machines come from the shared memo and comm
+    profiles from the profile cache's memo on both sides.
+    """
+    from repro.explore.experiments import EXPERIMENTS
+
+    exp = EXPERIMENTS["barrier-cost"]
+    points = [
+        exp.bind({
+            "preset": "xeon-8x2x4", "pattern": "dissemination", "nprocs": 12,
+            "seed": seed, "runs": runs, "comm_samples": 3,
+        })
+        for seed in range(2012, 2032) for runs in (2, 3)
+    ]
+    repeats = 5 if quick else 20
+    def run_one_by_one():
+        return [exp.fn(point) for point in points]
+
+    def run_grouped():
+        exp.prefetch(points)
+        return run_one_by_one()
+
+    assert run_grouped() == run_one_by_one()
+
+    # Strict alternation, best of each, as in ``bench_barrier_point``.
+    alone_s = grouped_s = float("inf")
+    for _ in range(repeats):
+        alone_s = min(alone_s, _best_of(1, run_one_by_one))
+        grouped_s = min(grouped_s, _best_of(1, run_grouped))
+    alone_us = alone_s / len(points) * 1e6
+    grouped_us = grouped_s / len(points) * 1e6
+    return {
+        "experiment": "barrier-cost",
+        "pattern": "dissemination",
+        "nprocs": 12,
+        "points": len(points),
+        "comm_samples": 3,
+        "repeats": repeats,
+        "one_by_one_us": alone_us,
+        "grouped_us": grouped_us,
+        "speedup": alone_us / grouped_us,
+    }
+
+
 def bench_campaign(quick: bool) -> dict:
     """Cold vs warm barrier-cost campaign through the JSONL store."""
     from repro.explore import DesignSpace, run_campaign
@@ -924,6 +986,7 @@ def run_all(quick: bool) -> dict:
             "halo_batch_vs_loop": bench_halo(quick),
             "spinlock_batch_vs_loop": bench_spinlock(quick),
             "barrier_point": bench_barrier_point(quick),
+            "barrier_group": bench_barrier_group(quick),
             "campaign_end_to_end": bench_campaign(quick),
             "profile_cache": bench_profile_cache(quick),
             "profile_sweep": bench_profile_sweep(quick),
@@ -1001,6 +1064,15 @@ def test_perf_engine_quick(emit, tmp_path):
     # The shared machine makes this point about 1.5x cheaper on a 2-vCPU
     # VM; near 1x, every point builds its machine again.
     assert point["speedup"] >= 1.2
+    group = artifact["cases"]["barrier_group"]
+    emit(
+        f"barrier-cost group of {group['points']} (quick): "
+        f"{group['grouped_us']:.0f}us per point grouped vs "
+        f"{group['one_by_one_us']:.0f}us one by one "
+        f"({group['speedup']:.1f}x)"
+    )
+    # One engine pass for the group; near 1x, each point pays its own.
+    assert group["speedup"] >= 1.3
     bsp = artifact["cases"]["bsp_batch_vs_loop"]
     emit(
         f"bsp runs-axis speedup (quick): {bsp['speedup']:.1f}x "

@@ -51,26 +51,31 @@ class BSPBenchResult:
     h_times_seconds: tuple[float, ...]
 
 
+#: DAXPY applications per rate timing (§4.1).
+RATE_ITERATIONS = 64
+
+
 def measure_rate_points(
     machine: SimMachine,
     core: int,
     sizes=None,
-    iterations: int = 64,
     samples: int = 8,
 ) -> list[RatePoint]:
-    """Time DAXPY at growing vector sizes; report mean time and rate."""
+    """Time DAXPY at growing vector sizes, ``RATE_ITERATIONS`` applications
+    per timing; report mean time and rate."""
     if sizes is None:
         sizes = tuple(2**k for k in range(0, 11))  # 1 .. 1024
-    iterations = require_int(iterations, "iterations")
     rng = machine.rng("bspbench-rate", core)
     points = []
     for n in sizes:
         times = [
-            machine.kernel_time(core, DAXPY, n, reps=iterations, rng=rng)
+            machine.kernel_time(
+                core, DAXPY, n, reps=RATE_ITERATIONS, rng=rng
+            )
             for _ in range(samples)
         ]
         t = float(np.median(times))
-        per_app = t / iterations
+        per_app = t / RATE_ITERATIONS
         points.append(
             RatePoint(n=int(n), mean_seconds=t,
                       rate_flops=DAXPY.flops(int(n)) / per_app)

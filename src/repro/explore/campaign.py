@@ -44,7 +44,7 @@ from repro.explore.space import DesignPoint, DesignSpace, jsonable
 from repro.obs import current as _telemetry
 from repro.obs import telemetry_dir_for
 from repro.obs import wallclock as _wallclock
-from repro.obs.summary import POINT_SPAN, RUN_COUNTS, RUN_SPAN
+from repro.obs.summary import GROUP_SPAN, POINT_SPAN, RUN_COUNTS, RUN_SPAN
 
 
 def _jsonify_metrics(value: Any) -> dict:
@@ -101,10 +101,40 @@ def _evaluate(task: tuple[str, dict]) -> tuple[bool, dict]:
 
 
 def _evaluate_chunk(chunk: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
-    """Worker entry point of the pool executor: one pool task per
-    contiguous *chunk* of points rather than per point, amortising
-    pickle/dispatch overhead over many cheap points."""
+    """Evaluate a contiguous chunk of tasks: the pool executor's unit of
+    work (one pool task per chunk rather than per point, amortising
+    pickle/dispatch overhead over many cheap points) and the serial
+    executor's whole map.  Each point is evaluated alone, after
+    :func:`_prefetch` has let its experiment compute what the chunk's
+    points share."""
+    _prefetch(chunk)
     return [_evaluate(task) for task in chunk]
+
+
+def _prefetch(chunk: list[tuple[str, dict]]) -> None:
+    """Hand each experiment with a ``prefetch`` hook the chunk's points
+    of it that bind, when there are at least two, under a
+    ``campaign.group`` span.  The hook only computes ahead what the
+    points' own evaluations would compute: if it raises, the error is
+    dropped and every point still evaluates, and fails, on its own."""
+    batches: dict[str, list] = {}
+    for experiment, params in chunk:
+        exp = EXPERIMENTS.get(experiment)
+        if exp is None or exp.prefetch is None:
+            continue
+        try:
+            batches.setdefault(experiment, []).append(exp.bind(params))
+        except Exception:  # noqa: BLE001 — the point's own run reports it
+            continue
+    tele = _telemetry()
+    for experiment, points in batches.items():
+        if len(points) < 2:
+            continue
+        observed = contextlib.nullcontext() if tele is None else tele.span(
+            GROUP_SPAN, experiment=experiment, points=len(points)
+        )
+        with observed, contextlib.suppress(Exception):
+            EXPERIMENTS[experiment].prefetch(points)
 
 
 def _pool_context():
@@ -156,7 +186,7 @@ class SerialExecutor:
     def map(self, tasks: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
         with _observed_map(self.name, len(tasks), 1):
             if self.policy is None or self.policy.is_noop:
-                return [_evaluate(task) for task in tasks]
+                return _evaluate_chunk(tasks)
             return serial_map_with_retry(
                 _evaluate, tasks, self.policy, keys=_task_keys(tasks)
             )

@@ -675,7 +675,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 ]
                 for w in workers
             ]
-            print("worker utilization (campaign.point spans):")
+            print("worker utilization (campaign.point and .group spans):")
             print(format_table(
                 ["pid", "tid", "points", "busy [s]", "util",
                  "first start [s]", "last end [s]"],

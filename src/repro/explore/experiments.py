@@ -13,6 +13,13 @@ with defaults filled in; the stored point and its record key stay the
 point as given.  ``python -m repro.explore experiments`` lists the
 experiments with their tables.
 
+An experiment may also register a ``prefetch(points)`` hook: the
+campaign layer hands it each chunk's bound points before evaluating
+them one by one, so it can compute what several points share in one
+pass.  ``barrier-cost`` measures the points that share a pattern and
+platform in one engine pass, and each point's evaluation is served its
+bit-identical measurement.
+
 Every adapter builds its platform from the named preset registry
 (:mod:`repro.cluster.presets`), so a campaign spec is pure data.
 """
@@ -72,6 +79,7 @@ class Experiment:
     fn: Callable[[BoundPoint], dict]
     description: str
     params: Mapping[str, tuple[Callable[[Any], Any], Any]]
+    prefetch: Callable[[list[BoundPoint]], None] | None = None
 
     def check(self, names: Iterable[str]) -> None:
         """Raise ``ValueError`` on any name the table does not declare."""
@@ -101,17 +109,23 @@ class Experiment:
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def register_experiment(name: str, description: str, /, **params):
+def register_experiment(name: str, description: str, /, *, prefetch=None,
+                        **params):
     """Decorator registering ``fn`` as the experiment called ``name``;
     ``description`` says what it measures, and each keyword declares a
-    point parameter as a cast (required) or a ``(cast, default)`` pair."""
+    point parameter as a cast (required) or a ``(cast, default)`` pair.
+    ``prefetch``, when given, takes a list of bound points about to be
+    evaluated and computes ahead what they share; it must not change
+    what ``fn`` returns for any of them."""
     table = MappingProxyType({
         key: spec if isinstance(spec, tuple) else (spec, REQUIRED)
         for key, spec in params.items()
     })
 
     def deco(fn: Callable[[BoundPoint], dict]):
-        EXPERIMENTS[name] = Experiment(name, fn, description, table)
+        EXPERIMENTS[name] = Experiment(
+            name, fn, description, table, prefetch
+        )
         return fn
 
     return deco
@@ -181,9 +195,40 @@ def _critpath_metrics(report) -> dict:
     return metrics
 
 
+def _prefetch_barrier_costs(points: list[BoundPoint]) -> None:
+    """Measure the ``barrier-cost`` points that share their structural
+    parameters (preset, nodes, pattern, nprocs), and differ only in seed,
+    runs or comm samples, as row groups of one engine pass each
+    (:func:`repro.barriers.simulate.prefetch_barriers`), so that each
+    point's own evaluation is served its measurement.  A point alone in
+    its group, and a ``critpath`` point, measures as it would anyway."""
+    from repro.barriers.simulate import prefetch_barriers
+
+    groups: dict[tuple, list[BoundPoint]] = {}
+    for point in points:
+        if not point["critpath"]:
+            key = tuple(point[k] for k in ("preset", "nodes", "pattern",
+                                           "nprocs"))
+            groups.setdefault(key, []).append(point)
+    batches = []
+    for members in groups.values():
+        # An unknown pattern is left for each point's own error.
+        if len(members) < 2 or members[0]["pattern"] not in PATTERN_FAMILIES:
+            continue
+        pattern = _pattern_from_point(members[0])
+        machines = [_machine_from_point(point) for point in members]
+        batches.append((
+            [(m, point["runs"]) for m, point in zip(machines, members)],
+            pattern,
+            machines[0].placement(pattern.nprocs),
+        ))
+    prefetch_barriers(batches)
+
+
 @register_experiment(
     "barrier-cost",
     "measured vs predicted cost of one barrier (§5.6.6, Figs. 5.6-5.13)",
+    prefetch=_prefetch_barrier_costs,
     **_MACHINE, pattern=str, nprocs=int, runs=(int, 16),
     comm_samples=(int, 5), critpath=(bool, False),
 )
@@ -228,8 +273,7 @@ def barrier_cost(point: BoundPoint) -> dict:
 @register_experiment(
     "barrier-adapt",
     "greedy adaptation vs the best flat default (Figs. 7.6-7.7)",
-    **_MACHINE, nprocs=int, runs=(int, 16), gap_ratio=(float, 2.0),
-    comm_samples=(int, 5), comm_runs=(_int_or_none, None),
+    **_MACHINE, nprocs=int, runs=(int, 16), comm_samples=(int, 5),
 )
 def barrier_adapt(point: BoundPoint) -> dict:
     from repro.adapt.evaluate import evaluate_adaptation
@@ -238,11 +282,9 @@ def barrier_adapt(point: BoundPoint) -> dict:
         _machine_from_point(point),
         point["nprocs"],
         runs=point["runs"],
-        gap_ratio=point["gap_ratio"],
         comm_samples=point["comm_samples"],
-        comm_runs=point["comm_runs"],
     )
-    metrics = {
+    return {
         "adapted_pattern": ev.pattern_name,
         "top_kind": ev.top_kind,
         "levels": ev.levels,
@@ -253,11 +295,6 @@ def barrier_adapt(point: BoundPoint) -> dict:
         "default_measured_s": ev.best_default_measured,
         "measured_speedup": ev.measured_speedup,
     }
-    if ev.ensemble_runs is not None:
-        metrics["ensemble_predicted_s"] = ev.ensemble_predicted_mean
-        metrics["ensemble_predicted_spread"] = ev.ensemble_predicted_spread
-        metrics["choice_stability"] = ev.choice_stability
-    return metrics
 
 
 @register_experiment(
@@ -326,7 +363,6 @@ def bspbench_params(point: BoundPoint) -> dict:
     "bspbench-rate",
     "DAXPY rate at one vector size (Fig. 4.2)",
     **_MACHINE, n=int, core=(int, 0), samples=(int, 8),
-    iterations=(int, 64),
 )
 def bspbench_rate(point: BoundPoint) -> dict:
     from repro.bench.bspbench import measure_rate_points
@@ -335,7 +371,6 @@ def bspbench_rate(point: BoundPoint) -> dict:
         _machine_from_point(point),
         point["core"],
         sizes=(point["n"],),
-        iterations=point["iterations"],
         samples=point["samples"],
     )[0]
     return {"rate_flops": pt.rate_flops, "mean_s": pt.mean_seconds}
@@ -834,9 +869,7 @@ def spinlock(point: BoundPoint) -> dict:
                 machine,
                 dissemination_barrier(nprocs),
                 placement,
-                # The bound's barrier keeps the 16 replications it was
-                # measured with when the point gives no runs.
-                runs=point["runs"] if "runs" in point.given else 16,
+                runs=point["runs"],
             ).mean_worst,
         }
     # Contending threads pack onto sockets/nodes ("block"), the locality

@@ -24,6 +24,10 @@ TELEMETRY_DIRNAME = ".telemetry"
 #: The span each campaign point is evaluated under.
 POINT_SPAN = "campaign.point"
 
+#: The span an experiment's prefetch hook runs under: the work a chunk's
+#: points share, computed before their own ``campaign.point`` spans.
+GROUP_SPAN = "campaign.group"
+
 #: The span each ``Campaign.run`` and ``AdaptiveCampaign.run`` records.
 RUN_SPAN = "campaign.run"
 
@@ -201,9 +205,12 @@ def top_spans(events: Iterable[Mapping[str, Any]], k: int = 10) -> list[dict]:
 
 
 def worker_utilization(events: Iterable[Mapping[str, Any]]) -> list[dict]:
-    """Per-(pid, tid) busy time under ``campaign.point`` spans over the
-    shared run window — the worker utilization timeline ``stats`` prints."""
-    matched = spans(events, POINT_SPAN)
+    """Per-(pid, tid) busy time under ``campaign.point`` and
+    ``campaign.group`` spans (the two never overlap) over the shared run
+    window — the worker utilization timeline ``stats`` prints.  ``spans``
+    counts the lane's points."""
+    events = list(events)
+    matched = spans(events, POINT_SPAN) + spans(events, GROUP_SPAN)
     if not matched:
         return []
     window_start = min(s["ts"] for s in matched)
@@ -216,7 +223,7 @@ def worker_utilization(events: Iterable[Mapping[str, Any]]) -> list[dict]:
             {"spans": 0, "busy_s": 0.0, "first_ts": s["ts"],
              "last_end": s["ts"] + s["dur"]},
         )
-        lane["spans"] += 1
+        lane["spans"] += s["name"] == POINT_SPAN
         lane["busy_s"] += max(s["dur"], 0.0)
         lane["first_ts"] = min(lane["first_ts"], s["ts"])
         lane["last_end"] = max(lane["last_end"], s["ts"] + s["dur"])

@@ -57,6 +57,17 @@ of draws, replication 1 the next, and so on.  This order is part of the
 engine's public contract — golden artifacts were regenerated when it
 replaced the reference engine's per-message interleaved draws (see
 ``docs/engine.md``).
+
+Row groups
+----------
+``rng`` may also be a sequence of ``(Generator, rows)`` pairs whose rows
+sum to ``runs``: several callers' replications in one pass, each group
+drawing from its own generator.  Each of the five draws above is then the
+concatenation, in group order, of ``perturb(generator_g, base, (rows_g,
+n))``: group ``g``'s rows are exactly the draws a separate ``runs=rows_g``
+call with ``generator_g`` would take.  Every other operation is row-wise,
+so group ``g``'s exit rows equal that separate call's exits bit for bit.
+A single Generator is the one-group case ``[(rng, runs)]``.
 """
 
 from __future__ import annotations
@@ -70,6 +81,7 @@ from repro.cluster.noise import NoiseModel
 from repro.machine.simmachine import CommTruth
 from repro.obs import current as _telemetry
 from repro.obs.provenance import EngineProvenance, StageProvenance
+from repro.util.validation import require_int
 
 
 def stage_payload_matrix(payload_bytes, stage_idx: int, p: int) -> np.ndarray:
@@ -114,19 +126,41 @@ def _batch_entry_times(entry_times, runs: int, p: int) -> np.ndarray:
     )
 
 
-def _draw(noise, rng, base, shape) -> np.ndarray:
+def _row_groups(rng, runs: int):
+    """``rng`` as a list of ``(Generator, rows)`` groups, or ``None`` for
+    the clean path; a single Generator is the one group ``[(rng, runs)]``."""
+    if rng is None:
+        return None
+    if isinstance(rng, np.random.Generator):
+        return [(rng, runs)]
+    groups = [(gen, require_int(rows, "rows")) for gen, rows in rng]
+    if any(rows < 1 for _, rows in groups):
+        raise ValueError("every row group needs rows >= 1")
+    total = sum(rows for _, rows in groups)
+    if total != runs:
+        raise ValueError(f"row groups hold {total} rows, but runs is {runs}")
+    return groups
+
+
+def _draw(noise, groups, base, shape) -> np.ndarray:
     """One bulk noise matrix of ``shape``, replication-major.
 
-    ``base`` is a scalar or a per-message vector that broadcasts to
-    ``shape``; it goes straight to :meth:`NoiseModel.perturb`, with no
-    broadcast copy and no re-validation, since :class:`CommTruth` and
+    ``groups`` is a :func:`_row_groups` list: each generator fills its
+    own consecutive rows, in group order.  ``base`` is a scalar or a
+    per-message vector that broadcasts to ``shape``; it goes straight to
+    :meth:`NoiseModel.perturb`, with no broadcast copy and no
+    re-validation, since :class:`CommTruth` and
     :func:`stage_payload_matrix` have checked every duration it is built
     from.  On the clean path the base values come back as a read-only
     broadcast view, and no RNG state is consumed.
     """
-    if rng is None or noise is None:
+    if groups is None or noise is None:
         return np.broadcast_to(base, shape)
-    return noise.perturb(rng, base, shape)
+    if len(groups) == 1:  # its rows are all of ``shape``: no concatenation
+        return noise.perturb(groups[0][0], base, shape)
+    return np.concatenate([
+        noise.perturb(gen, base, (rows, shape[1])) for gen, rows in groups
+    ])
 
 
 #: Most stage plans :func:`_stage_plan` keeps.  A sweep that never
@@ -335,7 +369,7 @@ def simulate_stages_batch(
     stages,
     runs: int = 1,
     payload_bytes=None,
-    rng: np.random.Generator | None = None,
+    rng=None,
     noise: NoiseModel | None = None,
     entry_times: np.ndarray | None = None,
     provenance: EngineProvenance | None = None,
@@ -349,7 +383,9 @@ def simulate_stages_batch(
     skewed arrival at the synchronisation point.  With ``rng=None`` (or
     ``noise=None``) every replication is the identical clean execution,
     computed once and broadcast.  A single execution is row 0 of a
-    ``runs=1`` call.
+    ``runs=1`` call.  ``rng`` is a Generator, or a sequence of
+    ``(Generator, rows)`` row groups summing to ``runs`` (see the module
+    docstring), each group's rows equal to a separate call's.
 
     Under telemetry (:mod:`repro.obs`) the engine emits one host span per
     call plus one *simulated-time* span per stage, read as scalars off the
@@ -391,7 +427,7 @@ def _simulate_stages_batch(
     stages,
     runs: int,
     payload_bytes,
-    rng: np.random.Generator | None,
+    rng,
     noise: NoiseModel | None,
     entry_times: np.ndarray | None,
     provenance: EngineProvenance | None,
@@ -400,11 +436,12 @@ def _simulate_stages_batch(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     p = truth.nprocs
+    groups = _row_groups(rng, runs)
     # Clean replications are identical: simulate one and broadcast it to
     # the ``requested`` rows.  Provenance then keeps single-row arrays
     # (``rep_row`` clamps), tagged with the requested replication count.
     requested = runs
-    if (rng is None or noise is None) and (
+    if (groups is None or noise is None) and (
         entry_times is None or np.asarray(entry_times).ndim == 1
     ):
         runs = 1
@@ -448,12 +485,15 @@ def _simulate_stages_batch(
         # --- bulk noise (documented draw order; see module docstring) ----
         shape = (runs, n_msg)
         inv_vals = _draw(
-            noise, rng, truth.invocation_overhead, (runs, participants.size)
+            noise, groups, truth.invocation_overhead,
+            (runs, participants.size),
         )
-        start_vals = _draw(noise, rng, truth.start_overhead[src, dst], shape)
-        transit_vals = _draw(noise, rng, transit, shape)
-        recv_vals = _draw(noise, rng, truth.recv_overhead, shape)
-        ack_vals = _draw(noise, rng, latency, shape)
+        start_vals = _draw(
+            noise, groups, truth.start_overhead[src, dst], shape
+        )
+        transit_vals = _draw(noise, groups, transit, shape)
+        recv_vals = _draw(noise, groups, truth.recv_overhead, shape)
+        ack_vals = _draw(noise, groups, latency, shape)
 
         # 1. Initiation: departure cursors are per-sender cumulative sums
         # seeded with entry + invocation overhead; padding with zeros keeps

@@ -1,5 +1,6 @@
-"""Tests for the one-call adaptation evaluation and its parameter-stability
-ensemble (``comm_runs``)."""
+"""Tests for the one-call adaptation evaluation."""
+
+import dataclasses
 
 import pytest
 
@@ -21,36 +22,7 @@ class TestEvaluateAdaptation:
         assert ev.nprocs == 8
         assert ev.adapted_measured > 0
         assert ev.best_default_measured > 0
-        assert ev.ensemble_runs is None
-        assert ev.ensemble_predicted_spread is None
-        assert ev.choice_stability is None
-
-    def test_comm_runs_ensemble_stability(self, machine):
-        ev = evaluate_adaptation(
-            machine, 8, runs=4, comm_samples=3, comm_runs=5
-        )
-        assert ev.ensemble_runs == 5
-        assert ev.ensemble_predicted_mean > 0
-        assert ev.ensemble_predicted_spread >= 0.0
-        # The §5.6.3 extraction is stable on this platform: ensemble
-        # predictions stay within a factor of the point prediction and the
-        # greedy choice agrees for most members.
-        assert ev.ensemble_predicted_mean == pytest.approx(
-            ev.adapted_predicted, rel=1.0
-        )
-        assert 0.0 <= ev.choice_stability <= 1.0
-        assert ev.choice_stability >= 0.5
-
-    def test_ensemble_deterministic(self, machine):
-        a = evaluate_adaptation(machine, 6, runs=4, comm_samples=3,
-                                comm_runs=3)
-        b = evaluate_adaptation(machine, 6, runs=4, comm_samples=3,
-                                comm_runs=3)
-        assert a.ensemble_predicted_mean == b.ensemble_predicted_mean
-        assert a.ensemble_predicted_spread == b.ensemble_predicted_spread
-        assert a.choice_stability == b.choice_stability
-
-    def test_comm_runs_validated(self, machine):
-        with pytest.raises(ValueError, match="comm_runs"):
-            evaluate_adaptation(machine, 4, runs=2, comm_samples=3,
-                                comm_runs=0)
+        # The parameter-stability ensemble had no caller and is gone.
+        names = {f.name for f in dataclasses.fields(ev)}
+        assert not any(n.startswith("ensemble_") for n in names)
+        assert "choice_stability" not in names

@@ -120,3 +120,59 @@ def test_stencil_run_critpath_rejects_mpi_family():
             "preset": "xeon-8x2x4", "impl": "MPI", "n": 96, "nprocs": 4,
             "critpath": True,
         })
+
+
+def test_stencil_accuracy_mpi_r_predicts_with_overlap():
+    from repro.barriers.evaluate import profile_placement
+    from repro.stencil import (
+        decompose,
+        predict_mpi_iteration,
+        run_mpi_r_stencil,
+        stencil_sec_per_cell,
+    )
+
+    point = {
+        "preset": "xeon-8x2x4", "impl": "MPI+R", "n": 96, "nprocs": 4,
+        "iterations": 2, "comm_samples": 3,
+    }
+    metrics = run_point("stencil-accuracy", point)
+    machine = make_preset_machine("xeon-8x2x4")
+    placement = machine.placement(4)
+    params = profile_placement(machine, placement, comm_samples=3)
+    blocks = decompose(96, 4)
+    spc = stencil_sec_per_cell(machine, placement.core_of(0), blocks[0])
+    predicted = predict_mpi_iteration(
+        blocks, spc, params, overlap=True
+    ).per_iteration
+    measured = run_mpi_r_stencil(machine, 4, 96, 2).mean_iteration
+    assert metrics == {
+        "predicted_s": predicted,
+        "measured_s": measured,
+        "ratio": predicted / measured,
+    }
+    # Overlap hides communication: MPI+R predicts below plain MPI.
+    mpi = run_point("stencil-accuracy", {**point, "impl": "MPI"})
+    assert metrics["predicted_s"] < mpi["predicted_s"]
+    with pytest.raises(ValueError, match="runs is only supported"):
+        run_point("stencil-accuracy", {**point, "runs": 2})
+
+
+def test_spinlock_bound_measures_a_dissemination_barrier():
+    from repro.barriers import dissemination_barrier, measure_barrier
+    from repro.spinlocks import barrier_lower_bound
+
+    point = {"preset": "xeon-8x2x4", "lock": "bound", "nprocs": 8}
+    machine = make_preset_machine("xeon-8x2x4")
+    placement = machine.placement(8)
+    for runs in (None, 4):
+        given = {} if runs is None else {"runs": runs}
+        metrics = run_point("spinlock", {**point, **given})
+        # One default for runs: a point without it measures one run.
+        barrier = measure_barrier(
+            machine, dissemination_barrier(8), placement, runs=runs or 1
+        )
+        assert metrics == {
+            "bound_s": barrier_lower_bound(machine, placement),
+            "barrier_s": barrier.mean_worst,
+        }
+        assert metrics["bound_s"] < metrics["barrier_s"]

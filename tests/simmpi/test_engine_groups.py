@@ -1,0 +1,140 @@
+"""Row groups: several callers' replications in one engine pass.
+
+``simulate_stages_batch``'s ``rng`` may be a sequence of ``(Generator,
+rows)`` pairs.  Each group draws its rows from its own generator, so a
+grouped call is ``tobytes``-identical to the separate calls stacked in
+group order (module docstring of :mod:`repro.simmpi.engine`).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.barriers.patterns import (
+    all_to_all_barrier,
+    dissemination_barrier,
+    linear_barrier,
+    pairwise_exchange_barrier,
+    tree_barrier,
+)
+from repro.cluster import presets
+from repro.machine.simmachine import SimMachine
+from repro.simmpi.engine import simulate_stages_batch
+
+FAMILIES = (
+    linear_barrier,
+    tree_barrier,
+    dissemination_barrier,
+    pairwise_exchange_barrier,
+    all_to_all_barrier,
+)
+
+
+def _machine():
+    return SimMachine(
+        presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params(), seed=19
+    )
+
+
+def _stages(family_idx: int, p: int, empty_at: int | None):
+    family = FAMILIES[family_idx]
+    if family is pairwise_exchange_barrier:
+        p = 1 << (p.bit_length() - 1)
+    stages = list(family(p).stages)
+    if empty_at is not None:
+        stages.insert(empty_at % (len(stages) + 1), np.zeros((p, p), bool))
+    return stages, p
+
+
+def _payload(kind: str, num_stages: int, p: int):
+    if kind == "none":
+        return None
+    if kind == "scalar":
+        return 2048.0
+    return [
+        np.fromfunction(lambda i, j: 16.0 * (i + 3 * j + s), (p, p))
+        for s in range(num_stages)
+    ]
+
+
+@given(
+    family_idx=st.integers(0, len(FAMILIES) - 1),
+    p=st.integers(2, 20),
+    rows=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    seeds=st.lists(st.integers(0, 2**31), min_size=4, max_size=4),
+    payload_kind=st.sampled_from(["none", "scalar", "matrices"]),
+    entry_kind=st.sampled_from(["none", "shared", "per-row"]),
+    empty_at=st.one_of(st.none(), st.integers(0, 8)),
+    clean=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_grouped_call_equals_separate_calls(
+    family_idx, p, rows, seeds, payload_kind, entry_kind, empty_at, clean
+):
+    machine = _machine()
+    stages, p = _stages(family_idx, p, empty_at)
+    truth = machine.comm_truth(machine.placement(p))
+    payload = _payload(payload_kind, len(stages), p)
+    runs = sum(rows)
+    entry_rng = np.random.default_rng(seeds[0])
+    entry = {
+        "none": None,
+        "shared": entry_rng.uniform(0, 1e-4, p),
+        "per-row": entry_rng.uniform(0, 1e-4, (runs, p)),
+    }[entry_kind]
+
+    def generators():
+        if clean:
+            return [None] * len(rows)
+        return [
+            np.random.default_rng(seeds[g % 4] + g) for g in range(len(rows))
+        ]
+
+    grouped_rng = None if clean else list(zip(generators(), rows))
+    grouped = simulate_stages_batch(
+        truth, stages, runs=runs, payload_bytes=payload, rng=grouped_rng,
+        noise=machine.noise, entry_times=entry,
+    )
+    separate, start = [], 0
+    for gen, n in zip(generators(), rows):
+        part = entry
+        if entry_kind == "per-row":
+            part = entry[start:start + n]
+        separate.append(simulate_stages_batch(
+            truth, stages, runs=n, payload_bytes=payload, rng=gen,
+            noise=machine.noise, entry_times=part,
+        ))
+        start += n
+    assert grouped.shape == (runs, p)
+    assert grouped.tobytes() == np.concatenate(separate).tobytes()
+
+
+def test_single_generator_is_the_one_group_case():
+    machine = _machine()
+    stages = dissemination_barrier(12).stages
+    truth = machine.comm_truth(machine.placement(12))
+    one = simulate_stages_batch(
+        truth, stages, runs=6, rng=np.random.default_rng(5),
+        noise=machine.noise,
+    )
+    group = simulate_stages_batch(
+        truth, stages, runs=6, rng=[(np.random.default_rng(5), 6)],
+        noise=machine.noise,
+    )
+    assert one.tobytes() == group.tobytes()
+
+
+@pytest.mark.parametrize("rows, match", [
+    ((2, 2), "4 rows, but runs is 5"),
+    ((5, 0), "rows >= 1"),
+])
+def test_groups_must_cover_runs(rows, match):
+    machine = _machine()
+    truth = machine.comm_truth(machine.placement(4))
+    groups = [(np.random.default_rng(g), n) for g, n in enumerate(rows)]
+    with pytest.raises(ValueError, match=match):
+        simulate_stages_batch(
+            truth, tree_barrier(4).stages, runs=5, rng=groups,
+            noise=machine.noise,
+        )
