@@ -485,7 +485,7 @@ def bench_barrier_point(quick: bool) -> dict:
     The ``sweep-chunked`` shape: P = 12 dissemination, ``runs`` 3,
     ``comm_samples`` 3, one ``run_point`` per call.  ``shared_us`` takes
     the point's machine from :func:`make_preset_machine`'s memo, with its
-    placement, comm truth and profile key; ``fresh_us`` clears that memo
+    placement and profile key; ``fresh_us`` clears that memo
     before every call, so each call builds them all again, as every point
     did before machines were shared.  The comm profile comes from the
     profile cache's memo in both.
@@ -1061,7 +1061,7 @@ def test_perf_engine_quick(emit, tmp_path):
         f"shared machine vs {point['fresh_us']:.0f}us with a fresh one "
         f"({point['speedup']:.1f}x)"
     )
-    # The shared machine makes this point about 1.5x cheaper on a 2-vCPU
+    # The shared machine makes this point about 1.3x cheaper on a 2-vCPU
     # VM; near 1x, every point builds its machine again.
     assert point["speedup"] >= 1.2
     group = artifact["cases"]["barrier_group"]

@@ -57,7 +57,7 @@ def main() -> None:
         values = set(round(v, 6) for v in result.return_values)
         assert len(values) == 1, "all processes must agree on the total"
         classic = inner_product_cost_seconds(
-            run_bspbench(machine, nprocs, samples=5).params, N_TOTAL
+            run_bspbench(machine, nprocs, samples=5), N_TOTAL
         )
         rows.append([
             nprocs,

@@ -43,10 +43,6 @@ class AdaptedBarrier:
     predicted_cost: float
     default_predictions: dict[str, float]
 
-    @property
-    def beats_default_prediction(self) -> bool:
-        return self.predicted_cost <= min(self.default_predictions.values()) * 1.0001
-
 
 def _useful_levels(levels: list[ClusterLevel]) -> list[ClusterLevel]:
     """Drop the trivial level where every subset is a singleton and any

@@ -55,7 +55,6 @@ class AdaptationEvent:
 
     observation: int
     current_cost: float
-    best_cost: float
     switched: bool
     pattern_name: str
 
@@ -112,7 +111,6 @@ class OnlineBarrierAdapter:
             AdaptationEvent(
                 observation=self._observations,
                 current_cost=current_cost,
-                best_cost=candidate.predicted_cost,
                 switched=switched,
                 pattern_name=self.pattern.name,
             )

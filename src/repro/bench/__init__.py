@@ -33,7 +33,6 @@ from repro.bench.blas_profile import (
 )
 from repro.bench.bspbench import (
     RatePoint,
-    BSPBenchResult,
     run_bspbench,
     measure_rate_points,
     measure_h_relations,
@@ -65,7 +64,6 @@ __all__ = [
     "in_cache_sizes",
     "beyond_cache_sizes",
     "RatePoint",
-    "BSPBenchResult",
     "run_bspbench",
     "measure_rate_points",
     "measure_h_relations",

@@ -31,7 +31,6 @@ class SweepPoint:
 class KernelSweep:
     """A full footprint sweep for one kernel."""
 
-    kernel_name: str
     points: tuple[SweepPoint, ...]
 
     def memory_axis(self) -> np.ndarray:
@@ -78,7 +77,7 @@ def sweep_kernel(
                 median_seconds=median(times),
             )
         )
-    return KernelSweep(kernel_name=kernel.name, points=tuple(points))
+    return KernelSweep(points=tuple(points))
 
 
 def in_cache_sizes(kernel: Kernel, l1_bytes: int, points: int = 16) -> list[int]:

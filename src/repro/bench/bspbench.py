@@ -41,16 +41,6 @@ class RatePoint:
     rate_flops: float
 
 
-@dataclass(frozen=True)
-class BSPBenchResult:
-    """Full bspbench output for one process count."""
-
-    params: ClassicBSPParams
-    rate_points: tuple[RatePoint, ...]
-    h_values: tuple[int, ...]
-    h_times_seconds: tuple[float, ...]
-
-
 #: DAXPY applications per rate timing (§4.1).
 RATE_ITERATIONS = 64
 
@@ -130,7 +120,7 @@ def run_bspbench(
     machine: SimMachine,
     nprocs: int,
     samples: int = 9,
-) -> BSPBenchResult:
+) -> ClassicBSPParams:
     """Produce the (p, r, g, l) row of Table 3.1 for one process count."""
     nprocs = require_int(nprocs, "nprocs")
     if nprocs < 1:
@@ -147,7 +137,6 @@ def run_bspbench(
 
     if nprocs == 1:
         g_flops, l_flops = 0.0, 0.0
-        hs, times = [0], [0.0]
     else:
         hs, times = measure_h_relations(machine, nprocs, samples=samples)
         flop_times = np.asarray(times) * r_flops
@@ -155,10 +144,4 @@ def run_bspbench(
         g_flops = max(h_line.gradient, 0.0)
         l_flops = max(h_line.intercept, 0.0)
 
-    params = ClassicBSPParams(p=nprocs, r=r_flops, g=g_flops, l=l_flops)
-    return BSPBenchResult(
-        params=params,
-        rate_points=tuple(rate_points),
-        h_values=tuple(hs),
-        h_times_seconds=tuple(float(t) for t in times),
-    )
+    return ClassicBSPParams(p=nprocs, r=r_flops, g=g_flops, l=l_flops)

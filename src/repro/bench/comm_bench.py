@@ -42,8 +42,6 @@ class CommBenchReport:
     params: CommParameters
     placement: Placement
     samples: int
-    sizes: tuple[int, ...]
-    request_counts: tuple[int, ...]
 
 
 def _ensemble_medians(
@@ -158,8 +156,6 @@ def benchmark_comm_ensemble(
             ),
             placement=placement,
             samples=samples,
-            sizes=tuple(int(s) for s in sizes),
-            request_counts=tuple(int(c) for c in request_counts),
         )
         for r in range(runs)
     ]

@@ -35,12 +35,10 @@ DEFAULT_ITERATION_COUNTS = tuple(2**k for k in range(1, 13))
 class KernelProfile:
     """Benchmarked execution profile of one kernel at one problem size."""
 
-    kernel_name: str
     n: int  # elements per application
     flops_per_application: float
     seconds_per_application: float  # regression gradient
     line: RegressionLine
-    iteration_counts: tuple[int, ...]
 
     def predict_seconds(self, applications) -> np.ndarray:
         """Predicted total time for a run of ``applications`` kernel calls."""
@@ -52,15 +50,6 @@ class KernelProfile:
         if self.seconds_per_application <= 0.0:
             return 0.0
         return self.flops_per_application / self.seconds_per_application
-
-    @property
-    def seconds_per_element(self) -> float:
-        return self.seconds_per_application / self.n
-
-    def seconds_per_byte(self, kernel: Kernel) -> float:
-        """Cost per byte of the kernel's memory-use metric — the unit used
-        by the Chapter 3 cost matrices when requirements are in bytes."""
-        return self.seconds_per_application / kernel.memory_use(self.n)
 
 
 def benchmark_kernel(
@@ -90,12 +79,10 @@ def benchmark_kernel(
         means.append(batch.mean)
     line = linear_regression(np.asarray(iteration_counts, dtype=float), means)
     return KernelProfile(
-        kernel_name=kernel.name,
         n=n,
         flops_per_application=kernel.flops(n),
         seconds_per_application=line.gradient,
         line=line,
-        iteration_counts=tuple(int(c) for c in iteration_counts),
     )
 
 

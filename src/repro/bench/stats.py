@@ -135,7 +135,6 @@ class RegressionLine:
 
     gradient: float
     intercept: float
-    r_squared: float
 
     def predict(self, x):
         return self.gradient * np.asarray(x, dtype=float) + self.intercept
@@ -155,10 +154,7 @@ def linear_regression(x, y) -> RegressionLine:
     sxy = float(((x - x_mean) * (y - y_mean)).sum())
     gradient = sxy / sxx
     intercept = y_mean - gradient * x_mean
-    ss_res = float(((y - gradient * x - intercept) ** 2).sum())
-    ss_tot = float(((y - y_mean) ** 2).sum())
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RegressionLine(gradient, intercept, r_squared)
+    return RegressionLine(gradient, intercept)
 
 
 def batched_regression(x, ys) -> tuple[np.ndarray, np.ndarray]:

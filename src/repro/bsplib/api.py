@@ -168,8 +168,10 @@ class BSPContext:
         until after the next sync (its value is read at transfer time)."""
         self._put_impl(pid, src, dst, offset, high_performance=True)
 
-    def _get_impl(self, pid, src, offset, dst, dst_offset, nelems,
-                  high_performance: bool) -> None:
+    def get(self, pid: int, src: np.ndarray, offset: int, dst: np.ndarray,
+            nelems: int | None = None, dst_offset: int = 0) -> None:
+        """bsp_get: buffered remote read of the source's end-of-superstep
+        value into ``dst`` at the next sync."""
         pid = self._runtime.check_pid(pid)
         src = _as_1d(src, "src")
         dst = _as_1d(dst, "dst")
@@ -201,23 +203,14 @@ class BSPContext:
                 dest_array=dst,
                 dest_offset=dst_offset,
                 commit_time=commit,
-                high_performance=high_performance,
             ),
         ))
-
-    def get(self, pid: int, src: np.ndarray, offset: int, dst: np.ndarray,
-            nelems: int | None = None, dst_offset: int = 0) -> None:
-        """bsp_get: buffered remote read of the source's end-of-superstep
-        value into ``dst`` at the next sync."""
-        self._get_impl(pid, src, offset, dst, dst_offset, nelems,
-                       high_performance=False)
 
     def hpget(self, pid: int, src: np.ndarray, offset: int, dst: np.ndarray,
               nelems: int | None = None, dst_offset: int = 0) -> None:
         """bsp_hpget: unbuffered remote read (same visibility here; kept
-        distinct for interface fidelity and cost attribution)."""
-        self._get_impl(pid, src, offset, dst, dst_offset, nelems,
-                       high_performance=True)
+        distinct for interface fidelity)."""
+        self.get(pid, src, offset, dst, nelems, dst_offset)
 
     # --------------------------------------------------------------- BSMP
 

@@ -38,16 +38,6 @@ class Header:
     length: int
     sequence: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (
-            int(self.signal),
-            self.source_pid,
-            self.reg_index,
-            self.offset,
-            self.length,
-            self.sequence,
-        )
-
 
 @dataclass
 class PutRecord:
@@ -75,7 +65,6 @@ class GetRecord:
     dest_array: np.ndarray  # written at sync time
     dest_offset: int
     commit_time: float
-    high_performance: bool = False
 
     @property
     def nbytes(self) -> int:

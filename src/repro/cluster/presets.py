@@ -226,8 +226,7 @@ def preset_names() -> list[str]:
 
 #: Most preset machines :func:`make_preset_machine` keeps.  The
 #: end-to-end benchmark's `barrier-cost` campaigns use up to 25 (one per
-#: seed); a machine holds its placements and at most
-#: ``COMM_TRUTH_CACHE_SIZE`` comm truths.
+#: seed); a machine holds its placements and profile-cache keys.
 MACHINE_CACHE_SIZE = 32
 
 _DEFAULT_NOISE = NoiseModel()  # built once: its checks cost a lookup 7 us
@@ -242,7 +241,7 @@ def make_preset_machine(name: str, *, nodes: int | None = None, seed: int = 2012
     :data:`MACHINE_CACHE_SIZE`, keyed by the registered preset, ``nodes``,
     ``seed`` and ``noise``, with ``None`` meaning the default
     :class:`NoiseModel`), so the machine and what it memoises (its
-    placements, comm truths and profile-cache keys) are built once per
+    placements and profile-cache keys) are built once per
     process rather than once per design point.
     """
     return _shared_machine(

@@ -154,10 +154,6 @@ class Sampler:
             if p.key not in self._proposed
         ]
 
-    @property
-    def exhausted(self) -> bool:
-        return len(self._proposed) >= len(self.candidates)
-
 
 class RandomSampler(Sampler):
     """Seeded uniform sampling without replacement."""

@@ -103,10 +103,9 @@ def _evaluate(task: tuple[str, dict]) -> tuple[bool, dict]:
 def _evaluate_chunk(chunk: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
     """Evaluate a contiguous chunk of tasks: the pool executor's unit of
     work (one pool task per chunk rather than per point, amortising
-    pickle/dispatch overhead over many cheap points) and the serial
-    executor's whole map.  Each point is evaluated alone, after
-    :func:`_prefetch` has let its experiment compute what the chunk's
-    points share."""
+    pickle/dispatch overhead over many cheap points).  Each point is
+    evaluated alone, after :func:`_prefetch` has let its experiment
+    compute what the chunk's points share."""
     _prefetch(chunk)
     return [_evaluate(task) for task in chunk]
 
@@ -170,7 +169,8 @@ def _observed_map(name: str, tasks: int, workers: int, **attrs: Any):
 
 
 class SerialExecutor:
-    """In-process, in-order evaluation.
+    """In-process, in-order evaluation of the tasks as one chunk: the
+    experiments' prefetch hooks run first, then each point alone.
 
     With a :class:`RetryPolicy`, failed points retry after deterministic
     backoff and quarantine on exhaustion.  ``point_timeout_s`` is *not*
@@ -185,10 +185,10 @@ class SerialExecutor:
 
     def map(self, tasks: list[tuple[str, dict]]) -> list[tuple[bool, dict]]:
         with _observed_map(self.name, len(tasks), 1):
-            if self.policy is None or self.policy.is_noop:
-                return _evaluate_chunk(tasks)
+            _prefetch(tasks)
             return serial_map_with_retry(
-                _evaluate, tasks, self.policy, keys=_task_keys(tasks)
+                _evaluate, tasks, self.policy or RetryPolicy(),
+                keys=_task_keys(tasks),
             )
 
 
@@ -387,10 +387,6 @@ class Campaign:
         """The quarantine sidecar: structured records of points that
         exhausted their retry budget, next to ``<name>.jsonl``."""
         return _quarantine_path(Campaign.results_path(store_dir, name))
-
-    @property
-    def cache(self) -> ResultCache | None:
-        return self._cache
 
     # ------------------------------------------------------------------ run
 

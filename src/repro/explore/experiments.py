@@ -349,14 +349,10 @@ def _profiled(point: BoundPoint):
 def bspbench_params(point: BoundPoint) -> dict:
     from repro.bench.bspbench import run_bspbench
 
-    result = run_bspbench(
+    params = run_bspbench(
         _machine_from_point(point), point["nprocs"], samples=point["samples"]
     )
-    return {
-        "r_flops": result.params.r,
-        "g_flop": result.params.g,
-        "l_flop": result.params.l,
-    }
+    return {"r_flops": params.r, "g_flop": params.g, "l_flop": params.l}
 
 
 @register_experiment(
@@ -407,7 +403,7 @@ def inner_product(point: BoundPoint) -> dict:
     measured = bsp_run(
         machine, nprocs, program, label=f"fig32-{nprocs}", runs=point["runs"],
     ).total_seconds
-    params = run_bspbench(machine, nprocs, samples=point["samples"]).params
+    params = run_bspbench(machine, nprocs, samples=point["samples"])
     estimate = inner_product_cost_seconds(params, n_total)
     return {
         "measured_s": measured,

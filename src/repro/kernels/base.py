@@ -47,10 +47,6 @@ class Kernel:
             raise ValueError("operand_arrays must be >= 1")
         require_int(self.periodicity, "periodicity")
 
-    @property
-    def bytes_per_element(self) -> float:
-        return self.read_bytes_per_element + self.write_bytes_per_element
-
     def memory_use(self, n: int) -> int:
         """Problem size in bytes as plotted by the thesis (Figs. 4.5-4.6):
         element count times operand width times the operand-vector count."""

@@ -6,17 +6,16 @@ messages over it, and the BSPlib runtime charges virtual time against it.
 All randomness flows through :meth:`SimMachine.rng` so that every experiment
 is reproducible from one machine seed plus a stream label.
 
-A machine is an immutable value: everything derived from it alone (its
-placements, their ground-truth matrices, a profile cache's key) is built
-once and served from the machine, so campaigns that share a machine
-(:func:`repro.cluster.presets.make_preset_machine`) share that work too.
+A machine is an immutable value: its placements and a profile cache's
+key are built once and served from the machine, so campaigns that share
+a machine (:func:`repro.cluster.presets.make_preset_machine`) share that
+work too.  A placement's ground-truth matrices are built on each call.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from typing import Any
@@ -73,36 +72,23 @@ class CommTruth:
         return self.placement.nprocs
 
 
-#: Most :class:`CommTruth` objects one machine keeps.  A truth is three
-#: P x P float64 matrices (0.5 MB at P = 144); the `barrier-cost`
-#: campaigns of the end-to-end benchmark use at most 8 placements per
-#: machine, and a sweep over more only pays the rebuild it paid before.
-COMM_TRUTH_CACHE_SIZE = 16
-
-
 class _Memo:
-    """A thread-safe memo, least-recently-used once ``maxsize`` is set.
+    """A thread-safe memo.
 
     ``build`` runs outside the lock; when two threads race to build one
     key, the first result stored is the one both return."""
 
-    def __init__(self, maxsize: int | None = None):
-        self._maxsize = maxsize
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+    def __init__(self):
+        self._entries: dict[Hashable, Any] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
         with self._lock:
             if key in self._entries:
-                self._entries.move_to_end(key)
                 return self._entries[key]
         value = build()
         with self._lock:
-            value = self._entries.setdefault(key, value)
-            self._entries.move_to_end(key)
-            while self._maxsize is not None and len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-        return value
+            return self._entries.setdefault(key, value)
 
 
 class SimMachine:
@@ -111,11 +97,9 @@ class SimMachine:
     Immutable: assigning or deleting an attribute raises
     ``AttributeError``, and the topology, parameters and noise model are
     frozen values, so one machine can be shared by every campaign,
-    thread and test in a process.  :meth:`placement` and
-    :meth:`comm_truth` are memoised on the machine (the truths in an
-    LRU of :data:`COMM_TRUTH_CACHE_SIZE`), and :meth:`derived` memoises
-    any other value computed from the machine alone; served objects are
-    shared, with read-only arrays.
+    thread and test in a process.  :meth:`placement` is memoised on the
+    machine, and :meth:`derived` memoises any other value computed from
+    the machine alone; served objects are shared, with read-only arrays.
     """
 
     def __init__(
@@ -131,7 +115,6 @@ class SimMachine:
             "noise": noise if noise is not None else NoiseModel(),
             "seed": require_int(seed, "seed"),
             "_derived": _Memo(),
-            "_truths": _Memo(COMM_TRUTH_CACHE_SIZE),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -178,18 +161,11 @@ class SimMachine:
     # -------------------------------------------------------- communication
 
     def comm_truth(self, placement: Placement) -> CommTruth:
-        """The ground-truth pairwise matrices for a placement, built once
-        per set of cores: a placement equal to an earlier one (same cores
-        in the same rank order) is served that one's truth."""
+        """The ground-truth pairwise matrices for a placement."""
         if placement.topology is not self.topology:
             # Accept structurally equal topologies (e.g. rebuilt presets).
             if placement.topology != self.topology:
                 raise ValueError("placement belongs to a different topology")
-        return self._truths.get(
-            placement.cores.tobytes(), lambda: self._build_truth(placement)
-        )
-
-    def _build_truth(self, placement: Placement) -> CommTruth:
         rel = placement.relation_matrix()
         p = placement.nprocs
         latency = np.zeros((p, p))

@@ -95,7 +95,6 @@ class EngineProvenance:
     nprocs: int = 0
     nic_gap: float = 0.0
     initial_entry: np.ndarray | None = None  # (r, P)
-    final_exit: np.ndarray | None = None  # (r, P)
     stages: list[StageProvenance] = field(default_factory=list)
 
 

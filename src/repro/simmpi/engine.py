@@ -593,8 +593,6 @@ def _simulate_stages_batch(
                 runs=int(requested),
                 sim_exit_mean_s=float(exit_max.mean()),
             )
-    if capture:
-        provenance.final_exit = t
     if requested > runs:
         return np.broadcast_to(t[0], (requested, p)).copy()
     return t

@@ -60,8 +60,6 @@ class SpinlockResult:
     noise replications.
     """
 
-    algorithm: str
-    nthreads: int
     acquisitions: int
     total_seconds: float  # mean span over the replications
     per_acquisition: np.ndarray  # cost of each critical-section handoff
@@ -188,8 +186,6 @@ def simulate_spinlock(
     handoffs = machine.noise.sample_matrix(rng, clean, runs)
     spans = handoffs.sum(axis=1) + total * CRITICAL_SECTION
     return SpinlockResult(
-        algorithm=algorithm,
-        nthreads=nthreads,
         acquisitions=total,
         total_seconds=float(np.mean(spans)),
         per_acquisition=handoffs,

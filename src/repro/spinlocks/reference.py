@@ -102,8 +102,6 @@ def reference_spinlock(
         remaining[winner] -= 1
         holder = winner
     return SpinlockResult(
-        algorithm=algorithm,
-        nthreads=nthreads,
         acquisitions=total,
         total_seconds=now,
         per_acquisition=np.asarray(costs)[np.newaxis],  # one replication

@@ -33,8 +33,6 @@ class LocalBlock:
     """One rank's share of the global interior."""
 
     rank: int
-    grid_row: int
-    grid_col: int
     height: int  # interior rows owned
     width: int  # interior cols owned
     global_row0: int  # global index of the first owned row
@@ -47,17 +45,6 @@ class LocalBlock:
     @property
     def interior_cells(self) -> int:
         return self.height * self.width
-
-    @property
-    def border_cells(self) -> int:
-        """Cells in the outermost owned ring (computed first for overlap)."""
-        if self.height <= 2 or self.width <= 2:
-            return self.interior_cells
-        return self.interior_cells - (self.height - 2) * (self.width - 2)
-
-    @property
-    def deep_interior_cells(self) -> int:
-        return self.interior_cells - self.border_cells
 
     @property
     def working_set_bytes(self) -> float:
@@ -105,8 +92,6 @@ def decompose(n: int, nprocs: int) -> list[LocalBlock]:
         blocks.append(
             LocalBlock(
                 rank=rank,
-                grid_row=r,
-                grid_col=c,
                 height=heights[r],
                 width=widths[c],
                 global_row0=row_offsets[r],

@@ -39,9 +39,9 @@ class TestHRelations:
         assert times[0] < times[-1]
 
     def test_single_process_skipped(self, machine):
-        result = run_bspbench(machine, 1, samples=4)
-        assert result.params.g == 0.0
-        assert result.params.l == 0.0
+        params = run_bspbench(machine, 1, samples=4)
+        assert params.g == 0.0
+        assert params.l == 0.0
 
 
 class TestBSPBenchTable:
@@ -52,18 +52,18 @@ class TestBSPBenchTable:
     def test_table_3_1_structure(self, table):
         """Table 3.1's qualitative content: r roughly constant near
         1 Gflop/s, l growing steeply once runs span several nodes."""
-        rs = [res.params.r for res in table.values()]
+        rs = [params.r for params in table.values()]
         assert max(rs) / min(rs) < 1.5
-        assert table[32].params.l > table[8].params.l
+        assert table[32].l > table[8].l
 
     def test_l_spans_orders_of_magnitude(self, table):
         """§3.1: the latency parameter spans orders of magnitude already at
         modest scale — the heterogeneity classic BSP hides."""
-        assert table[32].params.l > 5 * table[8].params.l
+        assert table[32].l > 5 * table[8].l
 
     def test_g_positive_multinode(self, table):
-        assert table[16].params.g >= 0.0
+        assert table[16].g >= 0.0
 
     def test_params_labelled_with_p(self, table):
-        for p, result in table.items():
-            assert result.params.p == p
+        for p, params in table.items():
+            assert params.p == p

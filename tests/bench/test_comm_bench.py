@@ -114,7 +114,6 @@ class TestHarness:
         placement = machine.placement(4)
         report = benchmark_comm(machine, placement, samples=5, sizes=FAST_SIZES)
         assert report.samples == 5
-        assert report.sizes == FAST_SIZES
 
     def test_multiple_counts(self, machine):
         for nprocs in (2, 4):

@@ -41,7 +41,6 @@ class TestProfileExtraction:
         )
         truth = quiet_machine.kernel_time_clean(0, DAXPY, 1024, reps=1)
         assert profile.seconds_per_application == pytest.approx(truth, rel=1e-9)
-        assert profile.line.r_squared == pytest.approx(1.0)
 
     def test_rate_near_calibration(self, machine):
         """In-cache DAXPY on the Xeon preset sustains ~1 Gflop/s (Tab 3.1)."""
@@ -51,15 +50,16 @@ class TestProfileExtraction:
         assert 0.6e9 < profile.rate_flops < 1.6e9
 
     def test_kernel_rates_differ(self, machine):
-        """§4.1's central observation: per-kernel rates are not exchangeable."""
+        """§4.1's central observation: per-kernel rates are not exchangeable
+        (both kernels run 1024 elements per application)."""
         daxpy = benchmark_kernel(
             machine, 0, DAXPY, 1024, iteration_counts=FAST_COUNTS, samples=12
         )
         stencil = benchmark_kernel(
             machine, 0, STENCIL5, 1024, iteration_counts=FAST_COUNTS, samples=12
         )
-        assert daxpy.seconds_per_element != pytest.approx(
-            stencil.seconds_per_element, rel=0.05
+        assert daxpy.seconds_per_application != pytest.approx(
+            stencil.seconds_per_application, rel=0.05
         )
 
     def test_validation_errors(self, machine):
@@ -115,13 +115,6 @@ class TestProfileHelpers:
         assert ten - one == pytest.approx(
             9 * profile.seconds_per_application, rel=1e-9
         )
-
-    def test_seconds_per_byte(self, quiet_machine):
-        profile = benchmark_kernel(
-            quiet_machine, 0, DAXPY, 128, iteration_counts=FAST_COUNTS, samples=5
-        )
-        expected = profile.seconds_per_application / DAXPY.memory_use(128)
-        assert profile.seconds_per_byte(DAXPY) == pytest.approx(expected)
 
     def test_zero_flop_rate(self, quiet_machine):
         from repro.kernels import SCOPY

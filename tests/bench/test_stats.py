@@ -92,7 +92,6 @@ class TestLinearRegression:
         line = linear_regression(x, y)
         assert line.gradient == pytest.approx(3.0)
         assert line.intercept == pytest.approx(2.0)
-        assert line.r_squared == pytest.approx(1.0)
 
     def test_predict(self):
         line = linear_regression([0.0, 1.0], [1.0, 3.0])

@@ -20,7 +20,9 @@ def machine():
 class TestHeader:
     def test_six_integers(self):
         header = Header(SignalType.PUT, 1, 2, 3, 4, 5)
-        assert header.as_tuple() == (0, 1, 2, 3, 4, 5)
+        assert (header.signal, header.source_pid, header.reg_index,
+                header.offset, header.length, header.sequence) == (
+            SignalType.PUT, 1, 2, 3, 4, 5)
         assert HEADER_BYTES == 24
 
 

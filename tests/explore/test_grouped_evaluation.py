@@ -5,7 +5,6 @@ and every record equals the one per-point evaluation gives."""
 import pytest
 
 from repro.barriers import simulate
-from repro.explore import campaign as campaign_mod
 from repro.explore.campaign import (
     Campaign,
     PoolExecutor,
@@ -17,6 +16,7 @@ from repro.explore.experiments import EXPERIMENTS
 from repro.explore.resilience import (
     FaultPlan,
     FaultSpec,
+    RetryPolicy,
     activate,
     deactivate,
 )
@@ -125,15 +125,11 @@ def test_campaign_records_equal_per_point_evaluation(tmp_path, executor):
     assert outcome.stats.failed == sum(1 for ok, _ in want if not ok)
 
 
-def test_serial_map_without_policy_goes_through_chunks(monkeypatch):
-    seen = []
-    real = campaign_mod._evaluate_chunk
-
-    def spy(chunk):
-        seen.append(len(chunk))
-        return real(chunk)
-
-    monkeypatch.setattr(campaign_mod, "_evaluate_chunk", spy)
-    tasks = [("barrier-cost", p) for p in POINTS[:3]]
-    assert SerialExecutor().map(tasks) == [_evaluate(t) for t in tasks]
-    assert seen == [3]
+def test_serial_map_prefetches_under_any_policy(engine_calls):
+    tasks = [("barrier-cost", {**BASE, "pattern": "tree", "nprocs": 8,
+                               "seed": s}) for s in range(10)]
+    want = [_evaluate(t) for t in tasks]
+    for policy in (None, RetryPolicy(max_attempts=2)):
+        engine_calls.clear()
+        assert SerialExecutor(policy).map(tasks) == want
+        assert engine_calls == [160]  # one grouped call: ten points × 16 runs

@@ -29,7 +29,9 @@ class TestStencil9:
 
     def test_higher_flop_density_than_5_point(self):
         assert STENCIL9.flops_per_element > 2 * STENCIL5.flops_per_element
-        assert STENCIL9.bytes_per_element == STENCIL5.bytes_per_element
+        assert (STENCIL9.read_bytes_per_element,
+                STENCIL9.write_bytes_per_element) == (
+            STENCIL5.read_bytes_per_element, STENCIL5.write_bytes_per_element)
 
     def test_sustained_rate_higher(self):
         """Same traffic, more flops: the 9-point kernel sustains a higher

@@ -1,10 +1,10 @@
 """One immutable machine per argument set, and what it memoises.
 
 ``make_preset_machine`` shares one :class:`SimMachine` per (preset,
-nodes, seed, noise); the machine serves its placements and comm truths
-once built.  Sharing is safe only because nothing can change a machine,
-so the tests pin both halves: identity where things are shared, and a
-raise wherever a shared value could be written.
+nodes, seed, noise); the machine serves its placements once built.
+Sharing is safe only because nothing can change a machine, so the tests
+pin both halves: identity where things are shared, and a raise wherever
+a shared value could be written.
 """
 
 import sys
@@ -25,9 +25,9 @@ from repro.cluster.presets import (
     make_preset_machine,
     register_preset,
 )
-from repro.cluster.topology import Placement, Relation
+from repro.cluster.topology import Relation
 from repro.kernels.numeric import DAXPY
-from repro.machine.simmachine import COMM_TRUTH_CACHE_SIZE, SimMachine
+from repro.machine.simmachine import SimMachine
 
 
 class TestSharedPresetMachine:
@@ -147,25 +147,6 @@ class TestMemoisedOnTheMachine:
         with pytest.raises(ValueError, match="nprocs"):
             machine.placement(65)
 
-    def test_a_comm_truth_is_built_once_per_set_of_cores(self, machine):
-        placement = machine.placement(12)
-        truth = machine.comm_truth(placement)
-        assert machine.comm_truth(placement) is truth
-        equal = Placement(machine.topology, placement.cores)
-        assert machine.comm_truth(equal) is truth
-        for matrix in (truth.latency, truth.start_overhead, truth.inv_bandwidth):
-            assert not matrix.flags.writeable
-        reordered = Placement(machine.topology, placement.cores[::-1])
-        assert machine.comm_truth(reordered) is not truth
-
-    def test_comm_truths_are_bounded(self, machine):
-        first = machine.comm_truth(machine.placement(1))
-        for nprocs in range(2, COMM_TRUTH_CACHE_SIZE + 2):
-            machine.comm_truth(machine.placement(nprocs))
-        rebuilt = machine.comm_truth(machine.placement(1))
-        assert rebuilt is not first
-        assert rebuilt.latency.tobytes() == first.latency.tobytes()
-
     def test_derived_values_are_built_once_per_key(self, machine):
         calls = []
 
@@ -205,13 +186,13 @@ def _work(machine, k):
         times = measure_barrier(
             machine, dissemination_barrier(nprocs), placement, runs=4
         ).per_run_worst
-    return times.tobytes(), placement, machine.comm_truth(placement)
+    return times.tobytes(), placement
 
 
 def test_threads_on_one_shared_machine_match_a_serial_run():
-    """Eight threads race the cold builds of one machine's placements and
-    truths: each gets a serial run's result, and all threads share one
-    placement and one truth per process count."""
+    """Eight threads race the cold builds of one machine's placements:
+    each gets a serial run's result, and all threads share one placement
+    per process count."""
     topology, params = presets.xeon_8x2x4_topology(), presets.xeon_8x2x4_params()
     serial_machine = SimMachine(topology, params, seed=9)
     serial = [_work(serial_machine, k)[0] for k in range(8)]
@@ -239,7 +220,6 @@ def test_threads_on_one_shared_machine_match_a_serial_run():
     assert not errors
     assert [r[0] for r in results] == serial
     for k in range(4):
-        _, placement, truth = results[k]
-        _, other_placement, other_truth = results[k + 4]
+        _, placement = results[k]
+        _, other_placement = results[k + 4]
         assert other_placement is placement is shared.placement(placement.nprocs)
-        assert other_truth is truth is shared.comm_truth(placement)

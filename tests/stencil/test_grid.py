@@ -40,13 +40,13 @@ class TestDecompose:
                 assert blocks[b.south].north == b.rank
 
     def test_boundary_blocks_have_no_outer_neighbours(self):
-        blocks = decompose(64, 16)
-        rows, cols = process_grid(16)
+        n = 64
+        blocks = decompose(n, 16)
         for b in blocks:
-            assert (b.north is None) == (b.grid_row == 0)
-            assert (b.south is None) == (b.grid_row == rows - 1)
-            assert (b.west is None) == (b.grid_col == 0)
-            assert (b.east is None) == (b.grid_col == cols - 1)
+            assert (b.north is None) == (b.global_row0 == 0)
+            assert (b.south is None) == (b.global_row0 + b.height == n)
+            assert (b.west is None) == (b.global_col0 == 0)
+            assert (b.east is None) == (b.global_col0 + b.width == n)
 
     def test_offsets_tile_domain(self):
         n = 50
@@ -71,11 +71,6 @@ class TestDecompose:
     def test_working_set_is_two_padded_grids(self):
         block = decompose(30, 4)[0]  # 15x15 interior
         assert block.working_set_bytes == 2 * 17 * 17 * 8
-
-    def test_border_and_interior_cells(self):
-        b = decompose(32, 4)[0]
-        assert b.border_cells == 2 * 16 + 2 * 16 - 4
-        assert b.border_cells + b.deep_interior_cells == b.interior_cells
 
 
 @given(n=st.integers(16, 128), p=st.integers(1, 16))

@@ -29,7 +29,24 @@ classes, the ``durable`` fsync switch) are listed in ``KEPT_OPTIONS``
 with their reason.  An entry goes stale, and fails the test, when its
 parameter is gone or something now sets it.
 
-A third test pins the import graph: importing any ``repro`` package
+A third test holds class members to the same rule: every field
+(an annotated name in a class body: dataclass and ``NamedTuple``
+fields), property, and non-dunder method, classmethod or staticmethod
+of a class under ``src/repro`` must be read somewhere in those
+directories.  Members are matched by name, as calls are: a member is
+read when some code loads ``x.name``, or names it in a ``getattr`` or
+``hasattr`` call.  A computed ``getattr`` name reads every string
+constant of the function that makes the call, and of the module-level
+names that function references (``for key in RUN_COUNTS:
+getattr(stats, key)``).  Fields read only by iterating
+``dataclasses.fields`` of a value whose class the scan cannot name are
+not read.  Test oracles and ``KEPT_MODULES`` are skipped.  Members kept
+without a reader (BSPlib primitives, paper equations, and what tests
+observe a surviving behaviour or build their data through) are listed
+in ``KEPT_MEMBERS`` with their reason; an entry goes stale, and fails
+the test, when its member is gone or something now reads it.
+
+A fourth test pins the import graph: importing any ``repro`` package
 loads no ``*.reference`` module, so a test oracle never runs in
 production.
 """
@@ -97,7 +114,6 @@ KEPT_OPTIONS = {
     ("bsplib/api.py", "BSPContext.begin", ("maxprocs",)): _TABLE_6_1,
     ("bsplib/api.py", "BSPContext.abort", ("message",)): _TABLE_6_1,
     ("bsplib/api.py", "BSPContext.hpput", ("offset",)): _TABLE_6_1,
-    ("bsplib/api.py", "BSPContext.get", ("nelems", "dst_offset")): _TABLE_6_1,
     ("bsplib/api.py", "BSPContext.hpget", ("nelems", "dst_offset")):
         _TABLE_6_1,
     ("bsplib/api.py", "BSPContext.move", ("max_bytes",)): _TABLE_6_1,
@@ -147,6 +163,55 @@ KEPT_OPTIONS = {
     ("stencil/optimizer.py", "optimize_halo_depth", ("runs",)):
         "measure_halo_iteration's replication axis, which the batched-halo "
         "tests drive through the optimizer",
+}
+
+_PRIMITIVE = "BSPlib Table 6.1 primitive, kept for interface fidelity"
+
+#: Class members kept although nothing in the caller directories reads
+#: them, keyed by (module, Class.member).
+KEPT_MEMBERS = {
+    **{("bsplib/api.py", f"BSPContext.{name}"): _PRIMITIVE for name in (
+        "init", "begin", "abort", "hpput", "hpget", "set_tagsize", "send",
+        "qsize", "get_tag", "move", "hpmove", "charge_seconds",
+    )},
+    ("core/matrix_model.py", "ComputationModel.cross_mapping_costs"):
+        "paper equation: the §3.3 cross-mapping costs R C^T",
+    ("core/matrix_model.py", "SuperstepModel.overlap"):
+        "paper equation: Eq. 3.16's overlap against measured totals",
+    ("core/matrix_model.py", "SuperstepModel.predict_total"):
+        "paper equation: a superstep's wall time under the Fig. 1.2 "
+        "early-commit model",
+    ("bench/sampling.py", "FilteredSample.reruns"):
+        "how the sampling tests observe collect_filtered's outlier re-runs",
+    ("bsplib/registration.py", "RegistrationTable.registered_count"):
+        "how the collectives tests observe that collectives pop their "
+        "registrations",
+    ("bsplib/runtime.py", "SuperstepRecord.last_arrival"):
+        "how the batched-runtime tests hold the transfer resolver "
+        "bit-identical to its oracle",
+    ("bench/blas_profile.py", "KernelSweep.gradient_between"):
+        "how the §4.2 sweep tests observe per-kernel gradients and the "
+        "cache knee",
+    ("explore/adaptive/drift.py", "DriftRegion.subspace"):
+        "library API documented in docs/adaptive.md: a drift report's "
+        "region as a design space, to re-run just that region",
+    ("explore/adaptive/encoding.py", "SpaceEncoder.features"):
+        "how the encoding tests observe which parameters are encoded, and "
+        "the neighbour oracle's input",
+    ("explore/space.py", "DesignSpace.grid"):
+        "the constructor the space and encoding tests build their spaces "
+        "with",
+    ("kernels/base.py", "Kernel.operands"):
+        "builds the operands the kernel tests run each NumPy body on",
+    ("obs/provenance.py", "StageProvenance.entry"):
+        "how the trace tests check each engine.stage span against the "
+        "clocks its stage started from",
+    ("obs/provenance.py", "StageProvenance.busy_end"):
+        "how the provenance sha256 pin observes each stage's "
+        "initiation-phase ends",
+    ("stencil/regions.py", "Region.of"):
+        "how the region tests check each region's cell count against its "
+        "slice of a padded block",
 }
 
 
@@ -381,4 +446,107 @@ def test_every_option_is_set_somewhere():
     assert not stale, (
         "KEPT_OPTIONS parameters that are gone or now set by a caller "
         "(drop them from KEPT_OPTIONS):\n  " + "\n  ".join(stale)
+    )
+
+
+def _members(tree: ast.Module):
+    """``(Class.member, member)`` for every field, property and non-dunder
+    method of every class in ``tree``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(
+                    stmt.target, ast.Name):
+                name = stmt.target.id
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = stmt.name
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{cls.name}.{name}", name
+
+
+def _strings(node: ast.AST) -> set[str]:
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def _read_members(trees) -> set[str]:
+    """Every member name some code reads: loaded attributes, and the
+    names ``getattr``/``hasattr`` calls spell out or may compute."""
+    module_strings: dict[str, set[str]] = {}
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value:
+                for name in _bound_names(stmt):
+                    module_strings.setdefault(name, set()).update(
+                        _strings(stmt.value))
+    reads: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                computed = False
+                for call in ast.walk(node):
+                    if not (isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Name)
+                            and call.func.id in ("getattr", "hasattr")
+                            and len(call.args) >= 2):
+                        continue
+                    name = call.args[1]
+                    if isinstance(name, ast.Constant):
+                        reads.add(name.value)
+                    else:
+                        computed = True
+                if computed:
+                    reads |= _strings(node)
+                    for ref in _uses(node) & module_strings.keys():
+                        reads |= module_strings[ref]
+    return reads
+
+
+def unread_members() -> set[tuple[str, str]]:
+    """``(module, Class.member)`` for every class member under
+    ``src/repro`` that nothing in the caller directories reads,
+    ``KEPT_MEMBERS`` entries included."""
+    trees = _trees()
+    reads = _read_members(trees.values())
+    found = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        module = path.relative_to(SRC).as_posix()
+        if path.name == "reference.py" or module in KEPT_MODULES:
+            continue  # test oracles; kept modules
+        found |= {(module, qualname) for qualname, name in _members(tree)
+                  if name not in reads}
+    return found
+
+
+def test_every_member_is_read_somewhere():
+    defined = {
+        (path.relative_to(SRC).as_posix(), qualname)
+        for path in sorted(SRC.rglob("*.py"))
+        for qualname, _ in _members(
+            ast.parse(path.read_text(encoding="utf-8")))
+    }
+    gone = sorted(f"{m}: {q}" for m, q in KEPT_MEMBERS.keys() - defined)
+    assert not gone, (
+        "KEPT_MEMBERS entries whose member is gone (drop them):\n  "
+        + "\n  ".join(gone)
+    )
+    unread = unread_members()
+    read = sorted(f"{m}: {q}" for m, q in KEPT_MEMBERS.keys() - unread)
+    assert not read, (
+        "KEPT_MEMBERS entries that something now reads (drop them from "
+        "KEPT_MEMBERS):\n  " + "\n  ".join(read)
+    )
+    never = sorted(f"{m}: {q}" for m, q in unread - KEPT_MEMBERS.keys())
+    assert not never, (
+        "class members that nothing in src/repro, benchmarks/ or examples/ "
+        "reads (delete them, or add them to KEPT_MEMBERS with a "
+        "reason):\n  " + "\n  ".join(never)
     )
