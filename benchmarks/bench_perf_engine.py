@@ -25,7 +25,11 @@ Schema of ``BENCH_engine.json`` (``repro-bench-engine/v2``)::
           "repeats": int,
           "reference_s": float,   # best-of-repeats: calls x scalar engine
           "batch_s": float,       # best-of-repeats: calls x runs=1 batch
-          "speedup": float        # reference_s / batch_s
+          "speedup": float,       # reference_s / batch_s
+          "grouped_s": float,     # best-of-repeats: one call of `calls`
+                                  # one-row groups on the same stream,
+                                  # asserted equal to the runs=1 loop
+          "grouped_speedup": float  # batch_s / grouped_s
         },
         "engine_small_calls": {
           "patterns": [str], "nprocs": [int], "runs": [int],
@@ -217,7 +221,12 @@ def bench_engine_hrelation(quick: bool) -> dict:
     then the dissemination sync, simulated ``calls`` times at ``runs=1``.
     With one replication the FIFO scans' Python loop, not array width,
     sets the cost — the shape the ``runs=256`` case above cannot show.
+    The grouped timing is ``measure_h_relations``' shape: the same
+    ``calls`` replications as one call of one-row groups on the one
+    stream, which draws exactly the loop's values.
     """
+    import numpy as np
+
     from repro.barriers.patterns import all_to_all_barrier, dissemination_barrier
     from repro.cluster.presets import make_preset_machine
     from repro.simmpi import reference
@@ -240,14 +249,25 @@ def bench_engine_hrelation(quick: bool) -> dict:
 
     def run_batch():
         rng = machine.rng("bench-h")
-        for _ in range(calls):
+        return np.concatenate([
             simulate_stages_batch(
                 truth, stages, runs=1, payload_bytes=payloads, rng=rng,
                 noise=machine.noise,
             )
+            for _ in range(calls)
+        ])
 
+    def run_grouped():
+        rng = machine.rng("bench-h")
+        return simulate_stages_batch(
+            truth, stages, runs=calls, payload_bytes=payloads,
+            rng=[(rng, 1)] * calls, noise=machine.noise,
+        )
+
+    assert run_grouped().tobytes() == run_batch().tobytes()
     reference_s = _best_of(repeats, run_reference)
     batch_s = _best_of(repeats, run_batch)
+    grouped_s = _best_of(repeats, run_grouped)
     return {
         "pattern": "total-exchange+dissemination",
         "nprocs": nprocs,
@@ -258,6 +278,8 @@ def bench_engine_hrelation(quick: bool) -> dict:
         "reference_s": reference_s,
         "batch_s": batch_s,
         "speedup": reference_s / batch_s,
+        "grouped_s": grouped_s,
+        "grouped_speedup": batch_s / grouped_s,
     }
 
 
@@ -1046,6 +1068,10 @@ def test_perf_engine_quick(emit, tmp_path):
     # The floor sits between per-message FIFO scans (about 2x on this
     # shape) and scans over node slots (about 20x).
     assert hrel["speedup"] >= 5.0
+    emit(
+        f"engine h-relation grouped (quick): {hrel['grouped_speedup']:.1f}x "
+        f"over the runs=1 loop (grouped {hrel['grouped_s']:.4f}s)"
+    )
     small = artifact["cases"]["engine_small_calls"]
     emit(
         f"engine small calls (quick): {small['batch_us']:.0f}us per "

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.util.validation import require_matrix, require_positive
@@ -70,18 +69,22 @@ def latency_strata(latency: np.ndarray, gap_ratio: float = 2.0) -> list[float]:
 
 
 def _components_under(latency: np.ndarray, bound: float) -> tuple[tuple[int, ...], ...]:
-    p = latency.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(p))
     # A zero off-diagonal entry means "no measurement", not a free link.
     sym = np.minimum(latency, latency.T)
     cheap = (sym > 0.0) & (sym <= bound)
-    srcs, dsts = np.nonzero(cheap)
-    graph.add_edges_from(
-        (int(i), int(j)) for i, j in zip(srcs, dsts) if i < j
+    # Label propagation: every rank takes the least label among itself and
+    # its cheap neighbours until none changes, so each component ends up
+    # labelled by its lowest rank.
+    labels = np.arange(latency.shape[0])
+    while True:
+        reached = np.where(cheap, labels, labels.size).min(axis=1, initial=labels.size)
+        reached = np.minimum(labels, reached)
+        if (reached == labels).all():
+            break
+        labels = reached
+    return tuple(
+        tuple(np.flatnonzero(labels == root).tolist()) for root in np.unique(labels)
     )
-    components = [tuple(sorted(c)) for c in nx.connected_components(graph)]
-    return tuple(sorted(components, key=lambda c: c[0]))
 
 
 def sss_cluster(latency: np.ndarray, gap_ratio: float = 2.0) -> list[ClusterLevel]:

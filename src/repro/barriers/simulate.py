@@ -17,7 +17,7 @@ import numpy as np
 from repro.barriers.patterns import BarrierPattern
 from repro.cluster.topology import Placement
 from repro.machine.simmachine import SimMachine
-from repro.simmpi.engine import simulate_stages_batch
+from repro.simmpi.engine import row_batches, simulate_stages_batch
 from repro.util.validation import require_int
 
 
@@ -158,7 +158,7 @@ def measure_barriers(
     batches = [measures]
     if len(measures) > 1:
         widest = max(pattern.messages_per_stage(), default=0)
-        batches = _batches(measures, widest)
+        batches = row_batches(measures, widest, GROUP_DRAW_CELLS)
     timings: list[BarrierTiming] = []
     for batch in batches:
         groups = [
@@ -190,17 +190,3 @@ def measure_barriers(
             start += runs
     return timings
 
-
-def _batches(measures, widest: int):
-    """Consecutive runs of ``measures`` whose rows times ``widest`` stay
-    within :data:`GROUP_DRAW_CELLS`; a pair past it on its own is a batch
-    of one."""
-    batch, rows = [], 0
-    for pair in measures:
-        if batch and (rows + pair[1]) * widest > GROUP_DRAW_CELLS:
-            yield batch
-            batch, rows = [], 0
-        batch.append(pair)
-        rows += pair[1]
-    if batch:
-        yield batch

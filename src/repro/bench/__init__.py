@@ -28,6 +28,7 @@ from repro.bench.blas_profile import (
     SweepPoint,
     KernelSweep,
     sweep_kernel,
+    segment_gradient,
     in_cache_sizes,
     beyond_cache_sizes,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "SweepPoint",
     "KernelSweep",
     "sweep_kernel",
+    "segment_gradient",
     "in_cache_sizes",
     "beyond_cache_sizes",
     "RatePoint",

@@ -33,22 +33,17 @@ class KernelSweep:
 
     points: tuple[SweepPoint, ...]
 
-    def memory_axis(self) -> np.ndarray:
-        return np.array([p.memory_use_bytes for p in self.points], dtype=float)
 
-    def time_axis(self) -> np.ndarray:
-        return np.array([p.median_seconds for p in self.points], dtype=float)
-
-    def gradient_between(self, lo_bytes: float, hi_bytes: float) -> float:
-        """Mean seconds-per-byte over points inside [lo, hi] — used to
-        detect the cache knee by comparing segment gradients."""
-        mem = self.memory_axis()
-        t = self.time_axis()
-        mask = (mem >= lo_bytes) & (mem <= hi_bytes)
-        if mask.sum() < 2:
-            raise ValueError("need at least two points in the window")
-        mem, t = mem[mask], t[mask]
-        return float(np.polyfit(mem, t, 1)[0])
+def segment_gradient(memory_bytes, seconds, lo_bytes: float, hi_bytes: float) -> float:
+    """Least-squares seconds-per-byte gradient over the points whose memory
+    use lies inside [lo, hi]: comparing two segments' gradients detects
+    the cache knee (Fig. 4.6)."""
+    mem = np.asarray(memory_bytes, dtype=float)
+    t = np.asarray(seconds, dtype=float)
+    mask = (mem >= lo_bytes) & (mem <= hi_bytes)
+    if mask.sum() < 2:
+        raise ValueError("need at least two points in the window")
+    return float(np.polyfit(mem[mask], t[mask], 1)[0])
 
 
 def sweep_kernel(

@@ -26,7 +26,7 @@ from repro.bench.stats import linear_regression, median
 from repro.core.bsp_classic import ClassicBSPParams
 from repro.kernels.numeric import DAXPY
 from repro.machine.simmachine import SimMachine
-from repro.simmpi.engine import simulate_stages_batch
+from repro.simmpi.engine import row_batches, simulate_stages_batch
 from repro.util.validation import require_int
 
 WORD_BYTES = 8  # double-precision machine words
@@ -73,18 +73,19 @@ def measure_rate_points(
     return points
 
 
-def _h_relation_stages(nprocs: int, h_words: int):
+#: Most noise draws (rows x messages of the total-exchange stage) that one
+#: engine call of :func:`measure_h_relations` takes on.  Every stage's
+#: draws are held at once, and the exchange carries P(P-1) messages, so a
+#: P's whole sweep in one call would grow the process's peak memory.
+H_RELATION_DRAW_CELLS = 1 << 13
+
+
+def _h_relation_stages(nprocs: int):
     """An h-relation superstep as BSPonMPI realises it: one total-exchange
     stage carrying the payload, then the synchronisation pattern."""
     exchange = all_to_all_barrier(nprocs)
     sync = dissemination_barrier(nprocs)
-    stages = list(exchange.stages) + list(sync.stages)
-    p = nprocs
-    per_pair = 0.0
-    if h_words > 0 and p > 1:
-        per_pair = h_words * WORD_BYTES / (p - 1)
-    payloads = [per_pair] + [0.0] * len(sync.stages)
-    return stages, payloads
+    return list(exchange.stages) + list(sync.stages)
 
 
 def measure_h_relations(
@@ -93,26 +94,39 @@ def measure_h_relations(
     h_values=None,
     samples: int = 9,
 ) -> tuple[list[int], list[float]]:
-    """Median superstep time for each h (words) — the g/l extraction data."""
+    """Median superstep time for each h (words) — the g/l extraction data.
+
+    Every (h, sample) superstep is one replication row, in h-then-sample
+    order, each a one-row group on the P's one stream: the draws of
+    separate ``runs=1`` calls in that order, taken in as few engine calls
+    as :data:`H_RELATION_DRAW_CELLS` allows.
+    """
     if h_values is None:
         h_values = tuple(range(0, 256, 17)) + (255,)
     nprocs = require_int(nprocs, "nprocs")
     truth = machine.comm_truth(machine.placement(nprocs))
     rng = machine.rng("bspbench-h", nprocs)
-    hs, times = [], []
-    for h in sorted(set(int(v) for v in h_values)):
-        stages, payloads = _h_relation_stages(nprocs, h)
-        # One replication per sample, in turn: a single runs=samples call
-        # would draw the same values in another order.
-        runs = []
-        for _ in range(samples):
-            exits = simulate_stages_batch(
-                truth, stages, payload_bytes=payloads, rng=rng,
-                noise=machine.noise,
-            )[0]
-            runs.append(float(exits.max()) if exits.size else 0.0)
-        hs.append(h)
-        times.append(median(runs))
+    stages = _h_relation_stages(nprocs)
+    hs = sorted(set(int(v) for v in h_values))
+    # Each process sends each other process h / (P - 1) words.
+    per_pair = [
+        h * WORD_BYTES / (nprocs - 1) if h > 0 and nprocs > 1 else 0.0
+        for h in hs
+    ]
+    rows = [(size, 1) for size in per_pair for _ in range(samples)]
+    widest = max((int(stage.sum()) for stage in stages), default=0)
+    worst = []
+    for batch in row_batches(rows, widest, H_RELATION_DRAW_CELLS):
+        sizes = np.array([size for size, _ in batch])
+        exits = simulate_stages_batch(
+            truth, stages, runs=len(batch),
+            payload_bytes=[sizes] + [0.0] * (len(stages) - 1),
+            rng=[(rng, 1)] * len(batch), noise=machine.noise,
+        )
+        worst.extend(exits.max(axis=1).tolist())
+    times = [
+        median(worst[i * samples:(i + 1) * samples]) for i in range(len(hs))
+    ]
     return hs, times
 
 

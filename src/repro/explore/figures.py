@@ -241,13 +241,14 @@ def _blas_points(in_cache: bool) -> list[dict]:
 
 
 def _kernel_gradient(records, lo: float, hi: float) -> float:
-    """Mean seconds-per-byte over the records inside [lo, hi] bytes —
-    the same segment regression ``KernelSweep.gradient_between`` uses."""
-    mem = np.asarray([r.value("memory_bytes") for r in records], dtype=float)
-    t = np.asarray([r.value("median_s") for r in records], dtype=float)
-    mask = (mem >= lo) & (mem <= hi)
-    assert mask.sum() >= 2, "need at least two points in the window"
-    return float(np.polyfit(mem[mask], t[mask], 1)[0])
+    """:func:`repro.bench.blas_profile.segment_gradient` over ``records``."""
+    from repro.bench.blas_profile import segment_gradient
+
+    return segment_gradient(
+        [r.value("memory_bytes") for r in records],
+        [r.value("median_s") for r in records],
+        lo, hi,
+    )
 
 
 @_claim("linear-in-cache", "time is linear in memory use inside L1")

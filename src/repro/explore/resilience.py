@@ -538,17 +538,17 @@ def serial_map_with_retry(
     eval_fn: Callable[[Any], tuple[bool, dict]],
     tasks: Sequence[Any],
     policy: RetryPolicy,
-    keys: Sequence[str] | None = None,
+    keys: Sequence[str],
     start_attempts: Sequence[int] | None = None,
 ) -> list[tuple[bool, dict]]:
     """In-process evaluation with the policy's retry/backoff schedule.
 
+    ``keys`` names each task for its backoff jitter, one key per task.
     No preemptive timeout: a single process cannot interrupt its own
     call, so ``point_timeout_s`` is not enforced here (the pool driver
     enforces it).  ``start_attempts`` lets the degraded fallback resume
     attempt counting where the pool left off.
     """
-    keys = list(keys) if keys is not None else [repr(t) for t in tasks]
     out: list[tuple[bool, dict]] = []
     for position, task in enumerate(tasks):
         attempt = (

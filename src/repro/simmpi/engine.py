@@ -39,7 +39,8 @@ RNG draw-order contract (noisy path)
 ------------------------------------
 All stochastic terms flow through the machine's :class:`NoiseModel` via the
 caller-provided generator; passing ``rng=None`` yields clean event times.
-Noise is drawn in bulk per stage, in this fixed sequence of
+All of a call's noise is drawn in bulk before any stage is simulated,
+stage by stage, each stage in this fixed sequence of
 :meth:`NoiseModel.perturb` calls (the kernel behind
 :meth:`NoiseModel.sample_matrix`, with identical draws):
 
@@ -53,21 +54,31 @@ Noise is drawn in bulk per stage, in this fixed sequence of
 where ``M`` is the stage's message count and messages are enumerated in
 fixed sender-major ``(source, destination)`` order.  Each matrix is filled
 in C order, i.e. **replication-major**: replication 0 takes the first row
-of draws, replication 1 the next, and so on.  This order is part of the
-engine's public contract — golden artifacts were regenerated when it
-replaced the reference engine's per-message interleaved draws (see
-``docs/engine.md``).
+of draws, replication 1 the next, and so on.  Empty stages draw nothing.
+This order is part of the engine's public contract — golden artifacts
+were regenerated when it replaced the reference engine's per-message
+interleaved draws (see ``docs/engine.md``).
 
 Row groups
 ----------
 ``rng`` may also be a sequence of ``(Generator, rows)`` pairs whose rows
 sum to ``runs``: several callers' replications in one pass, each group
-drawing from its own generator.  Each of the five draws above is then the
-concatenation, in group order, of ``perturb(generator_g, base, (rows_g,
-n))``: group ``g``'s rows are exactly the draws a separate ``runs=rows_g``
-call with ``generator_g`` would take.  Every other operation is row-wise,
-so group ``g``'s exit rows equal that separate call's exits bit for bit.
-A single Generator is the one-group case ``[(rng, runs)]``.
+drawing from its generator.  The draws are **group-major**: group ``g``
+takes every stage's five draws above, as ``perturb(generator_g, base,
+(rows_g, n))``, before group ``g + 1`` takes any, so group ``g``'s rows
+are exactly the draws a separate ``runs=rows_g`` call with
+``generator_g`` would take right after the separate calls of the groups
+before it.  Groups on distinct generators thus equal separate calls in
+any order, and a generator may appear in several groups: ``[(rng, 1)] *
+n`` is ``n`` successive ``runs=1`` calls on ``rng``.  Every other
+operation is row-wise, so group ``g``'s exit rows equal that separate
+call's exits bit for bit.  A single Generator is the one-group case
+``[(rng, runs)]``; its draws are used as they come, with no copy.
+
+A stage's payload entry may be a ``(runs,)`` vector, one per-pair byte
+count per row: row ``r`` then moves the bytes a call with the scalar
+entry ``payload[r]`` would.  With one-row groups on one generator, a
+sweep over payload sizes on one stream needs no loop of ``runs=1`` calls.
 """
 
 from __future__ import annotations
@@ -84,15 +95,19 @@ from repro.obs.provenance import EngineProvenance, StageProvenance
 from repro.util.validation import require_int
 
 
-def stage_payload_matrix(payload_bytes, stage_idx: int, p: int) -> np.ndarray:
+def stage_payload_matrix(
+    payload_bytes, stage_idx: int, p: int, runs: int | None = None
+) -> np.ndarray:
     """Normalise a payload specification to a P x P byte matrix.
 
     Accepts ``None`` (pure signals), a scalar applied to every stage, or a
     per-stage sequence whose entries are scalars or full matrices.  Shared
     by the event engine and the analytic cost model so both price the same
-    traffic.  Every byte count must be finite and non-negative: this is
-    the one place payloads are checked, so the engine draws transit noise
-    around them without re-validating.
+    traffic.  Given ``runs``, an entry may also be a ``(runs,)`` vector of
+    per-pair byte counts, one per replication row, returned as a
+    read-only ``(runs, P, P)`` broadcast stack.  Every byte count must be
+    finite and non-negative: this is the one place payloads are checked,
+    so the engine draws transit noise around them without re-validating.
     """
     if payload_bytes is None:
         return np.zeros((p, p))
@@ -103,12 +118,14 @@ def stage_payload_matrix(payload_bytes, stage_idx: int, p: int) -> np.ndarray:
         matrix = np.full((p, p), float(spec))
     else:
         matrix = np.asarray(spec, dtype=float)
-        if matrix.shape != (p, p):
+        if matrix.shape not in ((p, p), (runs,)):
             raise ValueError("per-stage payload matrix has wrong shape")
     if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
         raise ValueError(
             f"stage {stage_idx} payload bytes must be finite and non-negative"
         )
+    if matrix.shape == (runs,):
+        return np.broadcast_to(matrix[:, None, None], (runs, p, p))
     return matrix
 
 
@@ -142,25 +159,60 @@ def _row_groups(rng, runs: int):
     return groups
 
 
-def _draw(noise, groups, base, shape) -> np.ndarray:
-    """One bulk noise matrix of ``shape``, replication-major.
+def row_batches(pairs, width: int, budget: int):
+    """Consecutive runs of ``(item, rows)`` ``pairs`` whose rows times
+    ``width`` stay within ``budget`` draw cells; a pair past it on its
+    own is a batch of one.
 
-    ``groups`` is a :func:`_row_groups` list: each generator fills its
-    own consecutive rows, in group order.  ``base`` is a scalar or a
-    per-message vector that broadcasts to ``shape``; it goes straight to
+    Callers that group rows into one engine call split them this way, so
+    that a wide sweep's memory stays that of a few engine calls: pass a
+    stage's message count as ``width``.  Splitting never changes a value,
+    since each batch continues its groups' generators where the one
+    before left them.
+    """
+    batch, rows = [], 0
+    for pair in pairs:
+        if batch and (rows + pair[1]) * width > budget:
+            yield batch
+            batch, rows = [], 0
+        batch.append(pair)
+        rows += pair[1]
+    if batch:
+        yield batch
+
+
+def _draw_stages(noise, groups, bases, runs: int) -> list[list[np.ndarray]]:
+    """Every stage's noise matrices, ``(runs, width)`` and replication-major.
+
+    ``bases`` holds, per non-empty stage, its five ``(base, width)`` draws
+    in the documented order.  A base is a scalar, a per-message vector, or
+    a ``(runs, width)`` per-row matrix; it goes straight to
     :meth:`NoiseModel.perturb`, with no broadcast copy and no
     re-validation, since :class:`CommTruth` and
     :func:`stage_payload_matrix` have checked every duration it is built
-    from.  On the clean path the base values come back as a read-only
-    broadcast view, and no RNG state is consumed.
+    from.  ``groups`` is a :func:`_row_groups` list, drawn group-major:
+    each group takes all its stages' draws, into its own consecutive rows,
+    before the next group draws.  On the clean path the base values come
+    back as read-only broadcast views, and no RNG state is consumed.
     """
     if groups is None or noise is None:
-        return np.broadcast_to(base, shape)
-    if len(groups) == 1:  # its rows are all of ``shape``: no concatenation
-        return noise.perturb(groups[0][0], base, shape)
-    return np.concatenate([
-        noise.perturb(gen, base, (rows, shape[1])) for gen, rows in groups
-    ])
+        return [[np.broadcast_to(base, (runs, width)) for base, width in stage]
+                for stage in bases]
+    if len(groups) == 1:  # its rows are all the rows: no copy
+        gen = groups[0][0]
+        return [[noise.perturb(gen, base, (runs, width))
+                 for base, width in stage] for stage in bases]
+    out = [[np.empty((runs, width)) for _, width in stage] for stage in bases]
+    start = 0
+    for gen, rows in groups:
+        own = slice(start, start + rows)
+        for stage, mats in zip(bases, out):
+            for (base, width), mat in zip(stage, mats):
+                if np.ndim(base) == 2:
+                    base = base[own]
+                mat[own] = noise.perturb(gen, base, (rows, width))
+        start += rows
+    return out
 
 
 #: Most stage plans :func:`_stage_plan` keeps.  A sweep that never
@@ -378,7 +430,8 @@ def simulate_stages_batch(
 
     Returns the ``(runs, P)`` matrix of per-replication exit times.
     ``payload_bytes`` may be ``None`` (pure signals), a scalar, or a
-    per-stage sequence of scalars/matrices.  ``entry_times`` may be
+    per-stage sequence of scalars, matrices or ``(runs,)`` per-row
+    vectors (see the module docstring).  ``entry_times`` may be
     ``(P,)`` (shared by every replication) or ``(runs, P)``, to model
     skewed arrival at the synchronisation point.  With ``rng=None`` (or
     ``noise=None``) every replication is the identical clean execution,
@@ -437,26 +490,10 @@ def _simulate_stages_batch(
         raise ValueError("runs must be >= 1")
     p = truth.nprocs
     groups = _row_groups(rng, runs)
-    # Clean replications are identical: simulate one and broadcast it to
-    # the ``requested`` rows.  Provenance then keeps single-row arrays
-    # (``rep_row`` clamps), tagged with the requested replication count.
-    requested = runs
-    if (groups is None or noise is None) and (
-        entry_times is None or np.asarray(entry_times).ndim == 1
-    ):
-        runs = 1
     node_key = truth.placement.nodes.tobytes()
-    rows = np.arange(runs)
 
-    t = _batch_entry_times(entry_times, runs, p)
-
-    capture = provenance is not None
-    if capture:
-        provenance.runs = int(requested)
-        provenance.nprocs = int(p)
-        provenance.nic_gap = float(truth.nic_gap)
-        provenance.initial_entry = t.copy()
-
+    # Every non-empty stage's plan and noise bases, before any draw.
+    work, bases, per_row = [], [], False
     for s_idx, stage in enumerate(stages):
         stage = np.asarray(stage, dtype=bool)
         if stage.shape != (p, p):
@@ -467,33 +504,54 @@ def _simulate_stages_batch(
             # pattern; a fully empty stage just costs nothing.
             continue
         src, dst = plan.src, plan.dst
-        participants, senders = plan.participants, plan.senders
-        receivers = plan.receivers
         n_msg = src.size
         latency = truth.latency[src, dst]
         transit = latency
         if payload_bytes is not None:
-            payload = stage_payload_matrix(payload_bytes, s_idx, p)
-            transit = (
-                latency + payload[src, dst] * truth.inv_bandwidth[src, dst]
-            )
+            payload = stage_payload_matrix(payload_bytes, s_idx, p, runs)
+            per_msg = payload[..., src, dst]  # (n_msg,) or (runs, n_msg)
+            transit = latency + per_msg * truth.inv_bandwidth[src, dst]
+            per_row = per_row or transit.ndim == 2
+        work.append((s_idx, plan))
+        bases.append((
+            (truth.invocation_overhead, plan.participants.size),
+            (truth.start_overhead[src, dst], n_msg),
+            (transit, n_msg),
+            (truth.recv_overhead, n_msg),
+            (latency, n_msg),
+        ))
+
+    # Clean replications are identical unless their payloads or entry
+    # times differ: simulate one and broadcast it to the ``requested``
+    # rows.  Provenance then keeps single-row arrays (``rep_row`` clamps),
+    # tagged with the requested replication count.
+    requested = runs
+    if (groups is None or noise is None) and not per_row and (
+        entry_times is None or np.asarray(entry_times).ndim == 1
+    ):
+        runs = 1
+    rows = np.arange(runs)
+    draws = _draw_stages(noise, groups, bases, runs)
+
+    t = _batch_entry_times(entry_times, runs, p)
+
+    capture = provenance is not None
+    if capture:
+        provenance.runs = int(requested)
+        provenance.nprocs = int(p)
+        provenance.nic_gap = float(truth.nic_gap)
+        provenance.initial_entry = t.copy()
+
+    for (s_idx, plan), stage_draws in zip(work, draws):
+        src, dst = plan.src, plan.dst
+        participants, senders = plan.participants, plan.senders
+        receivers = plan.receivers
+        n_msg = src.size
         # Entry snapshot only when provenance is recorded: the hot path
         # must not allocate per-stage (R, P) copies.
         stage_entry = t.copy() if capture else None
         entry_min = float(t.min()) if tele is not None else 0.0
-
-        # --- bulk noise (documented draw order; see module docstring) ----
-        shape = (runs, n_msg)
-        inv_vals = _draw(
-            noise, groups, truth.invocation_overhead,
-            (runs, participants.size),
-        )
-        start_vals = _draw(
-            noise, groups, truth.start_overhead[src, dst], shape
-        )
-        transit_vals = _draw(noise, groups, transit, shape)
-        recv_vals = _draw(noise, groups, truth.recv_overhead, shape)
-        ack_vals = _draw(noise, groups, latency, shape)
+        inv_vals, start_vals, transit_vals, recv_vals, ack_vals = stage_draws
 
         # 1. Initiation: departure cursors are per-sender cumulative sums
         # seeded with entry + invocation overhead; padding with zeros keeps

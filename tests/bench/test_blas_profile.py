@@ -6,6 +6,7 @@ import pytest
 from repro.bench.blas_profile import (
     beyond_cache_sizes,
     in_cache_sizes,
+    segment_gradient,
     sweep_kernel,
 )
 from repro.cluster import presets
@@ -14,6 +15,18 @@ from repro.kernels import BLAS_L1_KERNELS, SAXPY, SDOT, SSCAL
 from repro.machine import SimMachine
 
 L1 = 64 * 1024  # Athlon X2 level-1 capacity
+
+
+def _axes(sweep):
+    """A sweep's memory-use and median-time axes."""
+    return (
+        np.array([p.memory_use_bytes for p in sweep.points], dtype=float),
+        np.array([p.median_seconds for p in sweep.points], dtype=float),
+    )
+
+
+def _gradient(sweep, lo, hi):
+    return segment_gradient(*_axes(sweep), lo, hi)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +67,7 @@ class TestInCacheLinearity:
         sweep = sweep_kernel(
             quiet_machine, 0, SAXPY, in_cache_sizes(SAXPY, L1), batch=3
         )
-        mem = sweep.memory_axis()
-        t = sweep.time_axis()
+        mem, t = _axes(sweep)
         fit = np.polyfit(mem, t, 1)
         residual = t - np.polyval(fit, mem)
         assert np.abs(residual).max() < 0.02 * t.max()
@@ -65,8 +77,8 @@ class TestInCacheLinearity:
         sizes = in_cache_sizes(SAXPY, L1)
         saxpy = sweep_kernel(quiet_machine, 0, SAXPY, sizes, batch=3)
         sdot = sweep_kernel(quiet_machine, 0, SDOT, sizes, batch=3)
-        g_saxpy = saxpy.gradient_between(0, L1)
-        g_sdot = sdot.gradient_between(0, L1)
+        g_saxpy = _gradient(saxpy, 0, L1)
+        g_sdot = _gradient(sdot, 0, L1)
         assert g_saxpy != pytest.approx(g_sdot, rel=0.05)
 
 
@@ -75,14 +87,14 @@ class TestBeyondCacheKnee:
         """Past the 64K L1 boundary the seconds-per-byte gradient jumps."""
         sizes = beyond_cache_sizes(SAXPY, 8 * L1, points=32)
         sweep = sweep_kernel(quiet_machine, 0, SAXPY, sizes, batch=3)
-        inside = sweep.gradient_between(0, L1)
-        outside = sweep.gradient_between(2 * L1, 8 * L1)
+        inside = _gradient(sweep, 0, L1)
+        outside = _gradient(sweep, 2 * L1, 8 * L1)
         assert outside > 1.3 * inside
 
     def test_window_needs_points(self, quiet_machine):
         sweep = sweep_kernel(quiet_machine, 0, SAXPY, [64, 128], batch=3)
         with pytest.raises(ValueError):
-            sweep.gradient_between(10**9, 2 * 10**9)
+            _gradient(sweep, 10**9, 2 * 10**9)
 
 
 class TestSweepHarness:

@@ -166,6 +166,21 @@ class TestPayloadSpec:
         with pytest.raises(ValueError):
             stage_payload_matrix([np.ones((3, 3))], 0, 2)
 
+    def test_per_row_vector(self):
+        out = stage_payload_matrix([np.array([8.0, 0.0, 24.0])], 0, 2, runs=3)
+        assert out.shape == (3, 2, 2)
+        np.testing.assert_array_equal(out[2], np.full((2, 2), 24.0))
+
+    @pytest.mark.parametrize("runs", [None, 4])
+    def test_per_row_vector_needs_matching_runs(self, runs):
+        with pytest.raises(ValueError, match="wrong shape"):
+            stage_payload_matrix([np.ones(3)], 0, 2, runs=runs)
+
+    @pytest.mark.parametrize("bad", [-1e6, np.nan, np.inf])
+    def test_per_row_vector_checked(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            stage_payload_matrix([np.array([1.0, bad])], 0, 2, runs=2)
+
     @pytest.mark.parametrize("bad", [-1e6, np.nan, np.inf])
     @pytest.mark.parametrize(
         "spec",

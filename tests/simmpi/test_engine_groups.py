@@ -1,9 +1,12 @@
 """Row groups: several callers' replications in one engine pass.
 
 ``simulate_stages_batch``'s ``rng`` may be a sequence of ``(Generator,
-rows)`` pairs.  Each group draws its rows from its own generator, so a
-grouped call is ``tobytes``-identical to the separate calls stacked in
-group order (module docstring of :mod:`repro.simmpi.engine`).
+rows)`` pairs.  Each group draws its rows from its generator, every stage
+before the next group draws, so a grouped call is ``tobytes``-identical
+to the separate calls made in group order and stacked, also when groups
+share a generator (module docstring of :mod:`repro.simmpi.engine`).  A
+stage's ``(runs,)`` payload vector gives each row the bytes of a
+scalar-payload call.
 """
 
 import numpy as np
@@ -138,3 +141,85 @@ def test_groups_must_cover_runs(rows, match):
             truth, tree_barrier(4).stages, runs=5, rng=groups,
             noise=machine.noise,
         )
+
+
+@given(
+    family_idx=st.integers(0, len(FAMILIES) - 1),
+    p=st.integers(2, 16),
+    rows=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    picks=st.lists(st.integers(0, 1), min_size=5, max_size=5),
+    seed=st.integers(0, 2**31),
+    empty_at=st.one_of(st.none(), st.integers(0, 8)),
+)
+@settings(max_examples=40, deadline=None)
+def test_shared_generator_groups_equal_successive_calls(
+    family_idx, p, rows, picks, seed, empty_at
+):
+    """Groups on one generator are that generator's successive calls."""
+    machine = _machine()
+    stages, p = _stages(family_idx, p, empty_at)
+    truth = machine.comm_truth(machine.placement(p))
+    payload = _payload("scalar", len(stages), p)
+
+    def pool():
+        return [np.random.default_rng(seed), np.random.default_rng(seed + 1)]
+
+    gens = pool()
+    grouped = simulate_stages_batch(
+        truth, stages, runs=sum(rows), payload_bytes=payload,
+        rng=[(gens[pick], n) for pick, n in zip(picks, rows)],
+        noise=machine.noise,
+    )
+    gens = pool()
+    separate = [
+        simulate_stages_batch(
+            truth, stages, runs=n, payload_bytes=payload, rng=gens[pick],
+            noise=machine.noise,
+        )
+        for pick, n in zip(picks, rows)
+    ]
+    assert grouped.tobytes() == np.concatenate(separate).tobytes()
+
+
+@given(
+    family_idx=st.integers(0, len(FAMILIES) - 1),
+    p=st.integers(2, 16),
+    rows=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    sizes=st.lists(
+        st.sampled_from([0.0, 8.0, 1000.0, 65536.0]), min_size=5, max_size=5
+    ),
+    at=st.integers(0, 8),
+    seed=st.integers(0, 2**31),
+    clean=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_per_row_payload_equals_scalar_payload_calls(
+    family_idx, p, rows, sizes, at, seed, clean
+):
+    """Row ``r`` of a ``(runs,)`` payload entry moves the bytes of a call
+    whose entry is the scalar ``payload[r]``."""
+    machine = _machine()
+    stages, p = _stages(family_idx, p, None)
+    truth = machine.comm_truth(machine.placement(p))
+    at %= len(stages)
+    sizes = sizes[:len(rows)]
+
+    def payload(entry):
+        return [entry if s == at else 512.0 for s in range(len(stages))]
+
+    gen = None if clean else np.random.default_rng(seed)
+    grouped = simulate_stages_batch(
+        truth, stages, runs=sum(rows),
+        payload_bytes=payload(np.repeat(sizes, rows)),
+        rng=None if clean else [(gen, n) for n in rows],
+        noise=machine.noise,
+    )
+    gen = None if clean else np.random.default_rng(seed)
+    separate = [
+        simulate_stages_batch(
+            truth, stages, runs=n, payload_bytes=payload(size), rng=gen,
+            noise=machine.noise,
+        )
+        for size, n in zip(sizes, rows)
+    ]
+    assert grouped.tobytes() == np.concatenate(separate).tobytes()

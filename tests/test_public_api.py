@@ -189,9 +189,6 @@ KEPT_MEMBERS = {
     ("bsplib/runtime.py", "SuperstepRecord.last_arrival"):
         "how the batched-runtime tests hold the transfer resolver "
         "bit-identical to its oracle",
-    ("bench/blas_profile.py", "KernelSweep.gradient_between"):
-        "how the §4.2 sweep tests observe per-kernel gradients and the "
-        "cache knee",
     ("explore/adaptive/drift.py", "DriftRegion.subspace"):
         "library API documented in docs/adaptive.md: a drift report's "
         "region as a design space, to re-run just that region",
