@@ -27,7 +27,15 @@ from repro.util.validation import require_in_range, require_nonnegative
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Stochastic perturbation applied to simulated durations."""
+    """Stochastic perturbation applied to simulated durations.
+
+    One kernel, :meth:`perturb`, in two halves: :meth:`draw` makes the
+    generator calls and :meth:`apply` does the arithmetic on a base.  A
+    caller with many small draws, such as the event engine's row groups,
+    draws each into its own rows and applies once over all of them; the
+    generator streams are consumed exactly as by one :meth:`perturb` per
+    draw, and the values are bit-identical.
+    """
 
     jitter_sigma: float = 0.06  # log-space sigma of multiplicative jitter
     outlier_prob: float = 0.015  # probability a sample is an outlier
@@ -69,23 +77,55 @@ class NoiseModel:
         return self.perturb(rng, base, (runs, *base.shape))
 
     def perturb(self, rng: np.random.Generator, base, shape) -> np.ndarray:
-        """The noise kernel: one draw of ``shape`` around ``base``.
+        """The noise kernel: one draw of ``shape`` around ``base``, that is
+        :meth:`apply` of :meth:`draw`.
 
         ``base`` is a float scalar or array that broadcasts to ``shape``
         and is **not validated**: callers guarantee it is non-negative.
         :meth:`sample` and :meth:`sample_matrix` check their input and
-        call this; the event engine calls it directly on durations its
-        :class:`~repro.machine.simmachine.CommTruth` and payload checks
-        already cover.  A broadcast base draws exactly the values of the
-        materialised one, element for element.
+        call this; the event engine calls the two halves directly on
+        durations its :class:`~repro.machine.simmachine.CommTruth` and
+        payload checks already cover.  A broadcast base draws exactly the
+        values of the materialised one, element for element.
         """
-        out = base * rng.lognormal(mean=0.0, sigma=self.jitter_sigma, size=shape)
+        return self.apply(base, *self.draw(rng, shape))
+
+    def draw(self, rng: np.random.Generator, shape) -> tuple:
+        """The kernel's generator half: ``(factors, hits, spikes)`` of
+        ``shape``, in the kernel's one draw order.
+
+        ``factors`` are the log-normal jitter factors.  With outliers on,
+        ``hits`` marks the cells a ``random`` draw puts below
+        ``outlier_prob``, and only when some cell hits are the spike
+        multiples drawn, all of ``shape`` at once; otherwise ``hits`` or
+        ``spikes`` is ``None``.  No base is involved, so a caller may draw
+        several shapes, stack their rows and :meth:`apply` the stack once.
+        """
+        factors = rng.lognormal(mean=0.0, sigma=self.jitter_sigma, size=shape)
+        hits = spikes = None
         if self.outlier_prob > 0.0:
             hits = rng.random(shape) < self.outlier_prob
-            if hits.any():
+            if np.count_nonzero(hits):
                 spikes = rng.uniform(1.0, max(1.0, self.outlier_scale), size=shape)
-                out = out + np.where(hits, spikes * base, 0.0)
-        return np.maximum(out, self.floor)
+        return factors, hits, spikes
+
+    def apply(self, base, factors, hits, spikes) -> np.ndarray:
+        """The kernel's arithmetic half: ``base`` times ``factors``, plus
+        ``spikes`` times ``base`` where ``hits``, floored at ``floor``.
+
+        Rows stacked from several :meth:`draw` calls (``spikes`` rows of
+        a call that drew none filled with zeros) give each row its own
+        call's values bit for bit: a row without hits only gains ``+ 0.0``,
+        which leaves a non-negative product unchanged.
+
+        The result is computed in place, in ``factors`` (and ``spikes``),
+        so a perturbation holds no more arrays of ``shape`` than the
+        draws themselves; a 0-d draw comes back as a scalar.
+        """
+        out = np.multiply(base, factors, out=factors)
+        if spikes is not None:
+            out += np.where(hits, np.multiply(spikes, base, out=spikes), 0.0)
+        return np.maximum(out, self.floor, out=out)[()]
 
 
 def _durations(base) -> np.ndarray:

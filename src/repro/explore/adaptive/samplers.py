@@ -182,17 +182,24 @@ class _MaximinState:
     The first pick is the seeded candidate ``first``; every later pick is
     the candidate farthest (in encoded Euclidean distance) from everything
     already selected.  ``min_dist`` holds each candidate's distance to the
-    nearest selected point, ``-inf`` once it can no longer be picked.
+    nearest selected point, ``-inf`` once it can no longer be picked;
+    ``_selected`` marks the candidates whose distances it already holds.
     """
 
     def __init__(self, encoded: np.ndarray, first: int):
         self.encoded = encoded
         self.min_dist = np.full(len(encoded), np.inf)
+        self._selected = np.zeros(len(encoded), dtype=bool)
         self._first: int | None = first
 
     def select(self, idx: int) -> None:
         """Mark candidate ``idx`` selected (picked or observed elsewhere);
-        once anything is selected the seeded first pick no longer applies."""
+        once anything is selected the seeded first pick no longer applies.
+        Selecting a candidate again changes nothing, so it returns at once:
+        an observation of the sampler's own pick costs no distance pass."""
+        if self._selected[idx]:
+            return
+        self._selected[idx] = True
         d = np.sqrt(((self.encoded - self.encoded[idx]) ** 2).sum(axis=1))
         self.min_dist = np.minimum(self.min_dist, d)
         self.min_dist[idx] = -np.inf

@@ -17,13 +17,24 @@ import os
 from collections.abc import Iterator, Mapping
 from typing import Any
 
-from repro.explore.space import canonical_json
+from repro.explore.space import DesignPoint, canonical_json
 from repro.util import jsonl
 from repro.util.jsonl import CorruptStoreWarning  # noqa: F401  (re-exported)
 
 
 def record_key(experiment: str, point: Mapping[str, Any]) -> str:
-    """Stable cache key for one (experiment, design-point) evaluation."""
+    """Stable cache key for one (experiment, design-point) evaluation.
+
+    A :class:`DesignPoint` computes its key once per experiment and keeps
+    it (:meth:`DesignPoint.keyed`), so re-serving memoised points hashes
+    nothing; any other mapping is hashed on every call.
+    """
+    if isinstance(point, DesignPoint):
+        return point.keyed(experiment, _record_key)
+    return _record_key(experiment, point)
+
+
+def _record_key(experiment: str, point: Mapping[str, Any]) -> str:
     payload = canonical_json({"experiment": experiment, "point": dict(point)})
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 

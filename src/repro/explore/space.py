@@ -84,7 +84,7 @@ class DesignPoint(Mapping):
     identically across processes, sessions, and machines.
     """
 
-    __slots__ = ("_params", "_key")
+    __slots__ = ("_params", "_key", "_keyed")
 
     def __init__(self, params: Mapping[str, Any]):
         normalized = {
@@ -94,10 +94,20 @@ class DesignPoint(Mapping):
         self._params = MappingProxyType(dict(sorted(normalized.items())))
         digest = hashlib.sha256(canonical_json(dict(self._params)).encode())
         self._key = digest.hexdigest()[:16]
+        self._keyed = None
 
     @property
     def key(self) -> str:
         return self._key
+
+    def keyed(self, experiment: str, compute) -> str:
+        """``compute(experiment, self)``, memoised for the experiment it
+        was last asked for: one slot, so a point served again and again
+        by one campaign is keyed once, and one keyed for another
+        experiment computes (and keeps) that experiment's key."""
+        if self._keyed is None or self._keyed[0] != experiment:
+            self._keyed = (experiment, compute(experiment, self))
+        return self._keyed[1]
 
     def as_dict(self) -> dict:
         return dict(self._params)

@@ -64,16 +64,18 @@ Row groups
 ``rng`` may also be a sequence of ``(Generator, rows)`` pairs whose rows
 sum to ``runs``: several callers' replications in one pass, each group
 drawing from its generator.  The draws are **group-major**: group ``g``
-takes every stage's five draws above, as ``perturb(generator_g, base,
-(rows_g, n))``, before group ``g + 1`` takes any, so group ``g``'s rows
-are exactly the draws a separate ``runs=rows_g`` call with
-``generator_g`` would take right after the separate calls of the groups
-before it.  Groups on distinct generators thus equal separate calls in
-any order, and a generator may appear in several groups: ``[(rng, 1)] *
-n`` is ``n`` successive ``runs=1`` calls on ``rng``.  Every other
-operation is row-wise, so group ``g``'s exit rows equal that separate
-call's exits bit for bit.  A single Generator is the one-group case
-``[(rng, runs)]``; its draws are used as they come, with no copy.
+takes every stage's five draws above, as ``noise.draw(generator_g,
+(rows_g, n))`` (the generator half of ``perturb``), before group ``g +
+1`` takes any, and one ``noise.apply`` per (stage, kind) then perturbs
+every row.  Group ``g``'s rows are therefore exactly the values a
+separate ``runs=rows_g`` call with ``generator_g`` would take right
+after the separate calls of the groups before it.  Groups on distinct
+generators thus equal separate calls in any order, and a generator may
+appear in several groups: ``[(rng, 1)] * n`` is ``n`` successive
+``runs=1`` calls on ``rng``.  Every other operation is row-wise, so
+group ``g``'s exit rows equal that separate call's exits bit for bit.
+A single Generator is the one-group case ``[(rng, runs)]``; its draws
+are used as they come, with no copy.
 
 A stage's payload entry may be a ``(runs,)`` vector, one per-pair byte
 count per row: row ``r`` then moves the bytes a call with the scalar
@@ -187,13 +189,15 @@ def _draw_stages(noise, groups, bases, runs: int) -> list[list[np.ndarray]]:
     ``bases`` holds, per non-empty stage, its five ``(base, width)`` draws
     in the documented order.  A base is a scalar, a per-message vector, or
     a ``(runs, width)`` per-row matrix; it goes straight to
-    :meth:`NoiseModel.perturb`, with no broadcast copy and no
+    :meth:`NoiseModel.apply`, with no broadcast copy and no
     re-validation, since :class:`CommTruth` and
     :func:`stage_payload_matrix` have checked every duration it is built
     from.  ``groups`` is a :func:`_row_groups` list, drawn group-major:
-    each group takes all its stages' draws, into its own consecutive rows,
-    before the next group draws.  On the clean path the base values come
-    back as read-only broadcast views, and no RNG state is consumed.
+    each group takes all its stages' :meth:`NoiseModel.draw` calls, into
+    its own consecutive rows of per-(stage, kind) raw buffers, before the
+    next group draws; one apply per (stage, kind) then perturbs all rows.
+    On the clean path the base values come back as read-only broadcast
+    views, and no RNG state is consumed.
     """
     if groups is None or noise is None:
         return [[np.broadcast_to(base, (runs, width)) for base, width in stage]
@@ -202,17 +206,25 @@ def _draw_stages(noise, groups, bases, runs: int) -> list[list[np.ndarray]]:
         gen = groups[0][0]
         return [[noise.perturb(gen, base, (runs, width))
                  for base, width in stage] for stage in bases]
-    out = [[np.empty((runs, width)) for _, width in stage] for stage in bases]
+    # Per (stage, kind): factors, hits, and spikes (zeros until a hit).
+    raw = [[[np.empty((runs, width)), np.empty((runs, width), bool), None]
+            for _, width in stage] for stage in bases]
     start = 0
     for gen, rows in groups:
         own = slice(start, start + rows)
-        for stage, mats in zip(bases, out):
-            for (base, width), mat in zip(stage, mats):
-                if np.ndim(base) == 2:
-                    base = base[own]
-                mat[own] = noise.perturb(gen, base, (rows, width))
+        for stage, cells in zip(bases, raw):
+            for (_, width), cell in zip(stage, cells):
+                factor, hit, spike = noise.draw(gen, (rows, width))
+                cell[0][own] = factor
+                if hit is not None:
+                    cell[1][own] = hit
+                if spike is not None:
+                    if cell[2] is None:
+                        cell[2] = np.zeros((runs, width))
+                    cell[2][own] = spike
         start += rows
-    return out
+    return [[noise.apply(base, *cell) for (base, _), cell in zip(stage, cells)]
+            for stage, cells in zip(bases, raw)]
 
 
 #: Most stage plans :func:`_stage_plan` keeps.  A sweep that never

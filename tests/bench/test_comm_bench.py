@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bench.comm_bench import benchmark_comm
+from repro.bench.comm_bench import _median_axis1, benchmark_comm
 from repro.cluster import presets
 from repro.cluster.noise import QUIET
 from repro.cluster.topology import Relation
@@ -203,3 +205,26 @@ class TestEnsemble:
                 machine, machine.placement(4), samples=5, sizes=FAST_SIZES,
                 runs=0,
             )
+
+
+@given(
+    runs=st.integers(1, 4),
+    samples=st.integers(3, 12),
+    tail=st.lists(st.integers(1, 5), max_size=2),
+    seed=st.integers(0, 2**31),
+    ties=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_median_by_selection_is_np_median_bitwise(runs, samples, tail, seed,
+                                                  ties):
+    """Odd and even sample counts, sweep axes after the sample axis, and
+    repeated values all reduce to ``np.median(x, axis=1)`` bit for bit."""
+    x = np.random.default_rng(seed).lognormal(
+        0.0, 0.5, (runs, samples, *tail)
+    )
+    if ties:
+        x = np.round(x, 1)
+    expected = np.median(x, axis=1)
+    got = _median_axis1(x)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

@@ -2,6 +2,7 @@
 in-space, no repeats, seeded determinism — are property-tested in
 ``test_sampler_properties.py``)."""
 
+import numpy as np
 import pytest
 
 from repro.explore.adaptive.samplers import (
@@ -10,6 +11,7 @@ from repro.explore.adaptive.samplers import (
     StratifiedSampler,
     SuccessiveHalvingSampler,
     SurrogateSampler,
+    _MaximinState,
     make_sampler,
 )
 from repro.explore.space import DesignPoint, DesignSpace
@@ -200,3 +202,22 @@ def test_observations_with_unknown_points_are_tolerated(small_space):
     foreign = DesignPoint({"a": 999, "b": 999, "mode": "zzz", "runs": 1})
     sampler.observe([Observation(point=foreign, metrics={"cost": 1.0})])
     assert len(sampler.propose(4)) == 4
+
+
+def test_maximin_reselect_returns_early_but_a_skip_still_selects():
+    """Selecting a selected candidate again touches nothing (no distance
+    pass), while a candidate a pick only skipped still updates every
+    distance when it is observed."""
+    encoded = np.random.default_rng(3).uniform(size=(30, 3))
+    reference = _MaximinState(encoded, first=0)
+    reference.select(2)
+    reference.select(5)
+    skipped = _MaximinState(encoded, first=0)
+    skipped.select(2)
+    skipped.min_dist[5] = -np.inf  # what pick() does to a taken candidate
+    skipped.select(5)
+    assert skipped.min_dist.tobytes() == reference.min_dist.tobytes()
+    before = reference.min_dist.copy()
+    reference.encoded = None  # a distance pass would fail
+    reference.select(5)
+    assert reference.min_dist.tobytes() == before.tobytes()

@@ -1,13 +1,23 @@
 """Result-cache round-trips, durability, and key stability."""
 
+import hashlib
 import json
 import os
 import warnings
 
 import pytest
 
+import repro.explore.cache as cache_module
 from repro.explore.cache import CorruptStoreWarning, ResultCache, record_key
+from repro.explore.campaign import Campaign
+from repro.explore.experiments import register_experiment
 from repro.explore.resilience import FaultPlan, FaultSpec, activate, deactivate
+from repro.explore.space import DesignPoint, DesignSpace, canonical_json
+
+
+@register_experiment("test-keyed", "n + 1 (test only)", n=int)
+def _plus_one(point):
+    return {"value": point["n"] + 1}
 
 
 def test_record_key_is_stable_and_content_addressed():
@@ -16,6 +26,93 @@ def test_record_key_is_stable_and_content_addressed():
     assert a == b
     assert record_key("other-exp", {"nprocs": 8, "preset": "xeon-8x2x4"}) != a
     assert record_key("barrier-cost", {"nprocs": 16, "preset": "xeon-8x2x4"}) != a
+
+
+def _canonical_key(experiment, point):
+    payload = canonical_json({"experiment": experiment, "point": dict(point)})
+    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+
+
+@pytest.fixture
+def json_calls(monkeypatch):
+    """Every ``canonical_json`` call the record-key code makes."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return canonical_json(value)
+
+    monkeypatch.setattr(cache_module, "canonical_json", counted)
+    return calls
+
+
+def test_design_point_key_is_memoised_and_canonical(json_calls):
+    point = DesignPoint({"preset": "xeon-8x2x4", "nprocs": 8})
+    first = record_key("barrier-cost", point)
+    assert first == _canonical_key("barrier-cost", point)
+    assert first == record_key("barrier-cost", dict(point))
+    json_calls.clear()
+    assert record_key("barrier-cost", point) == first
+    assert json_calls == []
+
+
+def test_one_point_keyed_for_two_experiments_gets_two_keys():
+    point = DesignPoint({"nprocs": 8})
+    a = record_key("exp-a", point)
+    b = record_key("exp-b", point)
+    assert a != b
+    assert a == _canonical_key("exp-a", point)
+    assert b == _canonical_key("exp-b", point)
+    assert record_key("exp-a", point) == a  # switching back recomputes
+
+
+def test_plain_dicts_are_hashed_on_every_call(json_calls):
+    point = {"nprocs": 8}
+    assert record_key("barrier-cost", point) == _canonical_key(
+        "barrier-cost", point
+    )
+    record_key("barrier-cost", point)
+    assert len(json_calls) == 2
+    assert point == {"nprocs": 8}
+
+
+def test_warm_serve_of_memoised_points_hashes_no_point_key(
+    tmp_path, json_calls
+):
+    space = DesignSpace.from_dict({"axes": {"n": [1, 2, 3, 4]}})
+    points = space.expand()
+    Campaign("warm", space, "test-keyed", store_dir=tmp_path).serve(points)
+    json_calls.clear()
+    records, stats = Campaign(
+        "warm", space, "test-keyed", store_dir=tmp_path
+    ).serve(points)
+    assert stats.cached == 4
+    assert json_calls == []
+    assert [r.key for r in records] == [
+        _canonical_key("test-keyed", p) for p in points
+    ]
+
+
+def test_store_bytes_do_not_depend_on_the_memo(tmp_path):
+    """A store written from points first keyed for another experiment is
+    byte-identical to one written from fresh points, and every entry's
+    key is the canonical one."""
+    space = DesignSpace.from_dict({"axes": {"n": [5, 6, 7]}})
+    fresh = [DesignPoint(p) for p in space.expand()]
+    rekeyed = [DesignPoint(p) for p in space.expand()]
+    for point in rekeyed:
+        record_key("another-experiment", point)
+    stores = []
+    for name, points in (("fresh", fresh), ("rekeyed", rekeyed)):
+        Campaign("bytes", space, "test-keyed",
+                 store_dir=tmp_path / name).serve(points)
+        (store,) = (tmp_path / name).glob("*.jsonl")
+        stores.append(store.read_bytes())
+        entries = [json.loads(line) for line in stores[-1].splitlines()]
+        assert [e["key"] for e in entries] == [
+            _canonical_key("test-keyed", e["record"]["point"]) for e in entries
+        ]
+    assert stores[0] == stores[1]
 
 
 def test_put_get_round_trip(tmp_path):
